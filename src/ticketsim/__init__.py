@@ -6,16 +6,14 @@ The package splits into:
 * ``core``      model constants, reward distributions, discounting
 * ``analytics`` closed-form valuations and the truncated-series oracle
 * ``engine``    the slot lottery state machine and Monte Carlo samplers
+* ``quantities`` one table of every quantity: closed form, oracle, estimator
 * ``market``    pricing policies, pooling, and the consecutive-win bonus
 * ``config`` / ``report`` / ``harness`` / ``cli``   experiment plumbing
 """
 
 from .analytics import (
-    FormulaId,
-    Valuation,
     control_value,
     control_value_derivative_n,
-    evaluate,
     expected_slots_to_win,
     expected_ticket_value,
     issued_market_cap,
@@ -40,14 +38,11 @@ from .core import (
     present_value,
 )
 from .engine import (
-    Estimate,
-    Quantity,
     ReplacementRule,
     SlotState,
     Ticket,
     TrajectoryRecord,
     discount_horizon,
-    estimate,
     init_state,
     run_trajectory,
     sample_holder_flows,
@@ -71,13 +66,12 @@ from .market import (
     FixedMargin,
     MultiBlockSpec,
     MultiblockResult,
-    PoolSpec,
     PoolVarianceResult,
     PricingPolicy,
     multiblock_value_experiment,
-    pool_payout,
     pooled_variance_experiment,
     protocol_capture,
 )
+from .quantities import Estimate, Quantity, estimate
 
 __version__ = "0.1.0"

@@ -12,8 +12,6 @@ so nothing overflows or cancels for n up to 2**20 and beyond.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 from .errors import DiscountRateError, DivergenceError
@@ -200,50 +198,3 @@ def truncated_series_sum(
         if envelope is not None:
             envelope *= ratio
     raise DivergenceError(f"series did not converge within {_MAX_TERMS} terms")
-
-
-# ---------------------------------------------------------------------------
-# Formula registry (used by the report harness)
-# ---------------------------------------------------------------------------
-
-
-class FormulaId(Enum):
-    NPV_REWARDS = "npv_rewards"
-    TICKET_VALUE = "ticket_value"
-    ISSUED_MARKET_CAP = "issued_market_cap"
-    TOTAL_TICKET_VALUE = "total_ticket_value"
-    SLOTS_TO_WIN = "slots_to_win"
-    TICKET_VALUE_DERIVATIVE_N = "ticket_value_derivative_n"
-    CONTROL_VALUE = "control_value"
-    CONTROL_VALUE_DERIVATIVE_N = "control_value_derivative_n"
-    TICKET_VALUE_SECOND_MOMENT = "ticket_value_second_moment"
-    TICKET_VALUE_VARIANCE = "ticket_value_variance"
-
-
-@dataclass(frozen=True)
-class Valuation:
-    """One evaluated closed form together with the inputs that produced it."""
-
-    value: float
-    formula_id: FormulaId
-    inputs: dict
-
-
-def evaluate(formula: FormulaId, mu: float, var_r: float, d: float, n: float, p: float = 1.0) -> Valuation:
-    """Evaluate one registered closed form at the given model constants."""
-    table = {
-        FormulaId.NPV_REWARDS: lambda: npv_rewards(mu, d),
-        FormulaId.TICKET_VALUE: lambda: expected_ticket_value(mu, d, n),
-        FormulaId.ISSUED_MARKET_CAP: lambda: issued_market_cap(mu, d, n),
-        FormulaId.TOTAL_TICKET_VALUE: lambda: total_ticket_value(mu, d, n),
-        FormulaId.SLOTS_TO_WIN: lambda: expected_slots_to_win(n),
-        FormulaId.TICKET_VALUE_DERIVATIVE_N: lambda: ticket_value_derivative_n(mu, d, n),
-        FormulaId.CONTROL_VALUE: lambda: control_value(p, mu, d, n),
-        FormulaId.CONTROL_VALUE_DERIVATIVE_N: lambda: control_value_derivative_n(p, mu, d, n),
-        FormulaId.TICKET_VALUE_SECOND_MOMENT: lambda: ticket_value_second_moment(mu, var_r, d, n),
-        FormulaId.TICKET_VALUE_VARIANCE: lambda: ticket_value_variance(mu, var_r, d, n),
-    }
-    inputs = {"mu": mu, "var_r": var_r, "d": d, "n": n}
-    if formula in (FormulaId.CONTROL_VALUE, FormulaId.CONTROL_VALUE_DERIVATIVE_N):
-        inputs["p"] = p
-    return Valuation(value=table[formula](), formula_id=formula, inputs=inputs)

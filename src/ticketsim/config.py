@@ -21,9 +21,10 @@ from .core import (
     calibrate_lognormal,
     load_empirical_rewards,
 )
-from .engine import Quantity, discount_horizon, win_horizon
+from .engine import discount_horizon, win_horizon
 from .errors import ConfigError
-from .market import FairValue, FixedDiscount, FixedMargin, MultiBlockSpec, PoolSpec, PricingPolicy
+from .market import FairValue, FixedDiscount, FixedMargin, MultiBlockSpec, PricingPolicy
+from .quantities import Quantity, entries
 
 SWEEP_PARAMETERS = ("n", "d", "mu", "sigma_log", "beta", "k", "p")
 OUTPUT_FORMATS = ("csv", "jsonl")
@@ -40,7 +41,7 @@ DEFAULTS = {
     "n": 32,
     "d": 0.01,
     "reward": {"kind": "constant", "mean": 1.0},
-    "quantity": "ticket_value",
+    "quantity": Quantity.TICKET_VALUE.value,
     "holder_share": None,
     "horizon": None,
     "timings": False,
@@ -69,7 +70,7 @@ class ExperimentConfig:
     horizon: Optional[int]
     sweep: Optional[SweepSpec]
     policy: Optional[PricingPolicy]
-    pool: Optional[PoolSpec]
+    pool_size: Optional[int]     # k tickets sharing their payoffs equally
     multiblock: Optional[MultiBlockSpec]
     output_path: Optional[str]
     output_format: str
@@ -117,8 +118,8 @@ class ExperimentConfig:
             elif isinstance(self.policy, FixedDiscount):
                 spec["discount"] = self.policy.discount
             out["policy"] = spec
-        if self.pool is not None:
-            out["pool"] = {"k": self.pool.member_count, "shares": list(self.pool.shares)}
+        if self.pool_size is not None:
+            out["pool"] = {"k": self.pool_size}
         if self.multiblock is not None:
             out["multiblock"] = {"beta": self.multiblock.beta}
         return out
@@ -151,6 +152,12 @@ def _expect_number(value, path: str, minimum=None, exclusive_min=None, maximum=N
     if maximum is not None and x > maximum:
         raise ConfigError(path, f"must be <= {maximum}, got {value}")
     return x
+
+
+def _expect_quantity(value, path: str, choices) -> None:
+    names = [quantity.value for quantity, _ in choices]
+    if value not in names:
+        raise ConfigError(path, f"expected one of {names}, got {value!r}")
 
 
 def _check_keys(mapping: dict, allowed: set, path: str) -> None:
@@ -220,10 +227,10 @@ def _parse_sweep(spec, path: str) -> SweepSpec:
     checker = _SWEEP_DOMAINS[parameter]
     checked = tuple(checker(v, f"{path}.values[{i}]") for i, v in enumerate(values))
     quantity = spec.get("quantity")
-    if quantity is not None and quantity not in [q.value for q in Quantity] + [
-        "npv_rewards", "issued_market_cap", "total_ticket_value", "control_value",
-    ]:
-        raise ConfigError(f"{path}.quantity", f"unknown sweep quantity {quantity!r}")
+    if quantity is not None:
+        if parameter in ("beta", "k", "p"):
+            raise ConfigError(f"{path}.quantity", f"not used when sweeping {parameter}")
+        _expect_quantity(quantity, f"{path}.quantity", entries(oracle=True, estimator=True))
     mc = spec.get("mc", False)
     if not isinstance(mc, bool):
         raise ConfigError(f"{path}.mc", f"expected true or false, got {mc!r}")
@@ -249,20 +256,10 @@ def _parse_policy(spec, path: str) -> PricingPolicy:
     )
 
 
-def _parse_pool(spec, path: str) -> PoolSpec:
+def _parse_pool(spec, path: str) -> int:
     spec = _expect_mapping(spec, path)
-    _check_keys(spec, {"k", "shares"}, path)
-    if "shares" in spec:
-        shares = spec["shares"]
-        if not isinstance(shares, list) or not shares:
-            raise ConfigError(f"{path}.shares", "expected a non-empty list of shares")
-        try:
-            return PoolSpec(shares=tuple(float(s) for s in shares))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}.shares", str(exc)) from exc
-    if "k" in spec:
-        return PoolSpec.equal(_expect_int(spec["k"], f"{path}.k", minimum=1))
-    raise ConfigError(path, "pool needs either 'k' or 'shares'")
+    _check_keys(spec, {"k"}, path)
+    return _expect_int(spec.get("k"), f"{path}.k", minimum=1)
 
 
 def _parse_multiblock(spec, path: str) -> MultiBlockSpec:
@@ -285,8 +282,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     reward, reward_spec = _parse_reward(merged["reward"], "reward")
 
     quantity = merged["quantity"]
-    if quantity not in [q.value for q in Quantity]:
-        raise ConfigError("quantity", f"expected one of {[q.value for q in Quantity]}, got {quantity!r}")
+    _expect_quantity(quantity, "quantity", entries(estimator=True))
 
     holder_share = merged["holder_share"]
     if holder_share is not None:
@@ -302,7 +298,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     sweep = _parse_sweep(raw["sweep"], "sweep") if raw.get("sweep") is not None else None
     policy = _parse_policy(raw["policy"], "policy") if raw.get("policy") is not None else None
-    pool = _parse_pool(raw["pool"], "pool") if raw.get("pool") is not None else None
+    pool_size = _parse_pool(raw["pool"], "pool") if raw.get("pool") is not None else None
     multiblock = (
         _parse_multiblock(raw["multiblock"], "multiblock") if raw.get("multiblock") is not None else None
     )
@@ -319,8 +315,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if output_format not in OUTPUT_FORMATS:
             raise ConfigError("output.format", f"expected one of {OUTPUT_FORMATS}, got {output_format!r}")
 
-    if pool is not None and pool.member_count > n:
-        raise ConfigError("pool.k", f"pool size {pool.member_count} exceeds ticket count n={n}")
+    if pool_size is not None and pool_size > n:
+        raise ConfigError("pool.k", f"pool size {pool_size} exceeds ticket count n={n}")
 
     return ExperimentConfig(
         seed=seed,
@@ -335,7 +331,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         horizon=horizon,
         sweep=sweep,
         policy=policy,
-        pool=pool,
+        pool_size=pool_size,
         multiblock=multiblock,
         output_path=output_path,
         output_format=output_format,

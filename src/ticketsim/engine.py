@@ -441,31 +441,8 @@ def sample_pool_payoffs(
 
 
 # ---------------------------------------------------------------------------
-# Estimator
+# Ensemble statistics
 # ---------------------------------------------------------------------------
-
-
-class Quantity(str, Enum):
-    TICKET_VALUE = "ticket_value"
-    TICKET_VALUE_VARIANCE = "ticket_value_variance"
-    TIME_TO_WIN = "time_to_win"
-    HOLDER_VALUE = "holder_value"
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """Aggregated Monte Carlo estimate.
-
-    ``bias_bound`` bounds the systematic error introduced by horizon
-    truncation; it is reported so callers can fold it into comparisons.
-    """
-
-    mean: float
-    stderr: float
-    ci95: tuple[float, float]
-    trials: int
-    truncated: int = 0
-    bias_bound: float = 0.0
 
 
 def _zero_degenerate(stderr: float, scale: float) -> float:
@@ -492,101 +469,8 @@ def _variance_stderr(values: np.ndarray) -> tuple[float, float]:
     return s2, _zero_degenerate(stderr, s2)
 
 
-def _geometric_tail(x: float, horizon: int) -> float:
-    """sum_{t > horizon} x^t for 0 <= x < 1."""
-    return x ** (horizon + 1) / (1.0 - x)
-
-
-def _arithmetic_geometric_tail(x: float, horizon: int) -> float:
-    """sum_{t > horizon} t * x^t for 0 <= x < 1."""
-    return x ** (horizon + 1) * ((horizon + 1) - horizon * x) / (1.0 - x) ** 2
-
-
-def _holder_bias_bound(params, share: float, beta: float, price: float, horizon: int) -> float:
-    """Bound on the truncated expected holder flow beyond the horizon.
-
-    Uses streak <= t, so the per-slot bonus factor is at most 1 + beta*(t-1).
-    """
-    x = 1.0 / (1.0 + params.d)
-    geo = _geometric_tail(x, horizon)
-    reward_tail = params.mu * ((1.0 - beta) * geo + beta * _arithmetic_geometric_tail(x, horizon))
-    return share * (abs(reward_tail) + price * geo)
-
-
 def holders_for_share(n: int, holder_tickets: int, holder: str = "whale") -> list[str]:
     """Initial assignment giving one holder the first ``holder_tickets`` tickets."""
     if not (1 <= holder_tickets <= n):
         raise ValueError(f"holder tickets must be between 1 and n={n}, got {holder_tickets}")
     return [holder] * holder_tickets + [MARKET_HOLDER] * (n - holder_tickets)
-
-
-def estimate(
-    params: EconomyParams,
-    quantity: Quantity,
-    trials: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    horizon: Optional[int] = None,
-    holder_share: Optional[float] = None,
-    multiblock=None,
-    stream: int = 0,
-) -> Estimate:
-    """Monte Carlo estimate of one model quantity over independent trajectories.
-
-    Bit-identical for a fixed (seed, trials, stream) regardless of ``workers``.
-    """
-    quantity = Quantity(quantity)
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials for a meaningful stderr, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-
-    n, mu = params.n, params.mu
-    win_tail = (1.0 - 1.0 / n) ** (horizon if horizon is not None else win_horizon(n))
-
-    if quantity is Quantity.TICKET_VALUE:
-        payoffs, truncated = sample_ticket_payoffs(
-            params, trials, seed, horizon=horizon, workers=workers, stream=stream
-        )
-        mean, stderr = _mean_stderr(payoffs)
-        bias = mu * win_tail
-    elif quantity is Quantity.TICKET_VALUE_VARIANCE:
-        payoffs, truncated = sample_ticket_payoffs(
-            params, trials, seed, horizon=horizon, workers=workers, stream=stream
-        )
-        mean, stderr = _variance_stderr(payoffs)
-        bias = (params.var_r + params.mu**2) * win_tail + 2.0 * mu**2 * win_tail
-    elif quantity is Quantity.TIME_TO_WIN:
-        slots, truncated = sample_win_slots(
-            params, trials, seed, horizon=horizon, workers=workers, stream=stream
-        )
-        mean, stderr = _mean_stderr(slots.astype(np.float64))
-        bias = n * win_tail
-    elif quantity is Quantity.HOLDER_VALUE:
-        if holder_share is None:
-            raise ValueError("holder_share is required for the holder_value quantity")
-        if not (0.0 < holder_share <= 1.0):
-            raise ValueError(f"holder_share must be in (0, 1], got {holder_share}")
-        k = int(holder_share * n + 0.5)
-        if k < 1:
-            raise ValueError(f"holder_share {holder_share} rounds to zero of {n} tickets")
-        beta = float(multiblock.beta) if multiblock is not None else 0.0
-        hor = horizon if horizon is not None else discount_horizon(params.d)
-        gross, _ = sample_holder_flows(
-            params, k, trials, seed, beta=beta, horizon=hor, workers=workers, stream=stream
-        )
-        mean, stderr = _mean_stderr(gross)
-        truncated = 0
-        bias = _holder_bias_bound(params, k / n, beta, 0.0, hor)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown quantity: {quantity}")
-
-    return Estimate(
-        mean=mean,
-        stderr=stderr,
-        ci95=(mean - 1.96 * stderr, mean + 1.96 * stderr),
-        trials=trials,
-        truncated=truncated,
-        bias_bound=bias,
-    )

@@ -17,70 +17,37 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import analytics
 from .analytics import truncated_series_sum
 from .config import ExperimentConfig
 from .core import ConstantReward, EconomyParams, LognormalReward, calibrate_lognormal
-from .engine import (
-    Quantity,
-    _holder_bias_bound,
-    _mean_stderr,
-    _variance_stderr,
-    discount_horizon,
-    sample_holder_flows,
-    sample_ticket_payoffs,
-    sample_win_slots,
-    win_horizon,
-)
 from .errors import ConfigError
 from .market import (
     FairValue,
+    MultiBlockSpec,
     multiblock_value_experiment,
     pooled_variance_experiment,
     protocol_capture,
 )
+from .quantities import ORACLE_EPSILON, QUANTITIES, Entry, Quantity, Run, entries
 from .report import ReportRow, make_row, relative_gap
 
-ORACLE_EPSILON = 1e-12     # series oracle stopping tolerance
 ORACLE_TOLERANCE = 1e-9    # closed form vs oracle acceptance
 Z_LIMIT = 4.0
 
-# Substream namespaces so the verify suite's sections never share draws.
-_STREAM_TICKET = 0
-_STREAM_TIME = 1
-_STREAM_HOLDER_GROSS = 2
-_STREAM_HOLDER_NET = 3
 
-
-def _central_difference(f: Callable[[float], float], x: float, h: float) -> float:
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def _ticket_value_series(mu: float, d: float, n: float) -> float:
-    """Proof-structure series for the single-ticket value."""
-    q = 1.0 - 1.0 / n
-    return truncated_series_sum(
-        lambda t: q ** (t - 1) * (1.0 / n) * mu / (1.0 + d) ** t, d, ORACLE_EPSILON
+def _run(cfg: ExperimentConfig, params: EconomyParams, share: Optional[float]) -> Run:
+    return Run(
+        params, share, trials=cfg.trials, seed=cfg.seed, workers=cfg.workers,
+        horizon=cfg.horizon, beta=cfg.multiblock.beta if cfg.multiblock is not None else 0.0,
     )
 
 
-def _second_moment_series(mu: float, var_r: float, d: float, n: float) -> float:
-    q = 1.0 - 1.0 / n
-    num = var_r + mu * mu
-    return truncated_series_sum(
-        lambda t: q ** (t - 1) * (1.0 / n) * num / (1.0 + d) ** (2 * t),
-        epsilon=ORACLE_EPSILON,
-        ratio=q / (1.0 + d) ** 2,
-    )
-
-
-def _slots_to_win_series(n: float) -> float:
-    q = 1.0 - 1.0 / n
-    return truncated_series_sum(
-        lambda t: t * q ** (t - 1) * (1.0 / n), epsilon=ORACLE_EPSILON, ratio=q
-    )
+def _oracle_row(label, entry: Entry, run: Run) -> ReportRow:
+    closed, oracle = entry.closed(run), entry.oracle(run)
+    return make_row(label, closed, oracle, 0.0, 0, relative_gap(oracle, closed))
 
 
 @dataclass
@@ -104,129 +71,35 @@ def run_verify(
     cfg: ExperimentConfig,
     closed_form_overrides: Optional[dict[str, float]] = None,
 ) -> VerifyOutcome:
-    """Check every closed form against its series oracle and an MC estimate.
+    """Check every closed form against its oracle and, where the quantity
+    has an estimator, a Monte Carlo estimate.
 
+    Closed forms take the share k/n that the holder ensembles hold.
     ``closed_form_overrides`` substitutes closed-form values by row name;
     it exists so the harness's own failure path can be exercised.
     """
     overrides = closed_form_overrides or {}
-    params = cfg.params
-    mu, var_r, d, n = params.mu, params.var_r, cfg.d, cfg.n
-    trials, seed, workers = cfg.trials, cfg.seed, cfg.workers
-
-    win_hor = cfg.horizon if cfg.horizon is not None else win_horizon(n)
-    win_tail = (1.0 - 1.0 / n) ** win_hor
-    disc_hor = cfg.horizon if cfg.horizon is not None else discount_horizon(d)
-
     share = cfg.holder_share if cfg.holder_share is not None else 0.125
-    k = max(1, min(n, int(share * n + 0.5)))
-    realized_share = k / n
-
-    # Shared ensembles (one per stream namespace).
-    payoffs, _ = sample_ticket_payoffs(
-        params, trials, seed, horizon=win_hor, workers=workers, stream=_STREAM_TICKET
-    )
-    ticket_mean, ticket_se = _mean_stderr(payoffs)
-    ticket_var, ticket_var_se = _variance_stderr(payoffs)
-    slots, _ = sample_win_slots(
-        params, trials, seed, horizon=win_hor, workers=workers, stream=_STREAM_TIME
-    )
-    slots_mean, slots_se = _mean_stderr(slots.astype(float))
-    gross_all, _ = sample_holder_flows(
-        params, n, trials, seed, horizon=disc_hor, workers=workers, stream=_STREAM_HOLDER_GROSS
-    )
-    gross_mean, gross_se = _mean_stderr(gross_all)
-    control_mc = multiblock_value_experiment(
-        params, None, realized_share, trials, seed,
-        workers=workers, horizon=disc_hor, stream=_STREAM_HOLDER_NET,
-    )
-
-    ticket_series = _ticket_value_series(mu, d, n)
-    fd_step = 3e-5 * n
+    run = _run(cfg, cfg.params, max(1, int(share * cfg.n + 0.5)) / cfg.n)
 
     rows: list[ReportRow] = []
     failures: list[str] = []
-
-    def check(name: str, closed: float, oracle: float, mc_mean: float, mc_stderr: float,
-              mc_trials: int, bias: float, extra_ok: bool = True) -> None:
+    for quantity, entry in entries(oracle=True):
         start = time.perf_counter()
-        closed = overrides.get(name, closed)
+        name = quantity.value
+        closed = overrides.get(name, entry.closed(run))
+        oracle = entry.oracle(run)
         rel = relative_gap(oracle, closed)
-        ok = rel <= ORACLE_TOLERANCE and extra_ok
-        if mc_trials > 0:
-            ok = ok and _mc_gate(mc_mean, closed, mc_stderr, bias)
+        ok = rel <= ORACLE_TOLERANCE and entry.sign_holds(closed, run.mu)
+        mc_mean, mc_stderr, trials = oracle, 0.0, 0
+        if entry.ensemble is not None:
+            est = entry.estimate(run)
+            mc_mean, mc_stderr, trials = est.mean, est.stderr, est.trials
+            ok = ok and _mc_gate(est.mean, closed, est.stderr, est.bias_bound)
         runtime = (time.perf_counter() - start) * 1000.0 if cfg.timings else 0.0
-        rows.append(
-            make_row(name, closed, mc_mean, mc_stderr, mc_trials, rel, runtime_ms=runtime)
-        )
+        rows.append(make_row(name, closed, mc_mean, mc_stderr, trials, rel, runtime_ms=runtime))
         if not ok:
             failures.append(name)
-
-    # One row per closed form. MC reuse: the ticket-payoff ensemble backs the
-    # single-ticket value, its variance, and the linear aggregates built on it.
-    check(
-        "npv_rewards",
-        analytics.npv_rewards(mu, d),
-        truncated_series_sum(lambda t: mu / (1.0 + d) ** t, d, ORACLE_EPSILON),
-        gross_mean, gross_se, trials,
-        _holder_bias_bound(params, 1.0, 0.0, 0.0, disc_hor),
-    )
-    check(
-        "ticket_value",
-        analytics.expected_ticket_value(mu, d, n),
-        ticket_series,
-        ticket_mean, ticket_se, trials,
-        mu * win_tail,
-    )
-    check(
-        "total_ticket_value",
-        analytics.total_ticket_value(mu, d, n),
-        analytics.npv_rewards(mu, d),
-        n * ticket_mean + ticket_mean / d, (n + 1.0 / d) * ticket_se, trials,
-        (n + 1.0 / d) * mu * win_tail,
-    )
-    check(
-        "issued_market_cap",
-        analytics.issued_market_cap(mu, d, n),
-        n * ticket_series,
-        n * ticket_mean, n * ticket_se, trials,
-        n * mu * win_tail,
-    )
-    check(
-        "slots_to_win",
-        analytics.expected_slots_to_win(n),
-        _slots_to_win_series(n),
-        slots_mean, slots_se, trials,
-        n * win_tail,
-    )
-    deriv = analytics.ticket_value_derivative_n(mu, d, n)
-    fd = _central_difference(lambda x: mu / (x * d + 1.0), n, fd_step)
-    check(
-        "ticket_value_derivative", deriv, fd, fd, 0.0, 0, 0.0,
-        extra_ok=(deriv < 0.0 if mu > 0.0 else deriv == 0.0),
-    )
-    check(
-        "control_value",
-        analytics.control_value(realized_share, mu, d, n),
-        k * ticket_series,
-        control_mc.simulated_holder_npv, control_mc.npv_stderr, trials,
-        control_mc.bias_bound,
-    )
-    cderiv = analytics.control_value_derivative_n(realized_share, mu, d, n)
-    cfd = _central_difference(lambda x: realized_share * x * mu / (x * d + 1.0), n, fd_step)
-    check(
-        "control_value_derivative", cderiv, cfd, cfd, 0.0, 0, 0.0,
-        extra_ok=(cderiv > 0.0 if mu > 0.0 and realized_share > 0.0 else cderiv == 0.0),
-    )
-    second_series = _second_moment_series(mu, var_r, d, n)
-    check(
-        "ticket_value_variance",
-        analytics.ticket_value_variance(mu, var_r, d, n),
-        second_series - ticket_series**2,
-        ticket_var, ticket_var_se, trials,
-        (var_r + 3.0 * mu * mu) * win_tail,
-    )
-
     return VerifyOutcome(rows=rows, failures=failures)
 
 
@@ -235,79 +108,26 @@ def run_verify(
 # ---------------------------------------------------------------------------
 
 
-def _closed_and_oracle(quantity: str, mu, var_r, d, n, p) -> tuple[float, float]:
-    if quantity == "ticket_value":
-        return analytics.expected_ticket_value(mu, d, n), _ticket_value_series(mu, d, n)
-    if quantity == "npv_rewards":
-        return (
-            analytics.npv_rewards(mu, d),
-            truncated_series_sum(lambda t: mu / (1.0 + d) ** t, d, ORACLE_EPSILON),
-        )
-    if quantity == "issued_market_cap":
-        return analytics.issued_market_cap(mu, d, n), n * _ticket_value_series(mu, d, n)
-    if quantity == "total_ticket_value":
-        return analytics.total_ticket_value(mu, d, n), analytics.npv_rewards(mu, d)
-    if quantity == "control_value":
-        return analytics.control_value(p, mu, d, n), p * n * _ticket_value_series(mu, d, n)
-    if quantity == "ticket_value_variance":
-        series = _second_moment_series(mu, var_r, d, n) - _ticket_value_series(mu, d, n) ** 2
-        return analytics.ticket_value_variance(mu, var_r, d, n), series
-    if quantity == "time_to_win":
-        return analytics.expected_slots_to_win(n), _slots_to_win_series(n)
-    raise ConfigError("quantity", f"no closed form registered for {quantity!r}")
-
-
 def run_analytic(cfg: ExperimentConfig) -> list[ReportRow]:
-    """Evaluate every registered closed form against its oracle (no MC)."""
-    params = cfg.params
-    mu, var_r, d, n = params.mu, params.var_r, cfg.d, cfg.n
-    p = cfg.holder_share if cfg.holder_share is not None else 0.125
-    rows = []
-    for quantity in (
-        "npv_rewards",
-        "ticket_value",
-        "issued_market_cap",
-        "total_ticket_value",
-        "time_to_win",
-        "control_value",
-        "ticket_value_variance",
-    ):
-        closed, oracle = _closed_and_oracle(quantity, mu, var_r, d, n, p)
-        rows.append(make_row(quantity, closed, oracle, 0.0, 0, relative_gap(oracle, closed)))
-    return rows
+    """Evaluate every closed form that has an oracle and an estimator
+    against its oracle (no MC)."""
+    share = cfg.holder_share if cfg.holder_share is not None else 0.125
+    run = Run(cfg.params, share)
+    return [_oracle_row(q.value, entry, run) for q, entry in entries(oracle=True, estimator=True)]
 
 
 def run_simulate(cfg: ExperimentConfig) -> list[ReportRow]:
     """One Monte Carlo estimate of the configured quantity vs its closed form."""
-    from .engine import estimate
-
-    params = cfg.params
-    quantity = Quantity(cfg.quantity)
-    est = estimate(
-        params, quantity, cfg.trials, cfg.seed,
-        workers=cfg.workers, horizon=cfg.horizon,
-        holder_share=cfg.holder_share, multiblock=cfg.multiblock,
-    )
-    mu, var_r, d, n = params.mu, params.var_r, cfg.d, cfg.n
-    if quantity is Quantity.TICKET_VALUE:
-        closed = analytics.expected_ticket_value(mu, d, n)
-    elif quantity is Quantity.TICKET_VALUE_VARIANCE:
-        closed = analytics.ticket_value_variance(mu, var_r, d, n)
-    elif quantity is Quantity.TIME_TO_WIN:
-        closed = analytics.expected_slots_to_win(n)
-    else:
-        # Gross holder flow collects the holder's share of every slot's
-        # reward; under a streak bonus this is only the additive reference.
-        share = cfg.holder_share if cfg.holder_share is not None else 1.0
-        k = max(1, min(n, int(share * n + 0.5)))
-        closed = (k / n) * analytics.npv_rewards(mu, d)
-    rows = [
+    run = _run(cfg, cfg.params, cfg.holder_share)
+    entry = QUANTITIES[Quantity(cfg.quantity)]
+    est = entry.estimate(run)
+    closed = entry.closed(run)
+    return [
         make_row(
             cfg.quantity, closed, est.mean, est.stderr, est.trials,
             relative_gap(est.mean, closed),
         )
     ]
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +135,12 @@ def run_simulate(cfg: ExperimentConfig) -> list[ReportRow]:
 # ---------------------------------------------------------------------------
 
 _SWEEP_DEFAULT_QUANTITY = {
-    "n": "ticket_value",
-    "d": "npv_rewards",
-    "mu": "ticket_value",
-    "sigma_log": "ticket_value_variance",
-    "beta": "multiblock_premium",
-    "k": "pool_variance",
-    "p": "control_value",
+    "n": Quantity.TICKET_VALUE,
+    "d": Quantity.NPV_REWARDS,
+    "mu": Quantity.TICKET_VALUE,
+    "sigma_log": Quantity.TICKET_VALUE_VARIANCE,
+    "p": Quantity.CONTROL_VALUE,
 }
-
-_ESTIMATOR_QUANTITIES = {"ticket_value", "ticket_value_variance", "time_to_win"}
 
 
 def _reward_with_mean(cfg: ExperimentConfig, mean: float):
@@ -346,15 +162,14 @@ def _reward_with_sigma(cfg: ExperimentConfig, sigma_log: float):
 def run_sweep(cfg: ExperimentConfig) -> tuple[list[ReportRow], dict[str, bool]]:
     """One row per swept value, ordered as configured.
 
-    When n is swept, the closed forms also produce monotonicity verdicts:
-    the single-ticket value must fall and the control value must rise.
+    Closed forms take the holder share p as given. When n is swept, the
+    closed forms also produce monotonicity verdicts: the single-ticket value
+    must fall and the control value must rise.
     """
-    from .engine import estimate
-
     if cfg.sweep is None:
         raise ConfigError("sweep", "sweep command needs a sweep section")
     sweep = cfg.sweep
-    quantity = sweep.quantity or _SWEEP_DEFAULT_QUANTITY[sweep.parameter]
+    quantity = Quantity(sweep.quantity) if sweep.quantity else _SWEEP_DEFAULT_QUANTITY.get(sweep.parameter)
     p = cfg.holder_share if cfg.holder_share is not None else 0.1
 
     rows: list[ReportRow] = []
@@ -363,7 +178,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[ReportRow], dict[str, bool]]:
 
     for value in sweep.values:
         start = time.perf_counter()
-        n, d, reward = cfg.n, cfg.d, cfg.reward
+        n, d, reward, share = cfg.n, cfg.d, cfg.reward, p
         if sweep.parameter == "n":
             n = int(value)
         elif sweep.parameter == "d":
@@ -372,12 +187,11 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[ReportRow], dict[str, bool]]:
             reward = _reward_with_mean(cfg, float(value))
         elif sweep.parameter == "sigma_log":
             reward = _reward_with_sigma(cfg, float(value))
+        elif sweep.parameter == "p":
+            share = float(value)
         params = EconomyParams(n=n, d=d, reward=reward)
-        mu, var_r = params.mu, params.var_r
 
         if sweep.parameter == "beta":
-            from .market import MultiBlockSpec
-
             result = multiblock_value_experiment(
                 params, MultiBlockSpec(beta=float(value)), p, cfg.trials, cfg.seed,
                 workers=cfg.workers, horizon=cfg.horizon,
@@ -392,48 +206,26 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[ReportRow], dict[str, bool]]:
                 params, int(value), cfg.trials, cfg.seed,
                 workers=cfg.workers, horizon=cfg.horizon,
             )
+            closed = analytics.ticket_value_variance(params.mu, params.var_r, d, n)
             row = make_row(
-                value,
-                analytics.ticket_value_variance(mu, var_r, d, n),
-                result.pooled_per_ticket_variance, result.pooled_variance_stderr,
-                cfg.trials,
-                relative_gap(result.solo_variance, analytics.ticket_value_variance(mu, var_r, d, n)),
+                value, closed, result.pooled_per_ticket_variance,
+                result.pooled_variance_stderr, cfg.trials,
+                relative_gap(result.solo_variance, closed),
             )
-        elif sweep.parameter == "p":
-            closed, oracle = _closed_and_oracle("control_value", mu, var_r, d, n, float(value))
-            if sweep.mc:
-                result = multiblock_value_experiment(
-                    params, None, float(value), cfg.trials, cfg.seed,
-                    workers=cfg.workers, horizon=cfg.horizon,
-                )
-                row = make_row(
-                    value, analytics.control_value(result.holder_share, mu, d, n),
-                    result.simulated_holder_npv, result.npv_stderr, cfg.trials,
-                    relative_gap(oracle, closed),
-                )
-            else:
-                row = make_row(value, closed, oracle, 0.0, 0, relative_gap(oracle, closed))
         else:
-            closed, oracle = _closed_and_oracle(quantity, mu, var_r, d, n, p)
-            if sweep.mc and quantity in _ESTIMATOR_QUANTITIES:
-                est = estimate(
-                    params, Quantity(quantity), cfg.trials, cfg.seed,
-                    workers=cfg.workers, horizon=cfg.horizon,
-                )
-                row = make_row(
-                    value, closed, est.mean, est.stderr, est.trials,
-                    relative_gap(oracle, closed),
-                )
-            else:
-                row = make_row(value, closed, oracle, 0.0, 0, relative_gap(oracle, closed))
+            run = _run(cfg, params, share)
+            entry = QUANTITIES[quantity]
+            row = _oracle_row(value, entry, run)
+            if sweep.mc:
+                est = entry.estimate(run)
+                row = make_row(value, row.closed_form, est.mean, est.stderr, est.trials, row.rel_err)
+            if sweep.parameter == "n":
+                ticket_values.append(QUANTITIES[Quantity.TICKET_VALUE].closed(run))
+                control_values.append(QUANTITIES[Quantity.CONTROL_VALUE].closed(run))
 
         if cfg.timings:
             row = dataclasses.replace(row, runtime_ms=(time.perf_counter() - start) * 1000.0)
         rows.append(row)
-
-        if sweep.parameter == "n":
-            ticket_values.append(analytics.expected_ticket_value(mu, d, n))
-            control_values.append(analytics.control_value(p, mu, d, n))
 
     verdicts: dict[str, bool] = {}
     if sweep.parameter == "n" and len(sweep.values) > 1:
@@ -456,12 +248,12 @@ def run_pricing(cfg: ExperimentConfig) -> list[ReportRow]:
     params = cfg.params
     policy = cfg.policy if cfg.policy is not None else FairValue()
     capture = protocol_capture(policy, params)
-    d, mu = cfg.d, params.mu
+    d = cfg.d
 
     stream_oracle = truncated_series_sum(
         lambda t: capture.price / (1.0 + d) ** t, d, ORACLE_EPSILON
     )
-    npv_oracle = truncated_series_sum(lambda t: mu / (1.0 + d) ** t, d, ORACLE_EPSILON)
+    npv_oracle = QUANTITIES[Quantity.NPV_REWARDS].oracle(Run(params))
     oracle = {
         "price": capture.price,
         "initial_sale": params.n * capture.price,
@@ -478,11 +270,11 @@ def run_pricing(cfg: ExperimentConfig) -> list[ReportRow]:
 
 def run_pool(cfg: ExperimentConfig) -> list[ReportRow]:
     """Pooled vs solo payoff variance for the configured pool size."""
-    if cfg.pool is None:
+    if cfg.pool_size is None:
         raise ConfigError("pool", "pool command needs a pool section")
     params = cfg.params
     result = pooled_variance_experiment(
-        params, cfg.pool.member_count, cfg.trials, cfg.seed,
+        params, cfg.pool_size, cfg.trials, cfg.seed,
         workers=cfg.workers, horizon=cfg.horizon,
     )
     solo_closed = analytics.ticket_value_variance(params.mu, params.var_r, cfg.d, cfg.n)

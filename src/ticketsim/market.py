@@ -1,5 +1,5 @@
 """Parametric market-side models: primary-sale pricing and protocol capture,
-pooled payout sharing, and the consecutive-win (multi-block) bonus.
+equal-share pooling, and the consecutive-win (multi-block) bonus.
 
 Pooling is a payout overlay only; it never changes draw mechanics. The
 multi-block bonus is a modeling choice kept deliberately simple: realized
@@ -18,15 +18,9 @@ import numpy as np
 
 from .analytics import control_value, expected_ticket_value, npv_rewards
 from .core import EconomyParams
-from .engine import (
-    _PATH_BLOCK,
-    _holder_bias_bound,
-    _mean_stderr,
-    discount_horizon,
-    sample_holder_flows,
-    sample_pool_payoffs,
-)
+from .engine import _PATH_BLOCK, _mean_stderr, sample_pool_payoffs
 from .errors import NegativePriceError
+from .quantities import Run, fair_price, holder_bias, holder_flows
 
 
 # ---------------------------------------------------------------------------
@@ -123,45 +117,6 @@ def protocol_capture(policy: PricingPolicy, params: EconomyParams) -> CaptureRep
 # ---------------------------------------------------------------------------
 # Pooling
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PoolSpec:
-    """A coalition sharing ticket payoffs pro rata."""
-
-    shares: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.shares:
-            raise ValueError("pool needs at least one member")
-        if any(s < 0.0 or not math.isfinite(s) for s in self.shares):
-            raise ValueError("pool shares must be finite and >= 0")
-        total = math.fsum(self.shares)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"pool shares must sum to 1 within 1e-12, got {total}")
-
-    @property
-    def member_count(self) -> int:
-        return len(self.shares)
-
-    @classmethod
-    def equal(cls, k: int) -> "PoolSpec":
-        if k < 1:
-            raise ValueError(f"pool size must be >= 1, got {k}")
-        return cls(shares=tuple(1.0 / k for _ in range(k)))
-
-
-def pool_payout(pool: PoolSpec, reward_pv: float) -> np.ndarray:
-    """Split a discounted reward across members by share.
-
-    The final member absorbs the rounding remainder so the payouts sum to
-    ``reward_pv`` exactly.
-    """
-    if reward_pv < 0.0:
-        raise ValueError(f"reward present value must be >= 0, got {reward_pv}")
-    head = [s * reward_pv for s in pool.shares[:-1]]
-    last = math.fsum([reward_pv, *(-x for x in head)])
-    return np.array(head + [last], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -288,31 +243,15 @@ def multiblock_value_experiment(
     control_value at the realized share when beta = 0; the premium isolates
     what the streak bonus adds on top of additive valuation.
     """
-    n = params.n
     if not (0.0 < p <= 1.0):
         raise ValueError(f"holder fraction p must be in (0, 1], got {p}")
-    k = int(p * n + 0.5)
-    if k < 1:
-        raise ValueError(f"holder fraction {p} rounds to zero of {n} tickets")
-    k = min(k, n)
     beta = spec.beta if spec is not None else 0.0
-    price = expected_ticket_value(params.mu, params.d, n)
-    hor = horizon if horizon is not None else discount_horizon(params.d)
-
-    _, net = sample_holder_flows(
-        params,
-        k,
-        trials,
-        seed,
-        beta=beta,
-        replacement_price=price,
-        horizon=hor,
-        workers=workers,
-        stream=stream,
-    )
+    run = Run(params, p, trials=trials, seed=seed, workers=workers, horizon=horizon)
+    k, price = run.holder_tickets, fair_price(run)
+    net, _ = holder_flows(run, k, stream, beta=beta, price=price)
     mean, stderr = _mean_stderr(net)
-    share = k / n
-    baseline = control_value(share, params.mu, params.d, n)
+    share = k / params.n
+    baseline = control_value(share, params.mu, params.d, params.n)
     return MultiblockResult(
         simulated_holder_npv=mean,
         npv_stderr=stderr,
@@ -324,5 +263,5 @@ def multiblock_value_experiment(
         requested_share=p,
         beta=beta,
         trials=trials,
-        bias_bound=_holder_bias_bound(params, share, beta, price, hor),
+        bias_bound=holder_bias(run, share, beta, price),
     )

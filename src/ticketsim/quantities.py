@@ -1,0 +1,342 @@
+"""The quantity table: every model quantity ticketsim prices, defined once.
+
+Each entry holds a quantity's closed form, its independent oracle (a
+truncated series or a finite difference) and its Monte Carlo estimator: the
+ensemble it draws, on which RNG stream, the statistic it takes of it and a
+bound on the bias that horizon truncation leaves. A command uses every entry
+that has the fields it needs: ``verify`` those with an oracle, ``analytic``
+and ``sweep`` those with an oracle and an estimator, ``simulate`` those with
+an estimator.
+
+Entries reach the samplers and the series oracle through their modules at
+call time, so that anything wrapping a module attribute (a profiler, a
+tracer) sees every call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
+from functools import cached_property
+from typing import Callable, Optional
+
+import numpy as np
+
+from . import analytics, engine
+from .core import EconomyParams
+from .errors import ConfigError
+
+ORACLE_EPSILON = 1e-12     # series oracle stopping tolerance
+_FD_STEP = 3e-5            # finite-difference step, relative to n
+
+
+class Quantity(str, Enum):
+    NPV_REWARDS = "npv_rewards"
+    TICKET_VALUE = "ticket_value"
+    TOTAL_TICKET_VALUE = "total_ticket_value"
+    ISSUED_MARKET_CAP = "issued_market_cap"
+    TIME_TO_WIN = "time_to_win"
+    TICKET_VALUE_DERIVATIVE = "ticket_value_derivative"
+    CONTROL_VALUE = "control_value"
+    CONTROL_VALUE_DERIVATIVE = "control_value_derivative"
+    TICKET_VALUE_VARIANCE = "ticket_value_variance"
+    HOLDER_VALUE = "holder_value"
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """Aggregated Monte Carlo estimate.
+
+    ``bias_bound`` bounds the systematic error introduced by horizon
+    truncation; it is reported so callers can fold it into comparisons.
+    """
+
+    mean: float
+    stderr: float
+    ci95: tuple[float, float]
+    trials: int
+    truncated: int = 0
+    bias_bound: float = 0.0
+
+
+class Run:
+    """One run's inputs, with the oracle series and the ensemble that several
+    entries share, each computed at most once.
+
+    ``share`` is the holder share the closed forms take, or None when the
+    run has none; ``beta`` is the streak bonus of the holder-value ensemble.
+    """
+
+    def __init__(self, params: EconomyParams, share: Optional[float] = None, *,
+                 trials: int = 0, seed: int = 0, workers: int = 1,
+                 horizon: Optional[int] = None, beta: float = 0.0):
+        self.params, self.share = params, share
+        self.mu, self.var_r, self.d, self.n = params.mu, params.var_r, params.d, params.n
+        self.trials, self.seed, self.workers = trials, seed, workers
+        self.horizon, self.beta = horizon, beta
+
+    @cached_property
+    def holder_tickets(self) -> int:
+        """Tickets a holder of ``share`` keeps: the nearest whole number."""
+        if self.share is None:
+            raise ConfigError("holder_share", "required by this quantity")
+        k = int(self.share * self.n + 0.5)
+        if k < 1:
+            raise ConfigError("holder_share", f"{self.share} rounds to zero of {self.n} tickets")
+        return k
+
+    @cached_property
+    def win_horizon(self) -> int:
+        return self.horizon if self.horizon is not None else engine.win_horizon(self.n)
+
+    @cached_property
+    def win_tail(self) -> float:
+        """Chance that a tracked ticket has not won within the horizon."""
+        return (1.0 - 1.0 / self.n) ** self.win_horizon
+
+    @cached_property
+    def discount_horizon(self) -> int:
+        return self.horizon if self.horizon is not None else engine.discount_horizon(self.d)
+
+    @cached_property
+    def ticket_series(self) -> float:
+        """Proof-structure series for the single-ticket value."""
+        mu, d, n = self.mu, self.d, self.n
+        q = 1.0 - 1.0 / n
+        return analytics.truncated_series_sum(
+            lambda t: q ** (t - 1) * (1.0 / n) * mu / (1.0 + d) ** t, d, ORACLE_EPSILON
+        )
+
+    @cached_property
+    def ticket_payoffs(self) -> tuple[np.ndarray, int]:
+        """Discounted payoff of one tracked ticket, on stream 0."""
+        return engine.sample_ticket_payoffs(
+            self.params, self.trials, self.seed,
+            horizon=self.win_horizon, workers=self.workers, stream=0,
+        )
+
+
+def _reward_stream_series(run: Run) -> float:
+    mu, d = run.mu, run.d
+    return analytics.truncated_series_sum(lambda t: mu / (1.0 + d) ** t, d, ORACLE_EPSILON)
+
+
+def _second_moment_series(run: Run) -> float:
+    d, n = run.d, run.n
+    q = 1.0 - 1.0 / n
+    num = run.var_r + run.mu * run.mu
+    return analytics.truncated_series_sum(
+        lambda t: q ** (t - 1) * (1.0 / n) * num / (1.0 + d) ** (2 * t),
+        epsilon=ORACLE_EPSILON,
+        ratio=q / (1.0 + d) ** 2,
+    )
+
+
+def _slots_to_win_series(run: Run) -> float:
+    n = run.n
+    q = 1.0 - 1.0 / n
+    return analytics.truncated_series_sum(
+        lambda t: t * q ** (t - 1) * (1.0 / n), epsilon=ORACLE_EPSILON, ratio=q
+    )
+
+
+def _central_difference(f: Callable[[float], float], n: int) -> float:
+    h = _FD_STEP * n
+    return (f(n + h) - f(n - h)) / (2.0 * h)
+
+
+def holder_flows(run: Run, tickets: int, stream: int, *,
+                 beta: float = 0.0, price: float = 0.0) -> tuple[np.ndarray, int]:
+    """Flows of a holder who keeps ``tickets`` tickets, net of buying every
+    replacement at ``price`` (so gross at price 0); none is truncated."""
+    _, net = engine.sample_holder_flows(
+        run.params, tickets, run.trials, run.seed, beta=beta, replacement_price=price,
+        horizon=run.discount_horizon, workers=run.workers, stream=stream,
+    )
+    return net, 0
+
+
+def fair_price(run: Run) -> float:
+    return analytics.expected_ticket_value(run.mu, run.d, run.n)
+
+
+def _geometric_tail(x: float, horizon: int) -> float:
+    """sum_{t > horizon} x^t for 0 <= x < 1."""
+    return x ** (horizon + 1) / (1.0 - x)
+
+
+def _arithmetic_geometric_tail(x: float, horizon: int) -> float:
+    """sum_{t > horizon} t * x^t for 0 <= x < 1."""
+    return x ** (horizon + 1) * ((horizon + 1) - horizon * x) / (1.0 - x) ** 2
+
+
+def holder_bias(run: Run, share: float, beta: float = 0.0, price: float = 0.0) -> float:
+    """Bound on the truncated expected holder flow beyond the horizon.
+
+    Uses streak <= t, so the per-slot bonus factor is at most 1 + beta*(t-1).
+    """
+    x, horizon = 1.0 / (1.0 + run.d), run.discount_horizon
+    geo = _geometric_tail(x, horizon)
+    reward_tail = run.mu * ((1.0 - beta) * geo + beta * _arithmetic_geometric_tail(x, horizon))
+    return share * (abs(reward_tail) + price * geo)
+
+
+def _mean(run: Run, values: np.ndarray) -> tuple[float, float]:
+    return engine._mean_stderr(values)
+
+
+def _issued_value(run: Run, payoffs: np.ndarray) -> tuple[float, float]:
+    mean, stderr = engine._mean_stderr(payoffs)
+    return run.n * mean, run.n * stderr
+
+
+def _total_value(run: Run, payoffs: np.ndarray) -> tuple[float, float]:
+    mean, stderr = engine._mean_stderr(payoffs)
+    return run.n * mean + mean / run.d, (run.n + 1.0 / run.d) * stderr
+
+
+def _control_value(run: Run, net: np.ndarray) -> tuple[float, float]:
+    # The holder keeps k = round(share*n) tickets, and its expected flow is
+    # linear in k, so rescaling by share*n/k estimates the value of share.
+    mean, stderr = engine._mean_stderr(net)
+    scale = run.share * run.n / run.holder_tickets
+    return scale * mean, scale * stderr
+
+
+@dataclass(frozen=True)
+class Entry:
+    """One quantity. An entry with an ``ensemble`` has a Monte Carlo
+    estimator: ``statistic`` of the ensemble, within ``bias`` of the truth
+    up to sampling error. ``sign`` is the sign the paper gives the closed
+    form when mu > 0 (0 when it states none)."""
+
+    closed: Callable[[Run], float]
+    oracle: Optional[Callable[[Run], float]] = None
+    ensemble: Optional[Callable[[Run], tuple[np.ndarray, int]]] = None
+    statistic: Callable[[Run, np.ndarray], tuple[float, float]] = _mean
+    bias: Optional[Callable[[Run], float]] = None
+    sign: int = 0
+
+    def estimate(self, run: Run) -> Estimate:
+        values, truncated = self.ensemble(run)
+        mean, stderr = self.statistic(run, values)
+        ci95 = (mean - 1.96 * stderr, mean + 1.96 * stderr)
+        return Estimate(mean, stderr, ci95, run.trials, truncated, self.bias(run))
+
+    def sign_holds(self, closed: float, mu: float) -> bool:
+        if not self.sign:
+            return True
+        return closed * self.sign > 0.0 if mu > 0.0 else closed == 0.0
+
+
+QUANTITIES: dict[Quantity, Entry] = {
+    Quantity.NPV_REWARDS: Entry(
+        closed=lambda run: analytics.npv_rewards(run.mu, run.d),
+        oracle=_reward_stream_series,
+        ensemble=lambda run: holder_flows(run, run.n, stream=2),
+        bias=lambda run: holder_bias(run, 1.0),
+    ),
+    Quantity.TICKET_VALUE: Entry(
+        closed=lambda run: analytics.expected_ticket_value(run.mu, run.d, run.n),
+        oracle=lambda run: run.ticket_series,
+        ensemble=lambda run: run.ticket_payoffs,
+        bias=lambda run: run.mu * run.win_tail,
+    ),
+    Quantity.TOTAL_TICKET_VALUE: Entry(
+        closed=lambda run: analytics.total_ticket_value(run.mu, run.d, run.n),
+        oracle=lambda run: analytics.npv_rewards(run.mu, run.d),
+        ensemble=lambda run: run.ticket_payoffs,
+        statistic=_total_value,
+        bias=lambda run: (run.n + 1.0 / run.d) * run.mu * run.win_tail,
+    ),
+    Quantity.ISSUED_MARKET_CAP: Entry(
+        closed=lambda run: analytics.issued_market_cap(run.mu, run.d, run.n),
+        oracle=lambda run: run.n * run.ticket_series,
+        ensemble=lambda run: run.ticket_payoffs,
+        statistic=_issued_value,
+        bias=lambda run: run.n * run.mu * run.win_tail,
+    ),
+    Quantity.TIME_TO_WIN: Entry(
+        closed=lambda run: analytics.expected_slots_to_win(run.n),
+        oracle=_slots_to_win_series,
+        ensemble=lambda run: engine.sample_win_slots(
+            run.params, run.trials, run.seed,
+            horizon=run.win_horizon, workers=run.workers, stream=1,
+        ),
+        statistic=lambda run, slots: engine._mean_stderr(slots.astype(np.float64)),
+        bias=lambda run: run.n * run.win_tail,
+    ),
+    Quantity.TICKET_VALUE_DERIVATIVE: Entry(
+        closed=lambda run: analytics.ticket_value_derivative_n(run.mu, run.d, run.n),
+        oracle=lambda run: _central_difference(lambda x: run.mu / (x * run.d + 1.0), run.n),
+        sign=-1,
+    ),
+    Quantity.CONTROL_VALUE: Entry(
+        closed=lambda run: analytics.control_value(run.share, run.mu, run.d, run.n),
+        oracle=lambda run: run.share * run.n * run.ticket_series,
+        ensemble=lambda run: holder_flows(
+            run, run.holder_tickets, stream=3, price=fair_price(run)
+        ),
+        statistic=_control_value,
+        bias=lambda run: holder_bias(run, run.share, price=fair_price(run)),
+    ),
+    Quantity.CONTROL_VALUE_DERIVATIVE: Entry(
+        closed=lambda run: analytics.control_value_derivative_n(run.share, run.mu, run.d, run.n),
+        oracle=lambda run: _central_difference(
+            lambda x: run.share * x * run.mu / (x * run.d + 1.0), run.n
+        ),
+        sign=1,
+    ),
+    Quantity.TICKET_VALUE_VARIANCE: Entry(
+        closed=lambda run: analytics.ticket_value_variance(run.mu, run.var_r, run.d, run.n),
+        oracle=lambda run: _second_moment_series(run) - run.ticket_series**2,
+        ensemble=lambda run: run.ticket_payoffs,
+        statistic=lambda run, payoffs: engine._variance_stderr(payoffs),
+        bias=lambda run: (run.var_r + 3.0 * run.mu * run.mu) * run.win_tail,
+    ),
+    # Gross holder flow collects the holder's share of every slot's reward;
+    # under a streak bonus the closed form is only the additive reference.
+    Quantity.HOLDER_VALUE: Entry(
+        closed=lambda run: run.holder_tickets / run.n * analytics.npv_rewards(run.mu, run.d),
+        ensemble=lambda run: holder_flows(run, run.holder_tickets, stream=4, beta=run.beta),
+        bias=lambda run: holder_bias(run, run.holder_tickets / run.n, beta=run.beta),
+    ),
+}
+
+
+def entries(*, oracle: bool = False, estimator: bool = False) -> list[tuple[Quantity, Entry]]:
+    """The table's entries, in table order, that have each field asked for."""
+    return [
+        (quantity, entry)
+        for quantity, entry in QUANTITIES.items()
+        if (not oracle or entry.oracle) and (not estimator or entry.ensemble)
+    ]
+
+
+def estimate(
+    params: EconomyParams,
+    quantity: Quantity,
+    trials: int,
+    seed: int,
+    *,
+    workers: int = 1,
+    horizon: Optional[int] = None,
+    holder_share: Optional[float] = None,
+    multiblock=None,
+) -> Estimate:
+    """Monte Carlo estimate of one model quantity over independent trajectories.
+
+    Bit-identical for a fixed (seed, trials) regardless of ``workers``.
+    """
+    quantity = Quantity(quantity)
+    entry = QUANTITIES[quantity]
+    if entry.ensemble is None:
+        raise ValueError(f"{quantity.value} has no Monte Carlo estimator")
+    if trials < 100:
+        raise ValueError(f"need at least 100 trials for a meaningful stderr, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    beta = float(multiblock.beta) if multiblock is not None else 0.0
+    run = Run(params, holder_share, trials=trials, seed=seed, workers=workers,
+              horizon=horizon, beta=beta)
+    return entry.estimate(run)

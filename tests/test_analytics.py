@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from ticketsim.analytics import (
-    FormulaId,
     control_value,
     control_value_derivative_n,
-    evaluate,
     expected_slots_to_win,
     expected_ticket_value,
     issued_market_cap,
@@ -21,7 +19,11 @@ from ticketsim.analytics import (
     total_ticket_value,
     truncated_series_sum,
 )
-from ticketsim.errors import DiscountRateError, DivergenceError
+from ticketsim.config import parse_config
+from ticketsim.core import ConstantReward, EconomyParams, calibrate_lognormal
+from ticketsim.errors import ConfigError, DiscountRateError, DivergenceError
+from ticketsim.harness import run_verify
+from ticketsim.quantities import QUANTITIES, Quantity, Run, entries
 
 EPS = 1e-12
 REL = 1e-9
@@ -295,15 +297,26 @@ def test_truncated_series_leading_zero_term():
 
 
 # ---------------------------------------------------------------------------
-# Formula registry
+# Quantity table
 # ---------------------------------------------------------------------------
 
 
-def test_evaluate_registry_covers_all_formulas():
-    for formula in FormulaId:
-        valuation = evaluate(formula, mu=1.0, var_r=0.5, d=0.02, n=16, p=0.4)
-        assert math.isfinite(valuation.value)
-        assert valuation.formula_id is formula
-        assert valuation.inputs["n"] == 16
-    assert evaluate(FormulaId.TICKET_VALUE, 1.0, 0.0, 0.01, 100).value == 0.5
-    assert "p" in evaluate(FormulaId.CONTROL_VALUE, 1.0, 0.0, 0.01, 100, p=0.5).inputs
+def _simulate_accepts(quantity):
+    try:
+        parse_config({"quantity": quantity.value})
+    except ConfigError:
+        return False
+    return True
+
+
+def test_quantity_table_closed_forms_match_oracles():
+    for n in (1, 32, 1024):
+        for d in (0.01, 0.1):
+            for reward in (ConstantReward(1.5), calibrate_lognormal(1.0, 1.0)):
+                run = Run(EconomyParams(n=n, d=d, reward=reward), 0.25)
+                for quantity, entry in entries(oracle=True):
+                    gap = rel_gap(entry.oracle(run), entry.closed(run))
+                    assert gap <= REL, (quantity, n, d, reward)
+    verify_rows = {row.swept_value for row in run_verify(parse_config({"n": 8, "trials": 100})).rows}
+    simulated = {q.value for q in Quantity if _simulate_accepts(q)}
+    assert {q.value for q in QUANTITIES} == verify_rows | simulated

@@ -10,10 +10,8 @@ from ticketsim.analytics import expected_slots_to_win, expected_ticket_value, sl
 from ticketsim.core import ConstantReward, EconomyParams, calibrate_lognormal
 from ticketsim.engine import (
     MARKET_HOLDER,
-    Quantity,
     ReplacementRule,
     discount_horizon,
-    estimate,
     init_state,
     run_trajectory,
     sample_holder_flows,
@@ -24,6 +22,7 @@ from ticketsim.engine import (
     substream,
     win_horizon,
 )
+from ticketsim.quantities import Quantity, entries, estimate
 
 
 def params_const(n, d=0.01, mu=1.0):
@@ -366,12 +365,11 @@ def test_estimate_holder_value():
         estimate(params, Quantity.HOLDER_VALUE, 1000, seed=6, holder_share=0.01)
 
 
-@pytest.mark.parametrize("quantity", list(Quantity))
+@pytest.mark.parametrize("quantity", [q for q, _ in entries(estimator=True)])
 def test_estimate_worker_count_invariance(quantity):
     params = params_const(5, d=0.1)
-    kwargs = {"holder_share": 0.4} if quantity is Quantity.HOLDER_VALUE else {}
-    serial = estimate(params, quantity, 10_000, seed=31, workers=1, **kwargs)
-    pooled = estimate(params, quantity, 10_000, seed=31, workers=3, **kwargs)
+    serial = estimate(params, quantity, 10_000, seed=31, workers=1, holder_share=0.4)
+    pooled = estimate(params, quantity, 10_000, seed=31, workers=3, holder_share=0.4)
     assert serial == pooled  # bit-identical, not approximately equal
 
 

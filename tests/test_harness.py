@@ -18,6 +18,7 @@ from ticketsim.harness import (
     run_sweep,
     run_verify,
 )
+from ticketsim.quantities import entries
 from ticketsim.report import emit_report, load_report, make_row
 
 MINIMAL = {"n": 10, "d": 0.01, "reward": {"kind": "constant", "mean": 1}, "trials": 1000, "seed": 42}
@@ -73,6 +74,28 @@ def test_config_unknown_key_paths():
         parse_config({**MINIMAL, "trials": 50})
     with pytest.raises(ConfigError, match="pool"):
         parse_config({**MINIMAL, "pool": {"k": 50}})
+
+
+def test_config_pool_takes_only_k():
+    with pytest.raises(ConfigError, match="pool.shares: unknown key"):
+        parse_config({**MINIMAL, "pool": {"shares": [0.99, 0.01]}})
+    with pytest.raises(ConfigError, match="pool.k"):
+        parse_config({**MINIMAL, "pool": {}})
+    with pytest.raises(ConfigError, match="pool.k"):
+        parse_config({**MINIMAL, "pool": {"k": 0}})
+    assert parse_config({**MINIMAL, "pool": {"k": 2}}).resolved_dict()["pool"] == {"k": 2}
+
+
+def test_config_sweep_quantity_needs_oracle_and_estimator():
+    with pytest.raises(ConfigError, match="sweep.quantity"):
+        parse_config({**MINIMAL, "sweep": {"parameter": "n", "values": [1, 2], "quantity": "holder_value"}})
+
+
+@pytest.mark.parametrize("parameter", ["beta", "k", "p"])
+def test_config_sweep_quantity_rejected_for_experiment_parameters(parameter):
+    sweep = {"parameter": parameter, "values": [1], "quantity": "control_value"}
+    with pytest.raises(ConfigError, match="sweep.quantity"):
+        parse_config({**MINIMAL, "sweep": sweep})
 
 
 def test_config_reward_kinds():
@@ -180,7 +203,7 @@ def test_run_verify_passes_default_small():
         "ticket_value",
         "total_ticket_value",
         "issued_market_cap",
-        "slots_to_win",
+        "time_to_win",
         "ticket_value_derivative",
         "control_value",
         "control_value_derivative",
@@ -245,6 +268,17 @@ def test_sweep_with_mc_column():
     rows, _ = run_sweep(cfg)
     for row in rows:
         assert row.trials == 5000
+        assert abs(row.z_score) < 5.0
+
+
+@pytest.mark.parametrize("quantity", [q.value for q, _ in entries(oracle=True, estimator=True)])
+def test_sweep_mc_runs_for_every_sweepable_quantity(quantity):
+    # holder_share 0.1 of 8 or 16 tickets holds 1 or 2: the control-value
+    # estimate must rescale the held share to the configured one.
+    sweep = {"parameter": "n", "values": [8, 16], "quantity": quantity, "mc": True}
+    rows, _ = run_sweep(small_cfg(sweep=sweep, holder_share=0.1, trials=2000))
+    for row in rows:
+        assert row.trials == 2000
         assert abs(row.z_score) < 5.0
 
 
@@ -385,6 +419,12 @@ def test_cli_flag_precedence_over_file(tmp_path):
     assert resolved["seed"] == 9
     assert resolved["trials"] == 1000
     assert rows[0].trials == 1000
+
+
+def test_cli_simulate_holder_value_without_share_is_config_error(tmp_path, capsys):
+    config = _write_config(tmp_path, quantity="holder_value")
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert "holder_share" in capsys.readouterr().err
 
 
 def test_cli_unknown_config_key_exit_code(tmp_path, capsys):

@@ -19,9 +19,7 @@ from ticketsim.market import (
     FixedDiscount,
     FixedMargin,
     MultiBlockSpec,
-    PoolSpec,
     multiblock_value_experiment,
-    pool_payout,
     pooled_variance_experiment,
     protocol_capture,
 )
@@ -95,40 +93,6 @@ def test_free_tickets_leak_everything():
 def test_margin_exceeding_value_rejected():
     with pytest.raises(NegativePriceError):
         protocol_capture(FixedMargin(10.0), params_const(100, 0.01, 1.0))
-
-
-# ---------------------------------------------------------------------------
-# Pool payouts
-# ---------------------------------------------------------------------------
-
-
-def test_pool_spec_validation():
-    with pytest.raises(ValueError):
-        PoolSpec(shares=())
-    with pytest.raises(ValueError):
-        PoolSpec(shares=(0.5, 0.6))
-    with pytest.raises(ValueError):
-        PoolSpec(shares=(1.2, -0.2))
-    assert PoolSpec.equal(4).member_count == 4
-
-
-def test_pool_payout_examples():
-    assert pool_payout(PoolSpec.equal(1), 3.5).tolist() == [3.5]
-    assert pool_payout(PoolSpec.equal(4), 1.0).tolist() == [0.25, 0.25, 0.25, 0.25]
-    assert pool_payout(PoolSpec(shares=(0.5, 0.3, 0.2)), 2.0).tolist() == [1.0, 0.6, 0.4]
-
-
-def test_pool_payout_sums_exactly():
-    rng = np.random.default_rng(55)
-    for _ in range(300):
-        k = int(rng.integers(1, 12))
-        raw = rng.dirichlet(np.ones(k))
-        shares = [float(s) for s in raw]
-        shares[-1] = math.fsum([1.0, *(-s for s in shares[:-1])])
-        pool = PoolSpec(shares=tuple(shares))
-        reward_pv = float(rng.uniform(0.0, 100.0))
-        payouts = pool_payout(pool, reward_pv)
-        assert math.fsum(payouts.tolist()) == reward_pv
 
 
 # ---------------------------------------------------------------------------
