@@ -317,6 +317,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     if pool_size is not None and pool_size > n:
         raise ConfigError("pool.k", f"pool size {pool_size} exceeds ticket count n={n}")
+    if sweep is not None and sweep.parameter == "k":
+        for i, k in enumerate(sweep.values):
+            if k > n:
+                raise ConfigError(f"sweep.values[{i}]", f"pool size {k} exceeds ticket count n={n}")
 
     return ExperimentConfig(
         seed=seed,

@@ -9,12 +9,23 @@ Two implementations of the same law live here:
 
 * an object-level state machine (``init_state`` / ``step`` /
   ``run_trajectory``) that keeps full ticket identity, holder, and streak
-  bookkeeping, and
+  bookkeeping; it is the statistical reference, and
 * vectorized samplers (``sample_ticket_payoffs`` etc.) used for large
-  trial counts. Because a replacement ticket takes its predecessor's pool
-  position, a tracked ticket keeps one fixed position until it wins and a
-  retained holder keeps a fixed set of positions, which lets the samplers
-  draw winner positions in bulk without replaying the bookkeeping.
+  trial counts. A replacement ticket takes its predecessor's pool
+  position, so a tracked ticket keeps one position until it wins and a
+  retained holder keeps a fixed set of positions. The samplers draw from
+  the laws this implies and only the events that carry value:
+
+  - a tracked ticket's win slot is Geometric(1/n), capped at the horizon;
+  - a holder of k retained tickets wins with Geometric(k/n) gaps, so its
+    flow is thinned to those wins; a win one slot after the previous one
+    extends the holder's streak;
+  - in a k-ticket pool, the i-th distinct member hit waits
+    Geometric((k - i)/n) slots after the previous one, and members are
+    exchangeable, so one member's payoff is the payoff at a uniform rank.
+
+  Geometric variates are drawn by inversion, ceil(Exp(1) / -log(1 - p))
+  (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. X.2).
 
 Determinism contract: trajectories are partitioned into fixed-size blocks;
 block ``b`` of a run draws from ``SeedSequence(seed, spawn_key=(stream, b))``
@@ -39,7 +50,8 @@ MARKET_HOLDER = "market"
 # Trajectories per RNG substream. Part of the determinism contract: results
 # depend on these constants, never on the worker count.
 _BLOCK = 4096        # tracked-ticket samplers (small state per trajectory)
-_PATH_BLOCK = 512    # full-horizon path samplers ((count, horizon) matrices)
+_PATH_BLOCK = 512    # holder-flow and pool samplers
+_WIN_CAP = 64        # holder wins drawn per trajectory in one holder-flow pass
 
 TAIL_TOLERANCE = 1e-9
 
@@ -232,30 +244,31 @@ def _run_blocks(worker, tasks: list[tuple], workers: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _draw_win_slots(n: int, horizon: int, count: int, rng: np.random.Generator):
-    """First slot at which pool position 0 is drawn, per trajectory.
+def _geometric(p, size, rng: np.random.Generator) -> np.ndarray:
+    """Geometric(p) waiting times on {1, 2, ...}, as float64.
 
-    The tracked ticket occupies one fixed position until it wins, so its win
-    slot is the first uniform draw over n positions that lands on it.
-    Trajectories that never hit within the horizon report ``horizon`` with
+    Inverts an exponential: ceil(Exp(1) / -log(1 - p)) (Devroye 1986,
+    ch. X.2), faster than ``rng.geometric``. ``p`` may be an
+    array broadcasting against ``size``; p = 1 gives 1.
+    """
+    with np.errstate(divide="ignore"):
+        rate = -np.log1p(-np.asarray(p, dtype=np.float64))
+    draws = rng.standard_exponential(size)
+    np.divide(draws, rate, out=draws)
+    np.ceil(draws, out=draws)
+    return np.maximum(draws, 1.0, out=draws)
+
+
+def _draw_win_slots(n: int, horizon: int, count: int, rng: np.random.Generator):
+    """Win slot T ~ Geometric(1/n) of a tracked ticket, per trajectory.
+
+    The tracked ticket wins each slot with probability 1/n, independently.
+    Trajectories with T beyond the horizon report ``horizon`` with
     ``won=False``.
     """
-    slots = np.full(count, horizon, dtype=np.int64)
-    won = np.zeros(count, dtype=bool)
-    active = np.arange(count)
-    offset = 0
-    chunk = int(min(horizon, max(128, 2 * n), 16384))
-    while active.size and offset < horizon:
-        width = min(chunk, horizon - offset)
-        hits = rng.integers(0, n, size=(active.size, width), dtype=np.int32) == 0
-        found = hits.any(axis=1)
-        first = hits.argmax(axis=1)
-        rows = active[found]
-        slots[rows] = offset + first[found] + 1
-        won[rows] = True
-        active = active[~found]
-        offset += width
-    return slots, won
+    slots = _geometric(1.0 / n, count, rng)
+    won = slots <= horizon
+    return np.minimum(slots, horizon).astype(np.int64), won
 
 
 def _ticket_payoff_block(task) -> tuple[np.ndarray, int]:
@@ -275,53 +288,78 @@ def _win_slot_block(task) -> tuple[np.ndarray, int]:
     return slots, int(count - won.sum())
 
 
+def _streaks(gaps: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """Streak of each holder win, given the gaps between holder wins.
+
+    A win one slot after the holder's previous win extends its streak; any
+    longer gap starts a new streak at 1. ``carry`` is each row's streak at
+    its previous win, 0 before the first.
+    """
+    idx = np.arange(gaps.shape[1])
+    start = np.maximum.accumulate(np.where(gaps != 1, idx, -1), axis=1)
+    return np.where(start >= 0, idx - start + 1, carry[:, None] + idx + 1)
+
+
 def _holder_flow_block(task) -> tuple[np.ndarray, np.ndarray]:
     params, k, beta, price, horizon, count, seed, stream, block = task
     rng = substream(seed, stream, block)
-    winners = rng.integers(0, params.n, size=(count, horizon), dtype=np.int32)
-    base = np.asarray(params.reward.sample(rng, size=(count, horizon)), dtype=np.float64)
+    # Discount weights are computed per pass, never as a horizon-long table,
+    # so memory does not grow as d falls.
+    log_decay = -math.log1p(params.d)
 
-    # Retained holders keep positions 0..k-1 for the whole run.
-    holder_wins = winners < k
+    if k == params.n:
+        # Every slot is a holder win, with streak t at slot t: no gaps to draw.
+        gross = np.zeros(count)
+        paid = 0.0
+        for lo in range(0, horizon, _WIN_CAP):
+            slots = np.arange(lo + 1, min(lo + _WIN_CAP, horizon) + 1, dtype=np.float64)
+            disc = np.exp(slots * log_decay)
+            rewards = np.asarray(params.reward.sample(rng, size=(count, slots.size)), dtype=np.float64)
+            gross += np.einsum("ij,j->i", rewards, disc * (1.0 + beta * (slots - 1.0)))
+            paid += disc.sum()
+        return gross, gross - price * paid
 
-    if beta == 0.0:
-        # The streak bonus factor is identically 1, so realized == base
-        # bit for bit; skip the streak scan.
-        realized = base
-    else:
-        # Streak of the winning holder: run length of the current value in
-        # the holder-win sequence (first slot always starts a streak of 1).
-        idx = np.arange(horizon, dtype=np.int64)
-        change = np.empty_like(holder_wins)
-        change[:, 0] = True
-        change[:, 1:] = holder_wins[:, 1:] != holder_wins[:, :-1]
-        streak = idx - np.maximum.accumulate(np.where(change, idx, 0), axis=1) + 1
-        realized = base * (1.0 + beta * (streak - 1.0))
-
-    disc = (1.0 + params.d) ** (-np.arange(1, horizon + 1, dtype=np.float64))
-    holder_disc = np.where(holder_wins, disc, 0.0)
-    gross = (realized * holder_disc).sum(axis=1)
-    net = gross - price * holder_disc.sum(axis=1)
-    return gross, net
+    # Thin the lottery to the holder's wins: Geometric(k/n) gaps between them.
+    p = k / params.n
+    gross = np.zeros(count)
+    paid = np.zeros(count)          # discounted replacement purchases
+    last = np.zeros(count)          # slot of the latest holder win
+    streak = np.zeros(count)        # streak at that win
+    active = np.arange(count)
+    while active.size:
+        # Draw enough wins that most trajectories pass the horizon, at most
+        # _WIN_CAP; the rest take another pass.
+        remaining = horizon - last[active].min()
+        spread = 4.0 * math.sqrt(remaining * p * (1.0 - p))
+        width = min(_WIN_CAP, math.ceil(remaining * p + spread) + 1)
+        gaps = _geometric(p, (active.size, width), rng)
+        slots = np.cumsum(gaps, axis=1)
+        slots += last[active, None]
+        rewards = np.asarray(params.reward.sample(rng, size=gaps.shape), dtype=np.float64)
+        if beta != 0.0:
+            runs = _streaks(gaps, streak[active])
+            rewards = rewards * (1.0 + beta * (runs - 1.0))
+            streak[active] = runs[:, -1]
+        last[active] = slots[:, -1]
+        weights = np.where(slots <= horizon, np.exp(slots * log_decay), 0.0)
+        gross[active] += np.einsum("ij,ij->i", rewards, weights)
+        paid[active] += weights.sum(axis=1)
+        active = active[last[active] < horizon]
+    return gross, gross - price * paid
 
 
 def _pool_payoff_block(task) -> tuple[np.ndarray, np.ndarray, int]:
     params, k, horizon, count, seed, stream, block = task
     rng = substream(seed, stream, block)
-    winners = rng.integers(0, params.n, size=(count, horizon), dtype=np.int32)
-    # Win slots are distinct, so one independent reward draw per member
-    # ticket matches drawing at the win slots themselves.
+    # With i members already hit, the next fresh member is hit after a
+    # Geometric((k - i)/n) wait, so hit i lands at the running sum.
+    slots = np.cumsum(_geometric((k - np.arange(k)) / params.n, (count, k), rng), axis=1)
     rewards = np.asarray(params.reward.sample(rng, size=(count, k)), dtype=np.float64)
-    payoffs = np.zeros((count, k), dtype=np.float64)
-    truncated = 0
-    for j in range(k):
-        hits = winners == j
-        found = hits.any(axis=1)
-        slots = hits.argmax(axis=1) + 1
-        disc = (1.0 + params.d) ** (-slots.astype(np.float64))
-        payoffs[:, j] = np.where(found, rewards[:, j] * disc, 0.0)
-        truncated += int(count - found.sum())
-    return payoffs.mean(axis=1), payoffs[:, 0], truncated
+    won = slots <= horizon
+    payoffs = np.where(won, rewards * (1.0 + params.d) ** -slots, 0.0)
+    # Members are exchangeable: member 0 is the one hit at a uniform rank.
+    rank = rng.integers(0, k, size=count)
+    return payoffs.mean(axis=1), payoffs[np.arange(count), rank], int(won.size - won.sum())
 
 
 # ---------------------------------------------------------------------------

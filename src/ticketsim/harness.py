@@ -36,6 +36,11 @@ from .report import ReportRow, make_row, relative_gap
 
 ORACLE_TOLERANCE = 1e-9    # closed form vs oracle acceptance
 Z_LIMIT = 4.0
+DEFAULT_HOLDER_SHARE = 0.125   # holder share when the config gives none
+
+
+def _share(cfg: ExperimentConfig) -> float:
+    return cfg.holder_share if cfg.holder_share is not None else DEFAULT_HOLDER_SHARE
 
 
 def _run(cfg: ExperimentConfig, params: EconomyParams, share: Optional[float]) -> Run:
@@ -74,13 +79,21 @@ def run_verify(
     """Check every closed form against its oracle and, where the quantity
     has an estimator, a Monte Carlo estimate.
 
-    Closed forms take the share k/n that the holder ensembles hold.
+    Closed forms take the holder share as configured (a configured share
+    that rounds to zero tickets is a config error) or the default share.
     ``closed_form_overrides`` substitutes closed-form values by row name;
     it exists so the harness's own failure path can be exercised.
     """
     overrides = closed_form_overrides or {}
-    share = cfg.holder_share if cfg.holder_share is not None else 0.125
-    run = _run(cfg, cfg.params, max(1, int(share * cfg.n + 0.5)) / cfg.n)
+    run = _run(cfg, cfg.params, _share(cfg))
+    try:
+        run.holder_tickets
+    except ConfigError:
+        if cfg.holder_share is not None:
+            raise
+        # The default share rounds to no ticket at n < 4: draw one ticket's
+        # flow and rescale it to the share.
+        run.holder_tickets = 1
 
     rows: list[ReportRow] = []
     failures: list[str] = []
@@ -111,8 +124,7 @@ def run_verify(
 def run_analytic(cfg: ExperimentConfig) -> list[ReportRow]:
     """Evaluate every closed form that has an oracle and an estimator
     against its oracle (no MC)."""
-    share = cfg.holder_share if cfg.holder_share is not None else 0.125
-    run = Run(cfg.params, share)
+    run = Run(cfg.params, _share(cfg))
     return [_oracle_row(q.value, entry, run) for q, entry in entries(oracle=True, estimator=True)]
 
 
@@ -170,7 +182,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[ReportRow], dict[str, bool]]:
         raise ConfigError("sweep", "sweep command needs a sweep section")
     sweep = cfg.sweep
     quantity = Quantity(sweep.quantity) if sweep.quantity else _SWEEP_DEFAULT_QUANTITY.get(sweep.parameter)
-    p = cfg.holder_share if cfg.holder_share is not None else 0.1
+    p = _share(cfg)
 
     rows: list[ReportRow] = []
     ticket_values: list[float] = []
@@ -300,7 +312,7 @@ def run_multiblock(cfg: ExperimentConfig) -> list[ReportRow]:
     """Holder value under the streak bonus vs the additive baseline."""
     if cfg.multiblock is None:
         raise ConfigError("multiblock", "multiblock command needs a multiblock section")
-    p = cfg.holder_share if cfg.holder_share is not None else 0.1
+    p = _share(cfg)
     result = multiblock_value_experiment(
         cfg.params, cfg.multiblock, p, cfg.trials, cfg.seed,
         workers=cfg.workers, horizon=cfg.horizon,

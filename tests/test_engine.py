@@ -1,17 +1,25 @@
 """Lottery state machine law, trajectory records, samplers, and estimator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from ticketsim.analytics import expected_slots_to_win, expected_ticket_value, slots_to_win_variance
+from ticketsim.analytics import (
+    expected_slots_to_win,
+    expected_ticket_value,
+    slots_to_win_variance,
+    ticket_value_variance,
+)
 from ticketsim.core import ConstantReward, EconomyParams, calibrate_lognormal
 from ticketsim.engine import (
     MARKET_HOLDER,
     ReplacementRule,
+    _variance_stderr,
     discount_horizon,
+    holders_for_share,
     init_state,
     run_trajectory,
     sample_holder_flows,
@@ -22,6 +30,7 @@ from ticketsim.engine import (
     substream,
     win_horizon,
 )
+from ticketsim.market import MultiBlockSpec
 from ticketsim.quantities import Quantity, entries, estimate
 
 
@@ -241,6 +250,24 @@ def test_win_slot_survival_is_geometric():
         assert abs(observed - p) < z * math.sqrt(p * (1.0 - p) / slots.size)
 
 
+def test_win_slot_survival_capped_at_short_horizon():
+    # A horizon far below the natural one: every slot past it is reported
+    # as the horizon itself and counted as truncated, at the geometric rate.
+    n, horizon, trials = 16384, 16384, 100_000
+    slots, truncated = sample_win_slots(params_const(n), trials, seed=23, horizon=horizon)
+    assert slots.min() >= 1 and slots.max() == horizon
+    tail = (1.0 - 1.0 / n) ** horizon
+    z = 3.2905
+    assert abs(truncated / trials - tail) < z * math.sqrt(tail * (1.0 - tail) / trials)
+    # Only a trajectory winning at exactly the horizon reports it untruncated.
+    assert truncated <= int(np.sum(slots == horizon))
+    assert int(np.sum(slots == horizon)) - truncated < 20
+    for t in (1, n // 4, n // 2, horizon - 1):
+        p = (1.0 - 1.0 / n) ** t
+        observed = float(np.mean(slots > t))
+        assert abs(observed - p) < z * math.sqrt(p * (1.0 - p) / trials)
+
+
 def test_sampler_matches_object_engine_statistically():
     params = params_const(6, d=0.05)
     rng = np.random.default_rng(17)
@@ -278,6 +305,41 @@ def test_holder_flows_share_scaling():
     assert np.array_equal(gross, net)  # zero replacement price
 
 
+def test_holder_flows_match_object_engine_with_streak_bonus():
+    n, k, beta, d, horizon = 6, 2, 0.5, 0.05, 100
+    params = params_const(n, d=d)
+    holders = holders_for_share(n, k)
+    rng = np.random.default_rng(61)
+    object_totals = np.array([
+        run_trajectory(
+            params, horizon=horizon, rng=rng, holders=holders, replacement=ReplacementRule.RETAIN,
+            multiblock=MultiBlockSpec(beta), stop_at_tracked_win=False,
+        ).holder_totals.get("whale", 0.0)
+        for _ in range(2_000)
+    ])
+    gross, _ = sample_holder_flows(params, k, 20_000, seed=61, beta=beta, horizon=horizon)
+    se = math.sqrt(object_totals.var(ddof=1) / object_totals.size)
+    se_fast = math.sqrt(gross.var(ddof=1) / gross.size)
+    assert abs(object_totals.mean() - gross.mean()) < 5.0 * math.hypot(se, se_fast)
+
+
+def test_holder_flow_streak_premium_matches_exact_expectation():
+    # A holder win at slot t has streak >= j with probability p^(j-1), so
+    # E[streak | win at t] = (1 - p^t)/(1 - p). Streaks run across many
+    # passes at this share and horizon, so the carry between passes is
+    # exercised; common draws for beta and beta=0 isolate the bonus.
+    n, k, beta, d = 3, 2, 0.5, 0.01
+    params = params_const(n, d=d)
+    p = k / n
+    t = np.arange(1, discount_horizon(d) + 1, dtype=np.float64)
+    exact = float(np.sum(p * beta * ((1.0 - p**t) / (1.0 - p) - 1.0) / (1.0 + d) ** t))
+    bonus, _ = sample_holder_flows(params, k, 20_000, seed=5, beta=beta)
+    base, _ = sample_holder_flows(params, k, 20_000, seed=5)
+    premium = bonus - base
+    se = math.sqrt(premium.var(ddof=1) / premium.size)
+    assert abs(premium.mean() - exact) < 4.0 * se
+
+
 def test_holder_flows_validation():
     with pytest.raises(ValueError):
         sample_holder_flows(params_const(4), 0, 1000, seed=0)
@@ -290,6 +352,38 @@ def test_holder_flows_validation():
 def test_pool_payoffs_single_member_is_solo():
     member_mean, solo, _ = sample_pool_payoffs(params_const(12), 1, 5_000, seed=4)
     assert np.array_equal(member_mean, solo)
+
+
+def test_pool_payoffs_solo_matches_closed_forms():
+    n, k, d = 12, 4, 0.05
+    params = EconomyParams(n=n, d=d, reward=calibrate_lognormal(1.0, 0.5))
+    member_mean, solo, truncated = sample_pool_payoffs(params, k, 100_000, seed=12)
+    assert truncated == 0
+    se = math.sqrt(solo.var(ddof=1) / solo.size)
+    assert abs(solo.mean() - expected_ticket_value(1.0, d, n)) < 4.0 * se
+    var, var_se = _variance_stderr(solo)
+    assert abs(var - ticket_value_variance(1.0, params.var_r, d, n)) < 4.0 * var_se
+    assert member_mean.var(ddof=1) < solo.var(ddof=1)
+
+
+def test_holder_flow_and_pool_memory_independent_of_d():
+    # Holder flows draw at most a fixed number of wins per pass and pools
+    # one slot per member, so peak memory does not grow with the horizon.
+    def peak_mb(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    holder = {d: peak_mb(lambda: sample_holder_flows(params_const(32, d=d), 4, 512, seed=3))
+              for d in (1e-2, 1e-4)}
+    assert holder[1e-4] < 16.0
+    assert holder[1e-4] <= 1.5 * holder[1e-2]
+    pool = {h: peak_mb(lambda: sample_pool_payoffs(params_const(32), 4, 512, seed=3, horizon=h))
+            for h in (1_000, 1_000_000)}
+    assert pool[1_000_000] <= 1.5 * pool[1_000]
 
 
 def test_substream_determinism_and_separation():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ticketsim.analytics import npv_rewards
+from ticketsim.analytics import control_value, npv_rewards
 from ticketsim.cli import main
 from ticketsim.config import load_config, parse_config
 from ticketsim.errors import ConfigError
@@ -89,6 +89,12 @@ def test_config_pool_takes_only_k():
 def test_config_sweep_quantity_needs_oracle_and_estimator():
     with pytest.raises(ConfigError, match="sweep.quantity"):
         parse_config({**MINIMAL, "sweep": {"parameter": "n", "values": [1, 2], "quantity": "holder_value"}})
+
+
+def test_config_k_sweep_rejects_pool_larger_than_n():
+    with pytest.raises(ConfigError, match=r"sweep\.values\[1\]: pool size 64 exceeds ticket count n=32"):
+        parse_config({**MINIMAL, "n": 32, "sweep": {"parameter": "k", "values": [2, 64]}})
+    assert parse_config({**MINIMAL, "n": 32, "sweep": {"parameter": "k", "values": [32]}}).sweep.values == (32,)
 
 
 @pytest.mark.parametrize("parameter", ["beta", "k", "p"])
@@ -425,6 +431,26 @@ def test_cli_simulate_holder_value_without_share_is_config_error(tmp_path, capsy
     config = _write_config(tmp_path, quantity="holder_value")
     assert main(["simulate", "--config", str(config)]) == 2
     assert "holder_share" in capsys.readouterr().err
+
+
+def test_cli_verify_share_rounding_to_zero_is_config_error(tmp_path, capsys):
+    config = _write_config(tmp_path, n=32, holder_share=0.01, trials=200)
+    assert main(["verify", "--config", str(config)]) == 2
+    assert "holder_share: 0.01 rounds to zero of 32 tickets" in capsys.readouterr().err
+
+
+def test_default_holder_share_is_the_same_for_every_command():
+    # No holder_share: every command prices a holder of 0.125.
+    expected = control_value(0.125, 1.0, 0.01, 32)
+    base = {"n": 32, "d": 0.01, "reward": {"kind": "constant", "mean": 1.0}, "trials": 1000}
+    analytic = {r.swept_value: r for r in run_analytic(parse_config(base))}
+    assert analytic["control_value"].closed_form == expected
+    sweep_cfg = {**base, "sweep": {"parameter": "n", "values": [32], "quantity": "control_value"}}
+    assert run_sweep(parse_config(sweep_cfg))[0][0].closed_form == expected
+    multiblock = run_multiblock(parse_config({**base, "multiblock": {"beta": 0.0}}))
+    assert multiblock[0].closed_form == expected
+    verify = {r.swept_value: r for r in run_verify(parse_config(base)).rows}
+    assert verify["control_value"].closed_form == expected
 
 
 def test_cli_unknown_config_key_exit_code(tmp_path, capsys):
