@@ -99,7 +99,7 @@ class ExperimentConfig:
             "timings": self.timings,
             "derived": {
                 "win_horizon": win_horizon(self.n),
-                "discount_horizon": discount_horizon(self.d) if self.d > 0 else None,
+                "discount_horizon": discount_horizon(self.d),
                 "reward_mean": self.reward.mean(),
                 "reward_variance": self.reward.variance(),
             },
@@ -278,7 +278,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     trials = _expect_int(merged["trials"], "trials", minimum=100)
     workers = _expect_int(merged["workers"], "workers", minimum=1)
     n = _expect_int(merged["n"], "n", minimum=1)
-    d = _expect_number(merged["d"], "d", minimum=0.0)
+    d = _expect_number(merged["d"], "d", exclusive_min=0.0)
     reward, reward_spec = _parse_reward(merged["reward"], "reward")
 
     quantity = merged["quantity"]

@@ -27,10 +27,11 @@ Two implementations of the same law live here:
   Geometric variates are drawn by inversion, ceil(Exp(1) / -log(1 - p))
   (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. X.2).
 
-Determinism contract: trajectories are partitioned into fixed-size blocks;
-block ``b`` of a run draws from ``SeedSequence(seed, spawn_key=(stream, b))``
-and results are merged in block order, so a given (seed, trials) pair
-produces bit-identical output regardless of the worker count.
+Determinism contract: one driver (``_sample``) partitions every sampler's
+trajectories into fixed-size blocks; block ``b`` of a run draws from
+``SeedSequence(seed, spawn_key=(stream, b))`` and results are merged in
+block order, so a given (seed, trials) pair produces bit-identical output
+regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -218,25 +219,34 @@ def substream(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream, block)))
 
 
-def _block_sizes(trials: int, block: int) -> list[int]:
-    full, rem = divmod(trials, block)
-    sizes = [block] * full
-    if rem:
-        sizes.append(rem)
-    return sizes
+def _run_block(task) -> tuple:
+    kernel, seed, stream, b, count, head = task
+    return kernel(substream(seed, stream, b), count, *head)
 
 
-def _run_blocks(worker, tasks: list[tuple], workers: int) -> list:
-    """Evaluate ``worker`` over ``tasks``, preserving task order.
+def _sample(kernel, head: tuple, trials: int, block: int, seed: int, stream: int,
+            workers: int) -> tuple:
+    """Run ``kernel(substream(seed, stream, b), count, *head)`` over the
+    ``block``-sized blocks of ``trials``, serially or in a process pool.
 
-    Each task is self-contained (it derives its own substream), so the
-    mapping is order- and worker-count-invariant by construction.
+    Results are merged in block order, arrays concatenated and counts
+    summed. Each block derives its own substream, so the merge is
+    invariant to the worker count by construction.
     """
+    tasks = [
+        (kernel, seed, stream, b, min(block, trials - lo), head)
+        for b, lo in enumerate(range(0, trials, block))
+    ]
     if workers <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        chunksize = max(1, len(tasks) // (workers * 4))
-        return list(ex.map(worker, tasks, chunksize=chunksize))
+        results = [_run_block(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            chunksize = max(1, len(tasks) // (workers * 4))
+            results = list(ex.map(_run_block, tasks, chunksize=chunksize))
+    return tuple(
+        np.concatenate(parts) if isinstance(parts[0], np.ndarray) else sum(parts)
+        for parts in zip(*results)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +269,7 @@ def _geometric(p, size, rng: np.random.Generator) -> np.ndarray:
     return np.maximum(draws, 1.0, out=draws)
 
 
-def _draw_win_slots(n: int, horizon: int, count: int, rng: np.random.Generator):
+def _draw_win_slots(rng: np.random.Generator, count: int, n: int, horizon: int):
     """Win slot T ~ Geometric(1/n) of a tracked ticket, per trajectory.
 
     The tracked ticket wins each slot with probability 1/n, independently.
@@ -271,21 +281,12 @@ def _draw_win_slots(n: int, horizon: int, count: int, rng: np.random.Generator):
     return np.minimum(slots, horizon).astype(np.int64), won
 
 
-def _ticket_payoff_block(task) -> tuple[np.ndarray, int]:
-    params, horizon, count, seed, stream, block = task
-    rng = substream(seed, stream, block)
-    slots, won = _draw_win_slots(params.n, horizon, count, rng)
+def _ticket_payoff_block(rng, count, params, horizon) -> tuple[np.ndarray, int]:
+    slots, won = _draw_win_slots(rng, count, params.n, horizon)
     rewards = np.asarray(params.reward.sample(rng, size=count), dtype=np.float64)
     disc = (1.0 + params.d) ** (-slots.astype(np.float64))
     payoffs = np.where(won, rewards * disc, 0.0)
     return payoffs, int(count - won.sum())
-
-
-def _win_slot_block(task) -> tuple[np.ndarray, int]:
-    params, horizon, count, seed, stream, block = task
-    rng = substream(seed, stream, block)
-    slots, won = _draw_win_slots(params.n, horizon, count, rng)
-    return slots, int(count - won.sum())
 
 
 def _streaks(gaps: np.ndarray, carry: np.ndarray) -> np.ndarray:
@@ -300,9 +301,7 @@ def _streaks(gaps: np.ndarray, carry: np.ndarray) -> np.ndarray:
     return np.where(start >= 0, idx - start + 1, carry[:, None] + idx + 1)
 
 
-def _holder_flow_block(task) -> tuple[np.ndarray, np.ndarray]:
-    params, k, beta, price, horizon, count, seed, stream, block = task
-    rng = substream(seed, stream, block)
+def _holder_flow_block(rng, count, params, k, beta, price, horizon) -> tuple[np.ndarray, np.ndarray]:
     # Discount weights are computed per pass, never as a horizon-long table,
     # so memory does not grow as d falls.
     log_decay = -math.log1p(params.d)
@@ -348,9 +347,7 @@ def _holder_flow_block(task) -> tuple[np.ndarray, np.ndarray]:
     return gross, gross - price * paid
 
 
-def _pool_payoff_block(task) -> tuple[np.ndarray, np.ndarray, int]:
-    params, k, horizon, count, seed, stream, block = task
-    rng = substream(seed, stream, block)
+def _pool_payoff_block(rng, count, params, k, horizon) -> tuple[np.ndarray, np.ndarray, int]:
     # With i members already hit, the next fresh member is hit after a
     # Geometric((k - i)/n) wait, so hit i lands at the running sum.
     slots = np.cumsum(_geometric((k - np.arange(k)) / params.n, (count, k), rng), axis=1)
@@ -382,13 +379,7 @@ def sample_ticket_payoffs(
     """
     if horizon is None:
         horizon = win_horizon(params.n)
-    tasks = [
-        (params, horizon, count, seed, stream, b)
-        for b, count in enumerate(_block_sizes(trials, _BLOCK))
-    ]
-    results = _run_blocks(_ticket_payoff_block, tasks, workers)
-    payoffs = np.concatenate([r[0] for r in results])
-    return payoffs, sum(r[1] for r in results)
+    return _sample(_ticket_payoff_block, (params, horizon), trials, _BLOCK, seed, stream, workers)
 
 
 def sample_win_slots(
@@ -403,13 +394,8 @@ def sample_win_slots(
     """Win slot T of a tracked ticket per trajectory (horizon if truncated)."""
     if horizon is None:
         horizon = win_horizon(params.n)
-    tasks = [
-        (params, horizon, count, seed, stream, b)
-        for b, count in enumerate(_block_sizes(trials, _BLOCK))
-    ]
-    results = _run_blocks(_win_slot_block, tasks, workers)
-    slots = np.concatenate([r[0] for r in results])
-    return slots, sum(r[1] for r in results)
+    slots, won = _sample(_draw_win_slots, (params.n, horizon), trials, _BLOCK, seed, stream, workers)
+    return slots, int(trials - won.sum())
 
 
 def sample_holder_flows(
@@ -438,14 +424,8 @@ def sample_holder_flows(
         raise ValueError(f"streak bonus coefficient must be >= 0, got {beta}")
     if horizon is None:
         horizon = discount_horizon(params.d)
-    tasks = [
-        (params, holder_tickets, beta, replacement_price, horizon, count, seed, stream, b)
-        for b, count in enumerate(_block_sizes(trials, _PATH_BLOCK))
-    ]
-    results = _run_blocks(_holder_flow_block, tasks, workers)
-    gross = np.concatenate([r[0] for r in results])
-    net = np.concatenate([r[1] for r in results])
-    return gross, net
+    head = (params, holder_tickets, beta, replacement_price, horizon)
+    return _sample(_holder_flow_block, head, trials, _PATH_BLOCK, seed, stream, workers)
 
 
 def sample_pool_payoffs(
@@ -468,43 +448,8 @@ def sample_pool_payoffs(
         raise ValueError(f"pool size must be between 1 and n={params.n}, got {pool_tickets}")
     if horizon is None:
         horizon = win_horizon(params.n, TAIL_TOLERANCE / pool_tickets)
-    tasks = [
-        (params, pool_tickets, horizon, count, seed, stream, b)
-        for b, count in enumerate(_block_sizes(trials, _PATH_BLOCK))
-    ]
-    results = _run_blocks(_pool_payoff_block, tasks, workers)
-    member_mean = np.concatenate([r[0] for r in results])
-    solo = np.concatenate([r[1] for r in results])
-    return member_mean, solo, sum(r[2] for r in results)
-
-
-# ---------------------------------------------------------------------------
-# Ensemble statistics
-# ---------------------------------------------------------------------------
-
-
-def _zero_degenerate(stderr: float, scale: float) -> float:
-    # A deterministic ensemble accumulates rounding noise of a few ulps;
-    # report that as the exact zero it is rather than a misleading 1e-16.
-    return 0.0 if stderr < 1e-13 * (abs(scale) + 1.0) else stderr
-
-
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(values))
-    if values.size < 2:
-        return mean, 0.0
-    var = max(float(np.var(values, ddof=1)), 0.0)
-    return mean, _zero_degenerate(math.sqrt(var / values.size), mean)
-
-
-def _variance_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Sample variance and the asymptotic stderr of that variance estimate."""
-    mean = float(np.mean(values))
-    dev = values - mean
-    s2 = max(float(np.var(values, ddof=1)), 0.0)
-    m4 = float(np.mean(dev**4))
-    stderr = math.sqrt(max(m4 - s2 * s2, 0.0) / values.size)
-    return s2, _zero_degenerate(stderr, s2)
+    head = (params, pool_tickets, horizon)
+    return _sample(_pool_payoff_block, head, trials, _PATH_BLOCK, seed, stream, workers)
 
 
 def holders_for_share(n: int, holder_tickets: int, holder: str = "whale") -> list[str]:

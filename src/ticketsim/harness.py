@@ -22,7 +22,7 @@ from typing import Optional
 from . import analytics
 from .analytics import truncated_series_sum
 from .config import ExperimentConfig
-from .core import ConstantReward, EconomyParams, LognormalReward, calibrate_lognormal
+from .core import ConstantReward, EconomyParams, LognormalReward, ParetoReward, calibrate_lognormal
 from .errors import ConfigError
 from .market import (
     FairValue,
@@ -72,19 +72,19 @@ def _mc_gate(mc_mean: float, closed: float, stderr: float, bias: float) -> bool:
     return abs(mc_mean - closed) <= Z_LIMIT * stderr + bias + 1e-12 * (abs(closed) + 1.0)
 
 
-def run_verify(
-    cfg: ExperimentConfig,
-    closed_form_overrides: Optional[dict[str, float]] = None,
-) -> VerifyOutcome:
+def run_verify(cfg: ExperimentConfig) -> VerifyOutcome:
     """Check every closed form against its oracle and, where the quantity
     has an estimator, a Monte Carlo estimate.
 
     Closed forms take the holder share as configured (a configured share
     that rounds to zero tickets is a config error) or the default share.
-    ``closed_form_overrides`` substitutes closed-form values by row name;
-    it exists so the harness's own failure path can be exercised.
+    Pareto rewards need shape > 4: the ``ticket_value_variance`` gate takes
+    the stderr of a sample variance, which needs a finite fourth moment.
     """
-    overrides = closed_form_overrides or {}
+    if isinstance(cfg.reward, ParetoReward) and cfg.reward.shape <= 4.0:
+        raise ConfigError(
+            "reward.shape", f"verify needs shape > 4 (a finite fourth moment), got {cfg.reward.shape}"
+        )
     run = _run(cfg, cfg.params, _share(cfg))
     try:
         run.holder_tickets
@@ -100,7 +100,7 @@ def run_verify(
     for quantity, entry in entries(oracle=True):
         start = time.perf_counter()
         name = quantity.value
-        closed = overrides.get(name, entry.closed(run))
+        closed = entry.closed(run)
         oracle = entry.oracle(run)
         rel = relative_gap(oracle, closed)
         ok = rel <= ORACLE_TOLERANCE and entry.sign_holds(closed, run.mu)

@@ -14,13 +14,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
-import numpy as np
-
 from .analytics import control_value, expected_ticket_value, npv_rewards
 from .core import EconomyParams
-from .engine import _PATH_BLOCK, _mean_stderr, sample_pool_payoffs
+from .engine import sample_pool_payoffs
 from .errors import NegativePriceError
-from .quantities import Run, fair_price, holder_bias, holder_flows
+from .quantities import Run, _mean_stderr, _variance_stderr, fair_price, holder_bias, holder_flows
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +126,7 @@ class PoolVarianceResult:
     pooled_per_ticket_variance: float
     pooled_variance_stderr: float
     ratio: float
-    variance_gap: float        # block-mean of (pooled - solo) variance
+    variance_gap: float        # pooled_per_ticket_variance - solo_variance
     gap_stderr: float
     trials: int
     pool_tickets: int
@@ -148,32 +146,18 @@ def pooled_variance_experiment(
     """Simulate a k-of-n equal-share pool and compare per-ticket payoff
     variance against a solo ticket from the same trajectories.
 
-    The gap's standard error comes from batch means over the sampler's
-    fixed-size trajectory blocks, so it is deterministic for a given seed.
+    Both variances come from the same trajectories, so the gap's standard
+    error is that of the mean paired difference of squared deviations.
     """
     if k > params.n:
         raise ValueError(f"pool size {k} exceeds ticket count n={params.n}")
     member_mean, solo, truncated = sample_pool_payoffs(
         params, k, trials, seed, horizon=horizon, workers=workers, stream=stream
     )
-    solo_var = float(np.var(solo, ddof=1))
-    pooled_var = float(np.var(member_mean, ddof=1))
-
-    blocks = trials // _PATH_BLOCK
-    if blocks >= 2:
-        shaped_solo = solo[: blocks * _PATH_BLOCK].reshape(blocks, _PATH_BLOCK)
-        shaped_pool = member_mean[: blocks * _PATH_BLOCK].reshape(blocks, _PATH_BLOCK)
-        solo_vars = np.var(shaped_solo, axis=1, ddof=1)
-        pool_vars = np.var(shaped_pool, axis=1, ddof=1)
-        gaps = pool_vars - solo_vars
-        gap = float(np.mean(gaps))
-        scale = 1.0 / math.sqrt(blocks)
-        gap_stderr = float(np.std(gaps, ddof=1)) * scale
-        solo_stderr = float(np.std(solo_vars, ddof=1)) * scale
-        pooled_stderr = float(np.std(pool_vars, ddof=1)) * scale
-    else:
-        gap = pooled_var - solo_var
-        gap_stderr = solo_stderr = pooled_stderr = float("nan")
+    solo_var, solo_stderr = _variance_stderr(solo)
+    pooled_var, pooled_stderr = _variance_stderr(member_mean)
+    paired = (member_mean - member_mean.mean()) ** 2 - (solo - solo.mean()) ** 2
+    _, gap_stderr = _mean_stderr(paired)
 
     return PoolVarianceResult(
         solo_variance=solo_var,
@@ -181,7 +165,7 @@ def pooled_variance_experiment(
         pooled_per_ticket_variance=pooled_var,
         pooled_variance_stderr=pooled_stderr,
         ratio=pooled_var / solo_var if solo_var > 0.0 else float("nan"),
-        variance_gap=gap,
+        variance_gap=pooled_var - solo_var,
         gap_stderr=gap_stderr,
         trials=trials,
         pool_tickets=k,

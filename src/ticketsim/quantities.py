@@ -15,6 +15,7 @@ tracer) sees every call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -181,24 +182,48 @@ def holder_bias(run: Run, share: float, beta: float = 0.0, price: float = 0.0) -
     return share * (abs(reward_tail) + price * geo)
 
 
+def _zero_degenerate(stderr: float, scale: float) -> float:
+    # A deterministic ensemble accumulates rounding noise of a few ulps;
+    # report that as the exact zero it is rather than a misleading 1e-16.
+    return 0.0 if stderr < 1e-13 * (abs(scale) + 1.0) else stderr
+
+
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    mean = float(np.mean(values))
+    if values.size < 2:
+        return mean, 0.0
+    var = max(float(np.var(values, ddof=1)), 0.0)
+    return mean, _zero_degenerate(math.sqrt(var / values.size), mean)
+
+
+def _variance_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Sample variance and the asymptotic stderr of that variance estimate."""
+    mean = float(np.mean(values))
+    dev = values - mean
+    s2 = max(float(np.var(values, ddof=1)), 0.0)
+    m4 = float(np.mean(dev**4))
+    stderr = math.sqrt(max(m4 - s2 * s2, 0.0) / values.size)
+    return s2, _zero_degenerate(stderr, s2)
+
+
 def _mean(run: Run, values: np.ndarray) -> tuple[float, float]:
-    return engine._mean_stderr(values)
+    return _mean_stderr(values)
 
 
 def _issued_value(run: Run, payoffs: np.ndarray) -> tuple[float, float]:
-    mean, stderr = engine._mean_stderr(payoffs)
+    mean, stderr = _mean_stderr(payoffs)
     return run.n * mean, run.n * stderr
 
 
 def _total_value(run: Run, payoffs: np.ndarray) -> tuple[float, float]:
-    mean, stderr = engine._mean_stderr(payoffs)
+    mean, stderr = _mean_stderr(payoffs)
     return run.n * mean + mean / run.d, (run.n + 1.0 / run.d) * stderr
 
 
 def _control_value(run: Run, net: np.ndarray) -> tuple[float, float]:
     # The holder keeps k = round(share*n) tickets, and its expected flow is
     # linear in k, so rescaling by share*n/k estimates the value of share.
-    mean, stderr = engine._mean_stderr(net)
+    mean, stderr = _mean_stderr(net)
     scale = run.share * run.n / run.holder_tickets
     return scale * mean, scale * stderr
 
@@ -263,7 +288,7 @@ QUANTITIES: dict[Quantity, Entry] = {
             run.params, run.trials, run.seed,
             horizon=run.win_horizon, workers=run.workers, stream=1,
         ),
-        statistic=lambda run, slots: engine._mean_stderr(slots.astype(np.float64)),
+        statistic=lambda run, slots: _mean_stderr(slots.astype(np.float64)),
         bias=lambda run: run.n * run.win_tail,
     ),
     Quantity.TICKET_VALUE_DERIVATIVE: Entry(
@@ -291,7 +316,7 @@ QUANTITIES: dict[Quantity, Entry] = {
         closed=lambda run: analytics.ticket_value_variance(run.mu, run.var_r, run.d, run.n),
         oracle=lambda run: _second_moment_series(run) - run.ticket_series**2,
         ensemble=lambda run: run.ticket_payoffs,
-        statistic=lambda run, payoffs: engine._variance_stderr(payoffs),
+        statistic=lambda run, payoffs: _variance_stderr(payoffs),
         bias=lambda run: (run.var_r + 3.0 * run.mu * run.mu) * run.win_tail,
     ),
     # Gross holder flow collects the holder's share of every slot's reward;

@@ -14,7 +14,7 @@ import numpy as np
 import ticketsim as ts
 from ticketsim.analytics import truncated_series_sum
 from ticketsim.cli import main
-from ticketsim.engine import _variance_stderr
+from ticketsim.quantities import _variance_stderr
 
 EPS = 1e-12
 

@@ -15,9 +15,10 @@ from ticketsim.analytics import (
 )
 from ticketsim.core import ConstantReward, EconomyParams, calibrate_lognormal
 from ticketsim.engine import (
+    _BLOCK,
+    _PATH_BLOCK,
     MARKET_HOLDER,
     ReplacementRule,
-    _variance_stderr,
     discount_horizon,
     holders_for_share,
     init_state,
@@ -31,7 +32,7 @@ from ticketsim.engine import (
     win_horizon,
 )
 from ticketsim.market import MultiBlockSpec
-from ticketsim.quantities import Quantity, entries, estimate
+from ticketsim.quantities import Quantity, _variance_stderr, entries, estimate
 
 
 def params_const(n, d=0.01, mu=1.0):
@@ -384,6 +385,31 @@ def test_holder_flow_and_pool_memory_independent_of_d():
     pool = {h: peak_mb(lambda: sample_pool_payoffs(params_const(32), 4, 512, seed=3, horizon=h))
             for h in (1_000, 1_000_000)}
     assert pool[1_000_000] <= 1.5 * pool[1_000]
+
+
+_DRIVER_CASES = {
+    # sampler, its arguments between params and trials, options, block size
+    "ticket_payoffs": (sample_ticket_payoffs, (), {"horizon": 40}, _BLOCK),
+    "win_slots": (sample_win_slots, (), {"horizon": 40}, _BLOCK),
+    "holder_flows": (sample_holder_flows, (4,), {"beta": 0.5, "replacement_price": 0.3}, _PATH_BLOCK),
+    "pool": (sample_pool_payoffs, (4,), {"horizon": 40}, _PATH_BLOCK),
+}
+
+
+@pytest.mark.parametrize("name", list(_DRIVER_CASES))
+def test_sampler_output_bit_identical_across_workers(name):
+    sampler, head, options, block = _DRIVER_CASES[name]
+    params = EconomyParams(n=32, d=0.05, reward=calibrate_lognormal(1.0, 1.0))
+    trials = 3 * block + 37     # several full blocks and a partial last one
+    serial = sampler(params, *head, trials, 5, workers=1, **options)
+    parallel = sampler(params, *head, trials, 5, workers=2, **options)
+    assert len(serial) == len(parallel)
+    for a, b in zip(serial, parallel):
+        if isinstance(a, np.ndarray):
+            assert a.shape == (trials,) and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        else:   # truncated count: a horizon of 40 slots at n=32 truncates some
+            assert a == b > 0
 
 
 def test_substream_determinism_and_separation():

@@ -1,9 +1,12 @@
 """Config ingestion, report emission, the verify/sweep runners, and the CLI."""
 
+import dataclasses
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ticketsim.analytics import control_value, npv_rewards
 from ticketsim.cli import main
@@ -18,7 +21,7 @@ from ticketsim.harness import (
     run_sweep,
     run_verify,
 )
-from ticketsim.quantities import entries
+from ticketsim.quantities import QUANTITIES, Quantity, entries
 from ticketsim.report import emit_report, load_report, make_row
 
 MINIMAL = {"n": 10, "d": 0.01, "reward": {"kind": "constant", "mean": 1}, "trials": 1000, "seed": 42}
@@ -226,10 +229,35 @@ def test_run_verify_single_ticket_edge():
     assert t2.mc_stderr <= 1e-12  # constant reward, deterministic win slot
 
 
-def test_run_verify_detects_corrupted_closed_form():
-    outcome = run_verify(small_cfg(), closed_form_overrides={"ticket_value": 0.9})
+def test_run_verify_detects_corrupted_closed_form(monkeypatch):
+    entry = QUANTITIES[Quantity.TICKET_VALUE]
+    monkeypatch.setitem(
+        QUANTITIES, Quantity.TICKET_VALUE, dataclasses.replace(entry, closed=lambda run: 0.9)
+    )
+    outcome = run_verify(small_cfg())
     assert not outcome.passed
     assert outcome.failures == ["ticket_value"]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(shape=st.one_of(
+    st.floats(min_value=2.0, max_value=4.0, exclude_min=True),
+    st.floats(min_value=4.0, max_value=12.0, exclude_min=True),
+))
+def test_verify_needs_pareto_fourth_moment(shape):
+    # verify's ticket_value_variance gate takes the stderr of a sample
+    # variance, which needs a finite fourth moment: shape > 4.
+    cfg = small_cfg(reward={"kind": "pareto", "shape": shape, "scale": 1.0}, trials=1000)
+    if shape <= 4.0:
+        with pytest.raises(ConfigError) as excinfo:
+            run_verify(cfg)
+        assert excinfo.value.path == "reward.shape"
+    else:
+        outcome = run_verify(cfg)
+        assert outcome.passed, f"failures: {outcome.failures}"
+    assert all(row.rel_err <= 1e-9 for row in run_analytic(cfg))
+    [row] = run_simulate(dataclasses.replace(cfg, quantity="ticket_value_variance"))
+    assert math.isfinite(row.mc_mean) and row.mc_stderr > 0.0
 
 
 def test_run_verify_lognormal_rewards():
@@ -359,6 +387,14 @@ def test_run_pool_rows():
     assert by_name["variance_gap"].mc_mean < 0.0
 
 
+def test_run_pool_stderrs_finite_at_small_trial_counts():
+    cfg = parse_config({"n": 64, "pool": {"k": 8}, "trials": 1000})
+    rows = run_pool(cfg)
+    assert all(math.isfinite(row.mc_stderr) and row.mc_stderr > 0.0 for row in rows)
+    gap = next(row for row in rows if row.swept_value == "variance_gap")
+    assert gap.mc_mean + 4.0 * gap.mc_stderr < 0.0
+
+
 def test_run_multiblock_row():
     cfg = small_cfg(multiblock={"beta": 0.5}, holder_share=0.25, trials=2000)
     rows = run_multiblock(cfg)
@@ -410,7 +446,7 @@ def test_cli_verify_byte_identical_across_workers(tmp_path):
 def test_cli_analytic_with_zero_discount_is_config_error(tmp_path, capsys):
     config = _write_config(tmp_path, d=0.0)
     assert main(["analytic", "--config", str(config)]) == 2
-    assert "DiscountRateError" in capsys.readouterr().err
+    assert "d: must be > 0" in capsys.readouterr().err
 
 
 def test_cli_flag_precedence_over_file(tmp_path):
