@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import DiscountRateError, DivergenceError
 
 
@@ -130,14 +132,19 @@ def ticket_value_variance(mu: float, var_r: float, d: float, n: float) -> float:
 # ---------------------------------------------------------------------------
 
 _MAX_TERMS = 50_000_000
+_BLOCK = 4096          # most terms evaluated and checked at once
+# Envelope slack: |term(t)| may exceed the anchored geometric envelope by a
+# polynomial factor (e.g. t * x^t) but not by more than this.
+_SLACK = 1e9
 
 
 def truncated_series_sum(
-    term: Callable[[int], float],
+    term: Callable,
     d: Optional[float] = None,
     epsilon: float = 1e-12,
     *,
     ratio: Optional[float] = None,
+    vectorized: bool = False,
 ) -> float:
     """Numerically sum term(1) + term(2) + ... for a geometrically dominated
     series, stopping once the geometric tail bound drops below
@@ -147,7 +154,18 @@ def truncated_series_sum(
     for series not tied to a discount rate. Terms whose magnitude is still
     growing (e.g. t * x^t early on) are summed through the rise; the stop
     rule only engages while terms decay, using the larger of the supplied
-    ratio and the last observed term ratio so the bound stays valid.
+    ratio and the last observed term ratio so the bound stays valid. Eight
+    zero terms in a row also stop the sum.
+
+    Terms are evaluated and checked in blocks of consecutive t, which start
+    at one term and double up to ``_BLOCK``, so memory stays bounded however
+    long the series is, and a sum that stops at t evaluates no term at 2*t
+    or beyond. With ``vectorized=False`` ``term`` is called with the Python
+    ints 1, 2, 3, ... in order, up to the end of the block that stops the
+    sum; with ``vectorized=True`` it maps an int64 array of t to an array of
+    terms (or to a constant, which is broadcast). Either way the stop rule
+    sees the terms in order and stops where a term-by-term loop would, and
+    the result is what one math.fsum over the terms up to the stop gives.
 
     Raises DivergenceError when the envelope is not contracting or the sum
     fails to converge within the term budget.
@@ -160,41 +178,86 @@ def truncated_series_sum(
         raise DivergenceError(f"series does not contract: envelope ratio {ratio} >= 1")
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    return _series_sum(term, ratio, epsilon, vectorized)[0]
 
-    # Envelope slack: |term(t)| may exceed the anchored geometric envelope by
-    # a polynomial factor (e.g. t * x^t) but not by more than this.
-    slack = 1e9
-    terms: list[float] = []
-    total = 0.0
-    prev = 0.0
-    zero_run = 0
-    envelope = None
-    for t in range(1, _MAX_TERMS + 1):
-        x = float(term(t))
-        terms.append(x)
-        total += x
-        if x == 0.0:
-            # A geometric envelope anchored at a zero term pins the tail at
-            # zero, but tolerate isolated zeros (e.g. a vanishing first term).
-            zero_run += 1
-            if zero_run >= 8:
-                return math.fsum(terms)
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in ``mask``, or its length when there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else mask.size
+
+
+def _add_exact(hi: float, lo: float, block: np.ndarray) -> tuple[float, float]:
+    """Add ``block`` to the sum hi + lo, where lo is what rounding hi left
+    out, so hi stays what one fsum over every term gives (lo itself is
+    rounded, an error near 1e-32 of the sum)."""
+    items = block.tolist()
+    items += (hi, lo)
+    hi = math.fsum(items)
+    items.append(-hi)
+    return hi, math.fsum(items)
+
+
+def _series_sum(term: Callable, ratio: float, epsilon: float,
+                vectorized: bool) -> tuple[float, int]:
+    """The truncated sum and the last t it includes."""
+    hi = lo = 0.0
+    # The stop rule's state after the previous block: the running total in
+    # term order, the last term, the zeros it ended on, and the envelope
+    # (None until the first nonzero term anchors it).
+    total, prev, zero_run, envelope = 0.0, 0.0, 0, None
+    start, size = 1, 1
+    while start <= _MAX_TERMS:
+        size = min(size, _MAX_TERMS + 1 - start)
+        if vectorized:
+            ts = np.arange(start, start + size, dtype=np.int64)
+            x = np.broadcast_to(np.asarray(term(ts), dtype=np.float64), ts.shape)
         else:
-            zero_run = 0
-            if envelope is None:
-                envelope = abs(x) * slack
-            elif abs(x) > envelope:
-                raise DivergenceError(
-                    f"series does not contract: term {t} exceeds the geometric envelope"
-                )
-            if prev != 0.0:
-                observed = abs(x) / abs(prev)
-                if observed < 1.0:
-                    r = max(ratio, observed)
-                    tail = abs(x) * r / (1.0 - r)
-                    if tail <= epsilon * abs(total):
-                        return math.fsum(terms)
-        prev = x
+            x = np.fromiter(map(term, range(start, start + size)), np.float64, size)
+        ax = np.abs(x)
+        nonzero = x != 0.0
+
+        # A geometric envelope anchored at a zero term pins the tail at zero,
+        # but tolerate isolated zeros (e.g. a vanishing first term).
+        at = np.arange(size)
+        runs = at - np.maximum.accumulate(np.where(nonzero, at, -1 - zero_run))
+        stop = _first(runs >= 8)
+
+        # cumsum adds in order, so these are the totals a per-term loop keeps.
+        totals = np.cumsum(np.concatenate(([total], x)))[1:]
+        prevs = np.concatenate(([abs(prev)], ax[:-1]))
+        decaying = np.flatnonzero(nonzero & (prevs != 0.0))
+        observed = ax[decaying] / prevs[decaying]
+        decaying, observed = decaying[observed < 1.0], observed[observed < 1.0]
+        r = np.maximum(observed, ratio)
+        tail = ax[decaying] * r / (1.0 - r)
+        settled = decaying[tail <= epsilon * np.abs(totals[decaying])]
+        if settled.size:
+            stop = min(stop, int(settled[0]))
+
+        # The envelope shrinks by ``ratio`` per term from the first nonzero
+        # term; multiply.accumulate repeats the loop's products exactly.
+        anchor = check = 0
+        if envelope is None:
+            anchor = _first(nonzero)
+            check = anchor + 1
+            if anchor < size:
+                envelope = float(ax[anchor]) * _SLACK
         if envelope is not None:
-            envelope *= ratio
+            bound = np.full(size - anchor, ratio)
+            bound[0] = envelope
+            np.multiply.accumulate(bound, out=bound)
+            breach = check + _first(ax[check:] > bound[check - anchor:])
+            if breach < size and breach <= stop:
+                raise DivergenceError(
+                    f"series does not contract: term {start + breach} exceeds the geometric envelope"
+                )
+            envelope = float(bound[-1]) * ratio
+
+        hi, lo = _add_exact(hi, lo, x[: stop + 1])
+        if stop < size:
+            return hi, start + stop
+        total, prev, zero_run = float(totals[-1]), float(x[-1]), int(runs[-1])
+        start += size
+        size = min(2 * size, _BLOCK)
     raise DivergenceError(f"series did not converge within {_MAX_TERMS} terms")

@@ -263,7 +263,7 @@ def run_pricing(cfg: ExperimentConfig) -> list[ReportRow]:
     d = cfg.d
 
     stream_oracle = truncated_series_sum(
-        lambda t: capture.price / (1.0 + d) ** t, d, ORACLE_EPSILON
+        lambda t: capture.price / (1.0 + d) ** t, d, ORACLE_EPSILON, vectorized=True
     )
     npv_oracle = QUANTITIES[Quantity.NPV_REWARDS].oracle(Run(params))
     oracle = {

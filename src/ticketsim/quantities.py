@@ -105,7 +105,8 @@ class Run:
         mu, d, n = self.mu, self.d, self.n
         q = 1.0 - 1.0 / n
         return analytics.truncated_series_sum(
-            lambda t: q ** (t - 1) * (1.0 / n) * mu / (1.0 + d) ** t, d, ORACLE_EPSILON
+            lambda t: q ** (t - 1) * (1.0 / n) * mu / (1.0 + d) ** t, d, ORACLE_EPSILON,
+            vectorized=True,
         )
 
     @cached_property
@@ -119,7 +120,9 @@ class Run:
 
 def _reward_stream_series(run: Run) -> float:
     mu, d = run.mu, run.d
-    return analytics.truncated_series_sum(lambda t: mu / (1.0 + d) ** t, d, ORACLE_EPSILON)
+    return analytics.truncated_series_sum(
+        lambda t: mu / (1.0 + d) ** t, d, ORACLE_EPSILON, vectorized=True
+    )
 
 
 def _second_moment_series(run: Run) -> float:
@@ -130,6 +133,7 @@ def _second_moment_series(run: Run) -> float:
         lambda t: q ** (t - 1) * (1.0 / n) * num / (1.0 + d) ** (2 * t),
         epsilon=ORACLE_EPSILON,
         ratio=q / (1.0 + d) ** 2,
+        vectorized=True,
     )
 
 
@@ -137,7 +141,7 @@ def _slots_to_win_series(run: Run) -> float:
     n = run.n
     q = 1.0 - 1.0 / n
     return analytics.truncated_series_sum(
-        lambda t: t * q ** (t - 1) * (1.0 / n), epsilon=ORACLE_EPSILON, ratio=q
+        lambda t: t * q ** (t - 1) * (1.0 / n), epsilon=ORACLE_EPSILON, ratio=q, vectorized=True
     )
 
 

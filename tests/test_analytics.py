@@ -1,10 +1,12 @@
 """Closed forms against their independent series / finite-difference oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ticketsim import analytics
 from ticketsim.analytics import (
     control_value,
     control_value_derivative_n,
@@ -256,44 +258,151 @@ def test_ticket_value_variance_nonnegative_randomized():
 # ---------------------------------------------------------------------------
 
 
+# Every series test runs under both term conventions: scalar terms called
+# with Python ints, and array terms called with int64 arrays of t.
+CONVENTIONS = (False, True)
+
+
 def test_truncated_series_geometric():
-    total = truncated_series_sum(lambda t: 1.0 / 1.05**t, 0.05, EPS)
-    assert abs(total - 20.0) < 1e-9 * 20.0
+    for vectorized in CONVENTIONS:
+        total = truncated_series_sum(lambda t: 1.0 / 1.05**t, 0.05, EPS, vectorized=vectorized)
+        assert abs(total - 20.0) < 1e-9 * 20.0
 
 
 def test_truncated_series_zero_terms():
-    assert truncated_series_sum(lambda t: 0.0, 0.05, EPS) == 0.0
+    for vectorized in CONVENTIONS:
+        assert truncated_series_sum(lambda t: 0.0, 0.05, EPS, vectorized=vectorized) == 0.0
 
 
 def test_truncated_series_divergence():
-    with pytest.raises(DivergenceError):
-        truncated_series_sum(lambda t: 1.0, None, EPS)
-    with pytest.raises(DivergenceError):
-        truncated_series_sum(lambda t: 1.0, 0.0, EPS)
-    with pytest.raises(DivergenceError):
-        truncated_series_sum(lambda t: 1.0, epsilon=EPS, ratio=1.0)
-    with pytest.raises(DivergenceError):
-        # Claimed envelope contracts but terms do not.
-        truncated_series_sum(lambda t: 1.0, 0.05, EPS)
-    with pytest.raises(DivergenceError):
-        truncated_series_sum(lambda t: 1.05**t, 0.05, EPS)
+    for vectorized in CONVENTIONS:
+        with pytest.raises(DivergenceError):
+            truncated_series_sum(lambda t: 1.0, None, EPS, vectorized=vectorized)
+        with pytest.raises(DivergenceError):
+            truncated_series_sum(lambda t: 1.0, 0.0, EPS, vectorized=vectorized)
+        with pytest.raises(DivergenceError):
+            truncated_series_sum(lambda t: 1.0, epsilon=EPS, ratio=1.0, vectorized=vectorized)
+        with pytest.raises(DivergenceError):
+            # Claimed envelope contracts but terms do not.
+            truncated_series_sum(lambda t: 1.0, 0.05, EPS, vectorized=vectorized)
+        with pytest.raises(DivergenceError):
+            truncated_series_sum(lambda t: 1.05**t, 0.05, EPS, vectorized=vectorized)
 
 
 def test_truncated_series_rising_then_decaying_terms():
     # t * x^{t-1} rises before it decays; the stop rule must wait out the rise.
     n = 50
     q = 1.0 - 1.0 / n
-    total = truncated_series_sum(lambda t: t * q ** (t - 1) / n, epsilon=EPS, ratio=q)
-    assert rel_gap(total, float(n)) < REL
+    for vectorized in CONVENTIONS:
+        total = truncated_series_sum(
+            lambda t: t * q ** (t - 1) / n, epsilon=EPS, ratio=q, vectorized=vectorized
+        )
+        assert rel_gap(total, float(n)) < REL
 
 
 def test_truncated_series_leading_zero_term():
     # First term vanishes; the sum must not short-circuit to zero.
     d = 0.05
     x = 1.0 / (1.0 + d)
-    total = truncated_series_sum(lambda t: (t - 1) * x**t, d, EPS)
-    # sum (t-1) x^t = x^2/(1-x)^2 = 1/d^2
-    assert rel_gap(total, 1.0 / d**2) < REL
+    for vectorized in CONVENTIONS:
+        total = truncated_series_sum(lambda t: (t - 1) * x**t, d, EPS, vectorized=vectorized)
+        # sum (t-1) x^t = x^2/(1-x)^2 = 1/d^2
+        assert rel_gap(total, 1.0 / d**2) < REL
+
+
+def loop_series_sum(term, ratio, epsilon=EPS):
+    """The term-by-term stop rule, kept as the reference for the block one:
+    the sum and the last t it includes."""
+    terms, total, prev, zero_run, envelope = [], 0.0, 0.0, 0, None
+    for t in range(1, 10_000_000):
+        x = float(term(t))
+        terms.append(x)
+        total += x
+        if x == 0.0:
+            zero_run += 1
+            if zero_run >= 8:
+                return math.fsum(terms), t
+        else:
+            zero_run = 0
+            if envelope is None:
+                envelope = abs(x) * 1e9
+            elif abs(x) > envelope:
+                raise DivergenceError(f"term {t}")
+            if prev != 0.0 and abs(x) / abs(prev) < 1.0:
+                r = max(ratio, abs(x) / abs(prev))
+                if abs(x) * r / (1.0 - r) <= epsilon * abs(total):
+                    return math.fsum(terms), t
+        prev = x
+        if envelope is not None:
+            envelope *= ratio
+    raise DivergenceError("term budget")
+
+
+def table_series(monkeypatch, n, d):
+    """The series the table's oracles sum at (n, d), as (term, ratio, vectorized)."""
+    seen = []
+
+    def record(term, d=None, epsilon=EPS, *, ratio=None, vectorized=False):
+        assert epsilon == EPS
+        seen.append((term, 1.0 / (1.0 + d) if ratio is None else ratio, vectorized))
+        return 1.0
+
+    monkeypatch.setattr(analytics, "truncated_series_sum", record)
+    run = Run(EconomyParams(n=n, d=d, reward=calibrate_lognormal(1.0, 1.0)), 0.25)
+    for _, entry in entries(oracle=True):
+        entry.oracle(run)
+    return seen
+
+
+@pytest.mark.parametrize("n", [1, 2, 32, 1024, 65536])
+@pytest.mark.parametrize("d", [1e-1, 1e-2, 1e-4])
+def test_table_series_array_and_scalar_terms_agree(monkeypatch, n, d):
+    series = table_series(monkeypatch, n, d)
+    assert len(series) == 4
+    for term, ratio, vectorized in series:
+        assert vectorized
+        array, array_stop = analytics._series_sum(term, ratio, EPS, True)
+        scalar, scalar_stop = analytics._series_sum(term, ratio, EPS, False)
+        assert array_stop == scalar_stop
+        assert rel_gap(array, scalar) <= 1e-14
+        if scalar_stop < 50_000:
+            assert (scalar, scalar_stop) == loop_series_sum(term, ratio)
+
+
+def test_scalar_terms_are_called_with_ints_in_order():
+    # Callers may record the t they see (perfbench's oracle grid reads the
+    # last one as the term count), so scalar terms get 1, 2, 3, ... as ints
+    # and no t past the end of the block that stops the sum.
+    for ratio in (0.5, 0.999):
+        calls = []
+
+        def term(t):
+            if type(t) is not int:
+                raise TypeError(f"term called with {type(t).__name__}")
+            calls.append(t)
+            return ratio**t
+
+        _, stop = analytics._series_sum(term, ratio, EPS, False)
+        assert calls == list(range(1, len(calls) + 1))
+        assert stop <= len(calls) < min(2 * stop, stop + analytics._BLOCK)
+
+
+def test_series_oracle_memory_independent_of_length():
+    # Terms are evaluated a block at a time, so the oracles' peak memory does
+    # not grow with the number of terms (about 31n for the slots series).
+    def peak_mb(n):
+        run = Run(EconomyParams(n=n, d=1e-4, reward=calibrate_lognormal(1.0, 1.0)), 0.25)
+        tracemalloc.start()
+        try:
+            for _, entry in entries(oracle=True):
+                entry.oracle(run)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_mb(1024), peak_mb(65536)
+    assert large < 4.0
+    assert large <= 1.5 * small
 
 
 # ---------------------------------------------------------------------------
