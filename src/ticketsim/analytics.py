@@ -131,7 +131,7 @@ def ticket_value_variance(mu: float, var_r: float, d: float, n: float) -> float:
 # Series oracle
 # ---------------------------------------------------------------------------
 
-_MAX_TERMS = 50_000_000
+_MAX_TERMS = 50_000_000   # least term budget; a ratio near 1 gets more
 _BLOCK = 4096          # most terms evaluated and checked at once
 # Envelope slack: |term(t)| may exceed the anchored geometric envelope by a
 # polynomial factor (e.g. t * x^t) but not by more than this.
@@ -168,7 +168,8 @@ def truncated_series_sum(
     the result is what one math.fsum over the terms up to the stop gives.
 
     Raises DivergenceError when the envelope is not contracting or the sum
-    fails to converge within the term budget.
+    fails to converge within the term budget: ``_MAX_TERMS``, or where more,
+    the t at which the envelope falls to epsilon of the first nonzero term.
     """
     if ratio is None:
         if d is None or not (d > 0.0 and math.isfinite(d)):
@@ -201,14 +202,17 @@ def _add_exact(hi: float, lo: float, block: np.ndarray) -> tuple[float, float]:
 def _series_sum(term: Callable, ratio: float, epsilon: float,
                 vectorized: bool) -> tuple[float, int]:
     """The truncated sum and the last t it includes."""
+    budget = _MAX_TERMS
+    if ratio > 0.0:
+        budget = max(budget, math.ceil(math.log(epsilon / _SLACK) / math.log(ratio)))
     hi = lo = 0.0
     # The stop rule's state after the previous block: the running total in
     # term order, the last term, the zeros it ended on, and the envelope
     # (None until the first nonzero term anchors it).
     total, prev, zero_run, envelope = 0.0, 0.0, 0, None
     start, size = 1, 1
-    while start <= _MAX_TERMS:
-        size = min(size, _MAX_TERMS + 1 - start)
+    while start <= budget:
+        size = min(size, budget + 1 - start)
         if vectorized:
             ts = np.arange(start, start + size, dtype=np.int64)
             x = np.broadcast_to(np.asarray(term(ts), dtype=np.float64), ts.shape)
@@ -260,4 +264,4 @@ def _series_sum(term: Callable, ratio: float, epsilon: float,
         total, prev, zero_run = float(totals[-1]), float(x[-1]), int(runs[-1])
         start += size
         size = min(2 * size, _BLOCK)
-    raise DivergenceError(f"series did not converge within {_MAX_TERMS} terms")
+    raise DivergenceError(f"series did not converge within {budget} terms")

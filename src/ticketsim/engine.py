@@ -31,13 +31,14 @@ Determinism contract: one driver (``_sample``) partitions every sampler's
 trajectories into fixed-size blocks; block ``b`` of a run draws from
 ``SeedSequence(seed, spawn_key=(stream, b))`` and results are merged in
 block order, so a given (seed, trials) pair produces bit-identical output
-regardless of the worker count.
+regardless of the worker count. The merge writes each block's arrays into
+output arrays allocated once, as the blocks come back, so a run holds its
+output and the blocks in flight, not every block's parts as well.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -229,7 +230,7 @@ def _sample(kernel, head: tuple, trials: int, block: int, seed: int, stream: int
     """Run ``kernel(substream(seed, stream, b), count, *head)`` over the
     ``block``-sized blocks of ``trials``, serially or in a process pool.
 
-    Results are merged in block order, arrays concatenated and counts
+    Results are merged in block order, arrays written into place and counts
     summed. Each block derives its own substream, so the merge is
     invariant to the worker count by construction.
     """
@@ -238,15 +239,26 @@ def _sample(kernel, head: tuple, trials: int, block: int, seed: int, stream: int
         for b, lo in enumerate(range(0, trials, block))
     ]
     if workers <= 1 or len(tasks) <= 1:
-        results = [_run_block(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            chunksize = max(1, len(tasks) // (workers * 4))
-            results = list(ex.map(_run_block, tasks, chunksize=chunksize))
-    return tuple(
-        np.concatenate(parts) if isinstance(parts[0], np.ndarray) else sum(parts)
-        for parts in zip(*results)
-    )
+        return _merge(map(_run_block, tasks), trials)
+    from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        chunksize = max(1, len(tasks) // (workers * 4))
+        return _merge(ex.map(_run_block, tasks, chunksize=chunksize), trials)
+
+
+def _merge(results, trials: int) -> tuple:
+    """The blocks' ``results`` in block order: arrays (each kernel returns one
+    first) written into arrays of ``trials`` entries, counts summed."""
+    merged, lo = [], 0
+    for parts in results:
+        merged = merged or [np.empty(trials, p.dtype) if isinstance(p, np.ndarray) else 0 for p in parts]
+        for i, part in enumerate(parts):
+            if isinstance(part, np.ndarray):
+                merged[i][lo:lo + part.size] = part
+            else:
+                merged[i] += part
+        lo += parts[0].size
+    return tuple(merged)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +352,9 @@ def _holder_flow_block(rng, count, params, k, beta, price, horizon) -> tuple[np.
             rewards = rewards * (1.0 + beta * (runs - 1.0))
             streak[active] = runs[:, -1]
         last[active] = slots[:, -1]
-        weights = np.where(slots <= horizon, np.exp(slots * log_decay), 0.0)
+        past = slots > horizon
+        weights = np.exp(np.multiply(slots, log_decay, out=slots), out=slots)
+        weights[past] = 0.0
         gross[active] += np.einsum("ij,ij->i", rewards, weights)
         paid[active] += weights.sum(axis=1)
         active = active[last[active] < horizon]
@@ -450,10 +464,3 @@ def sample_pool_payoffs(
         horizon = win_horizon(params.n, TAIL_TOLERANCE / pool_tickets)
     head = (params, pool_tickets, horizon)
     return _sample(_pool_payoff_block, head, trials, _PATH_BLOCK, seed, stream, workers)
-
-
-def holders_for_share(n: int, holder_tickets: int, holder: str = "whale") -> list[str]:
-    """Initial assignment giving one holder the first ``holder_tickets`` tickets."""
-    if not (1 <= holder_tickets <= n):
-        raise ValueError(f"holder tickets must be between 1 and n={n}, got {holder_tickets}")
-    return [holder] * holder_tickets + [MARKET_HOLDER] * (n - holder_tickets)

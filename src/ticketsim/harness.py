@@ -31,22 +31,23 @@ from .market import (
     pooled_variance_experiment,
     protocol_capture,
 )
-from .quantities import ORACLE_EPSILON, QUANTITIES, Entry, Quantity, Run, entries
+from .quantities import DEFAULT_HOLDER_SHARE, ORACLE_EPSILON, QUANTITIES, Entry, Quantity, Run, entries
 from .report import ReportRow, make_row, relative_gap
 
 ORACLE_TOLERANCE = 1e-9    # closed form vs oracle acceptance
 Z_LIMIT = 4.0
-DEFAULT_HOLDER_SHARE = 0.125   # holder share when the config gives none
 
 
 def _share(cfg: ExperimentConfig) -> float:
     return cfg.holder_share if cfg.holder_share is not None else DEFAULT_HOLDER_SHARE
 
 
-def _run(cfg: ExperimentConfig, params: EconomyParams, share: Optional[float]) -> Run:
+def _run(cfg: ExperimentConfig, params: EconomyParams, share: Optional[float], *,
+         default_share: bool = True) -> Run:
     return Run(
         params, share, trials=cfg.trials, seed=cfg.seed, workers=cfg.workers,
         horizon=cfg.horizon, beta=cfg.multiblock.beta if cfg.multiblock is not None else 0.0,
+        default_share=default_share,
     )
 
 
@@ -85,16 +86,7 @@ def run_verify(cfg: ExperimentConfig) -> VerifyOutcome:
         raise ConfigError(
             "reward.shape", f"verify needs shape > 4 (a finite fourth moment), got {cfg.reward.shape}"
         )
-    run = _run(cfg, cfg.params, _share(cfg))
-    try:
-        run.holder_tickets
-    except ConfigError:
-        if cfg.holder_share is not None:
-            raise
-        # The default share rounds to no ticket at n < 4: draw one ticket's
-        # flow and rescale it to the share.
-        run.holder_tickets = 1
-
+    run = _run(cfg, cfg.params, cfg.holder_share)
     rows: list[ReportRow] = []
     failures: list[str] = []
     for quantity, entry in entries(oracle=True):
@@ -124,13 +116,13 @@ def run_verify(cfg: ExperimentConfig) -> VerifyOutcome:
 def run_analytic(cfg: ExperimentConfig) -> list[ReportRow]:
     """Evaluate every closed form that has an oracle and an estimator
     against its oracle (no MC)."""
-    run = Run(cfg.params, _share(cfg))
+    run = Run(cfg.params, cfg.holder_share, default_share=True)
     return [_oracle_row(q.value, entry, run) for q, entry in entries(oracle=True, estimator=True)]
 
 
 def run_simulate(cfg: ExperimentConfig) -> list[ReportRow]:
     """One Monte Carlo estimate of the configured quantity vs its closed form."""
-    run = _run(cfg, cfg.params, cfg.holder_share)
+    run = _run(cfg, cfg.params, cfg.holder_share, default_share=False)
     entry = QUANTITIES[Quantity(cfg.quantity)]
     est = entry.estimate(run)
     closed = entry.closed(run)
@@ -190,7 +182,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[ReportRow], dict[str, bool]]:
 
     for value in sweep.values:
         start = time.perf_counter()
-        n, d, reward, share = cfg.n, cfg.d, cfg.reward, p
+        n, d, reward, share = cfg.n, cfg.d, cfg.reward, cfg.holder_share
         if sweep.parameter == "n":
             n = int(value)
         elif sweep.parameter == "d":

@@ -28,6 +28,7 @@ from .core import EconomyParams
 from .errors import ConfigError
 
 ORACLE_EPSILON = 1e-12     # series oracle stopping tolerance
+DEFAULT_HOLDER_SHARE = 0.125   # holder share of a run that configures none
 _FD_STEP = 3e-5            # finite-difference step, relative to n
 
 
@@ -61,30 +62,44 @@ class Estimate:
 
 
 class Run:
-    """One run's inputs, with the oracle series and the ensemble that several
+    """One run's inputs, with the oracle series and the ensembles that several
     entries share, each computed at most once.
 
-    ``share`` is the holder share the closed forms take, or None when the
-    run has none; ``beta`` is the streak bonus of the holder-value ensemble.
+    ``share`` is the configured holder share, or None. ``run.share``, the
+    share the closed forms take, is then ``DEFAULT_HOLDER_SHARE`` where
+    ``default_share`` is set and otherwise raises ConfigError. ``beta`` is
+    the streak bonus of the holder-value ensemble.
     """
 
     def __init__(self, params: EconomyParams, share: Optional[float] = None, *,
                  trials: int = 0, seed: int = 0, workers: int = 1,
-                 horizon: Optional[int] = None, beta: float = 0.0):
-        self.params, self.share = params, share
+                 horizon: Optional[int] = None, beta: float = 0.0, default_share: bool = False):
+        self.params, self.configured_share = params, share
+        self._share = DEFAULT_HOLDER_SHARE if share is None and default_share else share
         self.mu, self.var_r, self.d, self.n = params.mu, params.var_r, params.d, params.n
         self.trials, self.seed, self.workers = trials, seed, workers
         self.horizon, self.beta = horizon, beta
 
+    @property
+    def share(self) -> float:
+        if self._share is None:
+            raise ConfigError("holder_share", "required by this quantity")
+        return self._share
+
     @cached_property
     def holder_tickets(self) -> int:
         """Tickets a holder of ``share`` keeps: the nearest whole number."""
-        if self.share is None:
-            raise ConfigError("holder_share", "required by this quantity")
         k = int(self.share * self.n + 0.5)
         if k < 1:
             raise ConfigError("holder_share", f"{self.share} rounds to zero of {self.n} tickets")
         return k
+
+    @cached_property
+    def flow_tickets(self) -> int:
+        """Tickets of the holder ensemble: the configured share's, else the
+        default share's, or one where that rounds to none (n < 4)."""
+        default = max(1, int(DEFAULT_HOLDER_SHARE * self.n + 0.5))
+        return self.holder_tickets if self.configured_share is not None else default
 
     @cached_property
     def win_horizon(self) -> int:
@@ -116,6 +131,14 @@ class Run:
             self.params, self.trials, self.seed,
             horizon=self.win_horizon, workers=self.workers, stream=0,
         )
+
+    @cached_property
+    def holder_ensemble(self) -> tuple[np.ndarray, np.ndarray]:
+        """(gross, net) flows of ``flow_tickets`` tickets, replaced at the fair
+        price, on stream 3 (stream 2 stays unused, so no stream's bytes move)."""
+        return engine.sample_holder_flows(
+            self.params, self.flow_tickets, self.trials, self.seed, replacement_price=fair_price(self),
+            horizon=self.discount_horizon, workers=self.workers, stream=3)
 
 
 def _reward_stream_series(run: Run) -> float:
@@ -210,26 +233,14 @@ def _variance_stderr(values: np.ndarray) -> tuple[float, float]:
     return s2, _zero_degenerate(stderr, s2)
 
 
-def _mean(run: Run, values: np.ndarray) -> tuple[float, float]:
-    return _mean_stderr(values)
-
-
-def _issued_value(run: Run, payoffs: np.ndarray) -> tuple[float, float]:
-    mean, stderr = _mean_stderr(payoffs)
-    return run.n * mean, run.n * stderr
+def _scaled_mean(scale: float, values: np.ndarray) -> tuple[float, float]:
+    mean, stderr = _mean_stderr(values)
+    return scale * mean, scale * stderr
 
 
 def _total_value(run: Run, payoffs: np.ndarray) -> tuple[float, float]:
     mean, stderr = _mean_stderr(payoffs)
     return run.n * mean + mean / run.d, (run.n + 1.0 / run.d) * stderr
-
-
-def _control_value(run: Run, net: np.ndarray) -> tuple[float, float]:
-    # The holder keeps k = round(share*n) tickets, and its expected flow is
-    # linear in k, so rescaling by share*n/k estimates the value of share.
-    mean, stderr = _mean_stderr(net)
-    scale = run.share * run.n / run.holder_tickets
-    return scale * mean, scale * stderr
 
 
 @dataclass(frozen=True)
@@ -242,15 +253,16 @@ class Entry:
     closed: Callable[[Run], float]
     oracle: Optional[Callable[[Run], float]] = None
     ensemble: Optional[Callable[[Run], tuple[np.ndarray, int]]] = None
-    statistic: Callable[[Run, np.ndarray], tuple[float, float]] = _mean
+    statistic: Callable[[Run, np.ndarray], tuple[float, float]] = lambda run, values: _mean_stderr(values)
     bias: Optional[Callable[[Run], float]] = None
     sign: int = 0
 
     def estimate(self, run: Run) -> Estimate:
+        bias = self.bias(run)    # first: it fails fast on a missing share
         values, truncated = self.ensemble(run)
         mean, stderr = self.statistic(run, values)
         ci95 = (mean - 1.96 * stderr, mean + 1.96 * stderr)
-        return Estimate(mean, stderr, ci95, run.trials, truncated, self.bias(run))
+        return Estimate(mean, stderr, ci95, run.trials, truncated, bias)
 
     def sign_holds(self, closed: float, mu: float) -> bool:
         if not self.sign:
@@ -259,10 +271,13 @@ class Entry:
 
 
 QUANTITIES: dict[Quantity, Entry] = {
+    # The expected gross flow is linear in the tickets held, so n/k times
+    # the gross flow of the shared ensemble's k tickets estimates mu/d.
     Quantity.NPV_REWARDS: Entry(
         closed=lambda run: analytics.npv_rewards(run.mu, run.d),
         oracle=_reward_stream_series,
-        ensemble=lambda run: holder_flows(run, run.n, stream=2),
+        ensemble=lambda run: (run.holder_ensemble[0], 0),
+        statistic=lambda run, gross: _scaled_mean(run.n / run.flow_tickets, gross),
         bias=lambda run: holder_bias(run, 1.0),
     ),
     Quantity.TICKET_VALUE: Entry(
@@ -282,7 +297,7 @@ QUANTITIES: dict[Quantity, Entry] = {
         closed=lambda run: analytics.issued_market_cap(run.mu, run.d, run.n),
         oracle=lambda run: run.n * run.ticket_series,
         ensemble=lambda run: run.ticket_payoffs,
-        statistic=_issued_value,
+        statistic=lambda run, payoffs: _scaled_mean(run.n, payoffs),
         bias=lambda run: run.n * run.mu * run.win_tail,
     ),
     Quantity.TIME_TO_WIN: Entry(
@@ -300,13 +315,13 @@ QUANTITIES: dict[Quantity, Entry] = {
         oracle=lambda run: _central_difference(lambda x: run.mu / (x * run.d + 1.0), run.n),
         sign=-1,
     ),
+    # The holder ensemble's k tickets have a net flow linear in k, so
+    # share*n/k times it estimates the value of share.
     Quantity.CONTROL_VALUE: Entry(
         closed=lambda run: analytics.control_value(run.share, run.mu, run.d, run.n),
         oracle=lambda run: run.share * run.n * run.ticket_series,
-        ensemble=lambda run: holder_flows(
-            run, run.holder_tickets, stream=3, price=fair_price(run)
-        ),
-        statistic=_control_value,
+        ensemble=lambda run: (run.holder_ensemble[1], 0),
+        statistic=lambda run, net: _scaled_mean(run.share * run.n / run.flow_tickets, net),
         bias=lambda run: holder_bias(run, run.share, price=fair_price(run)),
     ),
     Quantity.CONTROL_VALUE_DERIVATIVE: Entry(

@@ -45,30 +45,11 @@ class ReportRow:
     runtime_ms: float = 0.0
 
 
-def make_row(
-    swept_value,
-    closed_form: float,
-    mc_mean: float,
-    mc_stderr: float,
-    trials: int,
-    rel_err: float,
-    runtime_ms: float = 0.0,
-) -> ReportRow:
+def make_row(swept_value, closed_form: float, mc_mean: float, mc_stderr: float, trials: int,
+             rel_err: float, runtime_ms: float = 0.0) -> ReportRow:
     """Build a row, deriving the z-score (0 when the estimate is exact)."""
-    if mc_stderr > 0.0:
-        z = (mc_mean - closed_form) / mc_stderr
-    else:
-        z = 0.0
-    return ReportRow(
-        swept_value=swept_value,
-        closed_form=closed_form,
-        mc_mean=mc_mean,
-        mc_stderr=mc_stderr,
-        z_score=z,
-        rel_err=rel_err,
-        trials=trials,
-        runtime_ms=runtime_ms,
-    )
+    z = (mc_mean - closed_form) / mc_stderr if mc_stderr > 0.0 else 0.0
+    return ReportRow(swept_value, closed_form, mc_mean, mc_stderr, z, rel_err, trials, runtime_ms)
 
 
 def relative_gap(value: float, reference: float) -> float:

@@ -202,9 +202,9 @@ def test_criterion_09_multiblock_bonus():
 
     # beta = 0 is bit-identical to the base model under a shared seed, both
     # for full trajectory records and for aggregated estimates.
-    from ticketsim.engine import ReplacementRule, holders_for_share
+    from ticketsim.engine import MARKET_HOLDER, ReplacementRule
 
-    holders = holders_for_share(50, 5)
+    holders = ["whale"] * 5 + [MARKET_HOLDER] * 45
     base = ts.run_trajectory(
         params, horizon=300, rng=np.random.default_rng(909), holders=holders,
         replacement=ReplacementRule.RETAIN, stop_at_tracked_win=False,

@@ -24,7 +24,7 @@ from ticketsim.analytics import (
 from ticketsim.config import parse_config
 from ticketsim.core import ConstantReward, EconomyParams, calibrate_lognormal
 from ticketsim.errors import ConfigError, DiscountRateError, DivergenceError
-from ticketsim.harness import run_verify
+from ticketsim.harness import run_analytic, run_verify
 from ticketsim.quantities import QUANTITIES, Quantity, Run, entries
 
 EPS = 1e-12
@@ -385,6 +385,24 @@ def test_scalar_terms_are_called_with_ints_in_order():
         _, stop = analytics._series_sum(term, ratio, EPS, False)
         assert calls == list(range(1, len(calls) + 1))
         assert stop <= len(calls) < min(2 * stop, stop + analytics._BLOCK)
+
+
+def test_term_budget_grows_with_the_envelope_ratio(monkeypatch):
+    # The slots-to-win series stops near 31n terms. A fixed budget below
+    # that fails at large n; the budget sized from the ratio does not.
+    monkeypatch.setattr(analytics, "_MAX_TERMS", 1000)
+    n = 1000
+    q = 1.0 - 1.0 / n
+    for vectorized in CONVENTIONS:
+        total, stop = analytics._series_sum(lambda t: t * q ** (t - 1) / n, q, EPS, vectorized)
+        assert stop > 30 * n
+        assert rel_gap(total, float(n)) < REL
+    assert all(row.rel_err <= REL for row in run_analytic(parse_config({"n": n})))
+    # A ratio far from 1 keeps the fixed budget. Pairs of terms that cancel
+    # stay inside the envelope but never let the sum stop, so they exhaust it.
+    with pytest.raises(DivergenceError, match="within 1000 terms"):
+        truncated_series_sum(lambda t: (-1.0) ** t * 0.5 ** ((t + 1) // 2),
+                             epsilon=EPS, ratio=math.sqrt(0.5))
 
 
 def test_series_oracle_memory_independent_of_length():

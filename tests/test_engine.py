@@ -20,7 +20,6 @@ from ticketsim.engine import (
     MARKET_HOLDER,
     ReplacementRule,
     discount_horizon,
-    holders_for_share,
     init_state,
     run_trajectory,
     sample_holder_flows,
@@ -309,7 +308,7 @@ def test_holder_flows_share_scaling():
 def test_holder_flows_match_object_engine_with_streak_bonus():
     n, k, beta, d, horizon = 6, 2, 0.5, 0.05, 100
     params = params_const(n, d=d)
-    holders = holders_for_share(n, k)
+    holders = ["whale"] * k + [MARKET_HOLDER] * (n - k)
     rng = np.random.default_rng(61)
     object_totals = np.array([
         run_trajectory(
@@ -385,6 +384,26 @@ def test_holder_flow_and_pool_memory_independent_of_d():
     pool = {h: peak_mb(lambda: sample_pool_payoffs(params_const(32), 4, 512, seed=3, horizon=h))
             for h in (1_000, 1_000_000)}
     assert pool[1_000_000] <= 1.5 * pool[1_000]
+
+
+def test_block_merge_holds_one_copy_of_the_output():
+    # Blocks are written into output arrays allocated once, so the peak is the
+    # output and about one block's working memory, not every block's parts
+    # held beside their concatenation (about twice the output).
+    params = params_const(32)
+    sample_ticket_payoffs(params, _BLOCK, seed=1)    # first-call allocations
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            payoffs, _ = sample_ticket_payoffs(params, trials, seed=1)
+            return tracemalloc.get_traced_memory()[1], payoffs.nbytes
+        finally:
+            tracemalloc.stop()
+
+    block, _ = peak(_BLOCK)
+    total, output = peak(100_000)
+    assert total < 1.25 * output + block
 
 
 _DRIVER_CASES = {

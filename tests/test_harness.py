@@ -3,16 +3,23 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ticketsim.analytics import control_value, npv_rewards
+import ticketsim
+from ticketsim import engine
+from ticketsim.analytics import control_value, expected_ticket_value, npv_rewards
 from ticketsim.cli import main
 from ticketsim.config import load_config, parse_config
 from ticketsim.errors import ConfigError
 from ticketsim.harness import (
+    _mc_gate,
     run_analytic,
     run_multiblock,
     run_pool,
@@ -21,7 +28,7 @@ from ticketsim.harness import (
     run_sweep,
     run_verify,
 )
-from ticketsim.quantities import QUANTITIES, Quantity, entries
+from ticketsim.quantities import QUANTITIES, Quantity, Run, _mean_stderr, entries, estimate
 from ticketsim.report import emit_report, load_report, make_row
 
 MINIMAL = {"n": 10, "d": 0.01, "reward": {"kind": "constant", "mean": 1}, "trials": 1000, "seed": 42}
@@ -266,6 +273,39 @@ def test_run_verify_lognormal_rewards():
     assert outcome.passed, f"failures: {outcome.failures}"
 
 
+def test_run_verify_draws_one_holder_ensemble(monkeypatch):
+    # npv_rewards and control_value read one holder ensemble, drawn once on
+    # stream 3: the default share 0.125 of 32 tickets holds k = 4.
+    streams = []
+    sample = engine.sample_holder_flows
+
+    def counted(*args, **kwargs):
+        streams.append(kwargs["stream"])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "sample_holder_flows", counted)
+    cfg = parse_config({})
+    rows = {row.swept_value: row for row in run_verify(cfg).rows}
+    assert streams == [3]
+    gross, net = sample(cfg.params, 4, cfg.trials, cfg.seed,
+                        replacement_price=expected_ticket_value(1.0, 0.01, 32), stream=3)
+    control = rows["control_value"]
+    assert (control.mc_mean, control.mc_stderr) == _mean_stderr(net)   # rescaled by 0.125*32/4 = 1
+    mean, stderr = _mean_stderr(gross)
+    assert (rows["npv_rewards"].mc_mean, rows["npv_rewards"].mc_stderr) == (8 * mean, 8 * stderr)
+
+
+def test_npv_rewards_gate_holds_with_lognormal_rewards():
+    # n/k times the gross flow of k tickets is unbiased for mu/d, and its gate
+    # holds on each of seeds 0-9 with skewed rewards.
+    entry = QUANTITIES[Quantity.NPV_REWARDS]
+    params = parse_config({"reward": {"kind": "lognormal", "mean": 1.0, "sigma_log": 1.0}}).params
+    for seed in range(10):
+        run = Run(params, trials=20_000, seed=seed, default_share=True)
+        est = entry.estimate(run)
+        assert _mc_gate(est.mean, entry.closed(run), est.stderr, est.bias_bound), seed
+
+
 def test_run_verify_pure_defaults():
     # Empty config: n=32, d=0.01, constant unit reward, 1e5 trials, seed 42.
     outcome = run_verify(parse_config({}))
@@ -356,6 +396,20 @@ def test_run_simulate_row():
     row = rows[0]
     assert row.swept_value == "ticket_value"
     assert abs(row.z_score) < 5.0
+
+
+@pytest.mark.parametrize("n", [2, 32])
+def test_npv_rewards_needs_no_holder_share(n):
+    # Without a share, the holder ensemble takes the default share's tickets,
+    # or one ticket where 0.125 of n rounds to none.
+    cfg = small_cfg(n=n, quantity="npv_rewards", trials=5000)
+    [row] = run_simulate(cfg)
+    est = estimate(cfg.params, Quantity.NPV_REWARDS, 5000, seed=42)
+    assert (row.mc_mean, row.mc_stderr) == (est.mean, est.stderr)
+    assert _mc_gate(est.mean, npv_rewards(1.0, 0.05), est.stderr, est.bias_bound)
+    for quantity in ("control_value", "holder_value"):
+        with pytest.raises(ConfigError, match="holder_share: required"):
+            run_simulate(dataclasses.replace(cfg, quantity=quantity))
 
 
 def test_run_pricing_defaults_to_fair_value():
@@ -513,6 +567,17 @@ def test_cli_pricing_pool_multiblock_smoke(tmp_path):
     assert main(["pool", "--config", str(pool)]) == 0
     multi = _write_config(tmp_path, multiblock={"beta": 0.25}, holder_share=0.25)
     assert main(["multiblock", "--config", str(multi)]) == 0
+
+
+def test_cli_import_and_serial_run_leave_the_process_pool_unloaded():
+    # Only a run with workers > 1 imports the process pool.
+    src = str(Path(ticketsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, ticketsim.cli; loaded = 'multiprocessing' in sys.modules; "
+            "ticketsim.cli.main(['simulate', '--trials', '1000']); "
+            "print(loaded, 'multiprocessing' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "False False"
 
 
 def test_cli_requires_subcommand():

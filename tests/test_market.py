@@ -8,9 +8,9 @@ import pytest
 from ticketsim.analytics import control_value, expected_ticket_value, npv_rewards
 from ticketsim.core import ConstantReward, EconomyParams, calibrate_lognormal
 from ticketsim.engine import (
+    MARKET_HOLDER,
     ReplacementRule,
     discount_horizon,
-    holders_for_share,
     run_trajectory,
 )
 from ticketsim.errors import NegativePriceError
@@ -154,7 +154,7 @@ def test_multiblock_zero_bonus_bit_identical_trajectories():
     # Identical seeds: a zero-bonus spec must reproduce the base model bit
     # for bit, including holder totals and streak-driven reward scaling.
     params = params_const(6, d=0.05)
-    holders = holders_for_share(6, 2)
+    holders = ["whale"] * 2 + [MARKET_HOLDER] * 4
     base = run_trajectory(
         params, horizon=200, rng=np.random.default_rng(404), holders=holders,
         multiblock=None, replacement=ReplacementRule.RETAIN, stop_at_tracked_win=False,
