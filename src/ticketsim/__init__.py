@@ -35,7 +35,6 @@ from .core import (
     RewardModel,
     calibrate_lognormal,
     load_empirical_rewards,
-    present_value,
 )
 from .engine import (
     ReplacementRule,
@@ -65,10 +64,8 @@ from .market import (
     FixedDiscount,
     FixedMargin,
     MultiBlockSpec,
-    MultiblockResult,
     PoolVarianceResult,
     PricingPolicy,
-    multiblock_value_experiment,
     pooled_variance_experiment,
     protocol_capture,
 )

@@ -212,15 +212,6 @@ def load_empirical_rewards(path) -> EmpiricalReward:
 # ---------------------------------------------------------------------------
 
 
-def present_value(x: float, t: int, d: float) -> float:
-    """Value today of ``x`` realized ``t`` slots from now: x / (1+d)^t."""
-    if t < 0 or t != int(t):
-        raise ValueError(f"slot index must be a non-negative integer, got {t}")
-    if d < 0.0:
-        raise ValueError(f"discount rate must be >= 0, got {d}")
-    return x / (1.0 + d) ** t
-
-
 @dataclass(frozen=True)
 class DiscountCurve:
     """Per-slot geometric discounting at rate ``d``."""
@@ -236,12 +227,6 @@ class DiscountCurve:
         if t < 0 or t != int(t):
             raise ValueError(f"slot index must be a non-negative integer, got {t}")
         return (1.0 + self.d) ** (-float(t))
-
-    def factors(self, horizon: int) -> np.ndarray:
-        """Array of factors for t = 0 .. horizon inclusive."""
-        if horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {horizon}")
-        return (1.0 + self.d) ** (-np.arange(horizon + 1, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -24,22 +24,12 @@ from .analytics import truncated_series_sum
 from .config import ExperimentConfig
 from .core import ConstantReward, EconomyParams, LognormalReward, ParetoReward, calibrate_lognormal
 from .errors import ConfigError
-from .market import (
-    FairValue,
-    MultiBlockSpec,
-    multiblock_value_experiment,
-    pooled_variance_experiment,
-    protocol_capture,
-)
-from .quantities import DEFAULT_HOLDER_SHARE, ORACLE_EPSILON, QUANTITIES, Entry, Quantity, Run, entries
+from .market import FairValue, pooled_variance_experiment, protocol_capture
+from .quantities import ORACLE_EPSILON, QUANTITIES, Entry, Quantity, Run, entries
 from .report import ReportRow, make_row, relative_gap
 
 ORACLE_TOLERANCE = 1e-9    # closed form vs oracle acceptance
 Z_LIMIT = 4.0
-
-
-def _share(cfg: ExperimentConfig) -> float:
-    return cfg.holder_share if cfg.holder_share is not None else DEFAULT_HOLDER_SHARE
 
 
 def _run(cfg: ExperimentConfig, params: EconomyParams, share: Optional[float], *,
@@ -54,6 +44,12 @@ def _run(cfg: ExperimentConfig, params: EconomyParams, share: Optional[float], *
 def _oracle_row(label, entry: Entry, run: Run) -> ReportRow:
     closed, oracle = entry.closed(run), entry.oracle(run)
     return make_row(label, closed, oracle, 0.0, 0, relative_gap(oracle, closed))
+
+
+def _mc_row(label, entry: Entry, run: Run) -> ReportRow:
+    est = entry.estimate(run)
+    closed = entry.closed(run)
+    return make_row(label, closed, est.mean, est.stderr, est.trials, relative_gap(est.mean, closed))
 
 
 @dataclass
@@ -123,15 +119,7 @@ def run_analytic(cfg: ExperimentConfig) -> list[ReportRow]:
 def run_simulate(cfg: ExperimentConfig) -> list[ReportRow]:
     """One Monte Carlo estimate of the configured quantity vs its closed form."""
     run = _run(cfg, cfg.params, cfg.holder_share, default_share=False)
-    entry = QUANTITIES[Quantity(cfg.quantity)]
-    est = entry.estimate(run)
-    closed = entry.closed(run)
-    return [
-        make_row(
-            cfg.quantity, closed, est.mean, est.stderr, est.trials,
-            relative_gap(est.mean, closed),
-        )
-    ]
+    return [_mc_row(cfg.quantity, QUANTITIES[Quantity(cfg.quantity)], run)]
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +132,7 @@ _SWEEP_DEFAULT_QUANTITY = {
     "mu": Quantity.TICKET_VALUE,
     "sigma_log": Quantity.TICKET_VALUE_VARIANCE,
     "p": Quantity.CONTROL_VALUE,
+    "beta": Quantity.HOLDER_VALUE,
 }
 
 
@@ -166,15 +155,15 @@ def _reward_with_sigma(cfg: ExperimentConfig, sigma_log: float):
 def run_sweep(cfg: ExperimentConfig) -> tuple[list[ReportRow], dict[str, bool]]:
     """One row per swept value, ordered as configured.
 
-    Closed forms take the holder share p as given. When n is swept, the
-    closed forms also produce monotonicity verdicts: the single-ticket value
-    must fall and the control value must rise.
+    Closed forms take the holder share p as given, or the default share. A
+    ``beta`` sweep estimates ``holder_value`` at each streak bonus. When n
+    is swept, the closed forms also produce monotonicity verdicts: the
+    single-ticket value must fall and the control value must rise.
     """
     if cfg.sweep is None:
         raise ConfigError("sweep", "sweep command needs a sweep section")
     sweep = cfg.sweep
     quantity = Quantity(sweep.quantity) if sweep.quantity else _SWEEP_DEFAULT_QUANTITY.get(sweep.parameter)
-    p = _share(cfg)
 
     rows: list[ReportRow] = []
     ticket_values: list[float] = []
@@ -195,16 +184,10 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[ReportRow], dict[str, bool]]:
             share = float(value)
         params = EconomyParams(n=n, d=d, reward=reward)
 
+        run = _run(cfg, params, share)
         if sweep.parameter == "beta":
-            result = multiblock_value_experiment(
-                params, MultiBlockSpec(beta=float(value)), p, cfg.trials, cfg.seed,
-                workers=cfg.workers, horizon=cfg.horizon,
-            )
-            row = make_row(
-                value, result.additive_baseline, result.simulated_holder_npv,
-                result.npv_stderr, cfg.trials,
-                relative_gap(result.simulated_holder_npv, result.additive_baseline),
-            )
+            run.beta = float(value)
+            row = _mc_row(value, QUANTITIES[quantity], run)
         elif sweep.parameter == "k":
             result = pooled_variance_experiment(
                 params, int(value), cfg.trials, cfg.seed,
@@ -217,7 +200,6 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[ReportRow], dict[str, bool]]:
                 relative_gap(result.solo_variance, closed),
             )
         else:
-            run = _run(cfg, params, share)
             entry = QUANTITIES[quantity]
             row = _oracle_row(value, entry, run)
             if sweep.mc:
@@ -301,18 +283,9 @@ def run_pool(cfg: ExperimentConfig) -> list[ReportRow]:
 
 
 def run_multiblock(cfg: ExperimentConfig) -> list[ReportRow]:
-    """Holder value under the streak bonus vs the additive baseline."""
+    """The ``holder_value`` estimate under the configured streak bonus
+    against its additive closed form (k/n) * mu/d."""
     if cfg.multiblock is None:
         raise ConfigError("multiblock", "multiblock command needs a multiblock section")
-    p = _share(cfg)
-    result = multiblock_value_experiment(
-        cfg.params, cfg.multiblock, p, cfg.trials, cfg.seed,
-        workers=cfg.workers, horizon=cfg.horizon,
-    )
-    return [
-        make_row(
-            result.beta, result.additive_baseline, result.simulated_holder_npv,
-            result.npv_stderr, cfg.trials,
-            relative_gap(result.simulated_holder_npv, result.additive_baseline),
-        )
-    ]
+    run = _run(cfg, cfg.params, cfg.holder_share)
+    return [_mc_row(cfg.multiblock.beta, QUANTITIES[Quantity.HOLDER_VALUE], run)]

@@ -14,11 +14,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
-from .analytics import control_value, expected_ticket_value, npv_rewards
+from .analytics import expected_ticket_value, npv_rewards
 from .core import EconomyParams
 from .engine import sample_pool_payoffs
 from .errors import NegativePriceError
-from .quantities import Run, _mean_stderr, _variance_stderr, fair_price, holder_bias, holder_flows
+from .quantities import _mean_stderr, _variance_stderr
 
 
 # ---------------------------------------------------------------------------
@@ -190,62 +190,3 @@ class MultiBlockSpec:
 
     def apply(self, reward: float, streak: int) -> float:
         return reward * (1.0 + self.beta * (streak - 1))
-
-
-@dataclass(frozen=True)
-class MultiblockResult:
-    """Simulated holder value under the streak bonus vs the additive baseline."""
-
-    simulated_holder_npv: float
-    npv_stderr: float
-    additive_baseline: float
-    premium: float
-    premium_stderr: float
-    holder_tickets: int
-    holder_share: float
-    requested_share: float
-    beta: float
-    trials: int
-    bias_bound: float
-
-
-def multiblock_value_experiment(
-    params: EconomyParams,
-    spec: Optional[MultiBlockSpec],
-    p: float,
-    trials: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    horizon: Optional[int] = None,
-    stream: int = 0,
-) -> MultiblockResult:
-    """Value of holding a p-share of tickets when consecutive wins pay a bonus.
-
-    The holder retains round(p*n) tickets, buying each replacement at the
-    base-model fair price, so its net flow has expectation exactly
-    control_value at the realized share when beta = 0; the premium isolates
-    what the streak bonus adds on top of additive valuation.
-    """
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"holder fraction p must be in (0, 1], got {p}")
-    beta = spec.beta if spec is not None else 0.0
-    run = Run(params, p, trials=trials, seed=seed, workers=workers, horizon=horizon)
-    k, price = run.holder_tickets, fair_price(run)
-    net, _ = holder_flows(run, k, stream, beta=beta, price=price)
-    mean, stderr = _mean_stderr(net)
-    share = k / params.n
-    baseline = control_value(share, params.mu, params.d, params.n)
-    return MultiblockResult(
-        simulated_holder_npv=mean,
-        npv_stderr=stderr,
-        additive_baseline=baseline,
-        premium=mean - baseline,
-        premium_stderr=stderr,
-        holder_tickets=k,
-        holder_share=share,
-        requested_share=p,
-        beta=beta,
-        trials=trials,
-        bias_bound=holder_bias(run, share, beta, price),
-    )

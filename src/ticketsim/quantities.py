@@ -6,7 +6,7 @@ ensemble it draws, on which RNG stream, the statistic it takes of it and a
 bound on the bias that horizon truncation leaves. A command uses every entry
 that has the fields it needs: ``verify`` those with an oracle, ``analytic``
 and ``sweep`` those with an oracle and an estimator, ``simulate`` those with
-an estimator.
+an estimator, and ``multiblock`` and a ``beta`` sweep ``holder_value``.
 
 Entries reach the samplers and the series oracle through their modules at
 call time, so that anything wrapping a module attribute (a profiler, a
@@ -117,12 +117,7 @@ class Run:
     @cached_property
     def ticket_series(self) -> float:
         """Proof-structure series for the single-ticket value."""
-        mu, d, n = self.mu, self.d, self.n
-        q = 1.0 - 1.0 / n
-        return analytics.truncated_series_sum(
-            lambda t: q ** (t - 1) * (1.0 / n) * mu / (1.0 + d) ** t, d, ORACLE_EPSILON,
-            vectorized=True,
-        )
+        return _ticket_series(self, ORACLE_EPSILON)
 
     @cached_property
     def ticket_payoffs(self) -> tuple[np.ndarray, int]:
@@ -148,16 +143,43 @@ def _reward_stream_series(run: Run) -> float:
     )
 
 
-def _second_moment_series(run: Run) -> float:
+def _ticket_series(run: Run, epsilon: float) -> float:
+    mu, d, n = run.mu, run.d, run.n
+    q = 1.0 - 1.0 / n
+    return analytics.truncated_series_sum(
+        lambda t: q ** (t - 1) * (1.0 / n) * mu / (1.0 + d) ** t, d, epsilon, vectorized=True
+    )
+
+
+def _second_moment_series(run: Run, epsilon: float) -> float:
     d, n = run.d, run.n
     q = 1.0 - 1.0 / n
     num = run.var_r + run.mu * run.mu
     return analytics.truncated_series_sum(
         lambda t: q ** (t - 1) * (1.0 / n) * num / (1.0 + d) ** (2 * t),
-        epsilon=ORACLE_EPSILON,
+        epsilon=epsilon,
         ratio=q / (1.0 + d) ** 2,
         vectorized=True,
     )
+
+
+def _variance_series(run: Run) -> float:
+    """E[V^2] - E[V]^2 from their two series.
+
+    Each series stops at a tail below epsilon of itself, so the difference
+    is within epsilon * (E[V^2] + 2 E[V]^2) <= 3 epsilon * E[V^2]. That is
+    large beside a variance that is a small share s of E[V^2] (s ~ 2e-4 at
+    n = 2, d = 0.01), so below s = 1/3 both series are summed again to
+    epsilon * s, which keeps the difference within 9 epsilon of itself (s
+    is floored at 1e-6: a tail much below 1e-18 of a sum is below its
+    rounding).
+    """
+    second, mean = _second_moment_series(run, ORACLE_EPSILON), run.ticket_series
+    scale = (second - mean**2) / second if second > 0.0 else 1.0
+    if scale < 1.0 / 3.0:
+        epsilon = ORACLE_EPSILON * max(scale, 1e-6)
+        second, mean = _second_moment_series(run, epsilon), _ticket_series(run, epsilon)
+    return second - mean**2
 
 
 def _slots_to_win_series(run: Run) -> float:
@@ -171,17 +193,6 @@ def _slots_to_win_series(run: Run) -> float:
 def _central_difference(f: Callable[[float], float], n: int) -> float:
     h = _FD_STEP * n
     return (f(n + h) - f(n - h)) / (2.0 * h)
-
-
-def holder_flows(run: Run, tickets: int, stream: int, *,
-                 beta: float = 0.0, price: float = 0.0) -> tuple[np.ndarray, int]:
-    """Flows of a holder who keeps ``tickets`` tickets, net of buying every
-    replacement at ``price`` (so gross at price 0); none is truncated."""
-    _, net = engine.sample_holder_flows(
-        run.params, tickets, run.trials, run.seed, beta=beta, replacement_price=price,
-        horizon=run.discount_horizon, workers=run.workers, stream=stream,
-    )
-    return net, 0
 
 
 def fair_price(run: Run) -> float:
@@ -333,7 +344,7 @@ QUANTITIES: dict[Quantity, Entry] = {
     ),
     Quantity.TICKET_VALUE_VARIANCE: Entry(
         closed=lambda run: analytics.ticket_value_variance(run.mu, run.var_r, run.d, run.n),
-        oracle=lambda run: _second_moment_series(run) - run.ticket_series**2,
+        oracle=_variance_series,
         ensemble=lambda run: run.ticket_payoffs,
         statistic=lambda run, payoffs: _variance_stderr(payoffs),
         bias=lambda run: (run.var_r + 3.0 * run.mu * run.mu) * run.win_tail,
@@ -342,7 +353,10 @@ QUANTITIES: dict[Quantity, Entry] = {
     # under a streak bonus the closed form is only the additive reference.
     Quantity.HOLDER_VALUE: Entry(
         closed=lambda run: run.holder_tickets / run.n * analytics.npv_rewards(run.mu, run.d),
-        ensemble=lambda run: holder_flows(run, run.holder_tickets, stream=4, beta=run.beta),
+        ensemble=lambda run: (engine.sample_holder_flows(
+            run.params, run.holder_tickets, run.trials, run.seed, beta=run.beta,
+            horizon=run.discount_horizon, workers=run.workers, stream=4,
+        )[0], 0),
         bias=lambda run: holder_bias(run, run.holder_tickets / run.n, beta=run.beta),
     ),
 }

@@ -222,14 +222,16 @@ def test_criterion_09_multiblock_bonus():
     )
     assert est_base == est_zero
 
-    result = ts.multiblock_value_experiment(
-        params, ts.MultiBlockSpec(beta=0.5), 0.1, 100_000, seed=910
+    est = ts.estimate(
+        params, ts.Quantity.HOLDER_VALUE, 100_000, seed=910, holder_share=0.1,
+        multiblock=ts.MultiBlockSpec(beta=0.5),
     )
-    assert result.premium > 3.0 * result.premium_stderr
+    premium = est.mean - 0.1 * ts.npv_rewards(1.0, 0.01)    # over (k/n) * mu/d, k = 5
+    assert premium > 3.0 * est.stderr
     report(
         9,
-        f"beta=0 bit-identical; beta=0.5 premium {result.premium:.4f} "
-        f"= {result.premium / result.premium_stderr:.0f} stderr",
+        f"beta=0 bit-identical; beta=0.5 premium {premium:.4f} "
+        f"= {premium / est.stderr:.0f} stderr",
     )
 
 

@@ -339,12 +339,12 @@ def loop_series_sum(term, ratio, epsilon=EPS):
 
 
 def table_series(monkeypatch, n, d):
-    """The series the table's oracles sum at (n, d), as (term, ratio, vectorized)."""
+    """The series the table's oracles sum at (n, d), as (term, ratio,
+    vectorized, epsilon); every sum returns 1.0."""
     seen = []
 
     def record(term, d=None, epsilon=EPS, *, ratio=None, vectorized=False):
-        assert epsilon == EPS
-        seen.append((term, 1.0 / (1.0 + d) if ratio is None else ratio, vectorized))
+        seen.append((term, 1.0 / (1.0 + d) if ratio is None else ratio, vectorized, epsilon))
         return 1.0
 
     monkeypatch.setattr(analytics, "truncated_series_sum", record)
@@ -358,15 +358,18 @@ def table_series(monkeypatch, n, d):
 @pytest.mark.parametrize("d", [1e-1, 1e-2, 1e-4])
 def test_table_series_array_and_scalar_terms_agree(monkeypatch, n, d):
     series = table_series(monkeypatch, n, d)
-    assert len(series) == 4
-    for term, ratio, vectorized in series:
+    # Four series at the oracle epsilon. Sums of 1.0 make E[V^2] - E[V]^2
+    # cancel completely, so the variance oracle sums its two series again
+    # at its tightest epsilon.
+    assert [epsilon for *_, epsilon in series] == [EPS] * 4 + [EPS * 1e-6] * 2
+    for term, ratio, vectorized, epsilon in series:
         assert vectorized
-        array, array_stop = analytics._series_sum(term, ratio, EPS, True)
-        scalar, scalar_stop = analytics._series_sum(term, ratio, EPS, False)
+        array, array_stop = analytics._series_sum(term, ratio, epsilon, True)
+        scalar, scalar_stop = analytics._series_sum(term, ratio, epsilon, False)
         assert array_stop == scalar_stop
         assert rel_gap(array, scalar) <= 1e-14
         if scalar_stop < 50_000:
-            assert (scalar, scalar_stop) == loop_series_sum(term, ratio)
+            assert (scalar, scalar_stop) == loop_series_sum(term, ratio, epsilon)
 
 
 def test_scalar_terms_are_called_with_ints_in_order():

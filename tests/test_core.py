@@ -14,62 +14,36 @@ from ticketsim.core import (
     ParetoReward,
     calibrate_lognormal,
     load_empirical_rewards,
-    present_value,
 )
 
 
 # ---------------------------------------------------------------------------
-# present_value / DiscountCurve
+# DiscountCurve
 # ---------------------------------------------------------------------------
 
 
-def test_present_value_identity_at_t0():
-    assert present_value(100.0, 0, 0.05) == 100.0
-
-
-def test_present_value_one_slot():
+def test_discount_curve_one_slot():
     # 1/1.01 evaluated at high precision: 0.99009900990099009901...
-    assert abs(present_value(1.0, 1, 0.01) - 0.9900990099009901) < 1e-15
+    assert abs(DiscountCurve(0.01).factor(1) - 0.9900990099009901) < 1e-15
 
 
-def test_present_value_zero_amount():
-    assert present_value(0.0, 7, 0.03) == 0.0
-
-
-def test_present_value_linearity():
-    rng = np.random.default_rng(2024)
-    for _ in range(200):
-        x, y = rng.uniform(-10, 10, size=2)
-        a, b = rng.uniform(-3, 3, size=2)
-        t = int(rng.integers(0, 500))
-        d = float(rng.uniform(0.0, 0.3))
-        lhs = present_value(a * x + b * y, t, d)
-        rhs = a * present_value(x, t, d) + b * present_value(y, t, d)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-
-def test_present_value_rejects_bad_inputs():
+def test_discount_curve_rejects_bad_slot_index():
     with pytest.raises(ValueError):
-        present_value(1.0, -1, 0.05)
+        DiscountCurve(0.05).factor(-1)
     with pytest.raises(ValueError):
-        present_value(1.0, 1.5, 0.05)
-    with pytest.raises(ValueError):
-        present_value(1.0, 1, -0.01)
+        DiscountCurve(0.05).factor(1.5)
 
 
 def test_discount_curve_basics():
     curve = DiscountCurve(0.05)
     assert curve.factor(0) == 1.0
     assert curve.factor(3) < curve.factor(2) < curve.factor(1) < 1.0
-    table = curve.factors(100)
-    assert table.shape == (101,)
-    for t in (0, 1, 7, 100):
-        assert table[t] == curve.factor(t)
 
 
 def test_discount_curve_recurrence_over_10k_slots():
     d = 0.013
-    table = DiscountCurve(d).factors(10_000)
+    curve = DiscountCurve(d)
+    table = np.array([curve.factor(t) for t in range(10_001)])
     ratio_err = np.abs(table[1:] * (1.0 + d) - table[:-1]) / table[:-1]
     assert ratio_err.max() < 1e-12
 

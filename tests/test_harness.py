@@ -313,6 +313,16 @@ def test_run_verify_pure_defaults():
     assert len(outcome.rows) == 9
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_run_verify_passes_at_small_n(n):
+    # At n = 2 and 3, E[V^2] and E[V]^2 agree to ~4 digits; their difference
+    # must still match the variance closed form within the 1e-9 tolerance.
+    outcome = run_verify(parse_config({"n": n, "trials": 20_000}))
+    assert outcome.passed, f"failures: {outcome.failures}"
+    variance = next(row for row in outcome.rows if row.swept_value == "ticket_value_variance")
+    assert variance.rel_err <= 1e-11
+
+
 # ---------------------------------------------------------------------------
 # Sweep runner
 # ---------------------------------------------------------------------------
@@ -537,8 +547,9 @@ def test_default_holder_share_is_the_same_for_every_command():
     assert analytic["control_value"].closed_form == expected
     sweep_cfg = {**base, "sweep": {"parameter": "n", "values": [32], "quantity": "control_value"}}
     assert run_sweep(parse_config(sweep_cfg))[0][0].closed_form == expected
+    # multiblock prices the holder's gross flow: (k/n) * mu/d with k = 4.
     multiblock = run_multiblock(parse_config({**base, "multiblock": {"beta": 0.0}}))
-    assert multiblock[0].closed_form == expected
+    assert multiblock[0].closed_form == 4 / 32 * npv_rewards(1.0, 0.01)
     verify = {r.swept_value: r for r in run_verify(parse_config(base)).rows}
     assert verify["control_value"].closed_form == expected
 

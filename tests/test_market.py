@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from ticketsim.analytics import control_value, expected_ticket_value, npv_rewards
+from ticketsim.analytics import expected_ticket_value, npv_rewards
 from ticketsim.core import ConstantReward, EconomyParams, calibrate_lognormal
 from ticketsim.engine import (
     MARKET_HOLDER,
     ReplacementRule,
     discount_horizon,
     run_trajectory,
+    sample_holder_flows,
 )
 from ticketsim.errors import NegativePriceError
 from ticketsim.market import (
@@ -19,10 +20,11 @@ from ticketsim.market import (
     FixedDiscount,
     FixedMargin,
     MultiBlockSpec,
-    multiblock_value_experiment,
     pooled_variance_experiment,
     protocol_capture,
 )
+from ticketsim.harness import _mc_gate
+from ticketsim.quantities import QUANTITIES, Quantity, Run, estimate
 
 
 def params_const(n, d=0.01, mu=1.0):
@@ -167,58 +169,65 @@ def test_multiblock_zero_bonus_bit_identical_trajectories():
     assert base == bonus0
 
 
+def _holder_value(params, share, trials, seed, beta=None, **kwargs):
+    """The holder_value estimate and its closed form, (k/n) * mu/d."""
+    multiblock = MultiBlockSpec(beta=beta) if beta is not None else None
+    est = estimate(params, Quantity.HOLDER_VALUE, trials, seed, holder_share=share,
+                   multiblock=multiblock, **kwargs)
+    k = int(share * params.n + 0.5)
+    return est, k / params.n * npv_rewards(params.mu, params.d)
+
+
 def test_multiblock_premium_zero_without_bonus():
-    result = multiblock_value_experiment(params_const(20, d=0.05), None, 0.2, 20_000, seed=9)
-    assert result.additive_baseline == control_value(0.2, 1.0, 0.05, 20)
-    assert abs(result.premium) <= 3.0 * result.premium_stderr + result.bias_bound
+    est, closed = _holder_value(params_const(20, d=0.05), 0.2, 20_000, seed=9)
+    assert closed == 0.2 * npv_rewards(1.0, 0.05)
+    assert abs(est.mean - closed) <= 3.0 * est.stderr + est.bias_bound
 
 
 def test_multiblock_premium_positive_with_bonus():
-    result = multiblock_value_experiment(
-        params_const(20, d=0.05), MultiBlockSpec(beta=0.5), 0.2, 20_000, seed=9
-    )
-    assert result.premium > 3.0 * result.premium_stderr
+    est, closed = _holder_value(params_const(20, d=0.05), 0.2, 20_000, seed=9, beta=0.5)
+    assert est.mean - closed > 3.0 * est.stderr
 
 
 def test_multiblock_premium_monotone_in_beta_common_seeds():
     premiums = []
     for beta in (0.0, 0.25, 0.5, 1.0):
-        result = multiblock_value_experiment(
-            params_const(20, d=0.05), MultiBlockSpec(beta=beta), 0.2, 10_000, seed=77
-        )
-        premiums.append(result.premium)
+        est, closed = _holder_value(params_const(20, d=0.05), 0.2, 10_000, seed=77, beta=beta)
+        premiums.append(est.mean - closed)
     assert all(b >= a for a, b in zip(premiums, premiums[1:]))
 
 
 def test_multiblock_rejects_vanishing_holder():
-    with pytest.raises(ValueError):
-        multiblock_value_experiment(params_const(50), None, 0.001, 1_000, seed=1)
-    with pytest.raises(ValueError):
-        multiblock_value_experiment(params_const(50), None, 1.5, 1_000, seed=1)
+    with pytest.raises(ValueError, match="rounds to zero"):
+        _holder_value(params_const(50), 0.001, 1_000, seed=1)
+    with pytest.raises(ValueError, match="between 1 and n"):
+        _holder_value(params_const(50), 1.5, 1_000, seed=1)
 
 
 def test_multiblock_full_ownership_constant_rewards_closed_form():
     # p = 1 with constant rewards is deterministic: every slot extends the
-    # streak, so the net flow is sum_t (mu*(1+beta*(t-1)) - price) * disc_t.
+    # streak, so the gross flow is sum_t mu*(1+beta*(t-1)) * disc_t.
     mu, d, n, beta = 1.0, 0.05, 4, 0.5
     params = params_const(n, d=d, mu=mu)
     horizon = discount_horizon(d)
-    result = multiblock_value_experiment(
-        params, MultiBlockSpec(beta=beta), 1.0, 500, seed=2, horizon=horizon
-    )
-    price = expected_ticket_value(mu, d, n)
+    est, closed = _holder_value(params, 1.0, 500, seed=2, beta=beta, horizon=horizon)
     t = np.arange(1, horizon + 1, dtype=np.float64)
-    finite_sum = float(np.sum((mu * (1.0 + beta * (t - 1.0)) - price) / (1.0 + d) ** t))
-    assert result.npv_stderr == 0.0
-    assert math.isclose(result.simulated_holder_npv, finite_sum, rel_tol=1e-12)
-    # Infinite-horizon limit: control_value + beta*mu/d^2.
-    limit = control_value(1.0, mu, d, n) + beta * mu / d**2
-    assert abs(result.simulated_holder_npv - limit) <= result.bias_bound
+    finite_sum = float(np.sum(mu * (1.0 + beta * (t - 1.0)) / (1.0 + d) ** t))
+    assert est.stderr == 0.0
+    assert math.isclose(est.mean, finite_sum, rel_tol=1e-12)
+    # Infinite-horizon limit: (k/n)*mu/d + beta*mu/d^2. The bias bound is
+    # exactly the tail here, so the gap can pass it by rounding ulps, which
+    # the program's gate allows.
+    limit = closed + beta * mu / d**2
+    assert _mc_gate(est.mean, limit, est.stderr, est.bias_bound)
 
 
 def test_multiblock_share_rounding_reported():
-    result = multiblock_value_experiment(params_const(32, d=0.05), None, 0.1, 1_000, seed=4)
-    assert result.holder_tickets == 3
-    assert result.holder_share == pytest.approx(3 / 32)
-    assert result.requested_share == 0.1
-    assert result.additive_baseline == control_value(3 / 32, 1.0, 0.05, 32)
+    params = params_const(32, d=0.05)
+    run = Run(params, 0.1, trials=1_000, seed=4)
+    assert run.holder_tickets == 3
+    assert QUANTITIES[Quantity.HOLDER_VALUE].closed(run) == 3 / 32 * npv_rewards(1.0, 0.05)
+    # The ensemble holds the 3 tickets.
+    est, _ = _holder_value(params, 0.1, 1_000, seed=4)
+    gross, _ = sample_holder_flows(params, 3, 1_000, 4, stream=4)
+    assert est.mean == float(np.mean(gross))
