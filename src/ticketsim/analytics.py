@@ -132,7 +132,9 @@ def ticket_value_variance(mu: float, var_r: float, d: float, n: float) -> float:
 # ---------------------------------------------------------------------------
 
 _MAX_TERMS = 50_000_000   # least term budget; a ratio near 1 gets more
-_BLOCK = 4096          # most terms evaluated and checked at once
+_BLOCK = 4096          # most terms evaluated and checked at once (2**22 at most: see _exact_sum)
+# Exact sums count 2**-_UNIT: 53 mantissa bits below 8 * -135, the band of 2**-1073.
+_UNIT = 53 + 8 * 135
 # Envelope slack: |term(t)| may exceed the anchored geometric envelope by a
 # polynomial factor (e.g. t * x^t) but not by more than this.
 _SLACK = 1e9
@@ -164,12 +166,14 @@ def truncated_series_sum(
     ints 1, 2, 3, ... in order, up to the end of the block that stops the
     sum; with ``vectorized=True`` it maps an int64 array of t to an array of
     terms (or to a constant, which is broadcast). Either way the stop rule
-    sees the terms in order and stops where a term-by-term loop would, and
-    the result is what one math.fsum over the terms up to the stop gives.
+    sees the terms in order and stops where a term-by-term loop would. The
+    terms up to the stop are summed exactly in integers and rounded once, so
+    the result is what one math.fsum over them gives.
 
-    Raises DivergenceError when the envelope is not contracting or the sum
-    fails to converge within the term budget: ``_MAX_TERMS``, or where more,
-    the t at which the envelope falls to epsilon of the first nonzero term.
+    Raises DivergenceError when a term up to the stop is NaN or infinite,
+    when the envelope is not contracting, or when the sum fails to converge
+    within the term budget: ``_MAX_TERMS``, or where more, the t at which
+    the envelope falls to epsilon of the first nonzero term.
     """
     if ratio is None:
         if d is None or not (d > 0.0 and math.isfinite(d)):
@@ -184,19 +188,26 @@ def truncated_series_sum(
 
 def _first(mask: np.ndarray) -> int:
     """Index of the first True in ``mask``, or its length when there is none."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else mask.size
+    at = int(mask.argmax()) if mask.size else 0
+    return at if at < mask.size and mask[at] else mask.size
 
 
-def _add_exact(hi: float, lo: float, block: np.ndarray) -> tuple[float, float]:
-    """Add ``block`` to the sum hi + lo, where lo is what rounding hi left
-    out, so hi stays what one fsum over every term gives (lo itself is
-    rounded, an error near 1e-32 of the sum)."""
-    items = block.tolist()
-    items += (hi, lo)
-    hi = math.fsum(items)
-    items.append(-hi)
-    return hi, math.fsum(items)
+def _exact_sum(block: np.ndarray) -> int:
+    """The exact sum of the finite ``block``, in units of 2**-_UNIT. frexp
+    gives each term a 53-bit integer mantissa v; aligned within bands of 8
+    binades, v < 2**60, and each band sums v >> 31 and v & (2**31 - 1): each
+    half-sum is below 2**31 * _BLOCK = 2**43, exact in int64 and in
+    bincount's float64 sums (which stay exact up to _BLOCK = 2**22)."""
+    mantissa, exponent = np.frexp(block)
+    band = exponent >> 3
+    v = np.ldexp(mantissa, (exponent & 7) + 53).astype(np.int64)
+    high, rest, low = v >> 31, v & 0x7FFFFFFF, int(band.min())
+    if band.max() > low:
+        sums = zip(np.bincount(band - low, high), np.bincount(band - low, rest))
+    else:
+        sums = [(high.sum(), rest.sum())]
+    total = sum(((int(h) << 31) + int(r)) << (8 * b) for b, (h, r) in enumerate(sums))
+    return total << (8 * low - 53 + _UNIT)
 
 
 def _series_sum(term: Callable, ratio: float, epsilon: float,
@@ -205,7 +216,7 @@ def _series_sum(term: Callable, ratio: float, epsilon: float,
     budget = _MAX_TERMS
     if ratio > 0.0:
         budget = max(budget, math.ceil(math.log(epsilon / _SLACK) / math.log(ratio)))
-    hi = lo = 0.0
+    exact = 0  # every term so far, summed exactly in units of 2**-_UNIT
     # The stop rule's state after the previous block: the running total in
     # term order, the last term, the zeros it ended on, and the envelope
     # (None until the first nonzero term anchors it).
@@ -223,21 +234,25 @@ def _series_sum(term: Callable, ratio: float, epsilon: float,
 
         # A geometric envelope anchored at a zero term pins the tail at zero,
         # but tolerate isolated zeros (e.g. a vanishing first term).
-        at = np.arange(size)
-        runs = at - np.maximum.accumulate(np.where(nonzero, at, -1 - zero_run))
-        stop = _first(runs >= 8)
+        stop, zero_end = size, 0
+        if not nonzero.all():
+            at = np.arange(size)
+            runs = at - np.maximum.accumulate(np.where(nonzero, at, -1 - zero_run))
+            stop, zero_end = _first(runs >= 8), int(runs[-1])
 
-        # cumsum adds in order, so these are the totals a per-term loop keeps.
+        # cumsum adds in order, so these are the totals a per-term loop keeps,
+        # and the tail bound takes that loop's float steps per term; a zero
+        # previous term gives an inf or nan ratio, which ``observed < 1`` drops.
         totals = np.cumsum(np.concatenate(([total], x)))[1:]
         prevs = np.concatenate(([abs(prev)], ax[:-1]))
-        decaying = np.flatnonzero(nonzero & (prevs != 0.0))
-        observed = ax[decaying] / prevs[decaying]
-        decaying, observed = decaying[observed < 1.0], observed[observed < 1.0]
-        r = np.maximum(observed, ratio)
-        tail = ax[decaying] * r / (1.0 - r)
-        settled = decaying[tail <= epsilon * np.abs(totals[decaying])]
-        if settled.size:
-            stop = min(stop, int(settled[0]))
+        with np.errstate(all="ignore"):
+            observed = ax / prevs
+            r = np.maximum(observed, ratio)
+            settled = (observed < 1.0) & nonzero & (ax * r / (1.0 - r) <= epsilon * np.abs(totals))
+        stop = min(stop, _first(settled))
+        bad = _first(~np.isfinite(x[: stop + 1]))
+        if bad < min(stop + 1, size):
+            raise DivergenceError(f"series term {start + bad} is {x[bad]}, not a finite number")
 
         # The envelope shrinks by ``ratio`` per term from the first nonzero
         # term; multiply.accumulate repeats the loop's products exactly.
@@ -258,10 +273,10 @@ def _series_sum(term: Callable, ratio: float, epsilon: float,
                 )
             envelope = float(bound[-1]) * ratio
 
-        hi, lo = _add_exact(hi, lo, x[: stop + 1])
+        exact += _exact_sum(x[: stop + 1])
         if stop < size:
-            return hi, start + stop
-        total, prev, zero_run = float(totals[-1]), float(x[-1]), int(runs[-1])
+            return exact / (1 << _UNIT), start + stop
+        total, prev, zero_run = float(totals[-1]), float(x[-1]), zero_end
         start += size
         size = min(2 * size, _BLOCK)
     raise DivergenceError(f"series did not converge within {budget} terms")

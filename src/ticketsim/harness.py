@@ -1,10 +1,13 @@
 """Experiment orchestration: the closed-form verification suite, parameter
 sweeps, and the pricing / pooling / multi-block experiment runners.
 
-Every runner returns ReportRows with the same column semantics:
-``closed_form`` is the analytic value, ``mc_mean``/``mc_stderr`` carry the
-Monte Carlo estimate when trials > 0 and the independent numerical oracle
-otherwise, and ``rel_err`` is the closed-form-vs-oracle relative gap.
+Every runner returns ReportRows: ``closed_form`` is the analytic value, and
+``mc_mean``/``mc_stderr`` carry the Monte Carlo estimate when trials > 0 and
+the independent numerical oracle otherwise. ``rel_err`` is the oracle's gap
+to the closed form in ``analytic``, ``verify``, ``pricing`` and sweeps, the
+Monte Carlo gap |mc - closed|/closed in ``simulate``, ``multiblock`` and
+``beta`` sweeps, and the sampled variance's gap to the solo variance's
+closed form in ``pool`` and ``k`` sweeps (|gap| on ``variance_gap``).
 
 Monte Carlo gates are bias-aware: a row passes when
 |mc_mean - closed_form| <= 4 * stderr + bias_bound, where the bias bound
@@ -44,6 +47,12 @@ def _run(cfg: ExperimentConfig, params: EconomyParams, share: Optional[float], *
 def _oracle_row(label, entry: Entry, run: Run) -> ReportRow:
     closed, oracle = entry.closed(run), entry.oracle(run)
     return make_row(label, closed, oracle, 0.0, 0, relative_gap(oracle, closed))
+
+
+def _timed(cfg: ExperimentConfig, start: float, row: ReportRow) -> ReportRow:
+    """``row`` with its wall time since ``start`` as ``runtime_ms`` under ``--timings``."""
+    ms = (time.perf_counter() - start) * 1000.0
+    return dataclasses.replace(row, runtime_ms=ms) if cfg.timings else row
 
 
 def _mc_row(label, entry: Entry, run: Run) -> ReportRow:
@@ -97,8 +106,7 @@ def run_verify(cfg: ExperimentConfig) -> VerifyOutcome:
             est = entry.estimate(run)
             mc_mean, mc_stderr, trials = est.mean, est.stderr, est.trials
             ok = ok and _mc_gate(est.mean, closed, est.stderr, est.bias_bound)
-        runtime = (time.perf_counter() - start) * 1000.0 if cfg.timings else 0.0
-        rows.append(make_row(name, closed, mc_mean, mc_stderr, trials, rel, runtime_ms=runtime))
+        rows.append(_timed(cfg, start, make_row(name, closed, mc_mean, mc_stderr, trials, rel)))
         if not ok:
             failures.append(name)
     return VerifyOutcome(rows=rows, failures=failures)
@@ -113,7 +121,9 @@ def run_analytic(cfg: ExperimentConfig) -> list[ReportRow]:
     """Evaluate every closed form that has an oracle and an estimator
     against its oracle (no MC)."""
     run = Run(cfg.params, cfg.holder_share, default_share=True)
-    return [_oracle_row(q.value, entry, run) for q, entry in entries(oracle=True, estimator=True)]
+    # Arguments evaluate in order, so each row's clock starts before its work.
+    return [_timed(cfg, time.perf_counter(), _oracle_row(q.value, entry, run))
+            for q, entry in entries(oracle=True, estimator=True)]
 
 
 def run_simulate(cfg: ExperimentConfig) -> list[ReportRow]:
@@ -209,9 +219,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[ReportRow], dict[str, bool]]:
                 ticket_values.append(QUANTITIES[Quantity.TICKET_VALUE].closed(run))
                 control_values.append(QUANTITIES[Quantity.CONTROL_VALUE].closed(run))
 
-        if cfg.timings:
-            row = dataclasses.replace(row, runtime_ms=(time.perf_counter() - start) * 1000.0)
-        rows.append(row)
+        rows.append(_timed(cfg, start, row))
 
     verdicts: dict[str, bool] = {}
     if sweep.parameter == "n" and len(sweep.values) > 1:
@@ -264,22 +272,14 @@ def run_pool(cfg: ExperimentConfig) -> list[ReportRow]:
         workers=cfg.workers, horizon=cfg.horizon,
     )
     solo_closed = analytics.ticket_value_variance(params.mu, params.var_r, cfg.d, cfg.n)
-    return [
-        make_row(
-            "solo_variance", solo_closed, result.solo_variance,
-            result.solo_variance_stderr, cfg.trials,
-            relative_gap(result.solo_variance, solo_closed),
-        ),
-        make_row(
-            "pooled_per_ticket_variance", solo_closed, result.pooled_per_ticket_variance,
-            result.pooled_variance_stderr, cfg.trials,
-            relative_gap(result.pooled_per_ticket_variance, solo_closed),
-        ),
-        make_row(
-            "variance_gap", 0.0, result.variance_gap, result.gap_stderr, cfg.trials,
-            abs(result.variance_gap),
-        ),
+    sampled = [
+        ("solo_variance", solo_closed, result.solo_variance, result.solo_variance_stderr),
+        ("pooled_per_ticket_variance", solo_closed, result.pooled_per_ticket_variance,
+         result.pooled_variance_stderr),
+        ("variance_gap", 0.0, result.variance_gap, result.gap_stderr),
     ]
+    return [make_row(name, closed, value, stderr, cfg.trials, relative_gap(value, closed))
+            for name, closed, value, stderr in sampled]
 
 
 def run_multiblock(cfg: ExperimentConfig) -> list[ReportRow]:

@@ -92,6 +92,8 @@ class Run:
         k = int(self.share * self.n + 0.5)
         if k < 1:
             raise ConfigError("holder_share", f"{self.share} rounds to zero of {self.n} tickets")
+        if k > self.n:
+            raise ConfigError("holder_share", f"{self.share} keeps {k} tickets, not between 1 and n={self.n}")
         return k
 
     @cached_property

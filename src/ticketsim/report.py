@@ -32,7 +32,8 @@ class ReportRow:
 
     ``mc_mean``/``mc_stderr`` hold the Monte Carlo estimate where one was
     run (trials > 0) and the series-oracle value otherwise. ``rel_err`` is
-    the relative gap between the closed form and its independent oracle.
+    a gap to the closed form, of the oracle or, in ``simulate``,
+    ``multiblock``, ``pool`` and some sweeps, of the estimate (see harness).
     """
 
     swept_value: Union[str, float, int]
@@ -46,10 +47,10 @@ class ReportRow:
 
 
 def make_row(swept_value, closed_form: float, mc_mean: float, mc_stderr: float, trials: int,
-             rel_err: float, runtime_ms: float = 0.0) -> ReportRow:
+             rel_err: float) -> ReportRow:
     """Build a row, deriving the z-score (0 when the estimate is exact)."""
     z = (mc_mean - closed_form) / mc_stderr if mc_stderr > 0.0 else 0.0
-    return ReportRow(swept_value, closed_form, mc_mean, mc_stderr, z, rel_err, trials, runtime_ms)
+    return ReportRow(swept_value, closed_form, mc_mean, mc_stderr, z, rel_err, trials)
 
 
 def relative_gap(value: float, reference: float) -> float:

@@ -2,9 +2,12 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ticketsim import analytics
 from ticketsim.analytics import (
@@ -310,6 +313,75 @@ def test_truncated_series_leading_zero_term():
         assert rel_gap(total, 1.0 / d**2) < REL
 
 
+def test_non_finite_term_raises_naming_its_t():
+    for vectorized in CONVENTIONS:
+        for bad in (math.nan, math.inf, -math.inf):
+            def term(t, bad=bad):
+                x = np.where(t == 5, bad, 0.5 ** np.asarray(t, dtype=np.float64))
+                return x if vectorized else float(x)
+
+            with pytest.raises(DivergenceError, match="term 5 "):
+                truncated_series_sum(term, epsilon=EPS, ratio=0.5, vectorized=vectorized)
+        # A non-finite term past the stop, in the block that stops, is not summed.
+        total, stop = analytics._series_sum(
+            lambda t: np.where(t == 28, math.nan, 0.5 ** np.asarray(t, dtype=np.float64)),
+            0.5, 1e-6, vectorized)
+        assert 16 <= stop < 28 and total == math.fsum(0.5**t for t in range(1, stop + 1))
+
+
+def _exact(block):
+    return analytics._exact_sum(np.asarray(block, dtype=np.float64)) / (1 << analytics._UNIT)
+
+
+def _adversarial_block(kind, size, seed):
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size)
+    if kind == "wide":         # magnitudes 1e-300 .. 1e300, mixed signs
+        return signs * rng.random(size) * 10.0 ** rng.integers(-300, 301, size)
+    if kind == "subnormal":    # whole multiples of the least subnormal
+        return rng.integers(-2**40, 2**40, size) * 5e-324
+    if kind == "ties":         # sums halfway between neighbouring doubles
+        x = np.zeros(size)
+        x[0] = 1.0 + 2.0**-52 * rng.integers(0, 2)
+        if size > 1:
+            x[1] = 2.0**-53
+        rest = np.ldexp(rng.integers(1, 2**53, max(size - 2, 0) // 2).astype(np.float64),
+                        rng.integers(-1100, 900, max(size - 2, 0) // 2))
+        x[2 : 2 + 2 * rest.size] = np.concatenate((rest, -rest))
+        return rng.permutation(x)
+    if kind == "zeros":        # mostly zeros, with a few terms spanning 60+ binades
+        x = np.where(rng.random(size) < 0.9, 0.0, signs * 2.0 ** rng.integers(-40, 40, size))
+        return x * rng.random(size)
+    return signs * rng.random(size) * 2.0 ** rng.integers(-30, 3, size)  # "narrow"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["wide", "subnormal", "ties", "zeros", "narrow"]),
+    size=st.integers(1, analytics._BLOCK),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_block_sum_equals_fsum(kind, size, seed):
+    block = _adversarial_block(kind, size, seed)
+    assert _exact(block) == math.fsum(block.tolist())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=64))
+def test_exact_block_sum_equals_fsum_on_any_floats(block):
+    try:
+        expected = math.fsum(block)
+    except OverflowError:
+        # fsum gives up on an intermediate overflow; Fraction rounds exactly.
+        try:
+            expected = float(sum(map(Fraction, block)))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _exact(block)
+            return
+    assert _exact(block) == expected
+
+
 def loop_series_sum(term, ratio, epsilon=EPS):
     """The term-by-term stop rule, kept as the reference for the block one:
     the sum and the last t it includes."""
@@ -370,6 +442,50 @@ def test_table_series_array_and_scalar_terms_agree(monkeypatch, n, d):
         assert rel_gap(array, scalar) <= 1e-14
         if scalar_stop < 50_000:
             assert (scalar, scalar_stop) == loop_series_sum(term, ratio, epsilon)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    decay=st.floats(0.3, 0.995),
+    shape=st.sampled_from(["decaying", "oscillating", "zero-laden", "diverging"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_sum_matches_the_term_by_term_loop(decay, shape, seed):
+    # Terms come from one precomputed array, so every convention and the
+    # loop see the same doubles.
+    rng = np.random.default_rng(seed)
+    t = np.arange(1, 40_001)
+    terms = rng.uniform(0.5, 1.5) * decay**t * rng.uniform(0.9, 1.1, t.size)
+    ratio = decay
+    if shape == "oscillating":
+        terms *= np.cos(rng.uniform(0.1, 3.0) * t)
+    elif shape == "zero-laden":
+        terms[rng.random(t.size) < 0.3] = 0.0
+        terms[rng.integers(0, 200) : rng.integers(200, 220)] = 0.0
+    elif shape == "diverging":
+        ratio = decay**3    # the terms outgrow the claimed envelope
+    term = lambda s: terms[s - 1]
+    try:
+        expected = loop_series_sum(term, ratio)
+    except DivergenceError as exc:
+        for vectorized in CONVENTIONS:
+            with pytest.raises(DivergenceError, match=f"term {str(exc).split()[-1]} "):
+                analytics._series_sum(term, ratio, EPS, vectorized)
+        return
+    for vectorized in CONVENTIONS:
+        assert analytics._series_sum(term, ratio, EPS, vectorized) == expected
+
+
+def test_time_to_win_series_past_the_cross_check_cap():
+    # n = 16384 sums ~510k terms, ten times the cap of the table test above.
+    n = 16384
+    q = 1.0 - 1.0 / n
+    term = lambda t: t * q ** (t - 1) * (1.0 / n)
+    total, stop = analytics._series_sum(term, q, EPS, False)
+    assert stop > 30 * n
+    assert (total, stop) == loop_series_sum(term, q, EPS)
+    array, array_stop = analytics._series_sum(term, q, EPS, True)
+    assert array_stop == stop and rel_gap(array, total) <= 1e-14
 
 
 def test_scalar_terms_are_called_with_ints_in_order():

@@ -29,7 +29,7 @@ from ticketsim.harness import (
     run_verify,
 )
 from ticketsim.quantities import QUANTITIES, Quantity, Run, _mean_stderr, entries, estimate
-from ticketsim.report import emit_report, load_report, make_row
+from ticketsim.report import emit_report, load_report, make_row, relative_gap
 
 MINIMAL = {"n": 10, "d": 0.01, "reward": {"kind": "constant", "mean": 1}, "trials": 1000, "seed": 42}
 
@@ -398,6 +398,25 @@ def test_run_analytic_rows():
     for row in rows:
         assert row.trials == 0
         assert row.rel_err <= 1e-9
+
+
+def test_analytic_timings_fill_runtime_per_row():
+    plain = run_analytic(small_cfg())
+    timed = run_analytic(small_cfg(timings=True))
+    assert all(row.runtime_ms == 0.0 for row in plain)
+    assert all(row.runtime_ms > 0.0 for row in timed)
+    assert [dataclasses.replace(row, runtime_ms=0.0) for row in timed] == plain
+
+
+def test_rel_err_is_the_oracle_gap_in_analytic_and_the_mc_gap_in_simulate():
+    cfg = small_cfg(trials=5000)
+    run = Run(cfg.params, cfg.holder_share, default_share=True)
+    for row, (_, entry) in zip(run_analytic(cfg), entries(oracle=True, estimator=True)):
+        assert row.mc_mean == entry.oracle(run)
+        assert row.rel_err == relative_gap(row.mc_mean, row.closed_form)
+    [row] = run_simulate(cfg)
+    assert row.trials == 5000
+    assert row.rel_err == relative_gap(row.mc_mean, row.closed_form) > 1e-6
 
 
 def test_run_simulate_row():

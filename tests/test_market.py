@@ -7,6 +7,7 @@ import pytest
 
 from ticketsim.analytics import expected_ticket_value, npv_rewards
 from ticketsim.core import ConstantReward, EconomyParams, calibrate_lognormal
+from ticketsim import engine
 from ticketsim.engine import (
     MARKET_HOLDER,
     ReplacementRule,
@@ -14,7 +15,7 @@ from ticketsim.engine import (
     run_trajectory,
     sample_holder_flows,
 )
-from ticketsim.errors import NegativePriceError
+from ticketsim.errors import ConfigError, NegativePriceError
 from ticketsim.market import (
     FairValue,
     FixedDiscount,
@@ -202,6 +203,17 @@ def test_multiblock_rejects_vanishing_holder():
         _holder_value(params_const(50), 0.001, 1_000, seed=1)
     with pytest.raises(ValueError, match="between 1 and n"):
         _holder_value(params_const(50), 1.5, 1_000, seed=1)
+
+
+def test_library_share_above_one_fails_with_its_key(monkeypatch):
+    # The run rejects a share that keeps more than n tickets before any draw.
+    def sampler_called(*args, **kwargs):
+        raise AssertionError("sample_holder_flows ran")
+
+    monkeypatch.setattr(engine, "sample_holder_flows", sampler_called)
+    with pytest.raises(ConfigError, match="between 1 and n") as err:
+        estimate(params_const(50), Quantity.HOLDER_VALUE, 1000, 1, holder_share=1.5)
+    assert err.value.path == "holder_share"
 
 
 def test_multiblock_full_ownership_constant_rewards_closed_form():
