@@ -9,66 +9,54 @@ The package splits into:
 * ``quantities`` one table of every quantity: closed form, oracle, estimator
 * ``market``    pricing policies, pooling, and the consecutive-win bonus
 * ``config`` / ``report`` / ``harness`` / ``cli``   experiment plumbing
+
+Importing the package loads no submodule (and so no numpy): each public
+name below is imported from its submodule on first access (PEP 562).
 """
 
-from .analytics import (
-    control_value,
-    control_value_derivative_n,
-    expected_slots_to_win,
-    expected_ticket_value,
-    issued_market_cap,
-    npv_rewards,
-    slots_to_win_variance,
-    ticket_value_derivative_n,
-    ticket_value_second_moment,
-    ticket_value_variance,
-    total_ticket_value,
-    truncated_series_sum,
-)
-from .core import (
-    ConstantReward,
-    DiscountCurve,
-    EconomyParams,
-    EmpiricalReward,
-    LognormalReward,
-    ParetoReward,
-    RewardModel,
-    calibrate_lognormal,
-    load_empirical_rewards,
-)
-from .engine import (
-    ReplacementRule,
-    SlotState,
-    Ticket,
-    TrajectoryRecord,
-    discount_horizon,
-    init_state,
-    run_trajectory,
-    sample_holder_flows,
-    sample_pool_payoffs,
-    sample_ticket_payoffs,
-    sample_win_slots,
-    step,
-    win_horizon,
-)
-from .errors import (
-    ConfigError,
-    DiscountRateError,
-    DivergenceError,
-    NegativePriceError,
-    TicketSimError,
-)
-from .market import (
-    CaptureReport,
-    FairValue,
-    FixedDiscount,
-    FixedMargin,
-    MultiBlockSpec,
-    PoolVarianceResult,
-    PricingPolicy,
-    pooled_variance_experiment,
-    protocol_capture,
-)
-from .quantities import Estimate, Quantity, estimate
+import importlib
 
+_EXPORTS = {
+    "analytics": (
+        "control_value", "control_value_derivative_n", "expected_slots_to_win",
+        "expected_ticket_value", "issued_market_cap", "npv_rewards", "slots_to_win_variance",
+        "ticket_value_derivative_n", "ticket_value_second_moment", "ticket_value_variance",
+        "total_ticket_value", "truncated_series_sum",
+    ),
+    "core": (
+        "ConstantReward", "DiscountCurve", "EconomyParams", "EmpiricalReward", "LognormalReward",
+        "ParetoReward", "RewardModel", "calibrate_lognormal", "load_empirical_rewards",
+    ),
+    "engine": (
+        "ReplacementRule", "SlotState", "Ticket", "TrajectoryRecord", "discount_horizon",
+        "init_state", "run_trajectory", "sample_holder_flows", "sample_pool_payoffs",
+        "sample_ticket_payoffs", "sample_win_slots", "step", "win_horizon",
+    ),
+    "errors": (
+        "ConfigError", "DiscountRateError", "DivergenceError", "NegativePriceError",
+        "TicketSimError",
+    ),
+    "market": (
+        "CaptureReport", "FairValue", "FixedDiscount", "FixedMargin", "MultiBlockSpec",
+        "PoolVarianceResult", "PricingPolicy", "pooled_variance_experiment", "protocol_capture",
+    ),
+    "quantities": ("Estimate", "Quantity", "estimate"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:   # a submodule: importing it binds it on the package
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -8,9 +8,15 @@ Flag precedence is flags > config file > defaults. Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Optional
+
+# ticketsim calls no BLAS routine, but OpenBLAS starts its thread pool (whose
+# workers busy-wait) as soon as numpy loads, which the imports below do. A
+# value the user has set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import ExperimentConfig, parse_config, read_raw_config
 from .errors import TicketSimError

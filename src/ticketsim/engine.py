@@ -19,7 +19,9 @@ Two implementations of the same law live here:
   - a tracked ticket's win slot is Geometric(1/n), capped at the horizon;
   - a holder of k retained tickets wins with Geometric(k/n) gaps, so its
     flow is thinned to those wins; a win one slot after the previous one
-    extends the holder's streak;
+    extends the holder's streak. The bonus 1 + beta * (streak - 1) is
+    exactly 1 on a streak of 1, so only the rewards after a one-slot gap
+    (a share p of the wins) are located and scaled in place;
   - in a k-ticket pool, the i-th distinct member hit waits
     Geometric((k - i)/n) slots after the previous one, and members are
     exchangeable, so one member's payoff is the payoff at a uniform rank.
@@ -234,6 +236,8 @@ def _sample(kernel, head: tuple, trials: int, block: int, seed: int, stream: int
     summed. Each block derives its own substream, so the merge is
     invariant to the worker count by construction.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     tasks = [
         (kernel, seed, stream, b, min(block, trials - lo), head)
         for b, lo in enumerate(range(0, trials, block))
@@ -301,16 +305,37 @@ def _ticket_payoff_block(rng, count, params, horizon) -> tuple[np.ndarray, int]:
     return payoffs, int(count - won.sum())
 
 
-def _streaks(gaps: np.ndarray, carry: np.ndarray) -> np.ndarray:
-    """Streak of each holder win, given the gaps between holder wins.
+def _scale_streaks(rewards: np.ndarray, gaps: np.ndarray, carry: np.ndarray, beta: float) -> np.ndarray:
+    """Scale the C-contiguous ``rewards`` in place by each holder win's bonus
+    factor 1 + beta * (streak - 1), and return each row's streak at its last win.
 
     A win one slot after the holder's previous win extends its streak; any
-    longer gap starts a new streak at 1. ``carry`` is each row's streak at
+    longer gap starts a new streak at 1, whose factor is exactly 1, so only
+    the wins after a gap of 1 are touched. ``carry`` is each row's streak at
     its previous win, 0 before the first.
     """
-    idx = np.arange(gaps.shape[1])
-    start = np.maximum.accumulate(np.where(gaps != 1, idx, -1), axis=1)
-    return np.where(start >= 0, idx - start + 1, carry[:, None] + idx + 1)
+    width = gaps.shape[1]
+    ones = gaps == 1
+    heads = ones.copy()     # the first and the last win of each run of one-slot gaps
+    heads[:, 1:] &= ~ones[:, :-1]
+    ends = ones.copy()
+    ends[:, :-1] &= ~ones[:, 1:]
+    heads, ends, ones = np.flatnonzero(heads), np.flatnonzero(ends), np.flatnonzero(ones)
+    lengths = ends - heads + 1
+    row, col = np.divmod(heads, width)
+    # A run after a longer gap starts at streak 2; one at column 0 continues
+    # the streak carried from the previous pass.
+    first = np.where(col == 0, carry[row] + 1.0, 2.0)
+    factor = np.repeat(first - heads, lengths)
+    factor += ones          # the streak; then 1 + beta * (streak - 1), in place
+    factor -= 1.0
+    factor *= beta
+    factor += 1.0
+    rewards.reshape(-1)[ones] *= factor
+    tail = np.ones(gaps.shape[0])
+    last = col + lengths == width
+    tail[row[last]] = first[last] + (lengths[last] - 1)
+    return tail
 
 
 def _holder_flow_block(rng, count, params, k, beta, price, horizon) -> tuple[np.ndarray, np.ndarray]:
@@ -346,11 +371,9 @@ def _holder_flow_block(rng, count, params, k, beta, price, horizon) -> tuple[np.
         gaps = _geometric(p, (active.size, width), rng)
         slots = np.cumsum(gaps, axis=1)
         slots += last[active, None]
-        rewards = np.asarray(params.reward.sample(rng, size=gaps.shape), dtype=np.float64)
+        rewards = np.ascontiguousarray(params.reward.sample(rng, size=gaps.shape), dtype=np.float64)
         if beta != 0.0:
-            runs = _streaks(gaps, streak[active])
-            rewards = rewards * (1.0 + beta * (runs - 1.0))
-            streak[active] = runs[:, -1]
+            streak[active] = _scale_streaks(rewards, gaps, streak[active], beta)
         last[active] = slots[:, -1]
         past = slots > horizon
         weights = np.exp(np.multiply(slots, log_decay, out=slots), out=slots)

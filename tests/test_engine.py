@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ticketsim.analytics import (
     expected_slots_to_win,
@@ -19,6 +21,7 @@ from ticketsim.engine import (
     _PATH_BLOCK,
     MARKET_HOLDER,
     ReplacementRule,
+    _scale_streaks,
     discount_horizon,
     init_state,
     run_trajectory,
@@ -347,6 +350,44 @@ def test_holder_flows_validation():
         sample_holder_flows(params_const(4), 5, 1000, seed=0)
     with pytest.raises(ValueError):
         sample_holder_flows(params_const(4), 2, 1000, seed=0, beta=-0.5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    p=st.sampled_from([1 / 8, 1 / 2, 0.9, 1.0]),
+    rows=st.integers(1, 80),
+    width=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+    beta=st.sampled_from([0.25, 0.5, 3.0]),
+)
+def test_streak_scaling_matches_a_per_win_loop(p, rows, width, seed, beta):
+    rng = np.random.default_rng(seed)
+    gaps = rng.geometric(p, (rows, width)).astype(np.float64)
+    gaps[rng.random(rows) < 0.25] = 1.0          # rows made entirely of one-slot gaps
+    carry = rng.integers(0, 6, rows).astype(np.float64)
+    rewards = rng.lognormal(size=(rows, width))
+    expected, tails = rewards.copy(), np.empty(rows)
+    for i in range(rows):
+        streak = carry[i]
+        for j in range(width):
+            streak = streak + 1.0 if gaps[i, j] == 1 else 1.0
+            expected[i, j] *= 1.0 + beta * (streak - 1.0)
+        tails[i] = streak
+    got = _scale_streaks(rewards, gaps, carry, beta)
+    assert rewards.tobytes() == expected.tobytes()
+    assert got.tobytes() == tails.tobytes()
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("sampler", [
+    lambda params, trials: sample_ticket_payoffs(params, trials, seed=0),
+    lambda params, trials: sample_win_slots(params, trials, seed=0),
+    lambda params, trials: sample_holder_flows(params, 2, trials, seed=0),
+    lambda params, trials: sample_pool_payoffs(params, 2, trials, seed=0),
+], ids=["ticket_payoffs", "win_slots", "holder_flows", "pool_payoffs"])
+def test_samplers_reject_fewer_than_one_trial(sampler, trials):
+    with pytest.raises(ValueError, match="trials"):
+        sampler(params_const(4), trials)
 
 
 def test_pool_payoffs_single_member_is_solo():
