@@ -88,7 +88,14 @@ class LognormalReward(RewardModel):
         return self.mean() ** 2 * math.expm1(self.sigma_log**2)
 
     def sample(self, rng: np.random.Generator, size=None):
-        return rng.lognormal(self.mu_log, self.sigma_log, size=size)
+        # exp(mu_log + sigma_log * Z) in place: the normals ``rng.lognormal``
+        # would consume, without its temporaries.
+        if size is None:
+            return math.exp(self.mu_log + self.sigma_log * rng.standard_normal())
+        draws = rng.standard_normal(size)
+        draws *= self.sigma_log
+        draws += self.mu_log
+        return np.exp(draws, out=draws)
 
 
 @dataclass(frozen=True)

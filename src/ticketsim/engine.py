@@ -26,8 +26,14 @@ Two implementations of the same law live here:
     Geometric((k - i)/n) slots after the previous one, and members are
     exchangeable, so one member's payoff is the payoff at a uniform rank.
 
-  Geometric variates are drawn by inversion, ceil(Exp(1) / -log(1 - p))
-  (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. X.2).
+  Geometric variates are drawn by inversion (Devroye, *Non-Uniform Random
+  Variate Generation*, 1986, ch. X.2). The holder's gaps, most of the
+  variates any run draws, invert a uniform, 1 + floor(log1p(-U) /
+  log1p(-p)): a uniform and a log1p cost less than an exponential, and each
+  pass inverts them in place in one buffer. The win-slot, ticket-payoff and
+  pool samplers invert an exponential, ceil(Exp(1) / -log(1 - p)); they
+  draw under 1% of the variates, and keeping their draws keeps their
+  fixed-seed statistical tests on the same samples.
 
 Determinism contract: one driver (``_sample``) partitions every sampler's
 trajectories into fixed-size blocks; block ``b`` of a run draws from
@@ -285,6 +291,20 @@ def _geometric(p, size, rng: np.random.Generator) -> np.ndarray:
     return np.maximum(draws, 1.0, out=draws)
 
 
+def _holder_gaps(p: float, out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fill ``out`` in place with Geometric(p) gaps on {1, 2, ...}, 0 < p < 1.
+
+    Inverts a uniform: 1 + floor(log1p(-U) / log1p(-p)) (Devroye 1986,
+    ch. X.2), with U on [0, 1), so log1p(-U) is finite.
+    """
+    rng.random(out=out)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    np.divide(out, math.log1p(-p), out=out)
+    np.floor(out, out=out)
+    return np.add(out, 1.0, out=out)
+
+
 def _draw_win_slots(rng: np.random.Generator, count: int, n: int, horizon: int):
     """Win slot T ~ Geometric(1/n) of a tracked ticket, per trajectory.
 
@@ -356,31 +376,43 @@ def _holder_flow_block(rng, count, params, k, beta, price, horizon) -> tuple[np.
         return gross, gross - price * paid
 
     # Thin the lottery to the holder's wins: Geometric(k/n) gaps between them.
+    # Each pass inverts uniforms into gaps, then turns them into slots and the
+    # slots into discount weights, all in place in one (rows, width) view of
+    # a buffer allocated once per block.
     p = k / params.n
     gross = np.zeros(count)
     paid = np.zeros(count)          # discounted replacement purchases
     last = np.zeros(count)          # slot of the latest holder win
     streak = np.zeros(count)        # streak at that win
-    active = np.arange(count)
-    while active.size:
+    buffer = np.empty(count * _WIN_CAP)
+    rows = slice(None)              # every row, until the first one finishes
+    m = count
+    while m:
         # Draw enough wins that most trajectories pass the horizon, at most
         # _WIN_CAP; the rest take another pass.
-        remaining = horizon - last[active].min()
+        remaining = horizon - last[rows].min()
         spread = 4.0 * math.sqrt(remaining * p * (1.0 - p))
         width = min(_WIN_CAP, math.ceil(remaining * p + spread) + 1)
-        gaps = _geometric(p, (active.size, width), rng)
-        slots = np.cumsum(gaps, axis=1)
-        slots += last[active, None]
-        rewards = np.ascontiguousarray(params.reward.sample(rng, size=gaps.shape), dtype=np.float64)
+        view = buffer[:m * width].reshape(m, width)
+        gaps = _holder_gaps(p, view, rng)
+        rewards = np.ascontiguousarray(params.reward.sample(rng, size=view.shape), dtype=np.float64)
         if beta != 0.0:
-            streak[active] = _scale_streaks(rewards, gaps, streak[active], beta)
-        last[active] = slots[:, -1]
-        past = slots > horizon
+            streak[rows] = _scale_streaks(rewards, gaps, streak[rows], beta)
+        view[:, 0] += last[rows]
+        slots = np.cumsum(view, axis=1, out=view)     # integers below 2^53: exact
+        last[rows] = slots[:, -1]
+        ends = last[rows]
+        past = slots > horizon if ends.max() > horizon else None
         weights = np.exp(np.multiply(slots, log_decay, out=slots), out=slots)
-        weights[past] = 0.0
-        gross[active] += np.einsum("ij,ij->i", rewards, weights)
-        paid[active] += weights.sum(axis=1)
-        active = active[last[active] < horizon]
+        if past is not None:
+            weights[past] = 0.0
+        gross[rows] += np.einsum("ij,ij->i", rewards, weights)
+        paid[rows] += weights.sum(axis=1)
+        del rewards, past           # freed before the next pass draws its own
+        going = ends < horizon
+        if not going.all():
+            rows = np.flatnonzero(going) if isinstance(rows, slice) else rows[going]
+            m = rows.size
     return gross, gross - price * paid
 
 

@@ -131,6 +131,21 @@ def test_lognormal_sample_variance_matches():
     assert abs(s2 - model.variance()) < 4.0 * stderr
 
 
+def test_lognormal_sample_is_numpys_lognormal_within_one_ulp():
+    # Same normals consumed as ``rng.lognormal``; only the exp may round
+    # differently, and the scalar path is exact.
+    model = calibrate_lognormal(2.0, 1.0)
+    ours, numpys = np.random.default_rng(3), np.random.default_rng(3)
+    draws = model.sample(ours, size=(512, 64))
+    reference = numpys.lognormal(model.mu_log, model.sigma_log, size=(512, 64))
+    assert draws.shape == reference.shape and draws.dtype == np.float64
+    assert np.abs(draws.view(np.int64) - reference.view(np.int64)).max() <= 1
+    scalar = model.sample(ours)
+    assert isinstance(scalar, float)
+    assert scalar == numpys.lognormal(model.mu_log, model.sigma_log)
+    assert ours.random() == numpys.random()
+
+
 def test_empirical_reward_resampling():
     model = EmpiricalReward([2.0, 2.0, 8.0])
     assert model.mean() == 4.0

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +16,15 @@ from ticketsim.analytics import (
     slots_to_win_variance,
     ticket_value_variance,
 )
-from ticketsim.core import ConstantReward, EconomyParams, calibrate_lognormal
+from ticketsim.core import ConstantReward, EconomyParams, RewardModel, calibrate_lognormal
 from ticketsim.engine import (
     _BLOCK,
     _PATH_BLOCK,
+    _WIN_CAP,
     MARKET_HOLDER,
     ReplacementRule,
+    _holder_flow_block,
+    _holder_gaps,
     _scale_streaks,
     discount_horizon,
     init_state,
@@ -343,6 +347,106 @@ def test_holder_flow_streak_premium_matches_exact_expectation():
     assert abs(premium.mean() - exact) < 4.0 * se
 
 
+@pytest.mark.parametrize("p", [1 / 8, 1 / 2, 7 / 8, 1 / 4096])
+def test_holder_gaps_follow_the_geometric_law(p):
+    # P(G > m) = (1 - p)^m at the m where it is about 0.9, 0.5, 0.1, 0.01 and
+    # 0.001, and at m = 1; the inversion raises no floating-point warning.
+    draws = 1_000_000
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        gaps = _holder_gaps(p, np.empty(draws), np.random.default_rng(2024))
+    assert np.all(gaps >= 1.0) and np.array_equal(gaps, np.floor(gaps))
+    for m in sorted({1, *(math.ceil(math.log(q) / math.log1p(-p)) for q in (0.9, 0.5, 0.1, 0.01, 0.001))}):
+        exact = (1.0 - p) ** m
+        observed = np.count_nonzero(gaps > m) / draws
+        assert abs(observed - exact) < 4.0 * math.sqrt(exact * (1.0 - exact) / draws), m
+
+
+@pytest.mark.parametrize("n, k, d", [(32, 4, 0.01), (8, 7, 0.05), (3, 1, 0.1)])
+def test_holder_flow_mean_and_variance_match_closed_forms(n, k, d):
+    # At beta = 0 with constant reward c the holder wins each slot t <= H
+    # independently with probability p, so gross = c * sum_t I_t x^t has mean
+    # c p sum x^t and variance c^2 p (1 - p) sum x^(2t).
+    c, p = 2.5, k / n
+    x = (1.0 + d) ** -np.arange(1, discount_horizon(d) + 1, dtype=np.float64)
+    gross, _ = sample_holder_flows(params_const(n, d=d, mu=c), k, 20_000, seed=n + k)
+    se = math.sqrt(gross.var(ddof=1) / gross.size)
+    assert abs(gross.mean() - c * p * x.sum()) < 4.0 * se
+    var, var_se = _variance_stderr(gross)
+    assert abs(var - c * c * p * (1.0 - p) * np.sum(x * x)) < 4.0 * var_se
+
+
+class _Recorded(RewardModel):
+    """A reward model that keeps a copy of every array it draws."""
+
+    kind = "recorded"
+
+    def __init__(self, inner):
+        self.inner, self.draws = inner, []
+
+    def mean(self):
+        return self.inner.mean()
+
+    def variance(self):
+        return self.inner.variance()
+
+    def sample(self, rng, size=None):
+        drawn = self.inner.sample(rng, size)
+        self.draws.append(np.copy(drawn))
+        return drawn
+
+
+class _RecordingRng:
+    """A generator that keeps a copy of the uniforms of every ``random`` call."""
+
+    def __init__(self, rng):
+        self.rng, self.uniforms = rng, []
+
+    def random(self, *, out):
+        self.rng.random(out=out)
+        self.uniforms.append(out.copy())
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_holder_flow_block_matches_a_per_win_loop_on_recorded_draws(k, beta):
+    # The kernel's in-place passes against a plain loop over the same uniforms
+    # and rewards: each row's gaps, slots, streak (carried across passes),
+    # horizon cut and discounted gross and purchases. At k = 4 every row
+    # takes three whole passes before the rows left are indexed.
+    n, d, price, count = 8, 0.05, 0.3, 40
+    horizon = discount_horizon(d)
+    reward = _Recorded(calibrate_lognormal(1.0, 1.0))
+    rng = _RecordingRng(np.random.default_rng(k))
+    gross, net = _holder_flow_block(rng, count, EconomyParams(n, d, reward), k, beta, price, horizon)
+
+    p = k / n
+    want_gross, want_paid = [0.0] * count, [0.0] * count
+    last, streak = [0] * count, [0] * count
+    assert len(rng.uniforms) == len(reward.draws) >= 2    # streaks carry across passes
+    for uniforms, rewards in zip(rng.uniforms, reward.draws):
+        active = [i for i in range(count) if last[i] < horizon]
+        assert uniforms.shape == rewards.shape and uniforms.shape[0] == len(active)
+        for row, i in enumerate(active):
+            for u, r in zip(uniforms[row], rewards[row]):
+                gap = 1 + math.floor(math.log1p(-u) / math.log1p(-p))
+                streak[i] = streak[i] + 1 if gap == 1 else 1
+                last[i] += gap
+                if last[i] <= horizon:
+                    weight = (1.0 + d) ** -last[i]
+                    want_gross[i] += r * (1.0 + beta * (streak[i] - 1)) * weight
+                    want_paid[i] += weight
+    assert min(last) >= horizon
+    want_gross, want_paid = np.array(want_gross), np.array(want_paid)
+    assert np.allclose(gross, want_gross, rtol=1e-12, atol=0.0)
+    assert np.allclose(net, want_gross - price * want_paid, rtol=0.0,
+                       atol=1e-12 * float(np.max(want_gross + price * want_paid)))
+
+
 def test_holder_flows_validation():
     with pytest.raises(ValueError):
         sample_holder_flows(params_const(4), 0, 1000, seed=0)
@@ -409,7 +513,9 @@ def test_pool_payoffs_solo_matches_closed_forms():
 
 def test_holder_flow_and_pool_memory_independent_of_d():
     # Holder flows draw at most a fixed number of wins per pass and pools
-    # one slot per member, so peak memory does not grow with the horizon.
+    # one slot per member, so peak memory does not grow with the horizon. A
+    # holder-flow block holds one pass buffer of _WIN_CAP wins per row for
+    # its gaps, slots and weights, and one pass's rewards beside it.
     def peak_mb(fn):
         tracemalloc.start()
         try:
@@ -418,9 +524,10 @@ def test_holder_flow_and_pool_memory_independent_of_d():
         finally:
             tracemalloc.stop()
 
-    holder = {d: peak_mb(lambda: sample_holder_flows(params_const(32, d=d), 4, 512, seed=3))
+    buffer_mb = _PATH_BLOCK * _WIN_CAP * 8 / 1e6      # 256 KiB
+    holder = {d: peak_mb(lambda: sample_holder_flows(params_const(32, d=d), 4, _PATH_BLOCK, seed=3))
               for d in (1e-2, 1e-4)}
-    assert holder[1e-4] < 16.0
+    assert holder[1e-4] < 3.0 * buffer_mb
     assert holder[1e-4] <= 1.5 * holder[1e-2]
     pool = {h: peak_mb(lambda: sample_pool_payoffs(params_const(32), 4, 512, seed=3, horizon=h))
             for h in (1_000, 1_000_000)}
