@@ -28,8 +28,8 @@ Two implementations of the same law live here:
 
   Geometric variates are drawn by inversion (Devroye, *Non-Uniform Random
   Variate Generation*, 1986, ch. X.2). The holder's gaps, most of the
-  variates any run draws, invert a uniform, 1 + floor(log1p(-U) /
-  log1p(-p)): a uniform and a log1p cost less than an exponential, and each
+  variates any run draws, invert a uniform, 1 + floor(log(1 - U) /
+  log1p(-p)): a uniform and a log cost less than an exponential, and each
   pass inverts them in place in one buffer. The win-slot, ticket-payoff and
   pool samplers invert an exponential, ceil(Exp(1) / -log(1 - p)); they
   draw under 1% of the variates, and keeping their draws keeps their
@@ -39,9 +39,13 @@ Determinism contract: one driver (``_sample``) partitions every sampler's
 trajectories into fixed-size blocks; block ``b`` of a run draws from
 ``SeedSequence(seed, spawn_key=(stream, b))`` and results are merged in
 block order, so a given (seed, trials) pair produces bit-identical output
-regardless of the worker count. The merge writes each block's arrays into
-output arrays allocated once, as the blocks come back, so a run holds its
-output and the blocks in flight, not every block's parts as well.
+regardless of the worker count. A sampler called with a ``reduce``
+function applies it to each block where the block is drawn (inside the
+worker when a pool is used) and adds the returned sums in block order, so
+it holds one block per worker in flight and memory that does not grow with
+trials; the CLI and ``quantities.estimate`` run every ensemble this way.
+Called without one, the public samplers return per-trajectory arrays,
+written into output arrays allocated once as the blocks come back.
 """
 
 from __future__ import annotations
@@ -229,31 +233,36 @@ def substream(seed: int, stream: int, block: int) -> np.random.Generator:
 
 
 def _run_block(task) -> tuple:
-    kernel, seed, stream, b, count, head = task
-    return kernel(substream(seed, stream, b), count, *head)
+    kernel, seed, stream, b, count, head, reduce = task
+    parts = kernel(substream(seed, stream, b), count, *head)
+    return parts if reduce is None else reduce(parts)
 
 
 def _sample(kernel, head: tuple, trials: int, block: int, seed: int, stream: int,
-            workers: int) -> tuple:
+            workers: int, reduce=None) -> tuple:
     """Run ``kernel(substream(seed, stream, b), count, *head)`` over the
     ``block``-sized blocks of ``trials``, serially or in a process pool.
 
-    Results are merged in block order, arrays written into place and counts
-    summed. Each block derives its own substream, so the merge is
-    invariant to the worker count by construction.
+    With ``reduce``, each block's result is passed through it where the
+    block is drawn, and the reduced tuples are added entry by entry in
+    block order; ``reduce`` must be picklable (a module-level function or a
+    ``functools.partial`` of one) for a pool. Without it, arrays are written
+    into place and counts summed. Each block derives its own substream, so
+    the merge is invariant to the worker count by construction.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    tasks = [
-        (kernel, seed, stream, b, min(block, trials - lo), head)
+    tasks = (   # a generator: a serial run holds one block's task at a time
+        (kernel, seed, stream, b, min(block, trials - lo), head, reduce)
         for b, lo in enumerate(range(0, trials, block))
-    ]
-    if workers <= 1 or len(tasks) <= 1:
-        return _merge(map(_run_block, tasks), trials)
+    )
+    merge = _add if reduce is not None else lambda results: _merge(results, trials)
+    if workers <= 1 or trials <= block:
+        return merge(map(_run_block, tasks))
     from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        chunksize = max(1, len(tasks) // (workers * 4))
-        return _merge(ex.map(_run_block, tasks, chunksize=chunksize), trials)
+        chunksize = max(1, -(-trials // block) // (workers * 4))
+        return merge(ex.map(_run_block, tasks, chunksize=chunksize))
 
 
 def _merge(results, trials: int) -> tuple:
@@ -269,6 +278,14 @@ def _merge(results, trials: int) -> tuple:
                 merged[i] += part
         lo += parts[0].size
     return tuple(merged)
+
+
+def _add(results) -> tuple:
+    """The blocks' reduced ``results`` added entry by entry, in block order."""
+    merged = None
+    for parts in results:
+        merged = parts if merged is None else tuple(m + p for m, p in zip(merged, parts))
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +311,14 @@ def _geometric(p, size, rng: np.random.Generator) -> np.ndarray:
 def _holder_gaps(p: float, out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Fill ``out`` in place with Geometric(p) gaps on {1, 2, ...}, 0 < p < 1.
 
-    Inverts a uniform: 1 + floor(log1p(-U) / log1p(-p)) (Devroye 1986,
-    ch. X.2), with U on [0, 1), so log1p(-U) is finite.
+    Inverts a uniform: 1 + floor(log(1 - U) / log1p(-p)) (Devroye 1986,
+    ch. X.2), with U on [0, 1), so log(1 - U) is finite. numpy's uniforms
+    are multiples of 2^-53, so 1 - U is exact and ``np.log`` (vectorised,
+    where ``np.log1p`` is not) gives log1p(-U) up to rounding.
     """
     rng.random(out=out)
-    np.negative(out, out=out)
-    np.log1p(out, out=out)
+    np.subtract(1.0, out, out=out)
+    np.log(out, out=out)
     np.divide(out, math.log1p(-p), out=out)
     np.floor(out, out=out)
     return np.add(out, 1.0, out=out)
@@ -315,6 +334,11 @@ def _draw_win_slots(rng: np.random.Generator, count: int, n: int, horizon: int):
     slots = _geometric(1.0 / n, count, rng)
     won = slots <= horizon
     return np.minimum(slots, horizon).astype(np.int64), won
+
+
+def _win_slot_block(rng, count, n, horizon) -> tuple[np.ndarray, int]:
+    slots, won = _draw_win_slots(rng, count, n, horizon)
+    return slots, int(count - won.sum())
 
 
 def _ticket_payoff_block(rng, count, params, horizon) -> tuple[np.ndarray, int]:
@@ -441,14 +465,18 @@ def sample_ticket_payoffs(
     horizon: Optional[int] = None,
     workers: int = 1,
     stream: int = 0,
+    reduce=None,
 ) -> tuple[np.ndarray, int]:
     """Discounted payoff of a tracked ticket per trajectory.
 
     Returns (payoffs, truncated_count); truncated trajectories contribute 0.
+    With ``reduce``, returns its reduction of each block, summed over the
+    blocks in block order (see ``_sample``), in place of the arrays.
     """
     if horizon is None:
         horizon = win_horizon(params.n)
-    return _sample(_ticket_payoff_block, (params, horizon), trials, _BLOCK, seed, stream, workers)
+    return _sample(_ticket_payoff_block, (params, horizon), trials, _BLOCK, seed, stream, workers,
+                   reduce)
 
 
 def sample_win_slots(
@@ -459,12 +487,16 @@ def sample_win_slots(
     horizon: Optional[int] = None,
     workers: int = 1,
     stream: int = 0,
+    reduce=None,
 ) -> tuple[np.ndarray, int]:
-    """Win slot T of a tracked ticket per trajectory (horizon if truncated)."""
+    """Win slot T of a tracked ticket per trajectory (horizon if truncated).
+
+    Returns (slots, truncated_count), or with ``reduce`` its summed block
+    reductions, as ``sample_ticket_payoffs`` does.
+    """
     if horizon is None:
         horizon = win_horizon(params.n)
-    slots, won = _sample(_draw_win_slots, (params.n, horizon), trials, _BLOCK, seed, stream, workers)
-    return slots, int(trials - won.sum())
+    return _sample(_win_slot_block, (params.n, horizon), trials, _BLOCK, seed, stream, workers, reduce)
 
 
 def sample_holder_flows(
@@ -478,6 +510,7 @@ def sample_holder_flows(
     horizon: Optional[int] = None,
     workers: int = 1,
     stream: int = 0,
+    reduce=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Discounted reward flows of a holder retaining ``holder_tickets`` of the
     n tickets (replacements bought back, so the position set is fixed).
@@ -485,7 +518,9 @@ def sample_holder_flows(
     Returns per-trajectory (gross, net) arrays where gross sums the holder's
     discounted realized rewards over the horizon and net additionally pays
     ``replacement_price`` at every burn of a holder ticket. ``beta`` applies
-    the consecutive-win bonus to every slot's realized reward.
+    the consecutive-win bonus to every slot's realized reward. With
+    ``reduce``, returns its summed block reductions instead, as
+    ``sample_ticket_payoffs`` does.
     """
     if not (1 <= holder_tickets <= params.n):
         raise ValueError(f"holder must retain between 1 and n={params.n} tickets, got {holder_tickets}")
@@ -494,7 +529,7 @@ def sample_holder_flows(
     if horizon is None:
         horizon = discount_horizon(params.d)
     head = (params, holder_tickets, beta, replacement_price, horizon)
-    return _sample(_holder_flow_block, head, trials, _PATH_BLOCK, seed, stream, workers)
+    return _sample(_holder_flow_block, head, trials, _PATH_BLOCK, seed, stream, workers, reduce)
 
 
 def sample_pool_payoffs(
@@ -506,16 +541,19 @@ def sample_pool_payoffs(
     horizon: Optional[int] = None,
     workers: int = 1,
     stream: int = 0,
+    reduce=None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """One-shot payoffs of a k-ticket pool and of its first member ticket.
 
     Each pool ticket wins exactly once; the pool splits the combined
     discounted reward equally. Returns (per_ticket_mean, solo, truncated)
     where ``solo`` is member ticket 0's own payoff from the same ensemble.
+    With ``reduce``, returns its summed block reductions instead, as
+    ``sample_ticket_payoffs`` does.
     """
     if not (1 <= pool_tickets <= params.n):
         raise ValueError(f"pool size must be between 1 and n={params.n}, got {pool_tickets}")
     if horizon is None:
         horizon = win_horizon(params.n, TAIL_TOLERANCE / pool_tickets)
     head = (params, pool_tickets, horizon)
-    return _sample(_pool_payoff_block, head, trials, _PATH_BLOCK, seed, stream, workers)
+    return _sample(_pool_payoff_block, head, trials, _PATH_BLOCK, seed, stream, workers, reduce)

@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 from typing import ClassVar, Optional
 
 from .analytics import expected_ticket_value, npv_rewards
 from .core import EconomyParams
 from .engine import sample_pool_payoffs
 from .errors import NegativePriceError
-from .quantities import _mean_stderr, _variance_stderr
+from .quantities import paired_stderr, pool_sums, ticket_mean
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +148,20 @@ def pooled_variance_experiment(
     variance against a solo ticket from the same trajectories.
 
     Both variances come from the same trajectories, so the gap's standard
-    error is that of the mean paired difference of squared deviations.
+    error is that of the mean paired difference of squared deviations. Each
+    block is reduced to its sums where it is drawn (``quantities.pool_sums``).
     """
     if k > params.n:
         raise ValueError(f"pool size {k} exceeds ticket count n={params.n}")
-    member_mean, solo, truncated = sample_pool_payoffs(
-        params, k, trials, seed, horizon=horizon, workers=workers, stream=stream
+    if trials < 2:
+        raise ValueError(f"a sample variance needs at least 2 trials, got {trials}")
+    member_mean, solo, truncated, paired = sample_pool_payoffs(
+        params, k, trials, seed, horizon=horizon, workers=workers, stream=stream,
+        reduce=partial(pool_sums, shift=ticket_mean(params)),
     )
-    solo_var, solo_stderr = _variance_stderr(solo)
-    pooled_var, pooled_stderr = _variance_stderr(member_mean)
-    paired = (member_mean - member_mean.mean()) ** 2 - (solo - solo.mean()) ** 2
-    _, gap_stderr = _mean_stderr(paired)
+    solo_var, solo_stderr = solo.variance_stderr()
+    pooled_var, pooled_stderr = member_mean.variance_stderr()
+    gap_stderr = paired_stderr(paired)
 
     return PoolVarianceResult(
         solo_variance=solo_var,

@@ -11,6 +11,11 @@ an estimator, and ``multiblock`` and a ``beta`` sweep ``holder_value``.
 Entries reach the samplers and the series oracle through their modules at
 call time, so that anything wrapping a module attribute (a profiler, a
 tracer) sees every call.
+
+Every ensemble is reduced block by block, where the block is drawn, to its
+count and power sums about its closed-form mean (``PowerSums``), and the
+statistics read these sums, so an estimate holds one block, never a
+trial-length array.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -122,20 +127,25 @@ class Run:
         return _ticket_series(self, ORACLE_EPSILON)
 
     @cached_property
-    def ticket_payoffs(self) -> tuple[np.ndarray, int]:
-        """Discounted payoff of one tracked ticket, on stream 0."""
+    def ticket_sums(self) -> tuple[PowerSums, int]:
+        """Power sums to order 4 of one tracked ticket's discounted payoff, on
+        stream 0, about its closed form."""
         return engine.sample_ticket_payoffs(
-            self.params, self.trials, self.seed,
-            horizon=self.win_horizon, workers=self.workers, stream=0,
+            self.params, self.trials, self.seed, horizon=self.win_horizon, workers=self.workers,
+            stream=0, reduce=partial(block_sums, shifts=(ticket_mean(self.params),), order=4),
         )
 
     @cached_property
-    def holder_ensemble(self) -> tuple[np.ndarray, np.ndarray]:
-        """(gross, net) flows of ``flow_tickets`` tickets, replaced at the fair
-        price, on stream 3 (stream 2 stays unused, so no stream's bytes move)."""
+    def holder_sums(self) -> tuple[PowerSums, PowerSums]:
+        """Power sums to order 2 of the (gross, net) flows of ``flow_tickets``
+        tickets, replaced at the fair price, on stream 3 (stream 2 stays
+        unused, so no stream's bytes move), about their closed forms."""
+        k = self.flow_tickets
+        shifts = (holder_mean(self, k), analytics.control_value(k / self.n, self.mu, self.d, self.n))
         return engine.sample_holder_flows(
-            self.params, self.flow_tickets, self.trials, self.seed, replacement_price=fair_price(self),
-            horizon=self.discount_horizon, workers=self.workers, stream=3)
+            self.params, k, self.trials, self.seed, replacement_price=fair_price(self),
+            horizon=self.discount_horizon, workers=self.workers, stream=3,
+            reduce=partial(block_sums, shifts=shifts, order=2))
 
 
 def _reward_stream_series(run: Run) -> float:
@@ -197,6 +207,26 @@ def _central_difference(f: Callable[[float], float], n: int) -> float:
     return (f(n + h) - f(n - h)) / (2.0 * h)
 
 
+def ticket_mean(params: EconomyParams) -> float:
+    """E[V] = mu / (n d + 1), a ticket's closed-form value written out, since a
+    finite-horizon run may take d = 0: the shift of the ticket-payoff sums."""
+    return params.mu / (params.n * params.d + 1.0)
+
+
+def holder_mean(run: Run, k: int, beta: float = 0.0) -> float:
+    """Expected gross flow of k retained tickets under streak bonus beta:
+    (p mu / d) (1 + beta p / (1 + d - p)) with p = k/n, the shift of the
+    holder ensembles' sums.
+
+    The holder wins each slot with chance p, so a win at slot t ends a
+    streak of at least j wins with chance p^(j - 1), j <= t, and its
+    expected bonus is 1 + beta (p - p^t) / (1 - p); discounting that over
+    t gives the form (also at p = 1, where the streak is t).
+    """
+    p = k / run.n
+    return p * run.mu / run.d * (1.0 + beta * p / (1.0 + run.d - p))
+
+
 def fair_price(run: Run) -> float:
     return analytics.expected_ticket_value(run.mu, run.d, run.n)
 
@@ -228,52 +258,132 @@ def _zero_degenerate(stderr: float, scale: float) -> float:
     return 0.0 if stderr < 1e-13 * (abs(scale) + 1.0) else stderr
 
 
+@dataclass(frozen=True)
+class PowerSums:
+    """An ensemble's power sums about a shift c: ``sums[j]`` is the sum of
+    (v - c)^j over its values, ``sums[0]`` their count.
+
+    Sums of disjoint blocks add, so an ensemble reduces block by block in
+    O(block) memory. Central moments follow from the sums by the binomial
+    expansion, which cancels little when c is near the ensemble's mean
+    (Chan, Golub & LeVeque, *Am. Stat.* 37(3), 1983).
+    """
+
+    shift: float
+    sums: np.ndarray
+
+    def __add__(self, other: PowerSums) -> PowerSums:
+        return PowerSums(self.shift, self.sums + other.sums)
+
+    def mean_stderr(self) -> tuple[float, float]:
+        """Sample mean and its standard error."""
+        n, s1, s2 = map(float, self.sums[:3])
+        a = s1 / n
+        mean = self.shift + a
+        if n < 2:
+            return mean, 0.0
+        var = max((s2 - s1 * a) / (n - 1.0), 0.0)
+        return mean, _zero_degenerate(math.sqrt(var / n), mean)
+
+    def variance_stderr(self) -> tuple[float, float]:
+        """Sample variance and the asymptotic stderr of that variance estimate."""
+        n, s1, s2, s3, s4 = map(float, self.sums[:5])
+        a = s1 / n
+        var = max((s2 - s1 * a) / (n - 1.0), 0.0)
+        m4 = (s4 - a * (4.0 * s3 - a * (6.0 * s2 - 3.0 * a * s1))) / n    # mean of (v - mean)^4
+        stderr = math.sqrt(max(m4 - var * var, 0.0) / n)
+        return var, _zero_degenerate(stderr, var)
+
+
+def power_sums(values: np.ndarray, shift: float, order: int) -> PowerSums:
+    """The count of ``values`` and their power sums about ``shift`` to ``order``."""
+    dev = np.subtract(values, shift, dtype=np.float64)
+    sums = np.empty(order + 1)
+    sums[0] = dev.size
+    power = dev
+    for j in range(1, order + 1):
+        sums[j] = power.sum()
+        if j < order:
+            power = power * dev if j == 1 else np.multiply(power, dev, out=power)
+    return PowerSums(shift, sums)
+
+
+def block_sums(parts: tuple, shifts: tuple[float, ...], order: int) -> tuple:
+    """A sampler block's ``parts`` with its i-th array replaced by its power
+    sums about ``shifts[i]`` to ``order``, counts kept: the reducer an
+    ensemble binds with ``functools.partial`` and passes to its sampler."""
+    shifts = iter(shifts)
+    return tuple(power_sums(p, next(shifts), order) if isinstance(p, np.ndarray) else p
+                 for p in parts)
+
+
+def pool_sums(parts: tuple, shift: float) -> tuple:
+    """A pool block's (per-ticket mean m, solo payoff s, truncated) reduced
+    to the power sums of m and s to order 4 about ``shift``, the truncated
+    count, and the paired table T[i, j] = sum of e^i f^j (i, j <= 2) of
+    e = m - s and f = (m - shift) + (s - shift). The difference of the two
+    squared deviations from the sample means, (m - m_bar)^2 - (s - s_bar)^2,
+    is the centred product (e - e_bar)(f - f_bar), and is exactly zero
+    where m = s (a pool of one)."""
+    member, solo, truncated = parts
+    e = member - solo
+    f = np.subtract(member, shift) + np.subtract(solo, shift)
+    ones = np.ones_like(e)
+    e_powers, f_powers = np.stack([ones, e, e * e]), np.stack([ones, f, f * f])
+    paired = (e_powers[:, None, :] * f_powers[None, :, :]).sum(axis=2)
+    return power_sums(member, shift, 4), power_sums(solo, shift, 4), truncated, paired
+
+
+def paired_stderr(paired: np.ndarray) -> float:
+    """Stderr of the mean of (e - e_bar)(f - f_bar) from ``pool_sums``' paired table."""
+    n = float(paired[0, 0])
+    e_bar, f_bar = float(paired[1, 0]) / n, float(paired[0, 1]) / n
+    total = float(paired[1, 1]) - e_bar * float(paired[0, 1])
+    # (e - e_bar)^2 (f - f_bar)^2 expanded over the table's powers of e and f.
+    weights = np.outer([e_bar * e_bar, -2.0 * e_bar, 1.0], [f_bar * f_bar, -2.0 * f_bar, 1.0])
+    squares = float((weights * paired).sum())
+    var = max((squares - total * total / n) / (n - 1.0), 0.0)
+    return _zero_degenerate(math.sqrt(var / n), total / n)
+
+
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(values))
-    if values.size < 2:
-        return mean, 0.0
-    var = max(float(np.var(values, ddof=1)), 0.0)
-    return mean, _zero_degenerate(math.sqrt(var / values.size), mean)
+    """Mean and stderr of an array, through its power sums about its mean."""
+    return power_sums(values, float(np.mean(values)), 2).mean_stderr()
 
 
 def _variance_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Sample variance and the asymptotic stderr of that variance estimate."""
-    mean = float(np.mean(values))
-    dev = values - mean
-    s2 = max(float(np.var(values, ddof=1)), 0.0)
-    m4 = float(np.mean(dev**4))
-    stderr = math.sqrt(max(m4 - s2 * s2, 0.0) / values.size)
-    return s2, _zero_degenerate(stderr, s2)
+    """Sample variance of an array and its stderr, through its power sums."""
+    return power_sums(values, float(np.mean(values)), 4).variance_stderr()
 
 
-def _scaled_mean(scale: float, values: np.ndarray) -> tuple[float, float]:
-    mean, stderr = _mean_stderr(values)
+def _scaled_mean(scale: float, sums: PowerSums) -> tuple[float, float]:
+    mean, stderr = sums.mean_stderr()
     return scale * mean, scale * stderr
 
 
-def _total_value(run: Run, payoffs: np.ndarray) -> tuple[float, float]:
-    mean, stderr = _mean_stderr(payoffs)
+def _total_value(run: Run, sums: PowerSums) -> tuple[float, float]:
+    mean, stderr = sums.mean_stderr()
     return run.n * mean + mean / run.d, (run.n + 1.0 / run.d) * stderr
 
 
 @dataclass(frozen=True)
 class Entry:
     """One quantity. An entry with an ``ensemble`` has a Monte Carlo
-    estimator: ``statistic`` of the ensemble, within ``bias`` of the truth
-    up to sampling error. ``sign`` is the sign the paper gives the closed
-    form when mu > 0 (0 when it states none)."""
+    estimator: ``statistic`` of the ensemble's power sums, within ``bias`` of
+    the truth up to sampling error. ``sign`` is the sign the paper gives the
+    closed form when mu > 0 (0 when it states none)."""
 
     closed: Callable[[Run], float]
     oracle: Optional[Callable[[Run], float]] = None
-    ensemble: Optional[Callable[[Run], tuple[np.ndarray, int]]] = None
-    statistic: Callable[[Run, np.ndarray], tuple[float, float]] = lambda run, values: _mean_stderr(values)
+    ensemble: Optional[Callable[[Run], tuple[PowerSums, int]]] = None
+    statistic: Callable[[Run, PowerSums], tuple[float, float]] = lambda run, sums: sums.mean_stderr()
     bias: Optional[Callable[[Run], float]] = None
     sign: int = 0
 
     def estimate(self, run: Run) -> Estimate:
         bias = self.bias(run)    # first: it fails fast on a missing share
-        values, truncated = self.ensemble(run)
-        mean, stderr = self.statistic(run, values)
+        sums, truncated = self.ensemble(run)
+        mean, stderr = self.statistic(run, sums)
         ci95 = (mean - 1.96 * stderr, mean + 1.96 * stderr)
         return Estimate(mean, stderr, ci95, run.trials, truncated, bias)
 
@@ -289,38 +399,37 @@ QUANTITIES: dict[Quantity, Entry] = {
     Quantity.NPV_REWARDS: Entry(
         closed=lambda run: analytics.npv_rewards(run.mu, run.d),
         oracle=_reward_stream_series,
-        ensemble=lambda run: (run.holder_ensemble[0], 0),
+        ensemble=lambda run: (run.holder_sums[0], 0),
         statistic=lambda run, gross: _scaled_mean(run.n / run.flow_tickets, gross),
         bias=lambda run: holder_bias(run, 1.0),
     ),
     Quantity.TICKET_VALUE: Entry(
         closed=lambda run: analytics.expected_ticket_value(run.mu, run.d, run.n),
         oracle=lambda run: run.ticket_series,
-        ensemble=lambda run: run.ticket_payoffs,
+        ensemble=lambda run: run.ticket_sums,
         bias=lambda run: run.mu * run.win_tail,
     ),
     Quantity.TOTAL_TICKET_VALUE: Entry(
         closed=lambda run: analytics.total_ticket_value(run.mu, run.d, run.n),
         oracle=lambda run: analytics.npv_rewards(run.mu, run.d),
-        ensemble=lambda run: run.ticket_payoffs,
+        ensemble=lambda run: run.ticket_sums,
         statistic=_total_value,
         bias=lambda run: (run.n + 1.0 / run.d) * run.mu * run.win_tail,
     ),
     Quantity.ISSUED_MARKET_CAP: Entry(
         closed=lambda run: analytics.issued_market_cap(run.mu, run.d, run.n),
         oracle=lambda run: run.n * run.ticket_series,
-        ensemble=lambda run: run.ticket_payoffs,
-        statistic=lambda run, payoffs: _scaled_mean(run.n, payoffs),
+        ensemble=lambda run: run.ticket_sums,
+        statistic=lambda run, sums: _scaled_mean(run.n, sums),
         bias=lambda run: run.n * run.mu * run.win_tail,
     ),
     Quantity.TIME_TO_WIN: Entry(
         closed=lambda run: analytics.expected_slots_to_win(run.n),
         oracle=_slots_to_win_series,
         ensemble=lambda run: engine.sample_win_slots(
-            run.params, run.trials, run.seed,
-            horizon=run.win_horizon, workers=run.workers, stream=1,
+            run.params, run.trials, run.seed, horizon=run.win_horizon, workers=run.workers,
+            stream=1, reduce=partial(block_sums, shifts=(float(run.n),), order=2),
         ),
-        statistic=lambda run, slots: _mean_stderr(slots.astype(np.float64)),
         bias=lambda run: run.n * run.win_tail,
     ),
     Quantity.TICKET_VALUE_DERIVATIVE: Entry(
@@ -333,7 +442,7 @@ QUANTITIES: dict[Quantity, Entry] = {
     Quantity.CONTROL_VALUE: Entry(
         closed=lambda run: analytics.control_value(run.share, run.mu, run.d, run.n),
         oracle=lambda run: run.share * run.n * run.ticket_series,
-        ensemble=lambda run: (run.holder_ensemble[1], 0),
+        ensemble=lambda run: (run.holder_sums[1], 0),
         statistic=lambda run, net: _scaled_mean(run.share * run.n / run.flow_tickets, net),
         bias=lambda run: holder_bias(run, run.share, price=fair_price(run)),
     ),
@@ -347,8 +456,8 @@ QUANTITIES: dict[Quantity, Entry] = {
     Quantity.TICKET_VALUE_VARIANCE: Entry(
         closed=lambda run: analytics.ticket_value_variance(run.mu, run.var_r, run.d, run.n),
         oracle=_variance_series,
-        ensemble=lambda run: run.ticket_payoffs,
-        statistic=lambda run, payoffs: _variance_stderr(payoffs),
+        ensemble=lambda run: run.ticket_sums,
+        statistic=lambda run, sums: sums.variance_stderr(),
         bias=lambda run: (run.var_r + 3.0 * run.mu * run.mu) * run.win_tail,
     ),
     # Gross holder flow collects the holder's share of every slot's reward;
@@ -358,6 +467,8 @@ QUANTITIES: dict[Quantity, Entry] = {
         ensemble=lambda run: (engine.sample_holder_flows(
             run.params, run.holder_tickets, run.trials, run.seed, beta=run.beta,
             horizon=run.discount_horizon, workers=run.workers, stream=4,
+            reduce=partial(block_sums, shifts=(holder_mean(run, run.holder_tickets, run.beta),) * 2,
+                           order=2),
         )[0], 0),
         bias=lambda run: holder_bias(run, run.holder_tickets / run.n, beta=run.beta),
     ),

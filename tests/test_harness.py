@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ticketsim
-from ticketsim import engine
+from ticketsim import engine, quantities
 from ticketsim.analytics import control_value, expected_ticket_value, npv_rewards
 from ticketsim.cli import main
 from ticketsim.config import load_config, parse_config
@@ -237,13 +237,20 @@ def test_run_verify_single_ticket_edge():
 
 
 def test_run_verify_detects_corrupted_closed_form(monkeypatch):
+    clean = run_verify(small_cfg()).rows
     entry = QUANTITIES[Quantity.TICKET_VALUE]
     monkeypatch.setitem(
         QUANTITIES, Quantity.TICKET_VALUE, dataclasses.replace(entry, closed=lambda run: 0.9)
     )
+    # The ticket payoffs' sums are shifted by their closed-form mean; moving
+    # that shift to the corrupted value too moves no estimate beyond rounding.
+    monkeypatch.setattr(quantities, "ticket_mean", lambda params: 0.9)
     outcome = run_verify(small_cfg())
     assert not outcome.passed
     assert outcome.failures == ["ticket_value"]
+    for a, b in zip(clean, outcome.rows):
+        assert a.mc_mean == pytest.approx(b.mc_mean, rel=1e-12, abs=0), a.swept_value
+        assert a.mc_stderr == pytest.approx(b.mc_stderr, rel=1e-12, abs=0), a.swept_value
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -289,10 +296,15 @@ def test_run_verify_draws_one_holder_ensemble(monkeypatch):
     assert streams == [3]
     gross, net = sample(cfg.params, 4, cfg.trials, cfg.seed,
                         replacement_price=expected_ticket_value(1.0, 0.01, 32), stream=3)
+    # The rows read the block-streamed sums; the array helpers sum the whole
+    # arrays, so the two agree to rounding, not bit for bit.
     control = rows["control_value"]
-    assert (control.mc_mean, control.mc_stderr) == _mean_stderr(net)   # rescaled by 0.125*32/4 = 1
+    mean, stderr = _mean_stderr(net)    # rescaled by 0.125*32/4 = 1
+    assert control.mc_mean == pytest.approx(mean, rel=1e-12, abs=0)
+    assert control.mc_stderr == pytest.approx(stderr, rel=1e-12, abs=0)
     mean, stderr = _mean_stderr(gross)
-    assert (rows["npv_rewards"].mc_mean, rows["npv_rewards"].mc_stderr) == (8 * mean, 8 * stderr)
+    assert rows["npv_rewards"].mc_mean == pytest.approx(8 * mean, rel=1e-12, abs=0)
+    assert rows["npv_rewards"].mc_stderr == pytest.approx(8 * stderr, rel=1e-12, abs=0)
 
 
 def test_npv_rewards_gate_holds_with_lognormal_rewards():

@@ -104,14 +104,21 @@ def test_margin_exceeding_value_rejected():
 
 
 def test_pooled_variance_degenerate_pool():
+    # A pool of one: the mean and the solo payoff coincide, and so do their sums.
     result = pooled_variance_experiment(params_const(8, d=0.05), 1, 5_000, seed=3)
     assert result.ratio == 1.0
     assert result.variance_gap == 0.0
+    assert result.gap_stderr == 0.0
 
 
 def test_pooled_variance_rejects_oversized_pool():
     with pytest.raises(ValueError):
         pooled_variance_experiment(params_const(8), 9, 5_000, seed=3)
+
+
+def test_pooled_variance_needs_two_trials():
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        pooled_variance_experiment(params_const(8), 2, 1, seed=3)
 
 
 def test_pooled_variance_reduction():

@@ -1,0 +1,133 @@
+"""Block-streamed ensemble statistics: bounded memory in trials, and the same
+statistics as the array helpers on the same sampler arrays."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from ticketsim import engine
+from ticketsim.config import parse_config
+from ticketsim.core import ConstantReward, EconomyParams, EmpiricalReward, ParetoReward, calibrate_lognormal
+from ticketsim.engine import _BLOCK, _PATH_BLOCK, sample_pool_payoffs
+from ticketsim.harness import run_pool, run_verify
+from ticketsim.market import pooled_variance_experiment
+from ticketsim.quantities import Quantity, Run, _mean_stderr, _variance_stderr, entries, estimate, power_sums
+
+# A streamed run holds a block per ensemble in flight, whatever its trials;
+# this allows a few blocks of the tracked samplers' float64 output.
+_ALLOWANCE = 4 * _BLOCK * 8
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, block, run", [
+    ("verify", _BLOCK, lambda trials: run_verify(parse_config({"n": 8, "d": 0.5, "trials": trials}))),
+    ("pool", _PATH_BLOCK,
+     lambda trials: run_pool(parse_config({"n": 64, "d": 0.05, "pool": {"k": 4}, "trials": trials}))),
+    ("holder_value", _PATH_BLOCK,
+     lambda trials: estimate(EconomyParams(n=8, d=0.2, reward=ConstantReward(1.0)),
+                             Quantity.HOLDER_VALUE, trials, 1, holder_share=0.25)),
+])
+def test_memory_is_bounded_in_trials(name, block, run):
+    run(16 * block)     # first-call allocations
+    small = _peak_bytes(lambda: run(16 * block))
+    large = _peak_bytes(lambda: run(128 * block))
+    assert large - small <= _ALLOWANCE, (name, small, large)
+
+
+_REWARDS = {
+    "constant": ConstantReward(1.0),
+    "lognormal": calibrate_lognormal(1.0, 1.0),
+    "pareto": ParetoReward(4.5, 1.0),
+    "empirical": EmpiricalReward([2.0, 2.0, 8.0]),
+}
+
+
+def _close(streamed: float, array: float) -> bool:
+    return streamed == pytest.approx(array, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("reward", list(_REWARDS))
+def test_streamed_estimates_match_the_array_statistics(reward, monkeypatch):
+    # Several full blocks and a partial last one for every sampler.
+    params = EconomyParams(n=8, d=0.05, reward=_REWARDS[reward])
+    trials = 3 * _BLOCK + 37
+
+    def run():
+        return Run(params, 0.25, trials=trials, seed=7, beta=0.5, default_share=True)
+
+    streamed = {q: entry.estimate(run()) for q, entry in entries(estimator=True)}
+
+    # The array statistics: each sampler's whole arrays reduced once, about
+    # their own mean, which is what _mean_stderr and _variance_stderr do.
+    sample = engine._sample
+
+    def whole_arrays(kernel, head, trials, block, seed, stream, workers, reduce=None):
+        parts = sample(kernel, head, trials, block, seed, stream, workers)
+        return tuple(power_sums(p, float(np.mean(p)), 4) if isinstance(p, np.ndarray) else p
+                     for p in parts)
+
+    monkeypatch.setattr(engine, "_sample", whole_arrays)
+    for quantity, entry in entries(estimator=True):
+        array = entry.estimate(run())
+        assert _close(streamed[quantity].mean, array.mean), quantity
+        assert _close(streamed[quantity].stderr, array.stderr), quantity
+        assert streamed[quantity].truncated == array.truncated
+
+    # The same path as the helpers, on the ticket payoffs.
+    monkeypatch.setattr(engine, "_sample", sample)
+    payoffs, _ = engine.sample_ticket_payoffs(params, trials, 7, stream=0)
+    est = streamed[Quantity.TICKET_VALUE]
+    assert all(map(_close, (est.mean, est.stderr), _mean_stderr(payoffs)))
+    est = streamed[Quantity.TICKET_VALUE_VARIANCE]
+    assert all(map(_close, (est.mean, est.stderr), _variance_stderr(payoffs)))
+
+
+@pytest.mark.parametrize("reward", list(_REWARDS))
+def test_streamed_pool_rows_match_the_array_statistics(reward):
+    params = EconomyParams(n=16, d=0.05, reward=_REWARDS[reward])
+    trials = 5 * _PATH_BLOCK + 37
+    result = pooled_variance_experiment(params, 4, trials, 3)
+    member, solo, truncated = sample_pool_payoffs(params, 4, trials, 3)
+    paired = (member - member.mean()) ** 2 - (solo - solo.mean()) ** 2
+    array = {
+        "solo": _variance_stderr(solo),
+        "pooled": _variance_stderr(member),
+        "gap": (member.var(ddof=1) - solo.var(ddof=1), _mean_stderr(paired)[1]),
+    }
+    streamed = {
+        "solo": (result.solo_variance, result.solo_variance_stderr),
+        "pooled": (result.pooled_per_ticket_variance, result.pooled_variance_stderr),
+        "gap": (result.variance_gap, result.gap_stderr),
+    }
+    for row in array:
+        assert all(map(_close, streamed[row], array[row])), row
+    assert result.truncated == truncated
+
+
+def test_streamed_pool_is_worker_invariant():
+    params = EconomyParams(n=16, d=0.05, reward=calibrate_lognormal(1.0, 1.0))
+    trials = 3 * _PATH_BLOCK + 37
+    serial = pooled_variance_experiment(params, 4, trials, 5, workers=1)
+    parallel = pooled_variance_experiment(params, 4, trials, 5, workers=2)
+    assert serial == parallel
+
+
+def test_sums_are_insensitive_to_a_wrong_shift():
+    # The shift only conditions the sums: a shift well off the mean moves
+    # the statistics by rounding.
+    params = EconomyParams(n=32, d=0.01, reward=calibrate_lognormal(1.0, 1.0))
+    payoffs, _ = engine.sample_ticket_payoffs(params, 20_000, 11)
+    right = power_sums(payoffs, float(np.mean(payoffs)), 4)
+    for shift in (0.0, 0.9, 2.0):
+        wrong = power_sums(payoffs, shift, 4)
+        assert all(map(_close, wrong.mean_stderr(), right.mean_stderr())), shift
+        assert all(map(_close, wrong.variance_stderr(), right.variance_stderr())), shift
