@@ -22,15 +22,24 @@ Two implementations of the same law live here:
     extends the holder's streak. The bonus 1 + beta * (streak - 1) is
     exactly 1 on a streak of 1, so only the rewards after a one-slot gap
     (a share p of the wins) are located and scaled in place;
+  - with a constant reward and no streak bonus the holder's flow is its
+    discounted count of wins, each slot an independent Bernoulli(k/n) win.
+    From the share ``_PATTERN_MIN_SHARE`` (a measured crossover) up to
+    k < n, one uniform picks a whole group of 8 slots' win pattern, one of
+    256, by inversion through a guide table (Chen & Asau, *AIIE Trans.*
+    6(2), 1974; Devroye, *Non-Uniform Random Variate Generation*, 1986,
+    ch. III.2.4): the cost is per slot, not per win, and no log or exp is
+    taken per win. Lognormal, Pareto and empirical rewards, any streak
+    bonus, smaller shares and k = n stay on the thinned kernel;
   - in a k-ticket pool, the i-th distinct member hit waits
     Geometric((k - i)/n) slots after the previous one, and members are
     exchangeable, so one member's payoff is the payoff at a uniform rank.
 
   Geometric variates are drawn by inversion (Devroye, *Non-Uniform Random
-  Variate Generation*, 1986, ch. X.2). The holder's gaps, most of the
-  variates any run draws, invert a uniform, 1 + floor(log(1 - U) /
-  log1p(-p)): a uniform and a log cost less than an exponential, and each
-  pass inverts them in place in one buffer. The win-slot, ticket-payoff and
+  Variate Generation*, 1986, ch. X.2). The thinned holder kernel's gaps,
+  most of the variates a streak-bonus run draws, invert a uniform,
+  1 + floor(log(1 - U) / log1p(-p)): a uniform and a log cost less than an
+  exponential, and each pass inverts them in place in one buffer. The win-slot, ticket-payoff and
   pool samplers invert an exponential, ceil(Exp(1) / -log(1 - p)); they
   draw under 1% of the variates, and keeping their draws keeps their
   fixed-seed statistical tests on the same samples.
@@ -43,21 +52,26 @@ regardless of the worker count. A sampler called with a ``reduce``
 function applies it to each block where the block is drawn (inside the
 worker when a pool is used) and adds the returned sums in block order, so
 it holds one block per worker in flight and memory that does not grow with
-trials; the CLI and ``quantities.estimate`` run every ensemble this way.
+trials; the CLI and ``quantities.estimate`` run every ensemble this way. A
+process pool takes chunks of at most ``_CHUNK`` blocks, at most four per
+worker submitted and not yet merged, so the parent's memory is bounded too.
 Called without one, the public samplers return per-trajectory arrays,
 written into output arrays allocated once as the blocks come back.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DiscountCurve, EconomyParams
+from .core import ConstantReward, DiscountCurve, EconomyParams
 
 MARKET_HOLDER = "market"
 
@@ -66,6 +80,14 @@ MARKET_HOLDER = "market"
 _BLOCK = 4096        # tracked-ticket samplers (small state per trajectory)
 _PATH_BLOCK = 512    # holder-flow and pool samplers
 _WIN_CAP = 64        # holder wins drawn per trajectory in one holder-flow pass
+_CHUNK = 8           # most blocks a pool worker takes in one task
+_GROUP = 8           # slots whose wins one uniform picks in the win-pattern kernel
+_GROUPS = 24         # groups of _GROUP slots per trajectory in one win-pattern pass
+_CELLS = 1 << 14     # guide-table cells; a power of two, so U * _CELLS is exact
+
+# Holder shares k/n from which the win-pattern kernel (a fixed cost per slot)
+# is cheaper than the thinned one (a cost per win); measured, see CHANGES.md.
+_PATTERN_MIN_SHARE = 1 / 16
 
 TAIL_TOLERANCE = 1e-9
 
@@ -260,9 +282,28 @@ def _sample(kernel, head: tuple, trials: int, block: int, seed: int, stream: int
     if workers <= 1 or trials <= block:
         return merge(map(_run_block, tasks))
     from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
+    size = max(1, min(-(-trials // block) // (4 * workers), _CHUNK))
+    chunks = iter(lambda: list(itertools.islice(tasks, size)), [])
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        chunksize = max(1, -(-trials // block) // (workers * 4))
-        return merge(ex.map(_run_block, tasks, chunksize=chunksize))
+        return merge(itertools.chain.from_iterable(_windowed(ex, chunks, 4 * workers)))
+
+
+def _run_chunk(chunk: list) -> list:
+    return [_run_block(task) for task in chunk]
+
+
+def _windowed(ex, chunks, window: int):
+    """``_run_chunk`` over ``chunks`` in the pool ``ex``, results in chunk
+    order, with at most ``window`` chunks submitted and not yet merged, so
+    the parent holds a bounded number of tasks and results however many
+    blocks a run has."""
+    pending = deque()
+    for chunk in chunks:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(ex.submit(_run_chunk, chunk))
+    while pending:
+        yield pending.popleft().result()
 
 
 def _merge(results, trials: int) -> tuple:
@@ -440,6 +481,91 @@ def _holder_flow_block(rng, count, params, k, beta, price, horizon) -> tuple[np.
     return gross, gross - price * paid
 
 
+def _guide_table(cdf: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values[searchsorted(cdf, U, "right")]`` for the U of each of
+    ``_CELLS`` equal cells of [0, 1), or NaN where a CDF edge falls inside
+    the cell and the index depends on U (Chen & Asau 1974)."""
+    guide = values[np.searchsorted(cdf, np.arange(_CELLS) / _CELLS, side="right")]
+    for edge in cdf[:-1].tolist():
+        cell = edge * _CELLS            # exact: _CELLS is a power of two
+        if cell < _CELLS and cell != math.floor(cell):
+            guide[math.floor(cell)] = np.nan
+    return guide
+
+
+def _guided_lookup(u: np.ndarray, cells: np.ndarray, out: np.ndarray, guide: np.ndarray,
+                   cdf: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with ``values[searchsorted(cdf, U, "right")]`` for the
+    uniforms ``u``, through ``guide`` (see ``_guide_table``) and a search in
+    the cells it leaves NaN. ``u`` is left scaled by ``_CELLS``, ``cells``
+    holds its integer part; all three arrays are C-contiguous."""
+    np.multiply(u, _CELLS, out=u)
+    cells[...] = u
+    np.take(guide, cells, out=out, mode="clip")     # "raise" would buffer ``out``
+    miss = np.flatnonzero(np.isnan(out))
+    if miss.size:
+        out.reshape(-1)[miss] = values[np.searchsorted(cdf, u.reshape(-1)[miss] / _CELLS, side="right")]
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _pattern_tables(p: float, log_decay: float, tail: int) -> tuple:
+    """Win-pattern tables for the share p: (patterns, cdf, sums, tail_sums, guide).
+
+    Bit i of pattern j is a holder win at slot i + 1 of a group of _GROUP
+    slots, with probability p^w (1 - p)^(_GROUP - w) for w wins. Patterns
+    are ordered by falling probability (ties by index), which gathers the
+    improbable ones, and so the cells a CDF edge splits, at the top of the
+    CDF. Each CDF edge is its prefix sum rounded once, and the last is inf,
+    so every U < 1 lands. ``sums`` is each pattern's sum of x^(i+1) over its
+    wins, ``tail_sums`` the same over the first ``tail`` slots only, and
+    ``guide`` is ``sums`` by cell.
+    """
+    # Built in Python: numpy would page in sort, bit and integer code that
+    # no other kernel runs, which shows in a CLI process's peak RSS.
+    prob = [p ** j.bit_count() * (1.0 - p) ** (_GROUP - j.bit_count()) for j in range(1 << _GROUP)]
+    patterns = tuple(sorted(range(1 << _GROUP), key=lambda j: -prob[j]))     # stable: ties by index
+    ordered = [prob[j] for j in patterns]
+    cdf = np.array([math.fsum(ordered[:i]) for i in range(1, len(ordered))] + [np.inf])
+    x = [math.exp(i * log_decay) for i in range(1, _GROUP + 1)]
+    sums = np.array([math.fsum(x[i] for i in range(_GROUP) if j >> i & 1) for j in patterns])
+    tail_sums = np.array([math.fsum(x[i] for i in range(tail) if j >> i & 1) for j in patterns])
+    tables = cdf, sums, tail_sums, _guide_table(cdf, sums)
+    for table in tables:            # cached: every caller shares them
+        table.flags.writeable = False
+    return (patterns, *tables)
+
+
+def _pattern_flow_block(rng, count, p, c, d, price, horizon) -> tuple[np.ndarray, np.ndarray]:
+    """(gross, net) holder flows at a constant reward ``c`` and beta = 0.
+
+    The holder wins each slot independently with probability p, so one
+    uniform per group of _GROUP slots picks the group's whole win pattern by
+    inversion, through a guide table (Devroye 1986, ch. III.2.4): no gap,
+    log or exp is drawn per win. A pass takes _GROUPS groups per row and
+    weights them by one discount row x^(_GROUP g) shared by every row; a
+    last group that the horizon cuts short sums only its first slots.
+    """
+    log_decay = -math.log1p(d)
+    tail = horizon % _GROUP
+    _, cdf, sums, tail_sums, guide = _pattern_tables(p, log_decay, tail)
+    groups = -(-horizon // _GROUP)
+    width = min(_GROUPS, groups)
+    discount = np.exp(np.arange(width) * (_GROUP * log_decay))
+    u, cells, flows = np.empty(count * width), np.empty(count * width, np.intp), np.empty(count * width)
+    paid = np.zeros(count)          # discounted holder wins, each a replacement purchase
+    for lo in range(0, groups, width):
+        m = count * min(width, groups - lo)
+        view = u[:m].reshape(count, -1)
+        flow = _guided_lookup(rng.random(out=view), cells[:m].reshape(count, -1),
+                              flows[:m].reshape(count, -1), guide, cdf, sums)
+        if tail and lo + width >= groups:
+            flow[:, -1] = tail_sums[np.searchsorted(cdf, view[:, -1] / _CELLS, side="right")]
+        paid += np.einsum("ij,j->i", flow, discount[:flow.shape[1]] * math.exp(lo * _GROUP * log_decay))
+    gross = c * paid
+    return gross, gross - price * paid
+
+
 def _pool_payoff_block(rng, count, params, k, horizon) -> tuple[np.ndarray, np.ndarray, int]:
     # With i members already hit, the next fresh member is hit after a
     # Geometric((k - i)/n) wait, so hit i lands at the running sum.
@@ -528,8 +654,12 @@ def sample_holder_flows(
         raise ValueError(f"streak bonus coefficient must be >= 0, got {beta}")
     if horizon is None:
         horizon = discount_horizon(params.d)
-    head = (params, holder_tickets, beta, replacement_price, horizon)
-    return _sample(_holder_flow_block, head, trials, _PATH_BLOCK, seed, stream, workers, reduce)
+    p = holder_tickets / params.n
+    if isinstance(params.reward, ConstantReward) and beta == 0.0 and _PATTERN_MIN_SHARE <= p < 1.0:
+        kernel, head = _pattern_flow_block, (p, params.reward.value, params.d, replacement_price, horizon)
+    else:
+        kernel, head = _holder_flow_block, (params, holder_tickets, beta, replacement_price, horizon)
+    return _sample(kernel, head, trials, _PATH_BLOCK, seed, stream, workers, reduce)
 
 
 def sample_pool_payoffs(

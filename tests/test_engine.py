@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ticketsim import engine
 from ticketsim.analytics import (
     expected_slots_to_win,
     expected_ticket_value,
@@ -19,12 +21,20 @@ from ticketsim.analytics import (
 from ticketsim.core import ConstantReward, EconomyParams, RewardModel, calibrate_lognormal
 from ticketsim.engine import (
     _BLOCK,
+    _CELLS,
+    _GROUP,
     _PATH_BLOCK,
+    _PATTERN_MIN_SHARE,
     _WIN_CAP,
     MARKET_HOLDER,
     ReplacementRule,
+    _guide_table,
+    _guided_lookup,
     _holder_flow_block,
     _holder_gaps,
+    _pattern_flow_block,
+    _pattern_tables,
+    _sample,
     _scale_streaks,
     discount_horizon,
     init_state,
@@ -38,7 +48,7 @@ from ticketsim.engine import (
     win_horizon,
 )
 from ticketsim.market import MultiBlockSpec
-from ticketsim.quantities import Quantity, _variance_stderr, entries, estimate
+from ticketsim.quantities import Quantity, _variance_stderr, block_sums, entries, estimate
 
 
 def params_const(n, d=0.01, mu=1.0):
@@ -362,11 +372,12 @@ def test_holder_gaps_follow_the_geometric_law(p):
         assert abs(observed - exact) < 4.0 * math.sqrt(exact * (1.0 - exact) / draws), m
 
 
-@pytest.mark.parametrize("n, k, d", [(32, 4, 0.01), (8, 7, 0.05), (3, 1, 0.1)])
+@pytest.mark.parametrize("n, k, d", [(32, 4, 0.01), (8, 7, 0.05), (3, 1, 0.1), (64, 2, 0.01), (64, 63, 0.01)])
 def test_holder_flow_mean_and_variance_match_closed_forms(n, k, d):
     # At beta = 0 with constant reward c the holder wins each slot t <= H
     # independently with probability p, so gross = c * sum_t I_t x^t has mean
-    # c p sum x^t and variance c^2 p (1 - p) sum x^(2t).
+    # c p sum x^t and variance c^2 p (1 - p) sum x^(2t). The share 2/64 is
+    # below the win-pattern kernel's crossover, so the thinned kernel draws it.
     c, p = 2.5, k / n
     x = (1.0 + d) ** -np.arange(1, discount_horizon(d) + 1, dtype=np.float64)
     gross, _ = sample_holder_flows(params_const(n, d=d, mu=c), k, 20_000, seed=n + k)
@@ -374,6 +385,68 @@ def test_holder_flow_mean_and_variance_match_closed_forms(n, k, d):
     assert abs(gross.mean() - c * p * x.sum()) < 4.0 * se
     var, var_se = _variance_stderr(gross)
     assert abs(var - c * c * p * (1.0 - p) * np.sum(x * x)) < 4.0 * var_se
+
+
+@pytest.mark.parametrize("reward, n, k, beta, kernel", [
+    (ConstantReward(2.0), 32, 4, 0.0, "pattern"),
+    (ConstantReward(2.0), 64, 4, 0.0, "pattern"),       # the crossover share itself
+    (ConstantReward(2.0), 64, 63, 0.0, "pattern"),
+    (ConstantReward(2.0), 64, 3, 0.0, "thinned"),       # below the crossover
+    (ConstantReward(2.0), 32, 32, 0.0, "thinned"),      # k = n: every slot a win
+    (ConstantReward(2.0), 32, 4, 0.5, "thinned"),       # a streak bonus
+    (calibrate_lognormal(1.0, 1.0), 32, 4, 0.0, "thinned"),
+])
+def test_holder_flows_dispatch_to_the_pattern_kernel_only_where_it_applies(
+        reward, n, k, beta, kernel, monkeypatch):
+    called = []
+    for name in ("_pattern_flow_block", "_holder_flow_block"):
+        inner = getattr(engine, name)
+        monkeypatch.setattr(engine, name,
+                            lambda *a, _inner=inner, _name=name: called.append(_name) or _inner(*a))
+    assert 64 * _PATTERN_MIN_SHARE == 4     # the cases at n = 64 straddle the crossover
+    sample_holder_flows(EconomyParams(n, 0.05, reward), k, 100, seed=0, beta=beta)
+    assert called == ["_pattern_flow_block" if kernel == "pattern" else "_holder_flow_block"]
+
+
+def test_pattern_and_thinned_kernels_agree_at_the_crossover_share():
+    # The same config through both kernels, on two streams: the means of
+    # independent ensembles of the same law differ by less than 4 stderrs.
+    n, k, d, c, trials = 64, 4, 0.01, 2.5, 20_000
+    assert k / n == _PATTERN_MIN_SHARE
+    horizon = discount_horizon(d)
+    pattern, _ = _sample(_pattern_flow_block, (k / n, c, d, 0.0, horizon), trials, _PATH_BLOCK, 7, 0, 1)
+    thinned, _ = _sample(_holder_flow_block, (params_const(n, d=d, mu=c), k, 0.0, 0.0, horizon),
+                         trials, _PATH_BLOCK, 7, 1, 1)
+    se = math.hypot(pattern.std(ddof=1), thinned.std(ddof=1)) / math.sqrt(trials)
+    assert abs(pattern.mean() - thinned.mean()) < 4.0 * se
+
+
+# At p = 0.49 the CDF edges fall in the lowest cells, just off those of p = 1/2.
+@pytest.mark.parametrize("p", [1 / 2, 0.49, 1 / 8, 7 / 8, _PATTERN_MIN_SHARE, 1 - 2**-10])
+def test_guided_lookup_equals_a_search_of_the_pattern_cdf(p):
+    patterns, cdf, sums, _, guide = _pattern_tables(p, -math.log1p(0.01), 3)
+    # The 256 patterns, by falling probability, and a CDF that reaches 1.
+    prob = [p ** j.bit_count() * (1.0 - p) ** (_GROUP - j.bit_count()) for j in patterns]
+    assert sorted(patterns) == list(range(1 << _GROUP))
+    assert all(a >= b for a, b in zip(prob, prob[1:]))
+    assert abs(math.fsum(prob) - 1.0) <= 1e-15
+    assert abs(cdf[-2] + prob[-1] - 1.0) <= 1e-15 and cdf[-1] == np.inf
+    if p == 1 / 2:      # every CDF edge is a multiple of 1/256, so no cell is split
+        assert not np.isnan(guide).any()
+    # Uniforms on every cell edge, 1 ulp either side of it, and at random.
+    edges = np.arange(_CELLS) / _CELLS
+    u = np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0),
+                        np.random.default_rng(11).random(100_000)])
+    want = np.searchsorted(cdf, u, side="right")
+    ranks = np.arange(1 << _GROUP, dtype=np.float64)
+    got = _guided_lookup(u.copy(), np.empty(u.size, np.intp), np.empty(u.size), _guide_table(cdf, ranks),
+                         cdf, ranks)
+    assert np.array_equal(got, want)
+    # The kernel's own guide holds the sums of the same patterns.
+    cells = np.searchsorted(cdf, edges, side="right")
+    assert np.array_equal(np.isnan(guide), np.isnan(_guide_table(cdf, ranks)))
+    pure = ~np.isnan(guide)
+    assert np.array_equal(guide[pure], sums[cells[pure]])
 
 
 class _Recorded(RewardModel):
@@ -447,6 +520,57 @@ def test_holder_flow_block_matches_a_per_win_loop_on_recorded_draws(k, beta):
                        atol=1e-12 * float(np.max(want_gross + price * want_paid)))
 
 
+class _PlantingRng(_RecordingRng):
+    """A recording generator that overwrites half of each draw, and its last
+    column, with the ``planted`` uniforms before the kernel sees them."""
+
+    def __init__(self, rng, planted):
+        super().__init__(rng)
+        self.planted = planted
+
+    def random(self, *, out):
+        self.rng.random(out=out)
+        flat = out.reshape(-1)
+        flat[::2] = np.resize(self.planted, flat[::2].size)
+        out[:, -1] = np.resize(self.planted[::-1], out.shape[0])
+        self.uniforms.append(out.copy())
+        return out
+
+
+@pytest.mark.parametrize("horizon", [5, 243, 389])
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_pattern_flow_block_matches_a_per_slot_loop_on_recorded_draws(k, horizon):
+    # The kernel's guided lookup, discounting and horizon cut against a plain
+    # loop over the same uniforms: invert each by a search of the CDF, expand
+    # its pattern's bits into wins and sum x^t over the wins with t <= H. No
+    # horizon is a multiple of _GROUP; 389 slots take two whole passes and a
+    # pass of the cut last group alone. Half the uniforms sit on a CDF edge or
+    # 1 ulp from one, which splits its guide cell at shares 1/8 and 7/8.
+    n, d, c, price, count = 8, 0.05, 2.5, 0.3, 40
+    p = k / n
+    patterns, cdf, _, _, _ = _pattern_tables(p, -math.log1p(d), horizon % _GROUP)
+    edges = cdf[:-1][cdf[:-1] < 1.0]
+    planted = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    rng = _PlantingRng(np.random.default_rng(k), planted[np.random.default_rng(0).permutation(planted.size)])
+    gross, net = _pattern_flow_block(rng, count, p, c, d, price, horizon)
+
+    paid, lo = [0.0] * count, 0
+    for uniforms in rng.uniforms:
+        assert uniforms.shape[0] == count
+        for i in range(count):
+            for j, u in enumerate(uniforms[i]):
+                pattern = patterns[int(np.searchsorted(cdf, u, side="right"))]
+                for bit in range(_GROUP):
+                    t = _GROUP * (lo + j) + bit + 1
+                    if pattern >> bit & 1 and t <= horizon:
+                        paid[i] += (1.0 + d) ** -t
+        lo += uniforms.shape[1]
+    assert lo == -(-horizon // _GROUP)
+    paid = np.array(paid)
+    assert np.allclose(gross, c * paid, rtol=1e-12, atol=0.0)
+    assert np.allclose(net, (c - price) * paid, rtol=1e-12, atol=0.0)
+
+
 def test_holder_flows_validation():
     with pytest.raises(ValueError):
         sample_holder_flows(params_const(4), 0, 1000, seed=0)
@@ -512,10 +636,11 @@ def test_pool_payoffs_solo_matches_closed_forms():
 
 
 def test_holder_flow_and_pool_memory_independent_of_d():
-    # Holder flows draw at most a fixed number of wins per pass and pools
-    # one slot per member, so peak memory does not grow with the horizon. A
-    # holder-flow block holds one pass buffer of _WIN_CAP wins per row for
-    # its gaps, slots and weights, and one pass's rewards beside it.
+    # Holder flows draw at most a fixed number of wins (thinned kernel, k = 1)
+    # or slots (win-pattern kernel, k = 4) per pass and pools one slot per
+    # member, so peak memory does not grow with the horizon. A thinned block
+    # holds one pass buffer of _WIN_CAP wins per row for its gaps, slots and
+    # weights, and one pass's rewards beside it.
     def peak_mb(fn):
         tracemalloc.start()
         try:
@@ -525,10 +650,11 @@ def test_holder_flow_and_pool_memory_independent_of_d():
             tracemalloc.stop()
 
     buffer_mb = _PATH_BLOCK * _WIN_CAP * 8 / 1e6      # 256 KiB
-    holder = {d: peak_mb(lambda: sample_holder_flows(params_const(32, d=d), 4, _PATH_BLOCK, seed=3))
-              for d in (1e-2, 1e-4)}
-    assert holder[1e-4] < 3.0 * buffer_mb
-    assert holder[1e-4] <= 1.5 * holder[1e-2]
+    for k in (1, 4):
+        holder = {d: peak_mb(lambda: sample_holder_flows(params_const(32, d=d), k, _PATH_BLOCK, seed=3))
+                  for d in (1e-2, 1e-4)}
+        assert holder[1e-4] < 3.0 * buffer_mb, k
+        assert holder[1e-4] <= 1.5 * holder[1e-2], k
     pool = {h: peak_mb(lambda: sample_pool_payoffs(params_const(32), 4, 512, seed=3, horizon=h))
             for h in (1_000, 1_000_000)}
     assert pool[1_000_000] <= 1.5 * pool[1_000]
@@ -552,6 +678,35 @@ def test_block_merge_holds_one_copy_of_the_output():
     block, _ = peak(_BLOCK)
     total, output = peak(100_000)
     assert total < 1.25 * output + block
+
+
+def test_pool_holds_a_bounded_window_of_blocks():
+    # A pool run keeps at most a window of chunks of blocks submitted and not
+    # yet merged, so the parent's memory does not grow with the block count.
+    # Submitting every block's task at once holds ~0.4 kB a block, about
+    # 150 kB more at 1024 blocks than at 64. CPython keeps freed tuples on
+    # free lists that tracemalloc still counts, so warm runs under tracing
+    # fill them first.
+    params = params_const(32)
+    reduce = partial(block_sums, shifts=(32.0,), order=2)
+
+    def run(blocks):
+        sample_win_slots(params, blocks * _BLOCK, 1, horizon=40, workers=2, reduce=reduce)
+
+    def peak(blocks):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run(blocks)
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        run(1024)
+        run(1024)
+        small, large = peak(64), peak(1024)
+    finally:
+        tracemalloc.stop()
+    assert large - small < 40_000, (small, large)
 
 
 _DRIVER_CASES = {
