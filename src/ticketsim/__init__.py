@@ -7,7 +7,7 @@ The package splits into:
 * ``analytics`` closed-form valuations and the truncated-series oracle
 * ``engine``    the slot lottery state machine and Monte Carlo samplers
 * ``quantities`` one table of every quantity: closed form, oracle, estimator
-* ``market``    pricing policies, pooling, and the consecutive-win bonus
+* ``market``    pricing policies and the consecutive-win bonus
 * ``config`` / ``report`` / ``harness`` / ``cli``   experiment plumbing
 
 Importing the package loads no submodule (and so no numpy): each public
@@ -38,7 +38,7 @@ _EXPORTS = {
     ),
     "market": (
         "CaptureReport", "FairValue", "FixedDiscount", "FixedMargin", "MultiBlockSpec",
-        "PoolVarianceResult", "PricingPolicy", "pooled_variance_experiment", "protocol_capture",
+        "PricingPolicy", "protocol_capture",
     ),
     "quantities": ("Estimate", "Quantity", "estimate"),
 }

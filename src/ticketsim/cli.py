@@ -1,7 +1,8 @@
 """Command line entry point.
 
 Subcommands: analytic, verify, simulate, sweep, pricing, pool, multiblock.
-Flag precedence is flags > config file > defaults. Exit codes: 0 on success,
+Flag precedence is flags > config file > defaults. A config key that the
+command does not read is a configuration error. Exit codes: 0 on success,
 1 when the verify suite finds a failing row, 2 on configuration errors.
 """
 
@@ -19,7 +20,7 @@ from typing import Optional
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import ExperimentConfig, parse_config, read_raw_config
-from .errors import TicketSimError
+from .errors import ConfigError, TicketSimError
 from .harness import (
     run_analytic,
     run_multiblock,
@@ -39,6 +40,19 @@ _COMMANDS = {
     "pricing": "protocol capture under a pricing policy",
     "pool": "pooled vs solo payoff variance experiment",
     "multiblock": "consecutive-win bonus premium experiment",
+}
+
+# Which commands read each of these keys; any other command given one exits
+# 2 naming it. Every command reads n, d and reward, and accepts the run-wide
+# keys (seed, trials, workers, horizon, timings, output).
+_READ_BY = {
+    "policy": lambda command, cfg: command == "pricing",
+    "pool": lambda command, cfg: command == "pool",
+    "sweep": lambda command, cfg: command == "sweep",
+    "quantity": lambda command, cfg: command == "simulate",
+    "multiblock": lambda command, cfg: command == "multiblock" or (
+        command == "simulate" and cfg.quantity == "holder_value"),
+    "holder_share": lambda command, cfg: command not in ("pricing", "pool"),
 }
 
 
@@ -65,6 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The validated config of file and flags; a key the command does not
+    read is a ConfigError."""
     raw = read_raw_config(args.config) if args.config else {}
     for key in ("seed", "trials", "workers"):
         value = getattr(args, key)
@@ -79,7 +95,12 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         if args.format is not None:
             out["format"] = args.format
         raw["output"] = out
-    return parse_config(raw)
+    cfg = parse_config(raw)
+    for key, reads in _READ_BY.items():
+        if raw.get(key) is not None and not reads(args.command, cfg):
+            by = f"simulate of {cfg.quantity}" if args.command == "simulate" else args.command
+            raise ConfigError(key, f"not read by {by}")
+    return cfg
 
 
 def _print_rows(rows: list[ReportRow], failures: Optional[list[str]] = None) -> None:

@@ -231,6 +231,8 @@ def _parse_sweep(spec, path: str) -> SweepSpec:
         if parameter in ("beta", "k", "p"):
             raise ConfigError(f"{path}.quantity", f"not used when sweeping {parameter}")
         _expect_quantity(quantity, f"{path}.quantity", entries(oracle=True, estimator=True))
+    if "mc" in spec and parameter in ("beta", "k"):
+        raise ConfigError(f"{path}.mc", f"not used when sweeping {parameter}: it always samples")
     mc = spec.get("mc", False)
     if not isinstance(mc, bool):
         raise ConfigError(f"{path}.mc", f"expected true or false, got {mc!r}")

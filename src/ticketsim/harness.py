@@ -9,6 +9,9 @@ Monte Carlo gap |mc - closed|/closed in ``simulate``, ``multiblock`` and
 ``beta`` sweeps, and the sampled variance's gap to the solo variance's
 closed form in ``pool`` and ``k`` sweeps (|gap| on ``variance_gap``).
 
+Every sampled figure comes from the quantity layer: a table entry's
+estimate, or ``quantities.pool_variances`` for ``pool`` and ``k`` sweeps.
+
 Monte Carlo gates are bias-aware: a row passes when
 |mc_mean - closed_form| <= 4 * stderr + bias_bound, where the bias bound
 covers horizon truncation (for exact estimates with stderr 0 this reduces
@@ -22,13 +25,12 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from . import analytics
 from .analytics import truncated_series_sum
 from .config import ExperimentConfig
 from .core import ConstantReward, EconomyParams, LognormalReward, ParetoReward, calibrate_lognormal
 from .errors import ConfigError
-from .market import FairValue, pooled_variance_experiment, protocol_capture
-from .quantities import ORACLE_EPSILON, QUANTITIES, Entry, Quantity, Run, entries
+from .market import FairValue, protocol_capture
+from .quantities import ORACLE_EPSILON, QUANTITIES, Entry, Quantity, Run, entries, pool_variances
 from .report import ReportRow, make_row, relative_gap
 
 ORACLE_TOLERANCE = 1e-9    # closed form vs oracle acceptance
@@ -199,16 +201,11 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[ReportRow], dict[str, bool]]:
             run.beta = float(value)
             row = _mc_row(value, QUANTITIES[quantity], run)
         elif sweep.parameter == "k":
-            result = pooled_variance_experiment(
-                params, int(value), cfg.trials, cfg.seed,
-                workers=cfg.workers, horizon=cfg.horizon,
-            )
-            closed = analytics.ticket_value_variance(params.mu, params.var_r, d, n)
-            row = make_row(
-                value, closed, result.pooled_per_ticket_variance,
-                result.pooled_variance_stderr, cfg.trials,
-                relative_gap(result.solo_variance, closed),
-            )
+            variances = pool_variances(run, int(value))
+            closed = QUANTITIES[Quantity.TICKET_VALUE_VARIANCE].closed(run)
+            pooled, stderr = variances["pooled_per_ticket_variance"]
+            solo = variances["solo_variance"][0]
+            row = make_row(value, closed, pooled, stderr, cfg.trials, relative_gap(solo, closed))
         else:
             entry = QUANTITIES[quantity]
             row = _oracle_row(value, entry, run)
@@ -266,20 +263,11 @@ def run_pool(cfg: ExperimentConfig) -> list[ReportRow]:
     """Pooled vs solo payoff variance for the configured pool size."""
     if cfg.pool_size is None:
         raise ConfigError("pool", "pool command needs a pool section")
-    params = cfg.params
-    result = pooled_variance_experiment(
-        params, cfg.pool_size, cfg.trials, cfg.seed,
-        workers=cfg.workers, horizon=cfg.horizon,
-    )
-    solo_closed = analytics.ticket_value_variance(params.mu, params.var_r, cfg.d, cfg.n)
-    sampled = [
-        ("solo_variance", solo_closed, result.solo_variance, result.solo_variance_stderr),
-        ("pooled_per_ticket_variance", solo_closed, result.pooled_per_ticket_variance,
-         result.pooled_variance_stderr),
-        ("variance_gap", 0.0, result.variance_gap, result.gap_stderr),
-    ]
-    return [make_row(name, closed, value, stderr, cfg.trials, relative_gap(value, closed))
-            for name, closed, value, stderr in sampled]
+    run = _run(cfg, cfg.params, None)
+    solo = QUANTITIES[Quantity.TICKET_VALUE_VARIANCE].closed(run)
+    closed = {"solo_variance": solo, "pooled_per_ticket_variance": solo, "variance_gap": 0.0}
+    return [make_row(name, closed[name], value, stderr, cfg.trials, relative_gap(value, closed[name]))
+            for name, (value, stderr) in pool_variances(run, cfg.pool_size).items()]
 
 
 def run_multiblock(cfg: ExperimentConfig) -> list[ReportRow]:

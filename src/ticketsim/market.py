@@ -1,10 +1,11 @@
 """Parametric market-side models: primary-sale pricing and protocol capture,
-equal-share pooling, and the consecutive-win (multi-block) bonus.
+and the consecutive-win (multi-block) bonus.
 
-Pooling is a payout overlay only; it never changes draw mechanics. The
-multi-block bonus is a modeling choice kept deliberately simple: realized
+The multi-block bonus is a modeling choice kept deliberately simple: realized
 reward = r * (1 + beta * (streak - 1)), linear in the current holder's
 consecutive-win streak, with beta = 0 reducing exactly to the base model.
+Nothing here samples: the pool's variances and every Monte Carlo estimate
+are in ``quantities``.
 """
 
 from __future__ import annotations
@@ -12,14 +13,11 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import partial
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 from .analytics import expected_ticket_value, npv_rewards
 from .core import EconomyParams
-from .engine import sample_pool_payoffs
 from .errors import NegativePriceError
-from .quantities import paired_stderr, pool_sums, ticket_mean
 
 
 # ---------------------------------------------------------------------------
@@ -110,70 +108,6 @@ def protocol_capture(policy: PricingPolicy, params: EconomyParams) -> CaptureRep
         per_slot_stream_npv=per_slot_stream_npv,
         total=total,
         leakage=leakage,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Pooling
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PoolVarianceResult:
-    """Solo vs pooled per-ticket payoff variance from one common ensemble."""
-
-    solo_variance: float
-    solo_variance_stderr: float
-    pooled_per_ticket_variance: float
-    pooled_variance_stderr: float
-    ratio: float
-    variance_gap: float        # pooled_per_ticket_variance - solo_variance
-    gap_stderr: float
-    trials: int
-    pool_tickets: int
-    truncated: int
-
-
-def pooled_variance_experiment(
-    params: EconomyParams,
-    k: int,
-    trials: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    horizon: Optional[int] = None,
-    stream: int = 0,
-) -> PoolVarianceResult:
-    """Simulate a k-of-n equal-share pool and compare per-ticket payoff
-    variance against a solo ticket from the same trajectories.
-
-    Both variances come from the same trajectories, so the gap's standard
-    error is that of the mean paired difference of squared deviations. Each
-    block is reduced to its sums where it is drawn (``quantities.pool_sums``).
-    """
-    if k > params.n:
-        raise ValueError(f"pool size {k} exceeds ticket count n={params.n}")
-    if trials < 2:
-        raise ValueError(f"a sample variance needs at least 2 trials, got {trials}")
-    member_mean, solo, truncated, paired = sample_pool_payoffs(
-        params, k, trials, seed, horizon=horizon, workers=workers, stream=stream,
-        reduce=partial(pool_sums, shift=ticket_mean(params)),
-    )
-    solo_var, solo_stderr = solo.variance_stderr()
-    pooled_var, pooled_stderr = member_mean.variance_stderr()
-    gap_stderr = paired_stderr(paired)
-
-    return PoolVarianceResult(
-        solo_variance=solo_var,
-        solo_variance_stderr=solo_stderr,
-        pooled_per_ticket_variance=pooled_var,
-        pooled_variance_stderr=pooled_stderr,
-        ratio=pooled_var / solo_var if solo_var > 0.0 else float("nan"),
-        variance_gap=pooled_var - solo_var,
-        gap_stderr=gap_stderr,
-        trials=trials,
-        pool_tickets=k,
-        truncated=truncated,
     )
 
 

@@ -7,6 +7,8 @@ bound on the bias that horizon truncation leaves. A command uses every entry
 that has the fields it needs: ``verify`` those with an oracle, ``analytic``
 and ``sweep`` those with an oracle and an estimator, ``simulate`` those with
 an estimator, and ``multiblock`` and a ``beta`` sweep ``holder_value``.
+``pool`` and a ``k`` sweep read ``pool_variances``, which draws the pool
+ensemble: the pooled variance has no closed form yet, so it has no entry.
 
 Entries reach the samplers and the series oracle through their modules at
 call time, so that anything wrapping a module attribute (a profiler, a
@@ -344,6 +346,27 @@ def paired_stderr(paired: np.ndarray) -> float:
     squares = float((weights * paired).sum())
     var = max((squares - total * total / n) / (n - 1.0), 0.0)
     return _zero_degenerate(math.sqrt(var / n), total / n)
+
+
+def pool_variances(run: Run, k: int) -> dict[str, tuple[float, float]]:
+    """(value, stderr) of a solo ticket's payoff variance, of the per-ticket
+    variance of a k-ticket equal-share pool and of their gap (pooled - solo),
+    from one pool ensemble on stream 0, keyed by row name.
+
+    The sampler takes the configured horizon, not ``run.win_horizon``: its
+    own default tightens the tail tolerance to 1e-9 / k, one tail per member.
+    Both variances come from the same trajectories, so the gap's stderr is
+    that of the mean paired difference of squared deviations.
+    """
+    member, solo, _, paired = engine.sample_pool_payoffs(
+        run.params, k, run.trials, run.seed, horizon=run.horizon, workers=run.workers,
+        stream=0, reduce=partial(pool_sums, shift=ticket_mean(run.params)))
+    solo_var, pooled_var = solo.variance_stderr(), member.variance_stderr()
+    return {
+        "solo_variance": solo_var,
+        "pooled_per_ticket_variance": pooled_var,
+        "variance_gap": (pooled_var[0] - solo_var[0], paired_stderr(paired)),
+    }
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:

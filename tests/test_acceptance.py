@@ -14,6 +14,8 @@ import numpy as np
 import ticketsim as ts
 from ticketsim.analytics import truncated_series_sum
 from ticketsim.cli import main
+from ticketsim.config import parse_config
+from ticketsim.harness import run_pool
 from ticketsim.quantities import _variance_stderr
 
 EPS = 1e-12
@@ -236,16 +238,18 @@ def test_criterion_09_multiblock_bonus():
 
 
 def test_criterion_10_pooling_variance_reduction():
-    params = ts.EconomyParams(
-        n=64, d=0.01, reward=ts.calibrate_lognormal(1.0, math.sqrt(math.log(2.0)))
-    )
-    result = ts.pooled_variance_experiment(params, 16, 100_000, seed=1010)
-    assert result.pooled_per_ticket_variance < result.solo_variance
-    assert result.variance_gap < -3.0 * result.gap_stderr
+    reward = {"kind": "lognormal", "mean": 1.0, "sigma_log": math.sqrt(math.log(2.0))}
+    cfg = parse_config({"n": 64, "d": 0.01, "reward": reward, "pool": {"k": 16},
+                        "trials": 100_000, "seed": 1010})
+    rows = {row.swept_value: row for row in run_pool(cfg)}
+    solo, pooled, gap = (rows[name] for name in
+                         ("solo_variance", "pooled_per_ticket_variance", "variance_gap"))
+    assert pooled.mc_mean < solo.mc_mean
+    assert gap.mc_mean < -3.0 * gap.mc_stderr
     report(
         10,
-        f"solo {result.solo_variance:.4f} -> pooled {result.pooled_per_ticket_variance:.4f}, "
-        f"gap = {result.variance_gap / result.gap_stderr:.0f} stderr",
+        f"solo {solo.mc_mean:.4f} -> pooled {pooled.mc_mean:.4f}, "
+        f"gap = {gap.mc_mean / gap.mc_stderr:.0f} stderr",
     )
 
 

@@ -114,6 +114,15 @@ def test_config_sweep_quantity_rejected_for_experiment_parameters(parameter):
         parse_config({**MINIMAL, "sweep": sweep})
 
 
+@pytest.mark.parametrize("mc", [False, True])
+@pytest.mark.parametrize("parameter", ["beta", "k"])
+def test_config_sweep_mc_rejected_for_sampled_parameters(parameter, mc):
+    # beta and k sweeps always sample, so "mc" would be ignored.
+    sweep = {"parameter": parameter, "values": [1], "mc": mc}
+    with pytest.raises(ConfigError, match=f"sweep.mc: not used when sweeping {parameter}"):
+        parse_config({**MINIMAL, "sweep": sweep})
+
+
 def test_config_reward_kinds():
     lognormal = parse_config({**MINIMAL, "reward": {"kind": "lognormal", "mean": 2.0, "sigma_log": 0.5}})
     assert math.isclose(lognormal.reward.mean(), 2.0, rel_tol=1e-12)
@@ -609,6 +618,72 @@ def test_cli_pricing_pool_multiblock_smoke(tmp_path):
     assert main(["pool", "--config", str(pool)]) == 0
     multi = _write_config(tmp_path, multiblock={"beta": 0.25}, holder_share=0.25)
     assert main(["multiblock", "--config", str(multi)]) == 0
+
+
+_KEY_VALUES = {
+    "policy": {"kind": "fair_value"},
+    "pool": {"k": 2},
+    "sweep": {"parameter": "n", "values": [8]},
+    "quantity": "ticket_value",
+    "multiblock": {"beta": 0.5},
+    "holder_share": 0.25,
+}
+# The keys above that each command reads; every command reads the rest.
+_READS = {
+    "analytic": {"holder_share"},
+    "verify": {"holder_share"},
+    "simulate": {"quantity", "holder_share"},
+    "sweep": {"sweep", "holder_share"},
+    "pricing": {"policy"},
+    "pool": {"pool"},
+    "multiblock": {"multiblock", "holder_share"},
+}
+_REQUIRED = {"sweep": "sweep", "pool": "pool", "multiblock": "multiblock"}
+
+
+def _command_config(tmp_path, command, *keys, **overrides):
+    """A config for ``command`` with its required section and ``keys``."""
+    names = {_REQUIRED.get(command), *keys} - {None}
+    return _write_config(tmp_path, **{name: _KEY_VALUES[name] for name in names}, **overrides)
+
+
+@pytest.mark.parametrize("key", list(_KEY_VALUES))
+@pytest.mark.parametrize("command", list(_READS))
+def test_cli_rejects_a_key_its_command_does_not_read(tmp_path, capsys, command, key):
+    code = main([command, "--config", str(_command_config(tmp_path, command, key))])
+    if key in _READS[command]:
+        assert code == 0
+    else:
+        assert code == 2
+        assert f"{key}: not read by {command}" in capsys.readouterr().err
+
+
+def test_cli_simulate_reads_multiblock_only_for_holder_value(tmp_path, capsys):
+    config = _write_config(tmp_path, quantity="holder_value", holder_share=0.25,
+                           multiblock={"beta": 0.5})
+    assert main(["simulate", "--config", str(config)]) == 0
+    config = _write_config(tmp_path, quantity="ticket_value", multiblock={"beta": 0.5})
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert "multiblock: not read by simulate of ticket_value" in capsys.readouterr().err
+
+
+def test_cli_run_wide_keys_accepted_by_every_command(tmp_path):
+    run_wide = {"workers": 1, "horizon": 2000, "timings": False, "output": {"format": "csv"}}
+    for command in _READS:
+        assert main([command, "--config", str(_command_config(tmp_path, command, **run_wide))]) == 0
+
+
+@pytest.mark.parametrize("command,section", [
+    ("pool", {"pool": {"k": 4}}),
+    ("sweep", {"sweep": {"parameter": "k", "values": [1, 2, 8]}}),
+])
+def test_cli_pool_reports_byte_identical_across_workers(tmp_path, command, section):
+    config = _write_config(tmp_path, **section)
+    paths = [tmp_path / f"w{workers}.csv" for workers in (1, 2)]
+    for workers, path in zip((1, 2), paths):
+        argv = [command, "--config", str(config), "--workers", str(workers), "--out", str(path)]
+        assert main(argv) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_cli_import_and_serial_run_leave_the_process_pool_unloaded():

@@ -21,11 +21,10 @@ from ticketsim.market import (
     FixedDiscount,
     FixedMargin,
     MultiBlockSpec,
-    pooled_variance_experiment,
     protocol_capture,
 )
 from ticketsim.harness import _mc_gate
-from ticketsim.quantities import QUANTITIES, Quantity, Run, estimate
+from ticketsim.quantities import QUANTITIES, Quantity, Run, estimate, pool_variances
 
 
 def params_const(n, d=0.01, mu=1.0):
@@ -99,51 +98,49 @@ def test_margin_exceeding_value_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Pooled variance experiment
+# Pooled variances
 # ---------------------------------------------------------------------------
+
+
+def _pool(params, k, trials, seed):
+    return pool_variances(Run(params, trials=trials, seed=seed), k)
 
 
 def test_pooled_variance_degenerate_pool():
     # A pool of one: the mean and the solo payoff coincide, and so do their sums.
-    result = pooled_variance_experiment(params_const(8, d=0.05), 1, 5_000, seed=3)
-    assert result.ratio == 1.0
-    assert result.variance_gap == 0.0
-    assert result.gap_stderr == 0.0
+    result = _pool(params_const(8, d=0.05), 1, 5_000, seed=3)
+    assert result["pooled_per_ticket_variance"] == result["solo_variance"]
+    assert result["variance_gap"] == (0.0, 0.0)
 
 
 def test_pooled_variance_rejects_oversized_pool():
-    with pytest.raises(ValueError):
-        pooled_variance_experiment(params_const(8), 9, 5_000, seed=3)
-
-
-def test_pooled_variance_needs_two_trials():
-    with pytest.raises(ValueError, match="at least 2 trials"):
-        pooled_variance_experiment(params_const(8), 2, 1, seed=3)
+    with pytest.raises(ValueError, match="pool size"):
+        _pool(params_const(8), 9, 5_000, seed=3)
 
 
 def test_pooled_variance_reduction():
     params = EconomyParams(n=16, d=0.05, reward=calibrate_lognormal(1.0, 1.0))
-    result = pooled_variance_experiment(params, 8, 20_000, seed=12)
-    assert result.pooled_per_ticket_variance < result.solo_variance
-    assert result.variance_gap < -3.0 * result.gap_stderr
-    assert result.ratio < 1.0
+    result = _pool(params, 8, 20_000, seed=12)
+    gap, gap_stderr = result["variance_gap"]
+    assert result["pooled_per_ticket_variance"][0] < result["solo_variance"][0]
+    assert gap < -3.0 * gap_stderr
 
 
 def test_full_pool_still_below_solo():
     # k = n: only reward draws and timing spread remain per ticket;
     # averaging n one-shot claims stays strictly below one claim's variance.
     params = EconomyParams(n=16, d=0.05, reward=calibrate_lognormal(1.0, 1.0))
-    result = pooled_variance_experiment(params, 16, 20_000, seed=13)
-    assert result.variance_gap < -3.0 * result.gap_stderr
+    gap, gap_stderr = _pool(params, 16, 20_000, seed=13)["variance_gap"]
+    assert gap < -3.0 * gap_stderr
 
 
 def test_pooled_solo_variance_matches_formula():
     from ticketsim.analytics import ticket_value_variance
 
     params = EconomyParams(n=16, d=0.05, reward=calibrate_lognormal(1.0, 1.0))
-    result = pooled_variance_experiment(params, 4, 50_000, seed=18)
+    solo, solo_stderr = _pool(params, 4, 50_000, seed=18)["solo_variance"]
     closed = ticket_value_variance(1.0, math.e - 1.0, 0.05, 16)
-    assert abs(result.solo_variance - closed) < 4.0 * result.solo_variance_stderr
+    assert abs(solo - closed) < 4.0 * solo_stderr
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,12 @@ def test_package_import_loads_nothing_and_sets_no_blas_threads():
     assert _python(code) == "None False []"
 
 
+def test_market_loads_neither_the_samplers_nor_the_quantity_layer():
+    code = ("import sys, ticketsim.market; "
+            "print([m in sys.modules for m in ('ticketsim.engine', 'ticketsim.quantities')])")
+    assert _python(code) == "[False, False]"
+
+
 def test_public_names_resolve_lazily():
     for name in ticketsim.__all__:
         assert getattr(ticketsim, name) is not None

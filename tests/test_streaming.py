@@ -2,6 +2,7 @@
 statistics as the array helpers on the same sampler arrays."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from ticketsim.config import parse_config
 from ticketsim.core import ConstantReward, EconomyParams, EmpiricalReward, ParetoReward, calibrate_lognormal
 from ticketsim.engine import _BLOCK, _PATH_BLOCK, sample_pool_payoffs
 from ticketsim.harness import run_pool, run_verify
-from ticketsim.market import pooled_variance_experiment
-from ticketsim.quantities import Quantity, Run, _mean_stderr, _variance_stderr, entries, estimate, power_sums
+from ticketsim.quantities import (
+    Quantity, Run, _mean_stderr, _variance_stderr, entries, estimate, pool_sums, pool_variances,
+    power_sums, ticket_mean,
+)
 
 # A streamed run holds a block per ensemble in flight, whatever its trials;
 # this allows a few blocks of the tracked samplers' float64 output.
@@ -95,29 +98,27 @@ def test_streamed_estimates_match_the_array_statistics(reward, monkeypatch):
 def test_streamed_pool_rows_match_the_array_statistics(reward):
     params = EconomyParams(n=16, d=0.05, reward=_REWARDS[reward])
     trials = 5 * _PATH_BLOCK + 37
-    result = pooled_variance_experiment(params, 4, trials, 3)
+    streamed = pool_variances(Run(params, trials=trials, seed=3), 4)
     member, solo, truncated = sample_pool_payoffs(params, 4, trials, 3)
     paired = (member - member.mean()) ** 2 - (solo - solo.mean()) ** 2
     array = {
-        "solo": _variance_stderr(solo),
-        "pooled": _variance_stderr(member),
-        "gap": (member.var(ddof=1) - solo.var(ddof=1), _mean_stderr(paired)[1]),
+        "solo_variance": _variance_stderr(solo),
+        "pooled_per_ticket_variance": _variance_stderr(member),
+        "variance_gap": (member.var(ddof=1) - solo.var(ddof=1), _mean_stderr(paired)[1]),
     }
-    streamed = {
-        "solo": (result.solo_variance, result.solo_variance_stderr),
-        "pooled": (result.pooled_per_ticket_variance, result.pooled_variance_stderr),
-        "gap": (result.variance_gap, result.gap_stderr),
-    }
+    assert streamed.keys() == array.keys()
     for row in array:
         assert all(map(_close, streamed[row], array[row])), row
-    assert result.truncated == truncated
+    # The reduced blocks keep the truncated count.
+    reduce = partial(pool_sums, shift=ticket_mean(params))
+    assert sample_pool_payoffs(params, 4, trials, 3, reduce=reduce)[2] == truncated
 
 
 def test_streamed_pool_is_worker_invariant():
     params = EconomyParams(n=16, d=0.05, reward=calibrate_lognormal(1.0, 1.0))
     trials = 3 * _PATH_BLOCK + 37
-    serial = pooled_variance_experiment(params, 4, trials, 5, workers=1)
-    parallel = pooled_variance_experiment(params, 4, trials, 5, workers=2)
+    serial = pool_variances(Run(params, trials=trials, seed=5, workers=1), 4)
+    parallel = pool_variances(Run(params, trials=trials, seed=5, workers=2), 4)
     assert serial == parallel
 
 
