@@ -1,9 +1,10 @@
 """Command line entry point.
 
 Subcommands: analytic, verify, simulate, sweep, pricing, pool, multiblock.
-Flag precedence is flags > config file > defaults. A config key that the
-command does not read is a configuration error. Exit codes: 0 on success,
-1 when the verify suite finds a failing row, 2 on configuration errors.
+Flag precedence is flags > config file > defaults. ``config.resolve`` rejects
+a key that the command does not read and gives the config that the report
+echoes. Exit codes: 0 on success, 1 when the verify suite finds a failing
+row, 2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Optional
 # value the user has set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .config import ExperimentConfig, parse_config, read_raw_config
-from .errors import ConfigError, TicketSimError
+from .config import ExperimentConfig, read_raw_config, resolve
+from .errors import TicketSimError
 from .harness import (
     run_analytic,
     run_multiblock,
@@ -41,20 +42,6 @@ _COMMANDS = {
     "pool": "pooled vs solo payoff variance experiment",
     "multiblock": "consecutive-win bonus premium experiment",
 }
-
-# Which commands read each of these keys; any other command given one exits
-# 2 naming it. Every command reads n, d and reward, and accepts the run-wide
-# keys (seed, trials, workers, horizon, timings, output).
-_READ_BY = {
-    "policy": lambda command, cfg: command == "pricing",
-    "pool": lambda command, cfg: command == "pool",
-    "sweep": lambda command, cfg: command == "sweep",
-    "quantity": lambda command, cfg: command == "simulate",
-    "multiblock": lambda command, cfg: command == "multiblock" or (
-        command == "simulate" and cfg.quantity == "holder_value"),
-    "holder_share": lambda command, cfg: command not in ("pricing", "pool"),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -78,9 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The validated config of file and flags; a key the command does not
-    read is a ConfigError."""
+def _merge_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
+    """The validated config of file and flags, and the report's echo of it;
+    a key the command does not read is a ConfigError."""
     raw = read_raw_config(args.config) if args.config else {}
     for key in ("seed", "trials", "workers"):
         value = getattr(args, key)
@@ -95,12 +82,7 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         if args.format is not None:
             out["format"] = args.format
         raw["output"] = out
-    cfg = parse_config(raw)
-    for key, reads in _READ_BY.items():
-        if raw.get(key) is not None and not reads(args.command, cfg):
-            by = f"simulate of {cfg.quantity}" if args.command == "simulate" else args.command
-            raise ConfigError(key, f"not read by {by}")
-    return cfg
+    return resolve(raw, args.command)
 
 
 def _print_rows(rows: list[ReportRow], failures: Optional[list[str]] = None) -> None:
@@ -119,16 +101,11 @@ def _print_rows(rows: list[ReportRow], failures: Optional[list[str]] = None) -> 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = _merge_config(args)
-    except TicketSimError as exc:
-        print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-
-    started = time.perf_counter()
     verdicts: dict[str, bool] = {}
     failures: Optional[list[str]] = None
     try:
+        cfg, echo = _merge_config(args)
+        started = time.perf_counter()
         if args.command == "analytic":
             rows = run_analytic(cfg)
         elif args.command == "verify":
@@ -149,7 +126,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
     elapsed = time.perf_counter() - started
-    print(f"ticketsim {args.command}  n={cfg.n} d={cfg.d} reward={cfg.reward_spec['kind']} "
+    print(f"ticketsim {args.command}  n={cfg.n} d={cfg.d} reward={cfg.reward.kind} "
           f"seed={cfg.seed} trials={cfg.trials} workers={cfg.workers}")
     _print_rows(rows, failures)
     for name in sorted(verdicts):
@@ -157,8 +134,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     print(f"elapsed: {elapsed:.2f}s")
 
     if cfg.output_path is not None:
-        emit_report(rows, cfg.output_format, cfg.output_path,
-                    config=cfg.resolved_dict(), verdicts=verdicts or None)
+        emit_report(rows, cfg.output_format, cfg.output_path, config=echo, verdicts=verdicts or None)
         print(f"report written to {cfg.output_path}")
 
     if failures:

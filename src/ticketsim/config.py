@@ -1,16 +1,19 @@
 """Experiment configuration: a JSON file validated into typed objects.
 
-Precedence is CLI flags > file keys > defaults. Every run echoes the fully
-resolved configuration (defaults materialized, derived horizons included)
-into its report so the run is reproducible from the artifact alone.
+Precedence is CLI flags > file keys > defaults. ``resolve`` decides from one
+table which keys a command reads: it rejects a key that the command does not
+read, and builds the report's echo from every key that it does read, with
+defaults materialized and each section normalized by its parser. The echo is
+a config the same command accepts, and running it again reproduces the
+report byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Any, Optional
+from dataclasses import asdict, dataclass
+from typing import Optional
 
 from .core import (
     ConstantReward,
@@ -21,18 +24,12 @@ from .core import (
     calibrate_lognormal,
     load_empirical_rewards,
 )
-from .engine import discount_horizon, win_horizon
 from .errors import ConfigError
 from .market import FairValue, FixedDiscount, FixedMargin, MultiBlockSpec, PricingPolicy
-from .quantities import Quantity, entries
+from .quantities import Quantity, entries, holder_tickets
 
 SWEEP_PARAMETERS = ("n", "d", "mu", "sigma_log", "beta", "k", "p")
 OUTPUT_FORMATS = ("csv", "jsonl")
-
-_TOP_KEYS = {
-    "seed", "trials", "workers", "n", "d", "reward", "quantity", "holder_share",
-    "horizon", "sweep", "policy", "pool", "multiblock", "output", "timings",
-}
 
 DEFAULTS = {
     "seed": 42,
@@ -45,7 +42,27 @@ DEFAULTS = {
     "holder_share": None,
     "horizon": None,
     "timings": False,
+    "policy": {"kind": "fair_value"},
 }
+
+
+# Which commands read each key: a command given a key it does not read exits
+# 2 naming it, and its report echoes every key it reads.
+_READ_BY = {
+    **dict.fromkeys(("seed", "trials", "n", "d", "reward", "horizon", "timings"), lambda command, cfg: True),
+    "quantity": lambda command, cfg: command == "simulate",
+    # A p sweep's values replace the share, and a k sweep's pool reads none.
+    "holder_share": lambda command, cfg: command not in ("pricing", "pool") and not (
+        command == "sweep" and cfg.sweep is not None and cfg.sweep.parameter in ("p", "k")),
+    "sweep": lambda command, cfg: command == "sweep",
+    "policy": lambda command, cfg: command == "pricing",
+    "pool": lambda command, cfg: command == "pool",
+    "multiblock": lambda command, cfg: command == "multiblock" or (
+        command == "simulate" and cfg.quantity == Quantity.HOLDER_VALUE.value),
+}
+# Accepted by every command and echoed by none: no report's bytes depend on them.
+_UNECHOED = ("workers", "output")
+_TOP_KEYS = {*_READ_BY, *_UNECHOED}
 
 
 @dataclass(frozen=True)
@@ -64,12 +81,11 @@ class ExperimentConfig:
     n: int
     d: float
     reward: RewardModel
-    reward_spec: dict
     quantity: str
     holder_share: Optional[float]
     horizon: Optional[int]
     sweep: Optional[SweepSpec]
-    policy: Optional[PricingPolicy]
+    policy: PricingPolicy
     pool_size: Optional[int]     # k tickets sharing their payoffs equally
     multiblock: Optional[MultiBlockSpec]
     output_path: Optional[str]
@@ -79,50 +95,6 @@ class ExperimentConfig:
     @property
     def params(self) -> EconomyParams:
         return EconomyParams(n=self.n, d=self.d, reward=self.reward)
-
-    def resolved_dict(self) -> dict:
-        """Fully materialized configuration for report embedding.
-
-        Only keys that determine results are echoed: worker count and output
-        destination are deliberately excluded so that reports stay
-        byte-identical across worker counts and file locations.
-        """
-        out: dict[str, Any] = {
-            "seed": self.seed,
-            "trials": self.trials,
-            "n": self.n,
-            "d": self.d,
-            "reward": dict(self.reward_spec),
-            "quantity": self.quantity,
-            "holder_share": self.holder_share,
-            "horizon": self.horizon,
-            "timings": self.timings,
-            "derived": {
-                "win_horizon": win_horizon(self.n),
-                "discount_horizon": discount_horizon(self.d),
-                "reward_mean": self.reward.mean(),
-                "reward_variance": self.reward.variance(),
-            },
-        }
-        if self.sweep is not None:
-            out["sweep"] = {
-                "parameter": self.sweep.parameter,
-                "values": list(self.sweep.values),
-                "quantity": self.sweep.quantity,
-                "mc": self.sweep.mc,
-            }
-        if self.policy is not None:
-            spec = {"kind": self.policy.kind}
-            if isinstance(self.policy, FixedMargin):
-                spec["margin"] = self.policy.margin
-            elif isinstance(self.policy, FixedDiscount):
-                spec["discount"] = self.policy.discount
-            out["policy"] = spec
-        if self.pool_size is not None:
-            out["pool"] = {"k": self.pool_size}
-        if self.multiblock is not None:
-            out["multiblock"] = {"beta": self.multiblock.beta}
-        return out
 
 
 def _expect_mapping(value, path: str) -> dict:
@@ -154,10 +126,21 @@ def _expect_number(value, path: str, minimum=None, exclusive_min=None, maximum=N
     return x
 
 
-def _expect_quantity(value, path: str, choices) -> None:
+def _expect_bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(path, f"expected true or false, got {value!r}")
+    return value
+
+
+def _expect_quantity(value, path: str, choices) -> str:
     names = [quantity.value for quantity, _ in choices]
     if value not in names:
         raise ConfigError(path, f"expected one of {names}, got {value!r}")
+    return value
+
+
+def _optional(value, path: str, expect, **bounds):
+    return None if value is None else expect(value, path, **bounds)
 
 
 def _check_keys(mapping: dict, allowed: set, path: str) -> None:
@@ -198,7 +181,7 @@ def _parse_reward(spec, path: str) -> tuple[RewardModel, dict]:
             model = load_empirical_rewards(csv_path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{path}.path", str(exc)) from exc
-        return model, {"kind": "empirical", "path": csv_path, "count": int(model.values.size)}
+        return model, {"kind": "empirical", "path": csv_path}
     raise ConfigError(
         f"{path}.kind", f"expected one of constant/lognormal/pareto/empirical, got {kind!r}"
     )
@@ -215,7 +198,7 @@ _SWEEP_DOMAINS = {
 }
 
 
-def _parse_sweep(spec, path: str) -> SweepSpec:
+def _parse_sweep(spec, path: str) -> tuple[SweepSpec, dict]:
     spec = _expect_mapping(spec, path)
     _check_keys(spec, {"parameter", "values", "quantity", "mc"}, path)
     parameter = spec.get("parameter")
@@ -226,96 +209,98 @@ def _parse_sweep(spec, path: str) -> SweepSpec:
         raise ConfigError(f"{path}.values", "expected a non-empty list of values")
     checker = _SWEEP_DOMAINS[parameter]
     checked = tuple(checker(v, f"{path}.values[{i}]") for i, v in enumerate(values))
+    normalized = {"parameter": parameter, "values": list(checked)}
     quantity = spec.get("quantity")
     if quantity is not None:
         if parameter in ("beta", "k", "p"):
             raise ConfigError(f"{path}.quantity", f"not used when sweeping {parameter}")
         _expect_quantity(quantity, f"{path}.quantity", entries(oracle=True, estimator=True))
-    if "mc" in spec and parameter in ("beta", "k"):
-        raise ConfigError(f"{path}.mc", f"not used when sweeping {parameter}: it always samples")
-    mc = spec.get("mc", False)
-    if not isinstance(mc, bool):
-        raise ConfigError(f"{path}.mc", f"expected true or false, got {mc!r}")
-    return SweepSpec(parameter=parameter, values=checked, quantity=quantity, mc=mc)
+        normalized["quantity"] = quantity
+    mc = False
+    if parameter in ("beta", "k"):
+        if "mc" in spec:
+            raise ConfigError(f"{path}.mc", f"not used when sweeping {parameter}: it always samples")
+    else:
+        mc = normalized["mc"] = _expect_bool(spec.get("mc", False), f"{path}.mc")
+    return SweepSpec(parameter=parameter, values=checked, quantity=quantity, mc=mc), normalized
 
 
-def _parse_policy(spec, path: str) -> PricingPolicy:
+def _parse_policy(spec, path: str) -> tuple[PricingPolicy, dict]:
     spec = _expect_mapping(spec, path)
     kind = spec.get("kind")
     if kind == "fair_value":
         _check_keys(spec, {"kind"}, path)
-        return FairValue()
-    if kind == "fixed_margin":
+        policy = FairValue()
+    elif kind == "fixed_margin":
         _check_keys(spec, {"kind", "margin"}, path)
-        return FixedMargin(_expect_number(spec.get("margin", 0.0), f"{path}.margin", minimum=0.0))
-    if kind == "fixed_discount":
+        policy = FixedMargin(_expect_number(spec.get("margin", 0.0), f"{path}.margin", minimum=0.0))
+    elif kind == "fixed_discount":
         _check_keys(spec, {"kind", "discount"}, path)
-        return FixedDiscount(
+        policy = FixedDiscount(
             _expect_number(spec.get("discount", 0.0), f"{path}.discount", minimum=0.0, maximum=1.0)
         )
-    raise ConfigError(
-        f"{path}.kind", f"expected one of fair_value/fixed_margin/fixed_discount, got {kind!r}"
-    )
+    else:
+        raise ConfigError(
+            f"{path}.kind", f"expected one of fair_value/fixed_margin/fixed_discount, got {kind!r}"
+        )
+    return policy, {"kind": kind, **asdict(policy)}
 
 
-def _parse_pool(spec, path: str) -> int:
+def _parse_pool(spec, path: str) -> tuple[int, dict]:
     spec = _expect_mapping(spec, path)
     _check_keys(spec, {"k"}, path)
-    return _expect_int(spec.get("k"), f"{path}.k", minimum=1)
+    k = _expect_int(spec.get("k"), f"{path}.k", minimum=1)
+    return k, {"k": k}
 
 
-def _parse_multiblock(spec, path: str) -> MultiBlockSpec:
+def _parse_multiblock(spec, path: str) -> tuple[MultiBlockSpec, dict]:
     spec = _expect_mapping(spec, path)
     _check_keys(spec, {"beta"}, path)
-    return MultiBlockSpec(beta=_expect_number(spec.get("beta", 0.0), f"{path}.beta", minimum=0.0))
+    multiblock = MultiBlockSpec(beta=_expect_number(spec.get("beta", 0.0), f"{path}.beta", minimum=0.0))
+    return multiblock, asdict(multiblock)
 
 
-def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw key tree into a fully resolved ExperimentConfig."""
+def _section(raw: dict, key: str, parse) -> tuple:
+    """``parse``'s (typed value, normalized spec) of section ``key``, or (None, None)."""
+    return parse(raw[key], key) if raw.get(key) is not None else (None, None)
+
+
+def _parse(raw: dict) -> tuple[ExperimentConfig, dict]:
+    """The validated config of a raw key tree, and the normalized spec of
+    every key in ``_READ_BY`` (None where the key is absent and has no
+    default)."""
     raw = _expect_mapping(raw, "<config>")
     _check_keys(raw, _TOP_KEYS, "")
     merged = {**DEFAULTS, **raw}
 
-    seed = _expect_int(merged["seed"], "seed", minimum=0)
-    trials = _expect_int(merged["trials"], "trials", minimum=100)
+    spec = {
+        "seed": _expect_int(merged["seed"], "seed", minimum=0),
+        "trials": _expect_int(merged["trials"], "trials", minimum=100),
+    }
     workers = _expect_int(merged["workers"], "workers", minimum=1)
-    n = _expect_int(merged["n"], "n", minimum=1)
-    d = _expect_number(merged["d"], "d", exclusive_min=0.0)
-    reward, reward_spec = _parse_reward(merged["reward"], "reward")
+    spec["n"] = n = _expect_int(merged["n"], "n", minimum=1)
+    spec["d"] = _expect_number(merged["d"], "d", exclusive_min=0.0)
+    reward, spec["reward"] = _parse_reward(merged["reward"], "reward")
+    spec["quantity"] = _expect_quantity(merged["quantity"], "quantity", entries(estimator=True))
+    spec["holder_share"] = _optional(merged["holder_share"], "holder_share", _expect_number,
+                                     exclusive_min=0.0, maximum=1.0)
+    spec["horizon"] = _optional(merged["horizon"], "horizon", _expect_int, minimum=1)
+    spec["timings"] = _expect_bool(merged["timings"], "timings")
 
-    quantity = merged["quantity"]
-    _expect_quantity(quantity, "quantity", entries(estimator=True))
+    sweep, spec["sweep"] = _section(raw, "sweep", _parse_sweep)
+    policy, spec["policy"] = _parse_policy(
+        DEFAULTS["policy"] if raw.get("policy") is None else raw["policy"], "policy")
+    pool_size, spec["pool"] = _section(raw, "pool", _parse_pool)
+    multiblock, spec["multiblock"] = _section(raw, "multiblock", _parse_multiblock)
 
-    holder_share = merged["holder_share"]
-    if holder_share is not None:
-        holder_share = _expect_number(holder_share, "holder_share", exclusive_min=0.0, maximum=1.0)
-
-    horizon = merged["horizon"]
-    if horizon is not None:
-        horizon = _expect_int(horizon, "horizon", minimum=1)
-
-    timings = merged["timings"]
-    if not isinstance(timings, bool):
-        raise ConfigError("timings", f"expected true or false, got {timings!r}")
-
-    sweep = _parse_sweep(raw["sweep"], "sweep") if raw.get("sweep") is not None else None
-    policy = _parse_policy(raw["policy"], "policy") if raw.get("policy") is not None else None
-    pool_size = _parse_pool(raw["pool"], "pool") if raw.get("pool") is not None else None
-    multiblock = (
-        _parse_multiblock(raw["multiblock"], "multiblock") if raw.get("multiblock") is not None else None
-    )
-
-    output_path = None
-    output_format = "csv"
-    if raw.get("output") is not None:
-        out = _expect_mapping(raw["output"], "output")
-        _check_keys(out, {"path", "format"}, "output")
-        output_path = out.get("path")
-        if output_path is not None and not isinstance(output_path, str):
-            raise ConfigError("output.path", f"expected a string, got {output_path!r}")
-        output_format = out.get("format", "csv")
-        if output_format not in OUTPUT_FORMATS:
-            raise ConfigError("output.format", f"expected one of {OUTPUT_FORMATS}, got {output_format!r}")
+    out = _expect_mapping({} if raw.get("output") is None else raw["output"], "output")
+    _check_keys(out, {"path", "format"}, "output")
+    output_path = out.get("path")
+    if output_path is not None and not isinstance(output_path, str):
+        raise ConfigError("output.path", f"expected a string, got {output_path!r}")
+    output_format = out.get("format", "csv")
+    if output_format not in OUTPUT_FORMATS:
+        raise ConfigError("output.format", f"expected one of {OUTPUT_FORMATS}, got {output_format!r}")
 
     if pool_size is not None and pool_size > n:
         raise ConfigError("pool.k", f"pool size {pool_size} exceeds ticket count n={n}")
@@ -323,26 +308,49 @@ def parse_config(raw: dict) -> ExperimentConfig:
         for i, k in enumerate(sweep.values):
             if k > n:
                 raise ConfigError(f"sweep.values[{i}]", f"pool size {k} exceeds ticket count n={n}")
+    if sweep is not None and sweep.parameter == "p" and sweep.mc:
+        # The closed forms take any share; a holder ensemble keeps whole tickets.
+        for i, share in enumerate(sweep.values):
+            holder_tickets(share, n, f"sweep.values[{i}]")
 
-    return ExperimentConfig(
-        seed=seed,
-        trials=trials,
-        workers=workers,
-        n=n,
-        d=d,
-        reward=reward,
-        reward_spec=reward_spec,
-        quantity=quantity,
-        holder_share=holder_share,
-        horizon=horizon,
-        sweep=sweep,
-        policy=policy,
-        pool_size=pool_size,
-        multiblock=multiblock,
-        output_path=output_path,
+    scalars = ("seed", "trials", "n", "d", "quantity", "holder_share", "horizon", "timings")
+    cfg = ExperimentConfig(
+        **{key: spec[key] for key in scalars}, workers=workers, reward=reward, sweep=sweep,
+        policy=policy, pool_size=pool_size, multiblock=multiblock, output_path=output_path,
         output_format=output_format,
-        timings=timings,
     )
+    return cfg, spec
+
+
+def parse_config(raw: dict) -> ExperimentConfig:
+    """Validate a raw key tree into a fully resolved ExperimentConfig."""
+    return _parse(raw)[0]
+
+
+def _reader(command: str, cfg: ExperimentConfig) -> str:
+    if command == "simulate":
+        return f"simulate of {cfg.quantity}"
+    if command == "sweep" and cfg.sweep is not None:
+        return f"sweep over {cfg.sweep.parameter}"
+    return command
+
+
+def resolve(raw: dict, command: str) -> tuple[ExperimentConfig, dict]:
+    """The config that ``command`` runs from a raw key tree, and the echo
+    its report carries.
+
+    A key given (not null) that ``command`` does not read is a ConfigError.
+    The echo holds each key that it reads, normalized, and no other key, so
+    the same command accepts the echo and reproduces the report from it.
+    """
+    cfg, spec = _parse(raw)
+    echo = {}
+    for key, reads in _READ_BY.items():
+        if reads(command, cfg):
+            echo[key] = spec[key]
+        elif raw.get(key) is not None:
+            raise ConfigError(key, f"not read by {_reader(command, cfg)}")
+    return cfg, echo
 
 
 def read_raw_config(path) -> dict:

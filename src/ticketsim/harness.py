@@ -29,7 +29,7 @@ from .analytics import truncated_series_sum
 from .config import ExperimentConfig
 from .core import ConstantReward, EconomyParams, LognormalReward, ParetoReward, calibrate_lognormal
 from .errors import ConfigError
-from .market import FairValue, protocol_capture
+from .market import protocol_capture
 from .quantities import ORACLE_EPSILON, QUANTITIES, Entry, Quantity, Run, entries, pool_variances
 from .report import ReportRow, make_row, relative_gap
 
@@ -55,6 +55,17 @@ def _timed(cfg: ExperimentConfig, start: float, row: ReportRow) -> ReportRow:
     """``row`` with its wall time since ``start`` as ``runtime_ms`` under ``--timings``."""
     ms = (time.perf_counter() - start) * 1000.0
     return dataclasses.replace(row, runtime_ms=ms) if cfg.timings else row
+
+
+def _timed_rows(cfg: ExperimentConfig, start: float, rows) -> list[ReportRow]:
+    """The rows of the iterable ``rows``, each built as it is drawn, timed by
+    ``_timed``: the first row's clock starts at ``start``, so it carries the
+    work that the rows share, and each later row's when the one before ends."""
+    out = []
+    for row in rows:
+        out.append(_timed(cfg, start, row))
+        start = time.perf_counter()
+    return out
 
 
 def _mc_row(label, entry: Entry, run: Run) -> ReportRow:
@@ -123,15 +134,15 @@ def run_analytic(cfg: ExperimentConfig) -> list[ReportRow]:
     """Evaluate every closed form that has an oracle and an estimator
     against its oracle (no MC)."""
     run = Run(cfg.params, cfg.holder_share, default_share=True)
-    # Arguments evaluate in order, so each row's clock starts before its work.
-    return [_timed(cfg, time.perf_counter(), _oracle_row(q.value, entry, run))
-            for q, entry in entries(oracle=True, estimator=True)]
+    return _timed_rows(cfg, time.perf_counter(), (_oracle_row(q.value, entry, run)
+                                                  for q, entry in entries(oracle=True, estimator=True)))
 
 
 def run_simulate(cfg: ExperimentConfig) -> list[ReportRow]:
     """One Monte Carlo estimate of the configured quantity vs its closed form."""
+    start = time.perf_counter()
     run = _run(cfg, cfg.params, cfg.holder_share, default_share=False)
-    return [_mc_row(cfg.quantity, QUANTITIES[Quantity(cfg.quantity)], run)]
+    return [_timed(cfg, start, _mc_row(cfg.quantity, QUANTITIES[Quantity(cfg.quantity)], run))]
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +247,9 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[ReportRow], dict[str, bool]]:
 
 def run_pricing(cfg: ExperimentConfig) -> list[ReportRow]:
     """Protocol capture under the configured policy, cross-checked by series."""
+    start = time.perf_counter()
     params = cfg.params
-    policy = cfg.policy if cfg.policy is not None else FairValue()
-    capture = protocol_capture(policy, params)
+    capture = protocol_capture(cfg.policy, params)
     d = cfg.d
 
     stream_oracle = truncated_series_sum(
@@ -252,22 +263,23 @@ def run_pricing(cfg: ExperimentConfig) -> list[ReportRow]:
         "total": params.n * capture.price + stream_oracle,
         "leakage": npv_oracle - (params.n * capture.price + stream_oracle),
     }
-    rows = []
-    for name in ("price", "initial_sale", "per_slot_stream_npv", "total", "leakage"):
-        closed = getattr(capture, name)
-        rows.append(make_row(name, closed, oracle[name], 0.0, 0, relative_gap(oracle[name], closed)))
-    return rows
+    closed = {name: getattr(capture, name) for name in oracle}
+    return _timed_rows(cfg, start, (
+        make_row(name, closed[name], oracle[name], 0.0, 0, relative_gap(oracle[name], closed[name]))
+        for name in oracle))
 
 
 def run_pool(cfg: ExperimentConfig) -> list[ReportRow]:
     """Pooled vs solo payoff variance for the configured pool size."""
     if cfg.pool_size is None:
         raise ConfigError("pool", "pool command needs a pool section")
+    start = time.perf_counter()
     run = _run(cfg, cfg.params, None)
     solo = QUANTITIES[Quantity.TICKET_VALUE_VARIANCE].closed(run)
     closed = {"solo_variance": solo, "pooled_per_ticket_variance": solo, "variance_gap": 0.0}
-    return [make_row(name, closed[name], value, stderr, cfg.trials, relative_gap(value, closed[name]))
-            for name, (value, stderr) in pool_variances(run, cfg.pool_size).items()]
+    return _timed_rows(cfg, start, (
+        make_row(name, closed[name], value, stderr, cfg.trials, relative_gap(value, closed[name]))
+        for name, (value, stderr) in pool_variances(run, cfg.pool_size).items()))
 
 
 def run_multiblock(cfg: ExperimentConfig) -> list[ReportRow]:
@@ -275,5 +287,6 @@ def run_multiblock(cfg: ExperimentConfig) -> list[ReportRow]:
     against its additive closed form (k/n) * mu/d."""
     if cfg.multiblock is None:
         raise ConfigError("multiblock", "multiblock command needs a multiblock section")
+    start = time.perf_counter()
     run = _run(cfg, cfg.params, cfg.holder_share)
-    return [_mc_row(cfg.multiblock.beta, QUANTITIES[Quantity.HOLDER_VALUE], run)]
+    return [_timed(cfg, start, _mc_row(cfg.multiblock.beta, QUANTITIES[Quantity.HOLDER_VALUE], run))]

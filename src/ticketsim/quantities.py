@@ -68,6 +68,17 @@ class Estimate:
     bias_bound: float = 0.0
 
 
+def holder_tickets(share: float, n: int, path: str = "holder_share") -> int:
+    """Tickets of ``n`` that a holder of ``share`` keeps: the nearest whole
+    number. A share that keeps none, or more than n, is a ConfigError at ``path``."""
+    k = int(share * n + 0.5)
+    if k < 1:
+        raise ConfigError(path, f"{share} rounds to zero of {n} tickets")
+    if k > n:
+        raise ConfigError(path, f"{share} keeps {k} tickets, not between 1 and n={n}")
+    return k
+
+
 class Run:
     """One run's inputs, with the oracle series and the ensembles that several
     entries share, each computed at most once.
@@ -95,13 +106,7 @@ class Run:
 
     @cached_property
     def holder_tickets(self) -> int:
-        """Tickets a holder of ``share`` keeps: the nearest whole number."""
-        k = int(self.share * self.n + 0.5)
-        if k < 1:
-            raise ConfigError("holder_share", f"{self.share} rounds to zero of {self.n} tickets")
-        if k > self.n:
-            raise ConfigError("holder_share", f"{self.share} keeps {k} tickets, not between 1 and n={self.n}")
-        return k
+        return holder_tickets(self.share, self.n)
 
     @cached_property
     def flow_tickets(self) -> int:

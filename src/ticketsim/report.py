@@ -73,10 +73,6 @@ def _render_cell(value) -> str:
     return render_real(value)
 
 
-def _config_json(config: dict) -> str:
-    return json.dumps(config, sort_keys=True, separators=(",", ":"))
-
-
 def emit_report(
     rows,
     fmt: str,
@@ -90,7 +86,7 @@ def emit_report(
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             if config is not None:
-                fh.write(f"# config={_config_json(config)}\n")
+                fh.write(f"# config={json.dumps(config, sort_keys=True, separators=(',', ':'))}\n")
             if verdicts:
                 for name in sorted(verdicts):
                     fh.write(f"# verdict {name}={str(verdicts[name]).lower()}\n")

@@ -16,7 +16,7 @@ import ticketsim
 from ticketsim import engine, quantities
 from ticketsim.analytics import control_value, expected_ticket_value, npv_rewards
 from ticketsim.cli import main
-from ticketsim.config import load_config, parse_config
+from ticketsim.config import load_config, parse_config, resolve
 from ticketsim.errors import ConfigError
 from ticketsim.harness import (
     _mc_gate,
@@ -59,16 +59,16 @@ def test_minimal_config_valid():
 
 
 def test_config_defaults_echoed():
-    cfg = parse_config(MINIMAL)
-    resolved = cfg.resolved_dict()
-    assert resolved["quantity"] == "ticket_value"
-    assert resolved["derived"]["win_horizon"] > 0
-    assert resolved["derived"]["discount_horizon"] > 0
-    assert resolved["reward"] == {"kind": "constant", "mean": 1.0}
-    # Result-neutral keys stay out of the echo so reports are byte-stable
-    # across worker counts and output destinations.
-    assert "workers" not in resolved
-    assert "output" not in resolved
+    _, echo = resolve({"n": 10, "reward": {"kind": "constant", "mean": 1}, "workers": 2,
+                       "output": {"format": "jsonl"}}, "simulate")
+    # Defaults materialized, sections normalized; result-neutral keys stay out
+    # of the echo so reports are byte-stable across worker counts and output
+    # destinations.
+    assert echo == {"seed": 42, "trials": 100_000, "n": 10, "d": 0.01, "horizon": None, "timings": False,
+                    "reward": {"kind": "constant", "mean": 1.0}, "quantity": "ticket_value",
+                    "holder_share": None}
+    assert resolve(echo, "simulate")[1] == echo
+    assert resolve({}, "pricing")[1]["policy"] == {"kind": "fair_value"}
 
 
 def test_config_unknown_key_paths():
@@ -93,7 +93,7 @@ def test_config_pool_takes_only_k():
         parse_config({**MINIMAL, "pool": {}})
     with pytest.raises(ConfigError, match="pool.k"):
         parse_config({**MINIMAL, "pool": {"k": 0}})
-    assert parse_config({**MINIMAL, "pool": {"k": 2}}).resolved_dict()["pool"] == {"k": 2}
+    assert resolve({**MINIMAL, "pool": {"k": 2}}, "pool")[1]["pool"] == {"k": 2}
 
 
 def test_config_sweep_quantity_needs_oracle_and_estimator():
@@ -139,7 +139,8 @@ def test_config_empirical_reward(tmp_path):
     csv.write_text("reward_eth\n1.0\n3.0\n")
     cfg = parse_config({**MINIMAL, "reward": {"kind": "empirical", "path": str(csv)}})
     assert cfg.reward.mean() == 2.0
-    assert cfg.resolved_dict()["reward"]["count"] == 2
+    echoed = resolve({**MINIMAL, "reward": {"kind": "empirical", "path": str(csv)}}, "analytic")[1]
+    assert echoed["reward"] == {"kind": "empirical", "path": str(csv)}
     with pytest.raises(ConfigError, match="reward.path"):
         parse_config({**MINIMAL, "reward": {"kind": "empirical", "path": str(tmp_path / "absent.csv")}})
 
@@ -665,6 +666,96 @@ def test_cli_simulate_reads_multiblock_only_for_holder_value(tmp_path, capsys):
     config = _write_config(tmp_path, quantity="ticket_value", multiblock={"beta": 0.5})
     assert main(["simulate", "--config", str(config)]) == 2
     assert "multiblock: not read by simulate of ticket_value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parameter,values", [("p", [0.25]), ("k", [2])])
+def test_cli_p_and_k_sweeps_reject_holder_share(tmp_path, capsys, parameter, values):
+    # A p sweep's values replace the share; a k sweep's pool reads none.
+    config = _write_config(tmp_path, holder_share=0.25, sweep={"parameter": parameter, "values": values})
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert f"holder_share: not read by sweep over {parameter}" in capsys.readouterr().err
+
+
+def test_cli_p_sweep_names_the_value_that_rounds_to_zero_tickets(tmp_path, capsys):
+    sweep = {"parameter": "p", "values": [0.5, 0.01], "mc": True}
+    config = _write_config(tmp_path, n=32, sweep=sweep)
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert "sweep.values[1]: 0.01 rounds to zero of 32 tickets" in capsys.readouterr().err
+    # The closed forms take any share: without Monte Carlo the sweep runs.
+    config = _write_config(tmp_path, n=32, sweep={**sweep, "mc": False})
+    assert main(["sweep", "--config", str(config)]) == 0
+
+
+@pytest.mark.parametrize("command,section", [
+    ("simulate", {}),
+    ("pricing", {"policy": {"kind": "fixed_margin", "margin": 0.1}}),
+    ("pool", {"pool": {"k": 4}}),
+    ("multiblock", {"multiblock": {"beta": 0.5}, "holder_share": 0.25}),
+])
+def test_cli_timings_fill_runtime_in_every_command(tmp_path, command, section):
+    config = _write_config(tmp_path, **section)
+    plain, timed = tmp_path / "plain.jsonl", tmp_path / "timed.jsonl"
+    assert main([command, "--config", str(config), "--out", str(plain), "--format", "jsonl"]) == 0
+    assert main([command, "--config", str(config), "--out", str(timed), "--format", "jsonl",
+                 "--timings"]) == 0
+    plain_rows, timed_rows = load_report(plain)[0], load_report(timed)[0]
+    assert all(row.runtime_ms == 0.0 for row in plain_rows)
+    assert all(row.runtime_ms > 0.0 for row in timed_rows)
+    # The first row of a shared computation carries its cost.
+    assert timed_rows[0].runtime_ms == max(row.runtime_ms for row in timed_rows)
+    assert [dataclasses.replace(row, runtime_ms=0.0) for row in timed_rows] == plain_rows
+
+
+_LOGNORMAL = {"kind": "lognormal", "mean": 2.0, "sigma_log": 0.5}
+_PARETO = {"kind": "pareto", "shape": 5.0, "scale": 1.0}
+_EMPIRICAL = {"kind": "empirical"}     # the path is filled in per test
+# One config per run shape, covering every reward kind between them.
+_ROUND_TRIPS = {
+    "analytic": ("analytic", {"reward": _LOGNORMAL}),
+    "verify": ("verify", {"reward": _PARETO}),
+    "pricing": ("pricing", {"reward": _EMPIRICAL, "policy": {"kind": "fixed_margin", "margin": 0.1}}),
+    "simulate_time_to_win": ("simulate", {"quantity": "time_to_win"}),
+    "simulate_holder_value": ("simulate", {"reward": _LOGNORMAL, "quantity": "holder_value",
+                                           "holder_share": 0.25, "multiblock": {"beta": 0.5}}),
+    "sweep_n": ("sweep", {"reward": _PARETO, "sweep": {"parameter": "n", "values": [1, 8, 64]}}),
+    "sweep_d": ("sweep", {"reward": _EMPIRICAL,
+                          "sweep": {"parameter": "d", "values": [0.05, 1], "mc": True}}),
+    "sweep_p": ("sweep", {"sweep": {"parameter": "p", "values": [0.25, 1], "mc": True}}),
+    "sweep_beta": ("sweep", {"reward": _LOGNORMAL, "holder_share": 0.25,
+                             "sweep": {"parameter": "beta", "values": [0, 0.5]}}),
+    "sweep_k": ("sweep", {"reward": _PARETO, "sweep": {"parameter": "k", "values": [1, 4]}}),
+    "pool": ("pool", {"reward": _EMPIRICAL, "pool": {"k": 4}}),
+    "multiblock": ("multiblock", {"multiblock": {"beta": 0.25}, "holder_share": 0.5, "horizon": 300}),
+}
+
+
+def _echoed_config(path, fmt) -> dict:
+    if fmt == "jsonl":
+        return load_report(path)[1]
+    first = path.read_text().splitlines()[0]
+    assert first.startswith("# config=")
+    return json.loads(first.removeprefix("# config="))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("case", list(_ROUND_TRIPS))
+def test_cli_echoed_config_reruns_to_the_same_report(tmp_path, case, fmt):
+    command, keys = _ROUND_TRIPS[case]
+    if keys.get("reward") is _EMPIRICAL:
+        rewards = tmp_path / "rewards.csv"
+        rewards.write_text("reward_eth\n0.5\n1.0\n2.5\n")
+        keys = {**keys, "reward": {**_EMPIRICAL, "path": str(rewards)}}
+    config = _write_config(tmp_path, trials=500, workers=1, **keys)
+    first, second = tmp_path / f"first.{fmt}", tmp_path / f"second.{fmt}"
+    code = main([command, "--config", str(config), "--out", str(first), "--format", fmt])
+    echo = _echoed_config(first, fmt)
+    assert not {"workers", "output"} & set(echo)
+    # The command accepts every echoed key, and echoes the echo unchanged.
+    assert resolve(echo, command)[1] == echo
+    echo_path = tmp_path / "echo.json"
+    echo_path.write_text(json.dumps(echo))
+    assert main([command, "--config", str(echo_path), "--out", str(second), "--format", fmt]) == code
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_cli_run_wide_keys_accepted_by_every_command(tmp_path):
