@@ -6,6 +6,10 @@ read, and builds the report's echo from every key that it does read, with
 defaults materialized and each section normalized by its parser. The echo is
 a config the same command accepts, and running it again reproduces the
 report byte for byte.
+
+A sweep is one config per value, parsed by the same code as a single run's:
+the base config's run keys, with the key that the swept parameter sets given
+the value. A value's error is reported at ``sweep.values[i]``.
 """
 
 from __future__ import annotations
@@ -26,9 +30,8 @@ from .core import (
 )
 from .errors import ConfigError
 from .market import FairValue, FixedDiscount, FixedMargin, MultiBlockSpec, PricingPolicy
-from .quantities import Quantity, entries, holder_tickets
+from .quantities import Quantity, entries
 
-SWEEP_PARAMETERS = ("n", "d", "mu", "sigma_log", "beta", "k", "p")
 OUTPUT_FORMATS = ("csv", "jsonl")
 
 DEFAULTS = {
@@ -49,7 +52,9 @@ DEFAULTS = {
 # Which commands read each key: a command given a key it does not read exits
 # 2 naming it, and its report echoes every key it reads.
 _READ_BY = {
-    **dict.fromkeys(("seed", "trials", "n", "d", "reward", "horizon", "timings"), lambda command, cfg: True),
+    **dict.fromkeys(("seed", "n", "d", "reward", "timings"), lambda command, cfg: True),
+    # No closed form or oracle reads the Monte Carlo keys.
+    **dict.fromkeys(("trials", "horizon"), lambda command, cfg: command not in ("analytic", "pricing")),
     "quantity": lambda command, cfg: command == "simulate",
     # A p sweep's values replace the share, and a k sweep's pool reads none.
     "holder_share": lambda command, cfg: command not in ("pricing", "pool") and not (
@@ -69,6 +74,7 @@ _TOP_KEYS = {*_READ_BY, *_UNECHOED}
 class SweepSpec:
     parameter: str
     values: tuple
+    configs: tuple               # one ExperimentConfig per value, in order
     quantity: Optional[str] = None
     mc: bool = False
 
@@ -155,8 +161,8 @@ def _parse_reward(spec, path: str) -> tuple[RewardModel, dict]:
     if kind == "constant":
         _check_keys(spec, {"kind", "mean"}, path)
         mean = _expect_number(spec.get("mean", 1.0), f"{path}.mean", minimum=0.0)
-        return ConstantReward(mean), {"kind": "constant", "mean": mean}
-    if kind == "lognormal":
+        model, normalized = ConstantReward(mean), {"kind": "constant", "mean": mean}
+    elif kind == "lognormal":
         _check_keys(spec, {"kind", "mean", "mu_log", "sigma_log"}, path)
         sigma = _expect_number(spec.get("sigma_log", 1.0), f"{path}.sigma_log", exclusive_min=0.0)
         if "mu_log" in spec and "mean" in spec:
@@ -166,13 +172,13 @@ def _parse_reward(spec, path: str) -> tuple[RewardModel, dict]:
         else:
             mean = _expect_number(spec.get("mean", 1.0), f"{path}.mean", exclusive_min=0.0)
             model = calibrate_lognormal(mean, sigma)
-        return model, {"kind": "lognormal", "mu_log": model.mu_log, "sigma_log": model.sigma_log}
-    if kind == "pareto":
+        normalized = {"kind": "lognormal", "mu_log": model.mu_log, "sigma_log": model.sigma_log}
+    elif kind == "pareto":
         _check_keys(spec, {"kind", "shape", "scale"}, path)
         shape = _expect_number(spec.get("shape"), f"{path}.shape", exclusive_min=2.0)
         scale = _expect_number(spec.get("scale", 1.0), f"{path}.scale", exclusive_min=0.0)
-        return ParetoReward(shape, scale), {"kind": "pareto", "shape": shape, "scale": scale}
-    if kind == "empirical":
+        model, normalized = ParetoReward(shape, scale), {"kind": "pareto", "shape": shape, "scale": scale}
+    elif kind == "empirical":
         _check_keys(spec, {"kind", "path"}, path)
         csv_path = spec.get("path")
         if not isinstance(csv_path, str):
@@ -181,24 +187,41 @@ def _parse_reward(spec, path: str) -> tuple[RewardModel, dict]:
             model = load_empirical_rewards(csv_path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{path}.path", str(exc)) from exc
-        return model, {"kind": "empirical", "path": csv_path}
-    raise ConfigError(
-        f"{path}.kind", f"expected one of constant/lognormal/pareto/empirical, got {kind!r}"
-    )
+        normalized = {"kind": "empirical", "path": csv_path}
+    else:
+        raise ConfigError(
+            f"{path}.kind", f"expected one of constant/lognormal/pareto/empirical, got {kind!r}"
+        )
+    try:    # every valuation takes the reward's mean and second moment
+        finite = math.isfinite(model.variance() + model.mean() ** 2)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(path, "the reward's mean or second moment overflows a float")
+    return model, normalized
 
 
-_SWEEP_DOMAINS = {
-    "n": lambda v, p: _expect_int(v, p, minimum=1),
-    "d": lambda v, p: _expect_number(v, p, exclusive_min=0.0),
-    "mu": lambda v, p: _expect_number(v, p, minimum=0.0),
-    "sigma_log": lambda v, p: _expect_number(v, p, exclusive_min=0.0),
-    "beta": lambda v, p: _expect_number(v, p, minimum=0.0),
-    "k": lambda v, p: _expect_int(v, p, minimum=1),
-    "p": lambda v, p: _expect_number(v, p, exclusive_min=0.0, maximum=1.0),
-}
+SWEEP_PARAMETERS = ("n", "d", "mu", "sigma_log", "beta", "k", "p")
+# The keys of the base config that each sweep value's config takes.
+_SWEEP_RUN_KEYS = ("seed", "trials", "workers", "n", "d", "reward", "holder_share", "horizon", "timings")
 
 
-def _parse_sweep(spec, path: str) -> tuple[SweepSpec, dict]:
+def _swept_key(parameter: str, value, reward: RewardModel) -> dict:
+    """The key that a ``parameter`` sweep's ``value`` sets, unchecked: ``mu``
+    and ``sigma_log`` set the mean or the sigma_log of the base ``reward``."""
+    if parameter == "mu" and isinstance(reward, ConstantReward):
+        return {"reward": {"kind": "constant", "mean": value}}
+    if parameter in ("mu", "sigma_log"):
+        if not isinstance(reward, LognormalReward):
+            raise ConfigError("sweep.parameter", f"cannot sweep {parameter} over a {reward.kind} reward")
+        spec = {"kind": "lognormal", "mean": reward.mean(), "sigma_log": reward.sigma_log}
+        return {"reward": {**spec, "mean" if parameter == "mu" else "sigma_log": value}}
+    return {"n": {"n": value}, "d": {"d": value}, "p": {"holder_share": value},
+            "beta": {"multiblock": {"beta": value}}, "k": {"pool": {"k": value}}}[parameter]
+
+
+def _parse_sweep(spec, path: str, raw: dict, reward: tuple[RewardModel, dict]) -> tuple[SweepSpec, dict]:
+    """The sweep section of the config ``raw``, whose parsed reward is ``reward``."""
     spec = _expect_mapping(spec, path)
     _check_keys(spec, {"parameter", "values", "quantity", "mc"}, path)
     parameter = spec.get("parameter")
@@ -207,8 +230,16 @@ def _parse_sweep(spec, path: str) -> tuple[SweepSpec, dict]:
     values = spec.get("values")
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{path}.values", "expected a non-empty list of values")
-    checker = _SWEEP_DOMAINS[parameter]
-    checked = tuple(checker(v, f"{path}.values[{i}]") for i, v in enumerate(values))
+    base = {key: raw[key] for key in _SWEEP_RUN_KEYS if key in raw}
+    configs = []
+    for i, value in enumerate(values):
+        swept = _swept_key(parameter, value, reward[0])
+        try:    # a value that does not set the reward reuses it, read once
+            configs.append(_parse({**base, **swept}, None if "reward" in swept else reward)[0])
+        except ConfigError as exc:
+            raise ConfigError(f"{path}.values[{i}]", exc.message) from exc
+    # Each value is valid as its key, which keeps an integer n or k as given.
+    checked = tuple(value if parameter in ("n", "k") else float(value) for value in values)
     normalized = {"parameter": parameter, "values": list(checked)}
     quantity = spec.get("quantity")
     if quantity is not None:
@@ -222,7 +253,8 @@ def _parse_sweep(spec, path: str) -> tuple[SweepSpec, dict]:
             raise ConfigError(f"{path}.mc", f"not used when sweeping {parameter}: it always samples")
     else:
         mc = normalized["mc"] = _expect_bool(spec.get("mc", False), f"{path}.mc")
-    return SweepSpec(parameter=parameter, values=checked, quantity=quantity, mc=mc), normalized
+    sweep = SweepSpec(parameter=parameter, values=checked, configs=tuple(configs), quantity=quantity, mc=mc)
+    return sweep, normalized
 
 
 def _parse_policy(spec, path: str) -> tuple[PricingPolicy, dict]:
@@ -265,10 +297,10 @@ def _section(raw: dict, key: str, parse) -> tuple:
     return parse(raw[key], key) if raw.get(key) is not None else (None, None)
 
 
-def _parse(raw: dict) -> tuple[ExperimentConfig, dict]:
+def _parse(raw: dict, reward: Optional[tuple[RewardModel, dict]] = None) -> tuple[ExperimentConfig, dict]:
     """The validated config of a raw key tree, and the normalized spec of
     every key in ``_READ_BY`` (None where the key is absent and has no
-    default)."""
+    default). ``reward``, when given, is ``raw``'s reward already parsed."""
     raw = _expect_mapping(raw, "<config>")
     _check_keys(raw, _TOP_KEYS, "")
     merged = {**DEFAULTS, **raw}
@@ -280,14 +312,15 @@ def _parse(raw: dict) -> tuple[ExperimentConfig, dict]:
     workers = _expect_int(merged["workers"], "workers", minimum=1)
     spec["n"] = n = _expect_int(merged["n"], "n", minimum=1)
     spec["d"] = _expect_number(merged["d"], "d", exclusive_min=0.0)
-    reward, spec["reward"] = _parse_reward(merged["reward"], "reward")
+    reward, spec["reward"] = reward or _parse_reward(merged["reward"], "reward")
     spec["quantity"] = _expect_quantity(merged["quantity"], "quantity", entries(estimator=True))
     spec["holder_share"] = _optional(merged["holder_share"], "holder_share", _expect_number,
                                      exclusive_min=0.0, maximum=1.0)
     spec["horizon"] = _optional(merged["horizon"], "horizon", _expect_int, minimum=1)
     spec["timings"] = _expect_bool(merged["timings"], "timings")
 
-    sweep, spec["sweep"] = _section(raw, "sweep", _parse_sweep)
+    sweep, spec["sweep"] = _section(
+        raw, "sweep", lambda section, path: _parse_sweep(section, path, raw, (reward, spec["reward"])))
     policy, spec["policy"] = _parse_policy(
         DEFAULTS["policy"] if raw.get("policy") is None else raw["policy"], "policy")
     pool_size, spec["pool"] = _section(raw, "pool", _parse_pool)
@@ -304,14 +337,6 @@ def _parse(raw: dict) -> tuple[ExperimentConfig, dict]:
 
     if pool_size is not None and pool_size > n:
         raise ConfigError("pool.k", f"pool size {pool_size} exceeds ticket count n={n}")
-    if sweep is not None and sweep.parameter == "k":
-        for i, k in enumerate(sweep.values):
-            if k > n:
-                raise ConfigError(f"sweep.values[{i}]", f"pool size {k} exceeds ticket count n={n}")
-    if sweep is not None and sweep.parameter == "p" and sweep.mc:
-        # The closed forms take any share; a holder ensemble keeps whole tickets.
-        for i, share in enumerate(sweep.values):
-            holder_tickets(share, n, f"sweep.values[{i}]")
 
     scalars = ("seed", "trials", "n", "d", "quantity", "holder_share", "horizon", "timings")
     cfg = ExperimentConfig(

@@ -145,8 +145,9 @@ class EmpiricalReward(RewardModel):
             raise ValueError("empirical rewards must be finite and >= 0")
         self._values = arr
         self._values.setflags(write=False)
-        self._mean = float(np.mean(arr))
-        self._var = float(np.var(arr))
+        with np.errstate(over="ignore"):    # a moment that overflows is inf
+            self._mean = float(np.mean(arr))
+            self._var = float(np.var(arr))
 
     @property
     def values(self) -> np.ndarray:

@@ -20,9 +20,10 @@ class NegativePriceError(TicketSimError, ValueError):
 class ConfigError(TicketSimError, ValueError):
     """Invalid or malformed experiment configuration.
 
-    ``path`` locates the offending key, e.g. ``"reward.sigma_log"``.
+    ``path`` locates the offending key, e.g. ``"reward.sigma_log"``, and
+    ``message`` says what is wrong with it.
     """
 
     def __init__(self, path: str, message: str):
-        self.path = path
+        self.path, self.message = path, message
         super().__init__(f"{path}: {message}")

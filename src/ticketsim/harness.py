@@ -9,6 +9,10 @@ Monte Carlo gap |mc - closed|/closed in ``simulate``, ``multiblock`` and
 ``beta`` sweeps, and the sampled variance's gap to the solo variance's
 closed form in ``pool`` and ``k`` sweeps (|gap| on ``variance_gap``).
 
+A sweep runs each value's own config: a ``beta`` value gives
+``run_multiblock``'s row, a ``k`` value ``run_pool``'s pooled row, and any
+other value its quantity's oracle row.
+
 Every sampled figure comes from the quantity layer: a table entry's
 estimate, or ``quantities.pool_variances`` for ``pool`` and ``k`` sweeps.
 
@@ -23,11 +27,10 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from .analytics import truncated_series_sum
-from .config import ExperimentConfig
-from .core import ConstantReward, EconomyParams, LognormalReward, ParetoReward, calibrate_lognormal
+from .config import ExperimentConfig, SweepSpec
+from .core import ParetoReward
 from .errors import ConfigError
 from .market import protocol_capture
 from .quantities import ORACLE_EPSILON, QUANTITIES, Entry, Quantity, Run, entries, pool_variances
@@ -37,10 +40,9 @@ ORACLE_TOLERANCE = 1e-9    # closed form vs oracle acceptance
 Z_LIMIT = 4.0
 
 
-def _run(cfg: ExperimentConfig, params: EconomyParams, share: Optional[float], *,
-         default_share: bool = True) -> Run:
+def _run(cfg: ExperimentConfig, *, default_share: bool = True) -> Run:
     return Run(
-        params, share, trials=cfg.trials, seed=cfg.seed, workers=cfg.workers,
+        cfg.params, cfg.holder_share, trials=cfg.trials, seed=cfg.seed, workers=cfg.workers,
         horizon=cfg.horizon, beta=cfg.multiblock.beta if cfg.multiblock is not None else 0.0,
         default_share=default_share,
     )
@@ -104,7 +106,7 @@ def run_verify(cfg: ExperimentConfig) -> VerifyOutcome:
         raise ConfigError(
             "reward.shape", f"verify needs shape > 4 (a finite fourth moment), got {cfg.reward.shape}"
         )
-    run = _run(cfg, cfg.params, cfg.holder_share)
+    run = _run(cfg)
     rows: list[ReportRow] = []
     failures: list[str] = []
     for quantity, entry in entries(oracle=True):
@@ -133,7 +135,7 @@ def run_verify(cfg: ExperimentConfig) -> VerifyOutcome:
 def run_analytic(cfg: ExperimentConfig) -> list[ReportRow]:
     """Evaluate every closed form that has an oracle and an estimator
     against its oracle (no MC)."""
-    run = Run(cfg.params, cfg.holder_share, default_share=True)
+    run = _run(cfg)
     return _timed_rows(cfg, time.perf_counter(), (_oracle_row(q.value, entry, run)
                                                   for q, entry in entries(oracle=True, estimator=True)))
 
@@ -141,7 +143,7 @@ def run_analytic(cfg: ExperimentConfig) -> list[ReportRow]:
 def run_simulate(cfg: ExperimentConfig) -> list[ReportRow]:
     """One Monte Carlo estimate of the configured quantity vs its closed form."""
     start = time.perf_counter()
-    run = _run(cfg, cfg.params, cfg.holder_share, default_share=False)
+    run = _run(cfg, default_share=False)
     return [_timed(cfg, start, _mc_row(cfg.quantity, QUANTITIES[Quantity(cfg.quantity)], run))]
 
 
@@ -155,88 +157,52 @@ _SWEEP_DEFAULT_QUANTITY = {
     "mu": Quantity.TICKET_VALUE,
     "sigma_log": Quantity.TICKET_VALUE_VARIANCE,
     "p": Quantity.CONTROL_VALUE,
-    "beta": Quantity.HOLDER_VALUE,
 }
 
 
-def _reward_with_mean(cfg: ExperimentConfig, mean: float):
-    reward = cfg.reward
-    if isinstance(reward, ConstantReward):
-        return ConstantReward(mean)
-    if isinstance(reward, LognormalReward):
-        return calibrate_lognormal(mean, reward.sigma_log)
-    raise ConfigError("sweep.parameter", f"cannot sweep mu over a {reward.kind} reward model")
-
-
-def _reward_with_sigma(cfg: ExperimentConfig, sigma_log: float):
-    reward = cfg.reward
-    if isinstance(reward, LognormalReward):
-        return calibrate_lognormal(reward.mean(), sigma_log)
-    raise ConfigError("sweep.parameter", f"cannot sweep sigma_log over a {reward.kind} reward model")
+def _sweep_row(sweep: SweepSpec, value, cfg: ExperimentConfig) -> ReportRow:
+    """The row of one swept value, run from the value's own config ``cfg``."""
+    if sweep.parameter == "beta":
+        return run_multiblock(cfg)[0]
+    if sweep.parameter == "k":
+        pooled = {row.swept_value: row for row in run_pool(cfg)}["pooled_per_ticket_variance"]
+        return dataclasses.replace(pooled, swept_value=value)
+    entry = QUANTITIES[Quantity(sweep.quantity or _SWEEP_DEFAULT_QUANTITY[sweep.parameter])]
+    run = _run(cfg)
+    row = _oracle_row(value, entry, run)
+    if sweep.mc:
+        est = entry.estimate(run)
+        row = make_row(value, row.closed_form, est.mean, est.stderr, est.trials, row.rel_err)
+    return row
 
 
 def run_sweep(cfg: ExperimentConfig) -> tuple[list[ReportRow], dict[str, bool]]:
-    """One row per swept value, ordered as configured.
-
-    Closed forms take the holder share p as given, or the default share. A
-    ``beta`` sweep estimates ``holder_value`` at each streak bonus. When n
-    is swept, the closed forms also produce monotonicity verdicts: the
+    """One row per swept value, ordered as configured, each run from the
+    value's own config; a ConfigError of a value's run names ``sweep.values[i]``.
+    When n is swept, the closed forms also give monotonicity verdicts: the
     single-ticket value must fall and the control value must rise.
     """
     if cfg.sweep is None:
         raise ConfigError("sweep", "sweep command needs a sweep section")
     sweep = cfg.sweep
-    quantity = Quantity(sweep.quantity) if sweep.quantity else _SWEEP_DEFAULT_QUANTITY.get(sweep.parameter)
 
     rows: list[ReportRow] = []
-    ticket_values: list[float] = []
-    control_values: list[float] = []
-
-    for value in sweep.values:
+    for i, (value, value_cfg) in enumerate(zip(sweep.values, sweep.configs)):
         start = time.perf_counter()
-        n, d, reward, share = cfg.n, cfg.d, cfg.reward, cfg.holder_share
-        if sweep.parameter == "n":
-            n = int(value)
-        elif sweep.parameter == "d":
-            d = float(value)
-        elif sweep.parameter == "mu":
-            reward = _reward_with_mean(cfg, float(value))
-        elif sweep.parameter == "sigma_log":
-            reward = _reward_with_sigma(cfg, float(value))
-        elif sweep.parameter == "p":
-            share = float(value)
-        params = EconomyParams(n=n, d=d, reward=reward)
-
-        run = _run(cfg, params, share)
-        if sweep.parameter == "beta":
-            run.beta = float(value)
-            row = _mc_row(value, QUANTITIES[quantity], run)
-        elif sweep.parameter == "k":
-            variances = pool_variances(run, int(value))
-            closed = QUANTITIES[Quantity.TICKET_VALUE_VARIANCE].closed(run)
-            pooled, stderr = variances["pooled_per_ticket_variance"]
-            solo = variances["solo_variance"][0]
-            row = make_row(value, closed, pooled, stderr, cfg.trials, relative_gap(solo, closed))
-        else:
-            entry = QUANTITIES[quantity]
-            row = _oracle_row(value, entry, run)
-            if sweep.mc:
-                est = entry.estimate(run)
-                row = make_row(value, row.closed_form, est.mean, est.stderr, est.trials, row.rel_err)
-            if sweep.parameter == "n":
-                ticket_values.append(QUANTITIES[Quantity.TICKET_VALUE].closed(run))
-                control_values.append(QUANTITIES[Quantity.CONTROL_VALUE].closed(run))
-
-        rows.append(_timed(cfg, start, row))
+        try:
+            rows.append(_timed(cfg, start, _sweep_row(sweep, value, value_cfg)))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.values[{i}]", exc.message) from exc
 
     verdicts: dict[str, bool] = {}
     if sweep.parameter == "n" and len(sweep.values) > 1:
+        runs = [_run(value_cfg) for value_cfg in sweep.configs]
+        tickets = [QUANTITIES[Quantity.TICKET_VALUE].closed(run) for run in runs]
+        controls = [QUANTITIES[Quantity.CONTROL_VALUE].closed(run) for run in runs]
         verdicts["ticket_value_strictly_decreasing_in_n"] = all(
-            b < a for a, b in zip(ticket_values, ticket_values[1:])
-        )
+            b < a for a, b in zip(tickets, tickets[1:]))
         verdicts["control_value_strictly_increasing_in_n"] = all(
-            b > a for a, b in zip(control_values, control_values[1:])
-        )
+            b > a for a, b in zip(controls, controls[1:]))
     return rows, verdicts
 
 
@@ -274,7 +240,7 @@ def run_pool(cfg: ExperimentConfig) -> list[ReportRow]:
     if cfg.pool_size is None:
         raise ConfigError("pool", "pool command needs a pool section")
     start = time.perf_counter()
-    run = _run(cfg, cfg.params, None)
+    run = _run(cfg)
     solo = QUANTITIES[Quantity.TICKET_VALUE_VARIANCE].closed(run)
     closed = {"solo_variance": solo, "pooled_per_ticket_variance": solo, "variance_gap": 0.0}
     return _timed_rows(cfg, start, (
@@ -288,5 +254,5 @@ def run_multiblock(cfg: ExperimentConfig) -> list[ReportRow]:
     if cfg.multiblock is None:
         raise ConfigError("multiblock", "multiblock command needs a multiblock section")
     start = time.perf_counter()
-    run = _run(cfg, cfg.params, cfg.holder_share)
+    run = _run(cfg)
     return [_timed(cfg, start, _mc_row(cfg.multiblock.beta, QUANTITIES[Quantity.HOLDER_VALUE], run))]

@@ -68,14 +68,14 @@ class Estimate:
     bias_bound: float = 0.0
 
 
-def holder_tickets(share: float, n: int, path: str = "holder_share") -> int:
+def holder_tickets(share: float, n: int) -> int:
     """Tickets of ``n`` that a holder of ``share`` keeps: the nearest whole
-    number. A share that keeps none, or more than n, is a ConfigError at ``path``."""
+    number. A share that keeps none, or more than n, is a ConfigError."""
     k = int(share * n + 0.5)
     if k < 1:
-        raise ConfigError(path, f"{share} rounds to zero of {n} tickets")
+        raise ConfigError("holder_share", f"{share} rounds to zero of {n} tickets")
     if k > n:
-        raise ConfigError(path, f"{share} keeps {k} tickets, not between 1 and n={n}")
+        raise ConfigError("holder_share", f"{share} keeps {k} tickets, not between 1 and n={n}")
     return k
 
 
@@ -106,14 +106,17 @@ class Run:
 
     @cached_property
     def holder_tickets(self) -> int:
-        return holder_tickets(self.share, self.n)
-
-    @cached_property
-    def flow_tickets(self) -> int:
-        """Tickets of the holder ensemble: the configured share's, else the
+        """Tickets of the holder ensembles: the configured share's, else the
         default share's, or one where that rounds to none (n < 4)."""
-        default = max(1, int(DEFAULT_HOLDER_SHARE * self.n + 0.5))
-        return self.holder_tickets if self.configured_share is not None else default
+        if self.configured_share is None:
+            return max(1, int(DEFAULT_HOLDER_SHARE * self.n + 0.5))
+        return holder_tickets(self.configured_share, self.n)
+
+    @property
+    def held_share(self) -> float:
+        """k/n of the holder's k tickets, which, unlike the tickets, needs a share."""
+        _ = self.share    # a ConfigError where the run has no share
+        return self.holder_tickets / self.n
 
     @cached_property
     def win_horizon(self) -> int:
@@ -144,10 +147,10 @@ class Run:
 
     @cached_property
     def holder_sums(self) -> tuple[PowerSums, PowerSums]:
-        """Power sums to order 2 of the (gross, net) flows of ``flow_tickets``
+        """Power sums to order 2 of the (gross, net) flows of ``holder_tickets``
         tickets, replaced at the fair price, on stream 3 (stream 2 stays
         unused, so no stream's bytes move), about their closed forms."""
-        k = self.flow_tickets
+        k = self.holder_tickets
         shifts = (holder_mean(self, k), analytics.control_value(k / self.n, self.mu, self.d, self.n))
         return engine.sample_holder_flows(
             self.params, k, self.trials, self.seed, replacement_price=fair_price(self),
@@ -428,7 +431,7 @@ QUANTITIES: dict[Quantity, Entry] = {
         closed=lambda run: analytics.npv_rewards(run.mu, run.d),
         oracle=_reward_stream_series,
         ensemble=lambda run: (run.holder_sums[0], 0),
-        statistic=lambda run, gross: _scaled_mean(run.n / run.flow_tickets, gross),
+        statistic=lambda run, gross: _scaled_mean(run.n / run.holder_tickets, gross),
         bias=lambda run: holder_bias(run, 1.0),
     ),
     Quantity.TICKET_VALUE: Entry(
@@ -471,7 +474,7 @@ QUANTITIES: dict[Quantity, Entry] = {
         closed=lambda run: analytics.control_value(run.share, run.mu, run.d, run.n),
         oracle=lambda run: run.share * run.n * run.ticket_series,
         ensemble=lambda run: (run.holder_sums[1], 0),
-        statistic=lambda run, net: _scaled_mean(run.share * run.n / run.flow_tickets, net),
+        statistic=lambda run, net: _scaled_mean(run.share * run.n / run.holder_tickets, net),
         bias=lambda run: holder_bias(run, run.share, price=fair_price(run)),
     ),
     Quantity.CONTROL_VALUE_DERIVATIVE: Entry(
@@ -491,14 +494,14 @@ QUANTITIES: dict[Quantity, Entry] = {
     # Gross holder flow collects the holder's share of every slot's reward;
     # under a streak bonus the closed form is only the additive reference.
     Quantity.HOLDER_VALUE: Entry(
-        closed=lambda run: run.holder_tickets / run.n * analytics.npv_rewards(run.mu, run.d),
+        closed=lambda run: run.held_share * analytics.npv_rewards(run.mu, run.d),
         ensemble=lambda run: (engine.sample_holder_flows(
             run.params, run.holder_tickets, run.trials, run.seed, beta=run.beta,
             horizon=run.discount_horizon, workers=run.workers, stream=4,
             reduce=partial(block_sums, shifts=(holder_mean(run, run.holder_tickets, run.beta),) * 2,
                            order=2),
         )[0], 0),
-        bias=lambda run: holder_bias(run, run.holder_tickets / run.n, beta=run.beta),
+        bias=lambda run: holder_bias(run, run.held_share, beta=run.beta),
     ),
 }
 

@@ -1,6 +1,8 @@
 """Config ingestion, report emission, the verify/sweep runners, and the CLI."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ticketsim
-from ticketsim import engine, quantities
+from ticketsim import config as config_module, engine, quantities
 from ticketsim.analytics import control_value, expected_ticket_value, npv_rewards
 from ticketsim.cli import main
 from ticketsim.config import load_config, parse_config, resolve
@@ -139,7 +141,7 @@ def test_config_empirical_reward(tmp_path):
     csv.write_text("reward_eth\n1.0\n3.0\n")
     cfg = parse_config({**MINIMAL, "reward": {"kind": "empirical", "path": str(csv)}})
     assert cfg.reward.mean() == 2.0
-    echoed = resolve({**MINIMAL, "reward": {"kind": "empirical", "path": str(csv)}}, "analytic")[1]
+    echoed = resolve({**MINIMAL, "reward": {"kind": "empirical", "path": str(csv)}}, "verify")[1]
     assert echoed["reward"] == {"kind": "empirical", "path": str(csv)}
     with pytest.raises(ConfigError, match="reward.path"):
         parse_config({**MINIMAL, "reward": {"kind": "empirical", "path": str(tmp_path / "absent.csv")}})
@@ -400,12 +402,55 @@ def test_sweep_requires_section():
 
 
 def test_sweep_mu_over_pareto_rejected():
-    cfg = small_cfg(
-        reward={"kind": "pareto", "shape": 3.0, "scale": 1.0},
-        sweep={"parameter": "mu", "values": [1.0, 2.0]},
-    )
-    with pytest.raises(ConfigError, match="sweep.parameter"):
-        run_sweep(cfg)
+    with pytest.raises(ConfigError, match="sweep.parameter: cannot sweep mu over a pareto reward"):
+        small_cfg(reward={"kind": "pareto", "shape": 3.0, "scale": 1.0},
+                  sweep={"parameter": "mu", "values": [1.0, 2.0]})
+
+
+_SWEEP_BASE = {**MINIMAL, "reward": {"kind": "lognormal", "mean": 1.0, "sigma_log": 0.5}}
+
+
+@pytest.mark.parametrize("parameter,value,keys", [
+    ("n", 4, {"n": 4}),
+    ("d", 1, {"d": 1}),
+    ("mu", 2, {"reward": {"kind": "lognormal", "mean": 2, "sigma_log": 0.5}}),
+    ("sigma_log", 2, {"reward": {"kind": "lognormal", "mean": 1.0, "sigma_log": 2}}),
+    ("beta", 0.5, {"multiblock": {"beta": 0.5}}),
+    ("k", 2, {"pool": {"k": 2}}),
+    ("p", 0.5, {"holder_share": 0.5}),
+])
+def test_sweep_value_config_is_the_base_with_the_key_set(parameter, value, keys):
+    sweep = parse_config({**_SWEEP_BASE, "sweep": {"parameter": parameter, "values": [value]}}).sweep
+    assert sweep.configs == (parse_config({**_SWEEP_BASE, **keys}),)
+
+
+def test_sweep_value_config_takes_no_section_of_another_command():
+    # pool.k = 16 exceeds n = 1, but a value of an n sweep reads no pool.
+    raw = {"n": 32, "pool": {"k": 16}, "policy": {"kind": "fair_value"}, "multiblock": {"beta": 0.5},
+           "sweep": {"parameter": "n", "values": [1, 64]}}
+    assert [cfg.n for cfg in parse_config(raw).sweep.configs] == [1, 64]
+    assert all(cfg.pool_size is None and cfg.multiblock is None for cfg in parse_config(raw).sweep.configs)
+
+
+def test_sweep_reads_an_empirical_reward_once(tmp_path, monkeypatch):
+    # Values that do not set the reward reuse the base config's.
+    csv, reads = tmp_path / "r.csv", []
+    csv.write_text("reward_eth\n1.0\n3.0\n")
+    load = config_module.load_empirical_rewards
+    monkeypatch.setattr(config_module, "load_empirical_rewards", lambda path: reads.append(path) or load(path))
+    sweep = {"parameter": "n", "values": [1, 2, 4]}
+    cfg = parse_config({**MINIMAL, "reward": {"kind": "empirical", "path": str(csv)}, "sweep": sweep})
+    assert reads == [str(csv)]
+    assert all(value.reward is cfg.reward for value in cfg.sweep.configs)
+
+
+def test_beta_and_k_sweep_rows_are_their_commands_rows():
+    [beta_row], _ = run_sweep(small_cfg(holder_share=0.25, sweep={"parameter": "beta", "values": [0.5]}))
+    assert beta_row == run_multiblock(small_cfg(holder_share=0.25, multiblock={"beta": 0.5}))[0]
+    # The k row's rel_err is the pooled variance's gap to the solo closed form.
+    [k_row], _ = run_sweep(small_cfg(sweep={"parameter": "k", "values": [4]}))
+    pooled = {row.swept_value: row for row in run_pool(small_cfg(pool={"k": 4}))}
+    assert k_row == dataclasses.replace(pooled["pooled_per_ticket_variance"], swept_value=4)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +560,8 @@ def test_run_multiblock_row():
 
 
 def _write_config(tmp_path, **overrides):
+    """A config file of a small run with ``overrides``; an override of None
+    drops the key."""
     raw = {
         "n": 8,
         "d": 0.05,
@@ -524,7 +571,7 @@ def _write_config(tmp_path, **overrides):
     }
     raw.update(overrides)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps({key: value for key, value in raw.items() if value is not None}))
     return path
 
 
@@ -613,7 +660,7 @@ def test_cli_sweep_emits_verdicts(tmp_path, capsys):
 
 
 def test_cli_pricing_pool_multiblock_smoke(tmp_path):
-    pricing = _write_config(tmp_path, policy={"kind": "fair_value"})
+    pricing = _write_config(tmp_path, policy={"kind": "fair_value"}, trials=None)
     assert main(["pricing", "--config", str(pricing)]) == 0
     pool = _write_config(tmp_path, pool={"k": 4})
     assert main(["pool", "--config", str(pool)]) == 0
@@ -640,11 +687,15 @@ _READS = {
     "multiblock": {"multiblock", "holder_share"},
 }
 _REQUIRED = {"sweep": "sweep", "pool": "pool", "multiblock": "multiblock"}
+# No row of these commands samples, so they read no trials and no horizon.
+_UNSAMPLED = ("analytic", "pricing")
 
 
 def _command_config(tmp_path, command, *keys, **overrides):
     """A config for ``command`` with its required section and ``keys``."""
     names = {_REQUIRED.get(command), *keys} - {None}
+    if command in _UNSAMPLED:
+        overrides = {"trials": None, **overrides}
     return _write_config(tmp_path, **{name: _KEY_VALUES[name] for name in names}, **overrides)
 
 
@@ -676,6 +727,34 @@ def test_cli_p_and_k_sweeps_reject_holder_share(tmp_path, capsys, parameter, val
     assert f"holder_share: not read by sweep over {parameter}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,keys,path", [
+    ("sweep", {"reward": {"kind": "lognormal", "mean": 1, "sigma_log": 1},
+               "sweep": {"parameter": "mu", "values": [1.0, 0.0]}}, "sweep.values[1]: must be > 0"),
+    ("sweep", {"reward": {"kind": "lognormal", "mean": 1, "sigma_log": 1},
+               "sweep": {"parameter": "sigma_log", "values": [1.0, 40.0]}}, "sweep.values[1]: the reward's"),
+    ("analytic", {"reward": {"kind": "lognormal", "mean": 1, "sigma_log": 40}}, "reward: the reward's"),
+    ("analytic", {"reward": {"kind": "pareto", "shape": 5, "scale": 1e200}}, "reward: the reward's"),
+    ("analytic", {"reward": {"kind": "constant", "mean": 1e200}}, "reward: the reward's"),
+    ("sweep", {"n": 32, "trials": 1000, "sweep": {"parameter": "p", "values": [0.5, 0.01], "mc": True}},
+     "sweep.values[1]: 0.01 rounds to zero of 32 tickets"),
+])
+def test_cli_swept_values_and_overflowing_rewards_are_config_errors(tmp_path, capsys, command, keys, path):
+    # The first five crashed once: a ValueError from calibrate_lognormal, an
+    # OverflowError, or a DivergenceError that named no key. No report is written.
+    config, out = _write_config(tmp_path, **{"trials": None, **keys}), tmp_path / "report.csv"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert f"config error: ConfigError: {path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_multiblock_without_share_holds_one_ticket_at_small_n(tmp_path):
+    # The default share 0.125 of 2 tickets rounds to none: the holder keeps one.
+    config, out = _write_config(tmp_path, n=2, multiblock={"beta": 0.5}), tmp_path / "mb.jsonl"
+    assert main(["multiblock", "--config", str(config), "--out", str(out), "--format", "jsonl"]) == 0
+    [row] = load_report(out)[0]
+    assert row.closed_form == 1 / 2 * npv_rewards(1.0, 0.05)
+
+
 def test_cli_p_sweep_names_the_value_that_rounds_to_zero_tickets(tmp_path, capsys):
     sweep = {"parameter": "p", "values": [0.5, 0.01], "mc": True}
     config = _write_config(tmp_path, n=32, sweep=sweep)
@@ -688,7 +767,7 @@ def test_cli_p_sweep_names_the_value_that_rounds_to_zero_tickets(tmp_path, capsy
 
 @pytest.mark.parametrize("command,section", [
     ("simulate", {}),
-    ("pricing", {"policy": {"kind": "fixed_margin", "margin": 0.1}}),
+    ("pricing", {"policy": {"kind": "fixed_margin", "margin": 0.1}, "trials": None}),
     ("pool", {"pool": {"k": 4}}),
     ("multiblock", {"multiblock": {"beta": 0.5}, "holder_share": 0.25}),
 ])
@@ -711,9 +790,10 @@ _PARETO = {"kind": "pareto", "shape": 5.0, "scale": 1.0}
 _EMPIRICAL = {"kind": "empirical"}     # the path is filled in per test
 # One config per run shape, covering every reward kind between them.
 _ROUND_TRIPS = {
-    "analytic": ("analytic", {"reward": _LOGNORMAL}),
+    "analytic": ("analytic", {"reward": _LOGNORMAL, "trials": None}),
     "verify": ("verify", {"reward": _PARETO}),
-    "pricing": ("pricing", {"reward": _EMPIRICAL, "policy": {"kind": "fixed_margin", "margin": 0.1}}),
+    "pricing": ("pricing", {"reward": _EMPIRICAL, "policy": {"kind": "fixed_margin", "margin": 0.1},
+                            "trials": None}),
     "simulate_time_to_win": ("simulate", {"quantity": "time_to_win"}),
     "simulate_holder_value": ("simulate", {"reward": _LOGNORMAL, "quantity": "holder_value",
                                            "holder_share": 0.25, "multiblock": {"beta": 0.5}}),
@@ -745,7 +825,7 @@ def test_cli_echoed_config_reruns_to_the_same_report(tmp_path, case, fmt):
         rewards = tmp_path / "rewards.csv"
         rewards.write_text("reward_eth\n0.5\n1.0\n2.5\n")
         keys = {**keys, "reward": {**_EMPIRICAL, "path": str(rewards)}}
-    config = _write_config(tmp_path, trials=500, workers=1, **keys)
+    config = _write_config(tmp_path, **{"trials": 500, "workers": 1, **keys})
     first, second = tmp_path / f"first.{fmt}", tmp_path / f"second.{fmt}"
     code = main([command, "--config", str(config), "--out", str(first), "--format", fmt])
     echo = _echoed_config(first, fmt)
@@ -759,9 +839,19 @@ def test_cli_echoed_config_reruns_to_the_same_report(tmp_path, case, fmt):
 
 
 def test_cli_run_wide_keys_accepted_by_every_command(tmp_path):
-    run_wide = {"workers": 1, "horizon": 2000, "timings": False, "output": {"format": "csv"}}
+    run_wide = {"seed": 7, "workers": 1, "timings": False, "output": {"format": "csv"}}
     for command in _READS:
-        assert main([command, "--config", str(_command_config(tmp_path, command, **run_wide))]) == 0
+        sampled = {} if command in _UNSAMPLED else {"trials": 2000, "horizon": 2000}
+        config = _command_config(tmp_path, command, **run_wide, **sampled)
+        assert main([command, "--config", str(config)]) == 0
+
+
+@pytest.mark.parametrize("key,value", [("trials", 2000), ("horizon", 2000)])
+@pytest.mark.parametrize("command", _UNSAMPLED)
+def test_cli_unsampled_commands_reject_trials_and_horizon(tmp_path, capsys, command, key, value):
+    config = _command_config(tmp_path, command, **{key: value})
+    assert main([command, "--config", str(config)]) == 2
+    assert f"{key}: not read by {command}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,section", [
@@ -792,3 +882,52 @@ def test_cli_requires_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# Extreme but valid reward parameters: means and scales to 1e300, sigma_log to
+# 60, Pareto shapes just above 2.
+_HUGE = st.floats(min_value=0.0, max_value=1e300)
+_REWARD_SPECS = st.one_of(
+    st.builds(lambda mean: {"kind": "constant", "mean": mean}, _HUGE),
+    st.builds(lambda mean, sigma: {"kind": "lognormal", "mean": mean, "sigma_log": sigma},
+              st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=1e-3, max_value=60.0)),
+    st.builds(lambda shape, scale: {"kind": "pareto", "shape": shape, "scale": scale},
+              st.floats(min_value=2.0, max_value=50.0, exclude_min=True),
+              st.floats(min_value=1e-300, max_value=1e300)),
+    st.builds(lambda values: {"kind": "empirical", "values": values},
+              st.lists(_HUGE, min_size=1, max_size=4)),
+)
+_N = st.integers(min_value=1, max_value=4096)
+_D = st.floats(min_value=1e-3, max_value=10.0)
+_SWEPT_VALUES = {
+    "n": _N,
+    "d": _D,
+    "mu": _HUGE,
+    "sigma_log": st.floats(min_value=1e-3, max_value=60.0),
+    "beta": st.floats(min_value=0.0, max_value=10.0),
+    "k": _N,
+    "p": st.floats(min_value=1e-3, max_value=1.0),
+}
+_SWEEPS = st.sampled_from(sorted(_SWEPT_VALUES)).flatmap(lambda parameter: st.builds(
+    lambda values: {"parameter": parameter, "values": values},
+    st.lists(_SWEPT_VALUES[parameter], min_size=1, max_size=3)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["analytic", "pricing", "sweep"]), n=_N, d=_D,
+       reward=_REWARD_SPECS, sweep=_SWEEPS)
+def test_cli_every_drawn_config_runs_or_is_a_config_error(tmp_path_factory, command, n, d, reward, sweep):
+    # beta and k sweeps always sample, at the fewest trials allowed.
+    raw = {"n": n, "d": d, "reward": reward}
+    if command == "sweep":
+        raw.update(sweep=sweep, trials=100)
+    if reward["kind"] == "empirical":
+        path = tmp_path_factory.mktemp("rewards") / "rewards.csv"
+        path.write_text("reward_eth\n" + "".join(f"{v!r}\n" for v in reward["values"]))
+        raw["reward"] = {"kind": "empirical", "path": str(path)}
+    config = tmp_path_factory.mktemp("config") / "config.json"
+    config.write_text(json.dumps(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(config)])
+    assert code == 0 or (code == 2 and err.getvalue().startswith("config error:")), (code, err.getvalue())
