@@ -1,5 +1,5 @@
-"""Closed-form valuations for the ticket economy, plus the truncated-series
-oracle used to validate them independently.
+"""Closed-form valuations for the ticket economy, plus the series sums that
+the independent oracles are built from.
 
 Every function is pure and cheap. ``n`` enters the protocol as an integer
 but is treated as a continuous positive real here so the derivative
@@ -7,14 +7,17 @@ operations are well defined; integer inputs give the protocol values.
 
 Forms are kept in their numerically stable shape, e.g. mu / (n*d + 1),
 so nothing overflows or cancels for n up to 2**20 and beyond.
+
+Two series sums: ``doubling_series_sum`` sums a geometric-family series in
+double-double arithmetic in O(log terms) (the quantity table's oracles use
+it), and ``truncated_series_sum`` sums any scalar term one t at a time
+under the same stop rule.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Optional
-
-import numpy as np
 
 from .errors import DiscountRateError, DivergenceError
 
@@ -27,6 +30,11 @@ def _check_rate(d: float) -> None:
 def _check_mu(mu: float) -> None:
     if not (mu >= 0.0 and math.isfinite(mu)):
         raise ValueError(f"mean reward must be finite and >= 0, got {mu}")
+
+
+def _check_var(var_r: float) -> None:
+    if not (var_r >= 0.0 and math.isfinite(var_r)):
+        raise ValueError(f"reward variance must be finite and >= 0, got {var_r}")
 
 
 def _check_n(n: float) -> None:
@@ -84,7 +92,8 @@ def ticket_value_derivative_n(mu: float, d: float, n: float) -> float:
     _check_mu(mu)
     _check_rate(d)
     _check_n(n)
-    return -mu * d / (n * d + 1.0) ** 2
+    lead = n * d + 1.0
+    return -(mu / lead) * (d / lead)
 
 
 def control_value(p: float, mu: float, d: float, n: float) -> float:
@@ -104,76 +113,166 @@ def control_value_derivative_n(p: float, mu: float, d: float, n: float) -> float
     _check_mu(mu)
     _check_rate(d)
     _check_n(n)
-    return p * mu / (n * d + 1.0) ** 2
+    return p * mu / (n * d + 1.0) / (n * d + 1.0)
 
 
 def ticket_value_second_moment(mu: float, var_r: float, d: float, n: float) -> float:
     """E[V^2] for one ticket: (var_r + mu^2) / (n*d^2 + 2*n*d + 1)."""
     _check_mu(mu)
-    if not (var_r >= 0.0 and math.isfinite(var_r)):
-        raise ValueError(f"reward variance must be finite and >= 0, got {var_r}")
+    _check_var(var_r)
     _check_rate(d)
     _check_n(n)
     return (var_r + mu * mu) / (n * d * d + 2.0 * n * d + 1.0)
 
 
 def ticket_value_variance(mu: float, var_r: float, d: float, n: float) -> float:
-    """Variance of one ticket's discounted payoff.
+    """Variance of one ticket's discounted payoff:
+    [var_r*(nd+1)^2 + mu^2*n(n-1)*d^2] / [(n*d*(d+2) + 1)*(nd+1)^2].
 
-    (var_r + mu^2)/(n*d^2 + 2*n*d + 1) - mu^2/(n^2*d^2 + 2*n*d + 1);
-    non-negative, and zero only for var_r = 0 with n = 1 (or mu = var_r = 0).
+    Evaluated as (var_r + mu^2 * nd/(nd+1) * (n-1)d/(nd+1)) / (n*d*(d+2) + 1):
+    nothing is subtracted, so nothing cancels, and the factors beside var_r
+    and mu^2 are at most 1, so nothing overflows. Non-negative, and zero only
+    for var_r = 0 with n = 1 (or mu = var_r = 0).
     """
-    m2 = ticket_value_second_moment(mu, var_r, d, n)
-    return m2 - mu * mu / (n * n * d * d + 2.0 * n * d + 1.0)
+    _check_mu(mu)
+    _check_var(var_r)
+    _check_rate(d)
+    _check_n(n)
+    lead = n * d + 1.0
+    return (var_r + mu * mu * (n * d / lead) * ((n - 1.0) * d / lead)) / (n * d * (d + 2.0) + 1.0)
 
 
 # ---------------------------------------------------------------------------
-# Series oracle
+# Double-double arithmetic (Dekker, *Numer. Math.* 18, 1971)
 # ---------------------------------------------------------------------------
 
-_MAX_TERMS = 50_000_000   # least term budget; a ratio near 1 gets more
-_BLOCK = 4096          # most terms evaluated and checked at once (2**22 at most: see _exact_sum)
-# Exact sums count 2**-_UNIT: 53 mantissa bits below 8 * -135, the band of 2**-1073.
-_UNIT = 53 + 8 * 135
+# A pair (hi, lo) of floats with hi = fl(hi + lo), carrying about 106 bits.
+DD = tuple[float, float]
+
+
+def _two_sum(a: float, b: float) -> DD:
+    """a + b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _split(a: float) -> DD:
+    """a as hi + lo of 26 significant bits each; beyond 2**996, 2**27 * a
+    would overflow, so a is split at 2**-28 of its size."""
+    if abs(a) > 2.0**996:
+        hi, lo = _split(a * 2.0**-28)
+        return hi * 2.0**28, lo * 2.0**28
+    c = 134217729.0 * a    # (2**27 + 1) * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def dd_add(x: DD, y: DD) -> DD:
+    s, e = _two_sum(x[0], y[0])
+    t, f = _two_sum(x[1], y[1])
+    s, e = _two_sum(s, e + t)
+    return _two_sum(s, e + f)
+
+
+def dd_mul(x: DD, y: DD) -> DD:
+    """x * y, from Dekker's exact product of the leading parts."""
+    p = x[0] * y[0]
+    (ah, al), (bh, bl) = _split(x[0]), _split(y[0])
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return _two_sum(p, e + (x[0] * y[1] + x[1] * y[0]))
+
+
+def dd_div(x: DD, y: DD) -> DD:
+    q = x[0] / y[0]
+    rest = dd_add(x, dd_mul(y, (-q, 0.0)))
+    return _two_sum(q, rest[0] / y[0])
+
+
+# ---------------------------------------------------------------------------
+# Series sums
+# ---------------------------------------------------------------------------
+
+SERIES_KINDS = ("geometric", "linear")
+_MAX_DOUBLINGS = 1000     # a series longer than 2**1000 terms does not converge here
+_MAX_TERMS = 50_000_000   # least term budget of the term loop; a ratio near 1 gets more
 # Envelope slack: |term(t)| may exceed the anchored geometric envelope by a
 # polynomial factor (e.g. t * x^t) but not by more than this.
 _SLACK = 1e9
 
 
-def truncated_series_sum(
-    term: Callable,
-    d: Optional[float] = None,
-    epsilon: float = 1e-12,
-    *,
-    ratio: Optional[float] = None,
-    vectorized: bool = False,
-) -> float:
-    """Numerically sum term(1) + term(2) + ... for a geometrically dominated
-    series, stopping once the geometric tail bound drops below
-    epsilon * |partial sum|.
+def doubling_series_sum(a: DD, r: DD, kind: str = "geometric", epsilon: float = 1e-12) -> DD:
+    """The sum over t = 1..H of a*r^(t-1) (``kind`` "geometric") or of
+    a*t*r^(t-1) ("linear") for 0 <= r < 1, in double-double, where H is the
+    stop of ``truncated_series_sum``'s rule with envelope ratio r.
 
-    The dominating ratio is 1/(1+d) by default; pass ``ratio`` explicitly
-    for series not tied to a discount rate. Terms whose magnitude is still
-    growing (e.g. t * x^t early on) are summed through the rise; the stop
-    rule only engages while terms decay, using the larger of the supplied
-    ratio and the last observed term ratio so the bound stays valid. Eight
-    zero terms in a row also stop the sum.
+    It doubles on the bits of H, in O(log H) operations: with S_m the sum
+    of r^(t-1) and T_m that of t*r^(t-1) over t <= m, S_2m = S_m + r^m*S_m
+    and T_2m = T_m + r^m*(T_m + m*S_m), and H is found by binary lifting
+    over r^(2^j), S_(2^j) and T_(2^j).
+    """
+    if kind not in SERIES_KINDS:
+        raise ValueError(f"series kind must be one of {SERIES_KINDS}, got {kind!r}")
+    if not (epsilon > 0.0):
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    return dd_mul(a, _doubling_sum(r, kind == "linear", epsilon)[0])
 
-    Terms are evaluated and checked in blocks of consecutive t, which start
-    at one term and double up to ``_BLOCK``, so memory stays bounded however
-    long the series is, and a sum that stops at t evaluates no term at 2*t
-    or beyond. With ``vectorized=False`` ``term`` is called with the Python
-    ints 1, 2, 3, ... in order, up to the end of the block that stops the
-    sum; with ``vectorized=True`` it maps an int64 array of t to an array of
-    terms (or to a constant, which is broadcast). Either way the stop rule
-    sees the terms in order and stops where a term-by-term loop would. The
-    terms up to the stop are summed exactly in integers and rounded once, so
-    the result is what one math.fsum over them gives.
+
+def _doubling_sum(r: DD, linear: bool, epsilon: float) -> tuple[DD, int]:
+    """The sum of r^(t-1), or of t*r^(t-1) when ``linear``, over t = 1..H, and H."""
+    gap = (1.0 - r[0]) - r[1]     # 1 - r, with no cancellation
+    if not (r[0] >= 0.0 and gap > 0.0):
+        raise DivergenceError(f"series does not contract: ratio {r[0] + r[1]} is not in [0, 1)")
+
+    def settled(t: int, power: DD, total: DD) -> bool:
+        """Whether the rule stops at t, given r^t and the unit sum to t: the
+        term decays, and |term(t)|*r'/(1 - r') <= epsilon*|sum|, where the
+        ratio r' to term(t-1) is r, or r*t/(t-1) when linear."""
+        if linear:
+            excess = t * gap - 1.0    # (t - 1)*(1 - r')
+            return t > 1 and excess > 0.0 and t * (t * power[0]) <= epsilon * total[0] * excess
+        return t > 1 and power[0] <= epsilon * total[0] * gap
+
+    levels = []     # (r^m, S_m, T_m) at m = 1, 2, 4, ... below the first settled m
+    power, s, lin, m = r, (1.0, 0.0), (1.0, 0.0), 1
+    while not settled(m, power, lin if linear else s):
+        if len(levels) == _MAX_DOUBLINGS:
+            raise DivergenceError(f"series did not converge within 2**{_MAX_DOUBLINGS} terms")
+        levels.append((power, s, lin))
+        if linear:
+            lin = dd_add(lin, dd_mul(power, dd_add(lin, dd_mul(s, (float(m), 0.0)))))
+        s, power, m = dd_add(s, dd_mul(power, s)), dd_mul(power, power), 2 * m
+
+    # The last t that does not settle, bit by bit, with r^t and the unit sum to t.
+    t, power, total = 0, (1.0, 0.0), (0.0, 0.0)
+    for j in reversed(range(len(levels))):
+        power_j, s_j, lin_j = levels[j]
+        if linear:    # T_(t+m) = T_t + r^t*(T_m + t*S_m)
+            step = dd_add(total, dd_mul(power, dd_add(lin_j, dd_mul(s_j, (float(t), 0.0)))))
+        else:         # S_(t+m) = S_t + r^t*S_m
+            step = dd_add(total, dd_mul(power, s_j))
+        step_power = dd_mul(power, power_j)
+        if not settled(t + (1 << j), step_power, step):
+            t, power, total = t + (1 << j), step_power, step
+    last = dd_mul(power, (float(t + 1), 0.0)) if linear else power    # the unit term t + 1
+    return dd_add(total, last), t + 1
+
+
+def truncated_series_sum(term: Callable[[int], float], d: Optional[float] = None,
+                         epsilon: float = 1e-12, *, ratio: Optional[float] = None) -> float:
+    """Sum term(1) + term(2) + ..., called with the ints 1, 2, 3, ... in
+    order, for a geometrically dominated series with envelope ratio
+    ``ratio`` (by default 1/(1+d)), up to the first decaying term with
+    |term|*r'/(1 - r') <= epsilon*|partial sum|, r' the larger of ``ratio``
+    and the last observed term ratio; eight zero terms in a row also stop
+    it. Terms go into Shewchuk's exact partials (the algorithm of
+    math.fsum), so the result is the correctly rounded sum to the stop, in
+    O(1) memory.
 
     Raises DivergenceError when a term up to the stop is NaN or infinite,
-    when the envelope is not contracting, or when the sum fails to converge
-    within the term budget: ``_MAX_TERMS``, or where more, the t at which
-    the envelope falls to epsilon of the first nonzero term.
+    when a term exceeds the envelope, or past the term budget:
+    ``_MAX_TERMS``, or where more, the t at which the envelope falls to
+    epsilon of the first nonzero term.
     """
     if ratio is None:
         if d is None or not (d > 0.0 and math.isfinite(d)):
@@ -183,100 +282,51 @@ def truncated_series_sum(
         raise DivergenceError(f"series does not contract: envelope ratio {ratio} >= 1")
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    return _series_sum(term, ratio, epsilon, vectorized)[0]
+    return _series_sum(term, ratio, epsilon)[0]
 
 
-def _first(mask: np.ndarray) -> int:
-    """Index of the first True in ``mask``, or its length when there is none."""
-    at = int(mask.argmax()) if mask.size else 0
-    return at if at < mask.size and mask[at] else mask.size
-
-
-def _exact_sum(block: np.ndarray) -> int:
-    """The exact sum of the finite ``block``, in units of 2**-_UNIT. frexp
-    gives each term a 53-bit integer mantissa v; aligned within bands of 8
-    binades, v < 2**60, and each band sums v >> 31 and v & (2**31 - 1): each
-    half-sum is below 2**31 * _BLOCK = 2**43, exact in int64 and in
-    bincount's float64 sums (which stay exact up to _BLOCK = 2**22)."""
-    mantissa, exponent = np.frexp(block)
-    band = exponent >> 3
-    v = np.ldexp(mantissa, (exponent & 7) + 53).astype(np.int64)
-    high, rest, low = v >> 31, v & 0x7FFFFFFF, int(band.min())
-    if band.max() > low:
-        sums = zip(np.bincount(band - low, high), np.bincount(band - low, rest))
-    else:
-        sums = [(high.sum(), rest.sum())]
-    total = sum(((int(h) << 31) + int(r)) << (8 * b) for b, (h, r) in enumerate(sums))
-    return total << (8 * low - 53 + _UNIT)
-
-
-def _series_sum(term: Callable, ratio: float, epsilon: float,
-                vectorized: bool) -> tuple[float, int]:
+def _series_sum(term: Callable[[int], float], ratio: float, epsilon: float) -> tuple[float, int]:
     """The truncated sum and the last t it includes."""
     budget = _MAX_TERMS
     if ratio > 0.0:
         budget = max(budget, math.ceil(math.log(epsilon / _SLACK) / math.log(ratio)))
-    exact = 0  # every term so far, summed exactly in units of 2**-_UNIT
-    # The stop rule's state after the previous block: the running total in
-    # term order, the last term, the zeros it ended on, and the envelope
-    # (None until the first nonzero term anchors it).
+    # The exact partials, the running total in term order, the last term's
+    # magnitude, the zeros it ended on, and the envelope, which the first
+    # nonzero term anchors.
+    partials: list[float] = []
     total, prev, zero_run, envelope = 0.0, 0.0, 0, None
-    start, size = 1, 1
-    while start <= budget:
-        size = min(size, budget + 1 - start)
-        if vectorized:
-            ts = np.arange(start, start + size, dtype=np.int64)
-            x = np.broadcast_to(np.asarray(term(ts), dtype=np.float64), ts.shape)
+    for t in range(1, budget + 1):
+        x = float(term(t))
+        if not math.isfinite(x):
+            raise DivergenceError(f"series term {t} is {x}, not a finite number")
+        total += x
+        ax, i = abs(x), 0
+        for p in partials:
+            if abs(x) < abs(p):
+                x, p = p, x
+            high = x + p
+            low = p - (high - x)
+            if low:
+                partials[i] = low
+                i += 1
+            x = high
+        partials[i:] = [x]
+        if ax == 0.0:    # isolated zeros pass, but a run of them ends the sum
+            zero_run += 1
+            if zero_run >= 8:
+                return math.fsum(partials), t
         else:
-            x = np.fromiter(map(term, range(start, start + size)), np.float64, size)
-        ax = np.abs(x)
-        nonzero = x != 0.0
-
-        # A geometric envelope anchored at a zero term pins the tail at zero,
-        # but tolerate isolated zeros (e.g. a vanishing first term).
-        stop, zero_end = size, 0
-        if not nonzero.all():
-            at = np.arange(size)
-            runs = at - np.maximum.accumulate(np.where(nonzero, at, -1 - zero_run))
-            stop, zero_end = _first(runs >= 8), int(runs[-1])
-
-        # cumsum adds in order, so these are the totals a per-term loop keeps,
-        # and the tail bound takes that loop's float steps per term; a zero
-        # previous term gives an inf or nan ratio, which ``observed < 1`` drops.
-        totals = np.cumsum(np.concatenate(([total], x)))[1:]
-        prevs = np.concatenate(([abs(prev)], ax[:-1]))
-        with np.errstate(all="ignore"):
-            observed = ax / prevs
-            r = np.maximum(observed, ratio)
-            settled = (observed < 1.0) & nonzero & (ax * r / (1.0 - r) <= epsilon * np.abs(totals))
-        stop = min(stop, _first(settled))
-        bad = _first(~np.isfinite(x[: stop + 1]))
-        if bad < min(stop + 1, size):
-            raise DivergenceError(f"series term {start + bad} is {x[bad]}, not a finite number")
-
-        # The envelope shrinks by ``ratio`` per term from the first nonzero
-        # term; multiply.accumulate repeats the loop's products exactly.
-        anchor = check = 0
-        if envelope is None:
-            anchor = _first(nonzero)
-            check = anchor + 1
-            if anchor < size:
-                envelope = float(ax[anchor]) * _SLACK
+            zero_run = 0
+            if envelope is None:
+                envelope = ax * _SLACK
+            elif ax > envelope:
+                raise DivergenceError(f"series does not contract: term {t} exceeds the geometric envelope")
+            observed = ax / prev if prev else 1.0    # a zero previous term: no ratio
+            if observed < 1.0:
+                r = observed if observed > ratio else ratio
+                if ax * r / (1.0 - r) <= epsilon * abs(total):
+                    return math.fsum(partials), t
+        prev = ax
         if envelope is not None:
-            bound = np.full(size - anchor, ratio)
-            bound[0] = envelope
-            np.multiply.accumulate(bound, out=bound)
-            breach = check + _first(ax[check:] > bound[check - anchor:])
-            if breach < size and breach <= stop:
-                raise DivergenceError(
-                    f"series does not contract: term {start + breach} exceeds the geometric envelope"
-                )
-            envelope = float(bound[-1]) * ratio
-
-        exact += _exact_sum(x[: stop + 1])
-        if stop < size:
-            return exact / (1 << _UNIT), start + stop
-        total, prev, zero_run = float(totals[-1]), float(x[-1]), zero_end
-        start += size
-        size = min(2 * size, _BLOCK)
+            envelope *= ratio
     raise DivergenceError(f"series did not converge within {budget} terms")

@@ -33,6 +33,9 @@ from .market import FairValue, FixedDiscount, FixedMargin, MultiBlockSpec, Prici
 from .quantities import Quantity, entries
 
 OUTPUT_FORMATS = ("csv", "jsonl")
+# The discount rates at which every oracle of a unit-scale reward is within
+# verify's tolerance of its closed form (README, "The discount rate").
+D_RANGE = (1e-10, 1e100)
 
 DEFAULTS = {
     "seed": 42,
@@ -311,7 +314,9 @@ def _parse(raw: dict, reward: Optional[tuple[RewardModel, dict]] = None) -> tupl
     }
     workers = _expect_int(merged["workers"], "workers", minimum=1)
     spec["n"] = n = _expect_int(merged["n"], "n", minimum=1)
-    spec["d"] = _expect_number(merged["d"], "d", exclusive_min=0.0)
+    spec["d"] = d = _expect_number(merged["d"], "d", exclusive_min=0.0)
+    if not D_RANGE[0] <= d <= D_RANGE[1]:
+        raise ConfigError("d", f"must be between {D_RANGE[0]:g} and {D_RANGE[1]:g}, got {d}")
     reward, spec["reward"] = reward or _parse_reward(merged["reward"], "reward")
     spec["quantity"] = _expect_quantity(merged["quantity"], "quantity", entries(estimator=True))
     spec["holder_share"] = _optional(merged["holder_share"], "holder_share", _expect_number,

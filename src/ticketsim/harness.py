@@ -28,12 +28,11 @@ import dataclasses
 import time
 from dataclasses import dataclass
 
-from .analytics import truncated_series_sum
 from .config import ExperimentConfig, SweepSpec
 from .core import ParetoReward
-from .errors import ConfigError
+from .errors import ConfigError, NegativePriceError
 from .market import protocol_capture
-from .quantities import ORACLE_EPSILON, QUANTITIES, Entry, Quantity, Run, entries, pool_variances
+from .quantities import QUANTITIES, Entry, Quantity, Run, entries, pool_variances, stream_series
 from .report import ReportRow, make_row, relative_gap
 
 ORACLE_TOLERANCE = 1e-9    # closed form vs oracle acceptance
@@ -215,13 +214,13 @@ def run_pricing(cfg: ExperimentConfig) -> list[ReportRow]:
     """Protocol capture under the configured policy, cross-checked by series."""
     start = time.perf_counter()
     params = cfg.params
-    capture = protocol_capture(cfg.policy, params)
-    d = cfg.d
-
-    stream_oracle = truncated_series_sum(
-        lambda t: capture.price / (1.0 + d) ** t, d, ORACLE_EPSILON, vectorized=True
-    )
-    npv_oracle = QUANTITIES[Quantity.NPV_REWARDS].oracle(Run(params))
+    try:
+        capture = protocol_capture(cfg.policy, params)
+    except NegativePriceError as exc:
+        raise ConfigError("policy.margin", str(exc)) from exc
+    run = Run(params)
+    stream_oracle = stream_series(run, capture.price)
+    npv_oracle = QUANTITIES[Quantity.NPV_REWARDS].oracle(run)
     oracle = {
         "price": capture.price,
         "initial_sale": params.n * capture.price,

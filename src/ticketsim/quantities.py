@@ -1,7 +1,8 @@
 """The quantity table: every model quantity ticketsim prices, defined once.
 
 Each entry holds a quantity's closed form, its independent oracle (a
-truncated series or a finite difference) and its Monte Carlo estimator: the
+series summed by ``analytics.doubling_series_sum``, or a complex-step
+derivative) and its Monte Carlo estimator: the
 ensemble it draws, on which RNG stream, the statistic it takes of it and a
 bound on the bias that horizon truncation leaves. A command uses every entry
 that has the fields it needs: ``verify`` those with an oracle, ``analytic``
@@ -31,12 +32,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import analytics, engine
+from .analytics import DD
 from .core import EconomyParams
 from .errors import ConfigError
 
-ORACLE_EPSILON = 1e-12     # series oracle stopping tolerance
+# The tail each oracle series leaves out, relative to its sum: below the
+# double-double resolution (2**-106, about 1.2e-32), so a truncated sum is
+# as exact as its rounding, and E[V^2] - E[V]^2 keeps the variance's digits
+# even where the variance is 2e-18 of E[V^2] (n = 2, d = 1e-9).
+ORACLE_EPSILON = 1e-32
 DEFAULT_HOLDER_SHARE = 0.125   # holder share of a run that configures none
-_FD_STEP = 3e-5            # finite-difference step, relative to n
+_COMPLEX_STEP = 1e-20      # complex-step derivative step, relative to n
+_ONE = (1.0, 0.0)
 
 
 class Quantity(str, Enum):
@@ -132,9 +139,32 @@ class Run:
         return self.horizon if self.horizon is not None else engine.discount_horizon(self.d)
 
     @cached_property
-    def ticket_series(self) -> float:
-        """Proof-structure series for the single-ticket value."""
-        return _ticket_series(self, ORACLE_EPSILON)
+    def discount(self) -> DD:
+        """x = 1/(1+d) as a double-double, from 1 + d carried exactly."""
+        return analytics.dd_div(_ONE, analytics.dd_add(_ONE, (self.d, 0.0)))
+
+    @cached_property
+    def win_chance(self) -> DD:
+        """1/n, a ticket's chance to win a slot, as a double-double."""
+        return analytics.dd_div(_ONE, (float(self.n), 0.0))
+
+    @cached_property
+    def miss_chance(self) -> DD:
+        """q = 1 - 1/n as a double-double."""
+        return analytics.dd_add(_ONE, (-self.win_chance[0], -self.win_chance[1]))
+
+    @cached_property
+    def reward_series(self) -> float:
+        """Series for the NPV of the reward stream."""
+        return stream_series(self, self.mu)
+
+    @cached_property
+    def ticket_sum(self) -> DD:
+        """Proof-structure series for the single-ticket value, as a
+        double-double: the sum of q^(t-1) * (1/n) * mu * x^t."""
+        mul, x = analytics.dd_mul, self.discount
+        return analytics.doubling_series_sum(mul(mul((self.mu, 0.0), x), self.win_chance),
+                                             mul(self.miss_chance, x), "geometric", ORACLE_EPSILON)
 
     @cached_property
     def ticket_sums(self) -> tuple[PowerSums, int]:
@@ -158,63 +188,35 @@ class Run:
             reduce=partial(block_sums, shifts=shifts, order=2))
 
 
-def _reward_stream_series(run: Run) -> float:
-    mu, d = run.mu, run.d
-    return analytics.truncated_series_sum(
-        lambda t: mu / (1.0 + d) ** t, d, ORACLE_EPSILON, vectorized=True
-    )
-
-
-def _ticket_series(run: Run, epsilon: float) -> float:
-    mu, d, n = run.mu, run.d, run.n
-    q = 1.0 - 1.0 / n
-    return analytics.truncated_series_sum(
-        lambda t: q ** (t - 1) * (1.0 / n) * mu / (1.0 + d) ** t, d, epsilon, vectorized=True
-    )
-
-
-def _second_moment_series(run: Run, epsilon: float) -> float:
-    d, n = run.d, run.n
-    q = 1.0 - 1.0 / n
-    num = run.var_r + run.mu * run.mu
-    return analytics.truncated_series_sum(
-        lambda t: q ** (t - 1) * (1.0 / n) * num / (1.0 + d) ** (2 * t),
-        epsilon=epsilon,
-        ratio=q / (1.0 + d) ** 2,
-        vectorized=True,
-    )
+def stream_series(run: Run, amount: float) -> float:
+    """Series for the NPV of ``amount`` paid every slot: the sum of amount * x^t."""
+    x = run.discount
+    return analytics.doubling_series_sum(analytics.dd_mul((amount, 0.0), x), x, "geometric",
+                                         ORACLE_EPSILON)[0]
 
 
 def _variance_series(run: Run) -> float:
-    """E[V^2] - E[V]^2 from their two series.
-
-    Each series stops at a tail below epsilon of itself, so the difference
-    is within epsilon * (E[V^2] + 2 E[V]^2) <= 3 epsilon * E[V^2]. That is
-    large beside a variance that is a small share s of E[V^2] (s ~ 2e-4 at
-    n = 2, d = 0.01), so below s = 1/3 both series are summed again to
-    epsilon * s, which keeps the difference within 9 epsilon of itself (s
-    is floored at 1e-6: a tail much below 1e-18 of a sum is below its
-    rounding).
-    """
-    second, mean = _second_moment_series(run, ORACLE_EPSILON), run.ticket_series
-    scale = (second - mean**2) / second if second > 0.0 else 1.0
-    if scale < 1.0 / 3.0:
-        epsilon = ORACLE_EPSILON * max(scale, 1e-6)
-        second, mean = _second_moment_series(run, epsilon), _ticket_series(run, epsilon)
-    return second - mean**2
+    """E[V^2] - E[V]^2 in double-double, rounded once. E[V^2] is the sum of
+    q^(t-1) * (1/n) * (var_r + mu^2) * x^(2t)."""
+    mul, x2 = analytics.dd_mul, analytics.dd_mul(run.discount, run.discount)
+    moment = analytics.dd_add((run.var_r, 0.0), mul((run.mu, 0.0), (run.mu, 0.0)))
+    second = analytics.doubling_series_sum(mul(moment, mul(x2, run.win_chance)),
+                                           mul(run.miss_chance, x2), "geometric", ORACLE_EPSILON)
+    square = mul(run.ticket_sum, run.ticket_sum)
+    return analytics.dd_add(second, (-square[0], -square[1]))[0]
 
 
 def _slots_to_win_series(run: Run) -> float:
-    n = run.n
-    q = 1.0 - 1.0 / n
-    return analytics.truncated_series_sum(
-        lambda t: t * q ** (t - 1) * (1.0 / n), epsilon=ORACLE_EPSILON, ratio=q, vectorized=True
-    )
+    """The sum of t * q^(t-1) * (1/n)."""
+    return analytics.doubling_series_sum(run.win_chance, run.miss_chance, "linear",
+                                         ORACLE_EPSILON)[0]
 
 
-def _central_difference(f: Callable[[float], float], n: int) -> float:
-    h = _FD_STEP * n
-    return (f(n + h) - f(n - h)) / (2.0 * h)
+def _complex_step(f: Callable[[complex], complex], n: int) -> float:
+    """f'(n) as Im f(n + ih)/h (Squire & Trapp, *SIAM Review* 40(1), 1998):
+    no difference is taken, so nothing cancels, and h can be tiny."""
+    h = _COMPLEX_STEP * n
+    return f(complex(n, h)).imag / h
 
 
 def ticket_mean(params: EconomyParams) -> float:
@@ -429,27 +431,27 @@ QUANTITIES: dict[Quantity, Entry] = {
     # the gross flow of the shared ensemble's k tickets estimates mu/d.
     Quantity.NPV_REWARDS: Entry(
         closed=lambda run: analytics.npv_rewards(run.mu, run.d),
-        oracle=_reward_stream_series,
+        oracle=lambda run: run.reward_series,
         ensemble=lambda run: (run.holder_sums[0], 0),
         statistic=lambda run, gross: _scaled_mean(run.n / run.holder_tickets, gross),
         bias=lambda run: holder_bias(run, 1.0),
     ),
     Quantity.TICKET_VALUE: Entry(
         closed=lambda run: analytics.expected_ticket_value(run.mu, run.d, run.n),
-        oracle=lambda run: run.ticket_series,
+        oracle=lambda run: run.ticket_sum[0],
         ensemble=lambda run: run.ticket_sums,
         bias=lambda run: run.mu * run.win_tail,
     ),
     Quantity.TOTAL_TICKET_VALUE: Entry(
         closed=lambda run: analytics.total_ticket_value(run.mu, run.d, run.n),
-        oracle=lambda run: analytics.npv_rewards(run.mu, run.d),
+        oracle=lambda run: run.reward_series,
         ensemble=lambda run: run.ticket_sums,
         statistic=_total_value,
         bias=lambda run: (run.n + 1.0 / run.d) * run.mu * run.win_tail,
     ),
     Quantity.ISSUED_MARKET_CAP: Entry(
         closed=lambda run: analytics.issued_market_cap(run.mu, run.d, run.n),
-        oracle=lambda run: run.n * run.ticket_series,
+        oracle=lambda run: run.n * run.ticket_sum[0],
         ensemble=lambda run: run.ticket_sums,
         statistic=lambda run, sums: _scaled_mean(run.n, sums),
         bias=lambda run: run.n * run.mu * run.win_tail,
@@ -465,23 +467,21 @@ QUANTITIES: dict[Quantity, Entry] = {
     ),
     Quantity.TICKET_VALUE_DERIVATIVE: Entry(
         closed=lambda run: analytics.ticket_value_derivative_n(run.mu, run.d, run.n),
-        oracle=lambda run: _central_difference(lambda x: run.mu / (x * run.d + 1.0), run.n),
+        oracle=lambda run: _complex_step(lambda z: run.mu / (z * run.d + 1.0), run.n),
         sign=-1,
     ),
     # The holder ensemble's k tickets have a net flow linear in k, so
     # share*n/k times it estimates the value of share.
     Quantity.CONTROL_VALUE: Entry(
         closed=lambda run: analytics.control_value(run.share, run.mu, run.d, run.n),
-        oracle=lambda run: run.share * run.n * run.ticket_series,
+        oracle=lambda run: run.share * run.n * run.ticket_sum[0],
         ensemble=lambda run: (run.holder_sums[1], 0),
         statistic=lambda run, net: _scaled_mean(run.share * run.n / run.holder_tickets, net),
         bias=lambda run: holder_bias(run, run.share, price=fair_price(run)),
     ),
     Quantity.CONTROL_VALUE_DERIVATIVE: Entry(
         closed=lambda run: analytics.control_value_derivative_n(run.share, run.mu, run.d, run.n),
-        oracle=lambda run: _central_difference(
-            lambda x: run.share * x * run.mu / (x * run.d + 1.0), run.n
-        ),
+        oracle=lambda run: _complex_step(lambda z: run.share * run.mu / (run.d + 1.0 / z), run.n),
         sign=1,
     ),
     Quantity.TICKET_VALUE_VARIANCE: Entry(

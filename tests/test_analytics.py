@@ -1,8 +1,8 @@
-"""Closed forms against their independent series / finite-difference oracles."""
+"""Closed forms against their independent series / complex-step oracles."""
 
 import math
+import time
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +28,7 @@ from ticketsim.config import parse_config
 from ticketsim.core import ConstantReward, EconomyParams, calibrate_lognormal
 from ticketsim.errors import ConfigError, DiscountRateError, DivergenceError
 from ticketsim.harness import run_analytic, run_verify
-from ticketsim.quantities import QUANTITIES, Quantity, Run, entries
+from ticketsim.quantities import ORACLE_EPSILON, QUANTITIES, Quantity, Run, entries
 
 EPS = 1e-12
 REL = 1e-9
@@ -261,130 +261,58 @@ def test_ticket_value_variance_nonnegative_randomized():
 # ---------------------------------------------------------------------------
 
 
-# Every series test runs under both term conventions: scalar terms called
-# with Python ints, and array terms called with int64 arrays of t.
-CONVENTIONS = (False, True)
-
-
 def test_truncated_series_geometric():
-    for vectorized in CONVENTIONS:
-        total = truncated_series_sum(lambda t: 1.0 / 1.05**t, 0.05, EPS, vectorized=vectorized)
-        assert abs(total - 20.0) < 1e-9 * 20.0
+    total = truncated_series_sum(lambda t: 1.0 / 1.05**t, 0.05, EPS)
+    assert abs(total - 20.0) < 1e-9 * 20.0
 
 
 def test_truncated_series_zero_terms():
-    for vectorized in CONVENTIONS:
-        assert truncated_series_sum(lambda t: 0.0, 0.05, EPS, vectorized=vectorized) == 0.0
+    assert truncated_series_sum(lambda t: 0.0, 0.05, EPS) == 0.0
 
 
 def test_truncated_series_divergence():
-    for vectorized in CONVENTIONS:
-        with pytest.raises(DivergenceError):
-            truncated_series_sum(lambda t: 1.0, None, EPS, vectorized=vectorized)
-        with pytest.raises(DivergenceError):
-            truncated_series_sum(lambda t: 1.0, 0.0, EPS, vectorized=vectorized)
-        with pytest.raises(DivergenceError):
-            truncated_series_sum(lambda t: 1.0, epsilon=EPS, ratio=1.0, vectorized=vectorized)
-        with pytest.raises(DivergenceError):
-            # Claimed envelope contracts but terms do not.
-            truncated_series_sum(lambda t: 1.0, 0.05, EPS, vectorized=vectorized)
-        with pytest.raises(DivergenceError):
-            truncated_series_sum(lambda t: 1.05**t, 0.05, EPS, vectorized=vectorized)
+    with pytest.raises(DivergenceError):
+        truncated_series_sum(lambda t: 1.0, None, EPS)
+    with pytest.raises(DivergenceError):
+        truncated_series_sum(lambda t: 1.0, 0.0, EPS)
+    with pytest.raises(DivergenceError):
+        truncated_series_sum(lambda t: 1.0, epsilon=EPS, ratio=1.0)
+    with pytest.raises(DivergenceError):
+        # Claimed envelope contracts but terms do not.
+        truncated_series_sum(lambda t: 1.0, 0.05, EPS)
+    with pytest.raises(DivergenceError):
+        truncated_series_sum(lambda t: 1.05**t, 0.05, EPS)
 
 
 def test_truncated_series_rising_then_decaying_terms():
     # t * x^{t-1} rises before it decays; the stop rule must wait out the rise.
     n = 50
     q = 1.0 - 1.0 / n
-    for vectorized in CONVENTIONS:
-        total = truncated_series_sum(
-            lambda t: t * q ** (t - 1) / n, epsilon=EPS, ratio=q, vectorized=vectorized
-        )
-        assert rel_gap(total, float(n)) < REL
+    total = truncated_series_sum(lambda t: t * q ** (t - 1) / n, epsilon=EPS, ratio=q)
+    assert rel_gap(total, float(n)) < REL
 
 
 def test_truncated_series_leading_zero_term():
     # First term vanishes; the sum must not short-circuit to zero.
     d = 0.05
     x = 1.0 / (1.0 + d)
-    for vectorized in CONVENTIONS:
-        total = truncated_series_sum(lambda t: (t - 1) * x**t, d, EPS, vectorized=vectorized)
-        # sum (t-1) x^t = x^2/(1-x)^2 = 1/d^2
-        assert rel_gap(total, 1.0 / d**2) < REL
+    total = truncated_series_sum(lambda t: (t - 1) * x**t, d, EPS)
+    # sum (t-1) x^t = x^2/(1-x)^2 = 1/d^2
+    assert rel_gap(total, 1.0 / d**2) < REL
 
 
 def test_non_finite_term_raises_naming_its_t():
-    for vectorized in CONVENTIONS:
-        for bad in (math.nan, math.inf, -math.inf):
-            def term(t, bad=bad):
-                x = np.where(t == 5, bad, 0.5 ** np.asarray(t, dtype=np.float64))
-                return x if vectorized else float(x)
-
-            with pytest.raises(DivergenceError, match="term 5 "):
-                truncated_series_sum(term, epsilon=EPS, ratio=0.5, vectorized=vectorized)
-        # A non-finite term past the stop, in the block that stops, is not summed.
-        total, stop = analytics._series_sum(
-            lambda t: np.where(t == 28, math.nan, 0.5 ** np.asarray(t, dtype=np.float64)),
-            0.5, 1e-6, vectorized)
-        assert 16 <= stop < 28 and total == math.fsum(0.5**t for t in range(1, stop + 1))
-
-
-def _exact(block):
-    return analytics._exact_sum(np.asarray(block, dtype=np.float64)) / (1 << analytics._UNIT)
-
-
-def _adversarial_block(kind, size, seed):
-    rng = np.random.default_rng(seed)
-    signs = rng.choice([-1.0, 1.0], size)
-    if kind == "wide":         # magnitudes 1e-300 .. 1e300, mixed signs
-        return signs * rng.random(size) * 10.0 ** rng.integers(-300, 301, size)
-    if kind == "subnormal":    # whole multiples of the least subnormal
-        return rng.integers(-2**40, 2**40, size) * 5e-324
-    if kind == "ties":         # sums halfway between neighbouring doubles
-        x = np.zeros(size)
-        x[0] = 1.0 + 2.0**-52 * rng.integers(0, 2)
-        if size > 1:
-            x[1] = 2.0**-53
-        rest = np.ldexp(rng.integers(1, 2**53, max(size - 2, 0) // 2).astype(np.float64),
-                        rng.integers(-1100, 900, max(size - 2, 0) // 2))
-        x[2 : 2 + 2 * rest.size] = np.concatenate((rest, -rest))
-        return rng.permutation(x)
-    if kind == "zeros":        # mostly zeros, with a few terms spanning 60+ binades
-        x = np.where(rng.random(size) < 0.9, 0.0, signs * 2.0 ** rng.integers(-40, 40, size))
-        return x * rng.random(size)
-    return signs * rng.random(size) * 2.0 ** rng.integers(-30, 3, size)  # "narrow"
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    kind=st.sampled_from(["wide", "subnormal", "ties", "zeros", "narrow"]),
-    size=st.integers(1, analytics._BLOCK),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_exact_block_sum_equals_fsum(kind, size, seed):
-    block = _adversarial_block(kind, size, seed)
-    assert _exact(block) == math.fsum(block.tolist())
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=64))
-def test_exact_block_sum_equals_fsum_on_any_floats(block):
-    try:
-        expected = math.fsum(block)
-    except OverflowError:
-        # fsum gives up on an intermediate overflow; Fraction rounds exactly.
-        try:
-            expected = float(sum(map(Fraction, block)))
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                _exact(block)
-            return
-    assert _exact(block) == expected
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DivergenceError, match="term 5 "):
+            truncated_series_sum(lambda t, bad=bad: bad if t == 5 else 0.5**t, epsilon=EPS, ratio=0.5)
+    # A non-finite term past the stop is never evaluated, so never summed.
+    total, stop = analytics._series_sum(lambda t: math.nan if t == 28 else 0.5**t, 0.5, 1e-6)
+    assert 16 <= stop < 28 and total == math.fsum(0.5**t for t in range(1, stop + 1))
 
 
 def loop_series_sum(term, ratio, epsilon=EPS):
-    """The term-by-term stop rule, kept as the reference for the block one:
-    the sum and the last t it includes."""
+    """The term-by-term stop rule, kept as the reference for the term loop
+    and the doubling sum: the sum and the last t it includes."""
     terms, total, prev, zero_run, envelope = [], 0.0, 0.0, 0, None
     for t in range(1, 10_000_000):
         x = float(term(t))
@@ -410,16 +338,67 @@ def loop_series_sum(term, ratio, epsilon=EPS):
     raise DivergenceError("term budget")
 
 
+def series_term(a, r, kind):
+    """The scalar term of the doubling sum's (a, r, kind), for float a and r."""
+    if kind == "linear":
+        return lambda t: a * t * r ** (t - 1)
+    return lambda t: a * r ** (t - 1)
+
+
+def check_doubling_sum(a, r, kind, epsilon, cap=50_000):
+    """The doubling sum of float (a, r, kind) against the term loops; False
+    where the series is longer than ``cap`` terms, and not checked."""
+    total, stop = analytics._doubling_sum((r, 0.0), kind == "linear", epsilon)
+    total = analytics.dd_mul((a, 0.0), total)
+    if stop > cap:
+        return False
+    term = series_term(a, r, kind)
+    _, loop_stop = loop_series_sum(term, r, epsilon)
+    # At r = 0 (n = 1) every term after the first is zero, and the loop stops
+    # on the eighth of them.
+    assert abs(stop - loop_stop) <= 1 or (r == 0.0 and loop_stop == 9), (stop, loop_stop)
+    assert analytics._series_sum(term, r, epsilon)[1] == loop_stop
+    # The terms up to the doubling sum's own stop, each rounded once.
+    assert rel_gap(total[0], math.fsum(map(term, range(1, stop + 1)))) <= 1e-13
+    return True
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    a=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+    r=st.floats(1e-3, 0.9995),
+    kind=st.sampled_from(analytics.SERIES_KINDS),
+    epsilon=st.sampled_from([1e-6, EPS, 1e-15]),
+)
+def test_doubling_sum_matches_the_term_loop(a, r, kind, epsilon):
+    check_doubling_sum(a, r, kind, epsilon)
+
+
+def test_doubling_sum_edges():
+    assert analytics.doubling_series_sum((2.0, 0.0), (0.0, 0.0)) == (2.0, 0.0)
+    assert analytics.doubling_series_sum((0.0, 0.0), (0.5, 0.0)) == (0.0, 0.0)
+    # A ratio of 1 - 1e-20 is below 1 only in double-double.
+    x = analytics.dd_div((1.0, 0.0), analytics._two_sum(1.0, 1e-20))
+    assert x[0] == 1.0 and rel_gap(analytics.doubling_series_sum(x, x, epsilon=1e-32)[0], 1e20) < 1e-15
+    for r in [(1.0, 0.0), (1.5, 0.0), (math.nan, 0.0), (-0.5, 0.0)]:
+        with pytest.raises(DivergenceError):
+            analytics.doubling_series_sum((1.0, 0.0), r)
+    with pytest.raises(ValueError, match="kind"):
+        analytics.doubling_series_sum((1.0, 0.0), (0.5, 0.0), "quadratic")
+
+
 def table_series(monkeypatch, n, d):
-    """The series the table's oracles sum at (n, d), as (term, ratio,
-    vectorized, epsilon); every sum returns 1.0."""
+    """The series the table's oracles sum at (n, d), as (a, r, kind, epsilon),
+    in table order, each once: the reward stream, the ticket value, the slots
+    to win and E[V^2]."""
     seen = []
+    doubling_series_sum = analytics.doubling_series_sum
 
-    def record(term, d=None, epsilon=EPS, *, ratio=None, vectorized=False):
-        seen.append((term, 1.0 / (1.0 + d) if ratio is None else ratio, vectorized, epsilon))
-        return 1.0
+    def record(a, r, kind="geometric", epsilon=EPS):
+        seen.append((a, r, kind, epsilon))
+        return doubling_series_sum(a, r, kind, epsilon)
 
-    monkeypatch.setattr(analytics, "truncated_series_sum", record)
+    monkeypatch.setattr(analytics, "doubling_series_sum", record)
     run = Run(EconomyParams(n=n, d=d, reward=calibrate_lognormal(1.0, 1.0)), 0.25)
     for _, entry in entries(oracle=True):
         entry.oracle(run)
@@ -429,19 +408,73 @@ def table_series(monkeypatch, n, d):
 @pytest.mark.parametrize("n", [1, 2, 32, 1024, 65536])
 @pytest.mark.parametrize("d", [1e-1, 1e-2, 1e-4])
 def test_table_series_array_and_scalar_terms_agree(monkeypatch, n, d):
+    # Each oracle's (a, r, kind) agrees with the scalar term that defines
+    # it, and the doubling sum over it with the term loop where the series is
+    # short. The oracles take (a, r) from the term, never from a closed form.
+    reward = calibrate_lognormal(1.0, 1.0)
+    mu, second = reward.mean(), reward.variance() + reward.mean() ** 2
+    q = 1.0 - 1.0 / n
+    terms = [
+        ("geometric", lambda t: mu / (1.0 + d) ** t),
+        ("geometric", lambda t: q ** (t - 1) / n * mu / (1.0 + d) ** t),
+        ("linear", lambda t: t * q ** (t - 1) / n),
+        ("geometric", lambda t: q ** (t - 1) / n * second / (1.0 + d) ** (2 * t)),
+    ]
     series = table_series(monkeypatch, n, d)
-    # Four series at the oracle epsilon. Sums of 1.0 make E[V^2] - E[V]^2
-    # cancel completely, so the variance oracle sums its two series again
-    # at its tightest epsilon.
-    assert [epsilon for *_, epsilon in series] == [EPS] * 4 + [EPS * 1e-6] * 2
-    for term, ratio, vectorized, epsilon in series:
-        assert vectorized
-        array, array_stop = analytics._series_sum(term, ratio, epsilon, True)
-        scalar, scalar_stop = analytics._series_sum(term, ratio, epsilon, False)
-        assert array_stop == scalar_stop
-        assert rel_gap(array, scalar) <= 1e-14
-        if scalar_stop < 50_000:
-            assert (scalar, scalar_stop) == loop_series_sum(term, ratio, epsilon)
+    assert [kind for _, _, kind, _ in series] == [kind for kind, _ in terms]
+    assert all(epsilon == ORACLE_EPSILON for *_, epsilon in series)
+    for (a, r, kind, _), (_, term) in zip(series, terms):
+        for t in (1, 2, 3):
+            assert rel_gap(series_term(a[0], r[0], kind)(t), term(t)) <= 1e-14
+        check_doubling_sum(a[0], r[0], kind, EPS)
+
+
+def test_time_to_win_series_past_the_cross_check_cap():
+    # n = 16384 sums ~510k terms, ten times the cap of the checks above.
+    n = 16384
+    q = 1.0 - 1.0 / n
+    term = lambda t: t * q ** (t - 1) * (1.0 / n)
+    total, stop = analytics._series_sum(term, q, EPS)
+    assert stop > 30 * n
+    assert (total, stop) == loop_series_sum(term, q, EPS)
+    # Here one term is below 1e-16 of the sum, so a stop one term apart
+    # moves the sum by less than the tolerance.
+    unit, doubling_stop = analytics._doubling_sum((q, 0.0), True, EPS)
+    assert abs(doubling_stop - stop) <= 1
+    assert rel_gap(unit[0] / n, total) <= 1e-13
+
+
+def test_scalar_terms_are_called_with_ints_in_order():
+    # Callers may record the t they see (perfbench's oracle grid reads the
+    # last one as the term count), so terms get 1, 2, 3, ... as ints, and
+    # none past the stop.
+    for ratio in (0.5, 0.999):
+        calls = []
+
+        def term(t):
+            if type(t) is not int:
+                raise TypeError(f"term called with {type(t).__name__}")
+            calls.append(t)
+            return ratio**t
+
+        _, stop = analytics._series_sum(term, ratio, EPS)
+        assert calls == list(range(1, stop + 1))
+
+
+def test_term_budget_grows_with_the_envelope_ratio(monkeypatch):
+    # The slots-to-win series stops near 31n terms. A fixed budget below
+    # that fails at large n; the budget sized from the ratio does not.
+    monkeypatch.setattr(analytics, "_MAX_TERMS", 1000)
+    n = 1000
+    q = 1.0 - 1.0 / n
+    total, stop = analytics._series_sum(lambda t: t * q ** (t - 1) / n, q, EPS)
+    assert stop > 30 * n
+    assert rel_gap(total, float(n)) < REL
+    # A ratio far from 1 keeps the fixed budget. Pairs of terms that cancel
+    # stay inside the envelope but never let the sum stop, so they exhaust it.
+    with pytest.raises(DivergenceError, match="within 1000 terms"):
+        truncated_series_sum(lambda t: (-1.0) ** t * 0.5 ** ((t + 1) // 2),
+                             epsilon=EPS, ratio=math.sqrt(0.5))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -450,9 +483,8 @@ def test_table_series_array_and_scalar_terms_agree(monkeypatch, n, d):
     shape=st.sampled_from(["decaying", "oscillating", "zero-laden", "diverging"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_block_sum_matches_the_term_by_term_loop(decay, shape, seed):
-    # Terms come from one precomputed array, so every convention and the
-    # loop see the same doubles.
+def test_term_loop_matches_the_reference_loop(decay, shape, seed):
+    # Terms come from one precomputed array, so both loops see the same doubles.
     rng = np.random.default_rng(seed)
     t = np.arange(1, 40_001)
     terms = rng.uniform(0.5, 1.5) * decay**t * rng.uniform(0.9, 1.1, t.size)
@@ -468,65 +500,16 @@ def test_block_sum_matches_the_term_by_term_loop(decay, shape, seed):
     try:
         expected = loop_series_sum(term, ratio)
     except DivergenceError as exc:
-        for vectorized in CONVENTIONS:
-            with pytest.raises(DivergenceError, match=f"term {str(exc).split()[-1]} "):
-                analytics._series_sum(term, ratio, EPS, vectorized)
+        with pytest.raises(DivergenceError, match=f"term {str(exc).split()[-1]} "):
+            analytics._series_sum(term, ratio, EPS)
         return
-    for vectorized in CONVENTIONS:
-        assert analytics._series_sum(term, ratio, EPS, vectorized) == expected
-
-
-def test_time_to_win_series_past_the_cross_check_cap():
-    # n = 16384 sums ~510k terms, ten times the cap of the table test above.
-    n = 16384
-    q = 1.0 - 1.0 / n
-    term = lambda t: t * q ** (t - 1) * (1.0 / n)
-    total, stop = analytics._series_sum(term, q, EPS, False)
-    assert stop > 30 * n
-    assert (total, stop) == loop_series_sum(term, q, EPS)
-    array, array_stop = analytics._series_sum(term, q, EPS, True)
-    assert array_stop == stop and rel_gap(array, total) <= 1e-14
-
-
-def test_scalar_terms_are_called_with_ints_in_order():
-    # Callers may record the t they see (perfbench's oracle grid reads the
-    # last one as the term count), so scalar terms get 1, 2, 3, ... as ints
-    # and no t past the end of the block that stops the sum.
-    for ratio in (0.5, 0.999):
-        calls = []
-
-        def term(t):
-            if type(t) is not int:
-                raise TypeError(f"term called with {type(t).__name__}")
-            calls.append(t)
-            return ratio**t
-
-        _, stop = analytics._series_sum(term, ratio, EPS, False)
-        assert calls == list(range(1, len(calls) + 1))
-        assert stop <= len(calls) < min(2 * stop, stop + analytics._BLOCK)
-
-
-def test_term_budget_grows_with_the_envelope_ratio(monkeypatch):
-    # The slots-to-win series stops near 31n terms. A fixed budget below
-    # that fails at large n; the budget sized from the ratio does not.
-    monkeypatch.setattr(analytics, "_MAX_TERMS", 1000)
-    n = 1000
-    q = 1.0 - 1.0 / n
-    for vectorized in CONVENTIONS:
-        total, stop = analytics._series_sum(lambda t: t * q ** (t - 1) / n, q, EPS, vectorized)
-        assert stop > 30 * n
-        assert rel_gap(total, float(n)) < REL
-    assert all(row.rel_err <= REL for row in run_analytic(parse_config({"n": n})))
-    # A ratio far from 1 keeps the fixed budget. Pairs of terms that cancel
-    # stay inside the envelope but never let the sum stop, so they exhaust it.
-    with pytest.raises(DivergenceError, match="within 1000 terms"):
-        truncated_series_sum(lambda t: (-1.0) ** t * 0.5 ** ((t + 1) // 2),
-                             epsilon=EPS, ratio=math.sqrt(0.5))
+    assert analytics._series_sum(term, ratio, EPS) == expected
 
 
 def test_series_oracle_memory_independent_of_length():
-    # Terms are evaluated a block at a time, so the oracles' peak memory does
-    # not grow with the number of terms (about 31n for the slots series).
+    # The doubling sums keep O(log terms) double-doubles, so the oracles'
+    # peak memory does not grow with the number of terms (about 74n for the
+    # slots series).
     def peak_mb(n):
         run = Run(EconomyParams(n=n, d=1e-4, reward=calibrate_lognormal(1.0, 1.0)), 0.25)
         tracemalloc.start()
@@ -545,6 +528,51 @@ def test_series_oracle_memory_independent_of_length():
 # ---------------------------------------------------------------------------
 # Quantity table
 # ---------------------------------------------------------------------------
+
+
+def test_derivative_oracles_match_their_closed_forms_over_the_grid():
+    # The complex step takes no difference, so it does not cancel: a central
+    # difference with step 3e-5*n was beyond 1e-9 on 51 of these 160 cells,
+    # by up to 7.5e-2 (control, n = 65536, d = 1e6).
+    for n in (2, 32, 1024, 16384, 65536):
+        for d in (10.0**k for k in range(-9, 7)):
+            run = Run(EconomyParams(n=n, d=d, reward=ConstantReward(1.0)), 0.25)
+            for quantity in (Quantity.TICKET_VALUE_DERIVATIVE, Quantity.CONTROL_VALUE_DERIVATIVE):
+                entry = QUANTITIES[quantity]
+                assert rel_gap(entry.oracle(run), entry.closed(run)) <= 1e-12, (quantity, n, d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 64) | st.integers(2, 2**20), log_d=st.floats(-9.0, 3.0),
+       lognormal=st.booleans())
+def test_analytic_rows_are_within_1e_12_of_their_closed_forms(n, log_d, lognormal):
+    reward = ({"kind": "lognormal", "mean": 1.0, "sigma_log": 1.0} if lognormal
+              else {"kind": "constant", "mean": 1.0})
+    rows = run_analytic(parse_config({"n": n, "d": 10.0**log_d, "reward": reward}))
+    assert all(row.rel_err <= 1e-12 for row in rows), [(row.swept_value, row.rel_err) for row in rows]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 64) | st.integers(1, 2**20), log_d=st.floats(-10.0, 100.0),
+       mu=st.floats(1e-3, 1e3), lognormal=st.booleans())
+def test_every_oracle_holds_over_the_accepted_discount_rates(n, log_d, mu, lognormal):
+    # verify's oracle gate: within 1e-9 of the closed form, with its sign.
+    reward = calibrate_lognormal(mu, 1.0) if lognormal else ConstantReward(mu)
+    run = Run(EconomyParams(n=n, d=10.0**log_d, reward=reward), 0.25)
+    for quantity, entry in entries(oracle=True):
+        closed = entry.closed(run)
+        assert rel_gap(entry.oracle(run), closed) <= REL and entry.sign_holds(closed, mu), quantity
+
+
+def test_analytic_reaches_the_papers_scale():
+    # n = 2^20 tickets at a per-slot rate of 1e-8: the series run to ~10^10
+    # terms, which the doubling sums cover in ~35 doublings each.
+    cfg = parse_config({"n": 2**20, "d": 1e-8,
+                        "reward": {"kind": "lognormal", "mean": 1.0, "sigma_log": 1.0}})
+    start = time.perf_counter()
+    rows = run_analytic(cfg)
+    assert time.perf_counter() - start < 0.5
+    assert len(rows) == 7 and all(row.rel_err <= 1e-12 for row in rows)
 
 
 def _simulate_accepts(quantity):

@@ -747,6 +747,35 @@ def test_cli_swept_values_and_overflowing_rewards_are_config_errors(tmp_path, ca
     assert not out.exists()
 
 
+def test_cli_pricing_margin_above_the_ticket_value_is_a_config_error(tmp_path, capsys):
+    # At n = 8, d = 0.05 a ticket is worth 1/1.4; the margin is not.
+    config = _write_config(tmp_path, policy={"kind": "fixed_margin", "margin": 0.75}, trials=None)
+    out = tmp_path / "report.csv"
+    assert main(["pricing", "--config", str(config), "--out", str(out)]) == 2
+    assert "config error: ConfigError: policy.margin: margin 0.75 exceeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analytic", "verify", "pricing"])
+@pytest.mark.parametrize("d", [1e200, 1e101, 1e-11, 1e-200])
+def test_cli_discount_rate_outside_its_range_is_a_config_error(tmp_path, capsys, command, d):
+    # d = 1e200 once raised an uncaught OverflowError in analytic and verify.
+    config = _command_config(tmp_path, command, d=d)
+    assert main([command, "--config", str(config)]) == 2
+    assert "config error: ConfigError: d: must be between 1e-10 and 1e+100" in capsys.readouterr().err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["analytic", "pricing"]), n=st.integers(1, 2**20),
+       log_d=st.floats(-10.0, 100.0))
+def test_cli_every_discount_rate_in_range_runs(tmp_path_factory, command, n, log_d):
+    config = _command_config(tmp_path_factory.mktemp("config"), command, n=n, d=10.0**log_d)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(config)])
+    assert code == 0, err.getvalue()
+
+
 def test_cli_multiblock_without_share_holds_one_ticket_at_small_n(tmp_path):
     # The default share 0.125 of 2 tickets rounds to none: the holder keeps one.
     config, out = _write_config(tmp_path, n=2, multiblock={"beta": 0.5}), tmp_path / "mb.jsonl"
