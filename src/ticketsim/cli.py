@@ -23,6 +23,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .config import ExperimentConfig, read_raw_config, resolve
 from .errors import TicketSimError
 from .harness import (
+    VerifyOutcome,
     run_analytic,
     run_multiblock,
     run_pool,
@@ -33,15 +34,20 @@ from .harness import (
 )
 from .report import ReportRow, emit_report
 
+# Each command's help and runner. A runner returns its rows, a sweep's
+# (rows, verdicts), or verify's outcome, whose failures set the exit code.
+# Runners are looked up when called, so a wrapper set over a module's
+# attribute (a profiler's) sees each call.
 _COMMANDS = {
-    "analytic": "evaluate every closed form against its series oracle",
-    "verify": "full closed-form / oracle / Monte Carlo verification suite",
-    "simulate": "Monte Carlo estimate of one quantity",
-    "sweep": "closed forms (optionally plus MC) over a parameter grid",
-    "pricing": "protocol capture under a pricing policy",
-    "pool": "pooled vs solo payoff variance experiment",
-    "multiblock": "consecutive-win bonus premium experiment",
+    "analytic": ("evaluate every closed form against its series oracle", lambda cfg: run_analytic(cfg)),
+    "verify": ("full closed-form / oracle / Monte Carlo verification suite", lambda cfg: run_verify(cfg)),
+    "simulate": ("Monte Carlo estimate of one quantity", lambda cfg: run_simulate(cfg)),
+    "sweep": ("closed forms (optionally plus MC) over a parameter grid", lambda cfg: run_sweep(cfg)),
+    "pricing": ("protocol capture under a pricing policy", lambda cfg: run_pricing(cfg)),
+    "pool": ("pooled vs solo payoff variance experiment", lambda cfg: run_pool(cfg)),
+    "multiblock": ("consecutive-win bonus premium experiment", lambda cfg: run_multiblock(cfg)),
 }
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -49,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulator and valuation toolkit for the ticket-lottery block economy.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMANDS.items():
+    for name, (help_text, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="JSON configuration file")
         cmd.add_argument("--seed", type=int, help="master RNG seed")
@@ -106,21 +112,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg, echo = _merge_config(args)
         started = time.perf_counter()
-        if args.command == "analytic":
-            rows = run_analytic(cfg)
-        elif args.command == "verify":
-            outcome = run_verify(cfg)
-            rows, failures = outcome.rows, outcome.failures
-        elif args.command == "simulate":
-            rows = run_simulate(cfg)
-        elif args.command == "sweep":
-            rows, verdicts = run_sweep(cfg)
-        elif args.command == "pricing":
-            rows = run_pricing(cfg)
-        elif args.command == "pool":
-            rows = run_pool(cfg)
-        else:
-            rows = run_multiblock(cfg)
+        rows = _COMMANDS[args.command][1](cfg)
+        if isinstance(rows, VerifyOutcome):
+            rows, failures = rows.rows, rows.failures
+        elif isinstance(rows, tuple):
+            rows, verdicts = rows
     except TicketSimError as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -75,10 +75,15 @@ _TOP_KEYS = {*_READ_BY, *_UNECHOED}
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep: each value's config, and the row that each value gives, read
+    as ``harness`` reads a command's rows: the table entry named ``entry``,
+    in ``mode``, sampling in ``check`` mode where ``mc`` is set."""
+
     parameter: str
     values: tuple
     configs: tuple               # one ExperimentConfig per value, in order
-    quantity: Optional[str] = None
+    entry: str
+    mode: str
     mc: bool = False
 
 
@@ -204,7 +209,19 @@ def _parse_reward(spec, path: str) -> tuple[RewardModel, dict]:
     return model, normalized
 
 
-SWEEP_PARAMETERS = ("n", "d", "mu", "sigma_log", "beta", "k", "p")
+# Each sweep parameter's row: the entry it reads unless the sweep names a
+# quantity, and its mode. A beta value gives multiblock's row, a k value the
+# pooled row of pool's, and any other value its quantity's oracle row.
+_SWEEP_ROWS = {
+    "n": (Quantity.TICKET_VALUE.value, "check"),
+    "d": (Quantity.NPV_REWARDS.value, "check"),
+    "mu": (Quantity.TICKET_VALUE.value, "check"),
+    "sigma_log": (Quantity.TICKET_VALUE_VARIANCE.value, "check"),
+    "beta": (Quantity.HOLDER_VALUE.value, "estimate"),
+    "k": ("pooled_per_ticket_variance", "estimate"),
+    "p": (Quantity.CONTROL_VALUE.value, "check"),
+}
+SWEEP_PARAMETERS = tuple(_SWEEP_ROWS)
 # The keys of the base config that each sweep value's config takes.
 _SWEEP_RUN_KEYS = ("seed", "trials", "workers", "n", "d", "reward", "holder_share", "horizon", "timings")
 
@@ -244,19 +261,20 @@ def _parse_sweep(spec, path: str, raw: dict, reward: tuple[RewardModel, dict]) -
     # Each value is valid as its key, which keeps an integer n or k as given.
     checked = tuple(value if parameter in ("n", "k") else float(value) for value in values)
     normalized = {"parameter": parameter, "values": list(checked)}
+    entry, mode = _SWEEP_ROWS[parameter]
     quantity = spec.get("quantity")
     if quantity is not None:
         if parameter in ("beta", "k", "p"):
             raise ConfigError(f"{path}.quantity", f"not used when sweeping {parameter}")
-        _expect_quantity(quantity, f"{path}.quantity", entries(oracle=True, estimator=True))
-        normalized["quantity"] = quantity
+        entry = normalized["quantity"] = _expect_quantity(
+            quantity, f"{path}.quantity", entries(oracle=True, estimator=True))
     mc = False
-    if parameter in ("beta", "k"):
+    if mode == "estimate":
         if "mc" in spec:
             raise ConfigError(f"{path}.mc", f"not used when sweeping {parameter}: it always samples")
     else:
         mc = normalized["mc"] = _expect_bool(spec.get("mc", False), f"{path}.mc")
-    sweep = SweepSpec(parameter=parameter, values=checked, configs=tuple(configs), quantity=quantity, mc=mc)
+    sweep = SweepSpec(parameter, checked, tuple(configs), entry, mode, mc)
     return sweep, normalized
 
 

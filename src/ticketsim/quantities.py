@@ -4,12 +4,10 @@ Each entry holds a quantity's closed form, its independent oracle (a
 series summed by ``analytics.doubling_series_sum``, or a complex-step
 derivative) and its Monte Carlo estimator: the
 ensemble it draws, on which RNG stream, the statistic it takes of it and a
-bound on the bias that horizon truncation leaves. A command uses every entry
-that has the fields it needs: ``verify`` those with an oracle, ``analytic``
-and ``sweep`` those with an oracle and an estimator, ``simulate`` those with
-an estimator, and ``multiblock`` and a ``beta`` sweep ``holder_value``.
-``pool`` and a ``k`` sweep read ``pool_variances``, which draws the pool
-ensemble: the pooled variance has no closed form yet, so it has no entry.
+bound on the bias that horizon truncation leaves. ``QUANTITIES`` holds the
+model quantities, ``POOL`` the rows of a payoff pool and ``PRICING`` those of
+protocol capture under a pricing policy; which command reads which entries
+is stated once, in ``harness``.
 
 Entries reach the samplers and the series oracle through their modules at
 call time, so that anything wrapping a module attribute (a profiler, a
@@ -24,7 +22,7 @@ trial-length array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, partial
 from typing import Callable, Optional
@@ -34,7 +32,8 @@ import numpy as np
 from . import analytics, engine
 from .analytics import DD
 from .core import EconomyParams
-from .errors import ConfigError
+from .errors import ConfigError, NegativePriceError
+from .market import CaptureReport, FairValue, PricingPolicy, protocol_capture
 
 # The tail each oracle series leaves out, relative to its sum: below the
 # double-double resolution (2**-106, about 1.2e-32), so a truncated sum is
@@ -93,17 +92,19 @@ class Run:
     ``share`` is the configured holder share, or None. ``run.share``, the
     share the closed forms take, is then ``DEFAULT_HOLDER_SHARE`` where
     ``default_share`` is set and otherwise raises ConfigError. ``beta`` is
-    the streak bonus of the holder-value ensemble.
+    the streak bonus of the holder-value ensemble, ``pool_size`` the tickets
+    of the pool ensemble and ``policy`` the pricing policy of ``capture``.
     """
 
     def __init__(self, params: EconomyParams, share: Optional[float] = None, *,
                  trials: int = 0, seed: int = 0, workers: int = 1,
-                 horizon: Optional[int] = None, beta: float = 0.0, default_share: bool = False):
+                 horizon: Optional[int] = None, beta: float = 0.0, default_share: bool = False,
+                 pool_size: Optional[int] = None, policy: PricingPolicy = FairValue()):
         self.params, self.configured_share = params, share
         self._share = DEFAULT_HOLDER_SHARE if share is None and default_share else share
         self.mu, self.var_r, self.d, self.n = params.mu, params.var_r, params.d, params.n
         self.trials, self.seed, self.workers = trials, seed, workers
-        self.horizon, self.beta = horizon, beta
+        self.horizon, self.beta, self.pool_size, self.policy = horizon, beta, pool_size, policy
 
     @property
     def share(self) -> float:
@@ -186,6 +187,38 @@ class Run:
             self.params, k, self.trials, self.seed, replacement_price=fair_price(self),
             horizon=self.discount_horizon, workers=self.workers, stream=3,
             reduce=partial(block_sums, shifts=shifts, order=2))
+
+    @cached_property
+    def pool(self) -> tuple:
+        """The ``pool_sums`` of one ensemble of a ``pool_size``-ticket
+        equal-share pool, on stream 0: (member, solo, truncated, paired).
+
+        The sampler takes the configured horizon, not ``win_horizon``: its
+        own default tightens the tail tolerance to 1e-9 / k, one tail per
+        member. Solo and pooled payoffs come from the same trajectories.
+        """
+        if self.pool_size is None:
+            raise ConfigError("pool", "pool command needs a pool section")
+        return engine.sample_pool_payoffs(
+            self.params, self.pool_size, self.trials, self.seed, horizon=self.horizon,
+            workers=self.workers, stream=0, reduce=partial(pool_sums, shift=ticket_mean(self.params)))
+
+    @cached_property
+    def capture(self) -> CaptureReport:
+        """Protocol capture under ``policy``; a price below zero is a ConfigError."""
+        try:
+            return protocol_capture(self.policy, self.params)
+        except NegativePriceError as exc:
+            raise ConfigError("policy.margin", str(exc)) from exc
+
+    @cached_property
+    def capture_series(self) -> CaptureReport:
+        """``capture`` rebuilt from the series of its price stream and of the
+        reward stream: the oracle of each of its fields."""
+        price = self.capture.price
+        stream = stream_series(self, price)
+        total = self.n * price + stream
+        return CaptureReport(price, self.n * price, stream, total, self.reward_series - total)
 
 
 def stream_series(run: Run, amount: float) -> float:
@@ -358,27 +391,6 @@ def paired_stderr(paired: np.ndarray) -> float:
     return _zero_degenerate(math.sqrt(var / n), total / n)
 
 
-def pool_variances(run: Run, k: int) -> dict[str, tuple[float, float]]:
-    """(value, stderr) of a solo ticket's payoff variance, of the per-ticket
-    variance of a k-ticket equal-share pool and of their gap (pooled - solo),
-    from one pool ensemble on stream 0, keyed by row name.
-
-    The sampler takes the configured horizon, not ``run.win_horizon``: its
-    own default tightens the tail tolerance to 1e-9 / k, one tail per member.
-    Both variances come from the same trajectories, so the gap's stderr is
-    that of the mean paired difference of squared deviations.
-    """
-    member, solo, _, paired = engine.sample_pool_payoffs(
-        run.params, k, run.trials, run.seed, horizon=run.horizon, workers=run.workers,
-        stream=0, reduce=partial(pool_sums, shift=ticket_mean(run.params)))
-    solo_var, pooled_var = solo.variance_stderr(), member.variance_stderr()
-    return {
-        "solo_variance": solo_var,
-        "pooled_per_ticket_variance": pooled_var,
-        "variance_gap": (pooled_var[0] - solo_var[0], paired_stderr(paired)),
-    }
-
-
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     """Mean and stderr of an array, through its power sums about its mean."""
     return power_sums(values, float(np.mean(values)), 2).mean_stderr()
@@ -403,8 +415,9 @@ def _total_value(run: Run, sums: PowerSums) -> tuple[float, float]:
 class Entry:
     """One quantity. An entry with an ``ensemble`` has a Monte Carlo
     estimator: ``statistic`` of the ensemble's power sums, within ``bias`` of
-    the truth up to sampling error. ``sign`` is the sign the paper gives the
-    closed form when mu > 0 (0 when it states none)."""
+    the truth up to sampling error (no bound is stated where ``bias`` is
+    None). ``sign`` is the sign the paper gives the closed form when mu > 0
+    (0 when it states none)."""
 
     closed: Callable[[Run], float]
     oracle: Optional[Callable[[Run], float]] = None
@@ -414,7 +427,7 @@ class Entry:
     sign: int = 0
 
     def estimate(self, run: Run) -> Estimate:
-        bias = self.bias(run)    # first: it fails fast on a missing share
+        bias = self.bias(run) if self.bias else 0.0    # first: it fails fast on a missing share
         sums, truncated = self.ensemble(run)
         mean, stderr = self.statistic(run, sums)
         ci95 = (mean - 1.96 * stderr, mean + 1.96 * stderr)
@@ -506,6 +519,40 @@ QUANTITIES: dict[Quantity, Entry] = {
 }
 
 
+def _pool_entry(closed: Callable[[Run], float], statistic) -> Entry:
+    return Entry(closed=closed, ensemble=lambda run: (run.pool, run.pool[2]), statistic=statistic)
+
+
+def _solo_variance(run: Run) -> float:
+    return QUANTITIES[Quantity.TICKET_VALUE_VARIANCE].closed(run)
+
+
+def _variance_gap(run: Run, pool: tuple) -> tuple[float, float]:
+    """Pooled minus solo variance; both come from the same trajectories, so
+    its stderr is that of the mean paired difference of squared deviations."""
+    member, solo, _, paired = pool
+    return member.variance_stderr()[0] - solo.variance_stderr()[0], paired_stderr(paired)
+
+
+# A pool's rows, from one ensemble (``Run.pool``). The pooled variance has no
+# closed form yet: it is compared with the solo variance's, and the gap with 0.
+POOL: dict[str, Entry] = {
+    "solo_variance": _pool_entry(_solo_variance, lambda run, pool: pool[1].variance_stderr()),
+    "pooled_per_ticket_variance": _pool_entry(_solo_variance, lambda run, pool: pool[0].variance_stderr()),
+    "variance_gap": _pool_entry(lambda run: 0.0, _variance_gap),
+}
+
+
+def _capture_entry(field: str) -> Entry:
+    return Entry(closed=lambda run: getattr(run.capture, field),
+                 oracle=lambda run: getattr(run.capture_series, field))
+
+
+# Protocol capture under the run's policy: each closed form is a field of
+# ``Run.capture``, and its oracle the same field of ``Run.capture_series``.
+PRICING: dict[str, Entry] = {field.name: _capture_entry(field.name) for field in fields(CaptureReport)}
+
+
 def entries(*, oracle: bool = False, estimator: bool = False) -> list[tuple[Quantity, Entry]]:
     """The table's entries, in table order, that have each field asked for."""
     return [
@@ -513,6 +560,11 @@ def entries(*, oracle: bool = False, estimator: bool = False) -> list[tuple[Quan
         for quantity, entry in QUANTITIES.items()
         if (not oracle or entry.oracle) and (not estimator or entry.ensemble)
     ]
+
+
+def entry_named(name: str) -> Entry:
+    """The entry called ``name``: a pool row's or a quantity's."""
+    return POOL[name] if name in POOL else QUANTITIES[Quantity(name)]
 
 
 def estimate(

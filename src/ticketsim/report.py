@@ -32,8 +32,9 @@ class ReportRow:
 
     ``mc_mean``/``mc_stderr`` hold the Monte Carlo estimate where one was
     run (trials > 0) and the series-oracle value otherwise. ``rel_err`` is
-    a gap to the closed form, of the oracle or, in ``simulate``,
-    ``multiblock``, ``pool`` and some sweeps, of the estimate (see harness).
+    a gap to the closed form: of the oracle in a ``check`` row, of the
+    estimate in an ``estimate`` row. ``harness`` states which command
+    writes rows of which mode, and from which table entries.
     """
 
     swept_value: Union[str, float, int]

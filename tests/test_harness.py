@@ -30,7 +30,9 @@ from ticketsim.harness import (
     run_sweep,
     run_verify,
 )
-from ticketsim.quantities import QUANTITIES, Quantity, Run, _mean_stderr, entries, estimate
+from ticketsim.quantities import (
+    POOL, PRICING, QUANTITIES, Entry, Quantity, Run, _mean_stderr, entries, estimate,
+)
 from ticketsim.report import emit_report, load_report, make_row, relative_gap
 
 MINIMAL = {"n": 10, "d": 0.01, "reward": {"kind": "constant", "mean": 1}, "trials": 1000, "seed": 42}
@@ -545,6 +547,77 @@ def test_run_pool_stderrs_finite_at_small_trial_counts():
     assert gap.mc_mean + 4.0 * gap.mc_stderr < 0.0
 
 
+def _moved_rows(clean, rows, name, closed):
+    """Assert that of ``rows`` only row ``name`` differs from ``clean``, and
+    only in the closed form ``closed`` and the figures derived from it."""
+    assert [row.swept_value for row in rows] == [row.swept_value for row in clean]
+    for a, b in zip(clean, rows):
+        if a.swept_value != name:
+            assert b == a, a.swept_value
+            continue
+        assert b.closed_form == closed != a.closed_form
+        assert b.rel_err != a.rel_err
+        assert b == make_row(name, closed, a.mc_mean, a.mc_stderr, a.trials, b.rel_err)
+
+
+def test_run_pool_reads_a_corrupted_pool_closed_form(monkeypatch):
+    cfg = small_cfg(pool={"k": 4}, trials=2000, reward={"kind": "lognormal", "mean": 1.0, "sigma_log": 0.5})
+    clean = run_pool(cfg)
+    [k_clean], _ = run_sweep(small_cfg(trials=2000, sweep={"parameter": "k", "values": [4]}))
+    entry = POOL["pooled_per_ticket_variance"]
+    monkeypatch.setitem(POOL, "pooled_per_ticket_variance", dataclasses.replace(entry, closed=lambda run: 0.5))
+    rows = run_pool(cfg)
+    _moved_rows(clean, rows, "pooled_per_ticket_variance", 0.5)
+    pooled = {row.swept_value: row for row in rows}["pooled_per_ticket_variance"]
+    assert pooled.rel_err == relative_gap(pooled.mc_mean, 0.5)    # estimate mode
+    # A k sweep reads the same entry.
+    [k_row], _ = run_sweep(small_cfg(trials=2000, sweep={"parameter": "k", "values": [4]}))
+    assert k_row.closed_form == 0.5 and k_row.mc_mean == k_clean.mc_mean
+
+
+def test_run_pricing_reads_a_corrupted_pricing_closed_form(monkeypatch):
+    cfg = small_cfg(policy={"kind": "fixed_discount", "discount": 0.25})
+    clean = run_pricing(cfg)
+    monkeypatch.setitem(PRICING, "total", dataclasses.replace(PRICING["total"], closed=lambda run: 3.0))
+    rows = run_pricing(cfg)
+    _moved_rows(clean, rows, "total", 3.0)
+    total = {row.swept_value: row for row in rows}["total"]
+    assert total.rel_err == relative_gap(total.mc_mean, 3.0) > 1e-9    # check mode: the oracle's gap
+
+
+def test_an_entry_added_to_a_table_is_a_row_of_its_command(monkeypatch):
+    monkeypatch.setitem(PRICING, "twice_price", Entry(closed=lambda run: 2.0 * run.capture.price,
+                                                      oracle=lambda run: run.capture.price + run.capture.price))
+    rows = run_pricing(small_cfg())
+    assert [row.swept_value for row in rows][-1] == "twice_price"
+    assert rows[-1].closed_form == 2.0 * rows[0].closed_form and rows[-1].rel_err == 0.0
+    solo = POOL["solo_variance"]
+    monkeypatch.setitem(POOL, "solo_variance_again", solo)
+    rows = {row.swept_value: row for row in run_pool(small_cfg(pool={"k": 2}))}
+    assert rows["solo_variance_again"] == dataclasses.replace(rows["solo_variance"],
+                                                              swept_value="solo_variance_again")
+
+
+@pytest.mark.parametrize("parameter, values, entry, mode", [
+    ("n", [4, 8], "ticket_value", "check"),
+    ("d", [0.01], "npv_rewards", "check"),
+    ("p", [0.25], "control_value", "check"),
+    ("beta", [0.5], "holder_value", "estimate"),
+    ("k", [2], "pooled_per_ticket_variance", "estimate"),
+])
+def test_sweep_spec_carries_the_entry_and_mode_of_its_rows(parameter, values, entry, mode):
+    raw = {**MINIMAL, "sweep": {"parameter": parameter, "values": values}}
+    sweep = parse_config(raw).sweep
+    assert (sweep.entry, sweep.mode, sweep.mc) == (entry, mode, False)
+    if parameter in ("n", "d"):    # a p sweep always reads control_value
+        named = {**raw, "sweep": {**raw["sweep"], "quantity": "time_to_win", "mc": True}}
+        sweep = parse_config(named).sweep
+        assert (sweep.entry, sweep.mode, sweep.mc) == ("time_to_win", "check", True)
+        # The echo names a quantity only where the config gives one.
+        assert "quantity" not in resolve(raw, "sweep")[1]["sweep"]
+        assert resolve(named, "sweep")[1]["sweep"]["quantity"] == "time_to_win"
+
+
 def test_run_multiblock_row():
     cfg = small_cfg(multiblock={"beta": 0.5}, holder_share=0.25, trials=2000)
     rows = run_multiblock(cfg)
@@ -905,6 +978,33 @@ def test_cli_import_and_serial_run_leave_the_process_pool_unloaded():
             "print(loaded, 'multiprocessing' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.splitlines()[-1] == "False False"
+
+
+_GOLDEN_BASE = {"n": 64, "d": 0.02, "reward": {"kind": "constant", "mean": 2.0}}
+# Reports that no sampler writes, with the configs that wrote the files
+# tests/data/<case>.<format>. Their bytes are fixed by the closed forms, the
+# series oracles (plain float and double-double arithmetic) and the emitter.
+_GOLDEN = {
+    "analytic": ("analytic", {**_GOLDEN_BASE, "holder_share": 0.25}),
+    "pricing_fair": ("pricing", {**_GOLDEN_BASE, "policy": {"kind": "fair_value"}}),
+    "pricing_margin": ("pricing", {**_GOLDEN_BASE, "policy": {"kind": "fixed_margin", "margin": 0.1}}),
+    "pricing_discount": ("pricing", {**_GOLDEN_BASE, "policy": {"kind": "fixed_discount", "discount": 0.2}}),
+    "sweep_n": ("sweep", {**_GOLDEN_BASE, "sweep": {"parameter": "n", "values": [4, 16, 64, 256]}}),
+    "sweep_d": ("sweep", {**_GOLDEN_BASE, "sweep": {"parameter": "d", "values": [0.001, 0.01, 0.1]}}),
+    "sweep_mu": ("sweep", {**_GOLDEN_BASE, "sweep": {"parameter": "mu", "values": [0.5, 1.0, 3.0]}}),
+    "sweep_p": ("sweep", {**_GOLDEN_BASE, "sweep": {"parameter": "p", "values": [0.125, 0.25, 0.5]}}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("case", list(_GOLDEN))
+def test_cli_oracle_reports_keep_their_golden_bytes(tmp_path, case, fmt):
+    command, raw = _GOLDEN[case]
+    config, out = tmp_path / "config.json", tmp_path / f"report.{fmt}"
+    config.write_text(json.dumps(raw))
+    assert main([command, "--config", str(config), "--out", str(out), "--format", fmt]) == 0
+    golden = Path(__file__).parent / "data" / f"{case}.{fmt}"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_cli_requires_subcommand():

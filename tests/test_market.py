@@ -24,7 +24,7 @@ from ticketsim.market import (
     protocol_capture,
 )
 from ticketsim.harness import _mc_gate
-from ticketsim.quantities import QUANTITIES, Quantity, Run, estimate, pool_variances
+from ticketsim.quantities import POOL, QUANTITIES, Quantity, Run, estimate
 
 
 def params_const(n, d=0.01, mu=1.0):
@@ -103,7 +103,10 @@ def test_margin_exceeding_value_rejected():
 
 
 def _pool(params, k, trials, seed):
-    return pool_variances(Run(params, trials=trials, seed=seed), k)
+    """(value, stderr) of each ``POOL`` row, read from one k-ticket pool ensemble."""
+    run = Run(params, trials=trials, seed=seed, pool_size=k)
+    estimates = {name: entry.estimate(run) for name, entry in POOL.items()}
+    return {name: (est.mean, est.stderr) for name, est in estimates.items()}
 
 
 def test_pooled_variance_degenerate_pool():

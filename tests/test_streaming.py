@@ -13,8 +13,8 @@ from ticketsim.core import ConstantReward, EconomyParams, EmpiricalReward, Paret
 from ticketsim.engine import _BLOCK, _PATH_BLOCK, sample_pool_payoffs
 from ticketsim.harness import run_pool, run_verify
 from ticketsim.quantities import (
-    Quantity, Run, _mean_stderr, _variance_stderr, entries, estimate, pool_sums, pool_variances,
-    power_sums, ticket_mean,
+    POOL, Quantity, Run, _mean_stderr, _variance_stderr, entries, estimate, pool_sums, power_sums,
+    ticket_mean,
 )
 
 # A streamed run holds a block per ensemble in flight, whatever its trials;
@@ -94,11 +94,17 @@ def test_streamed_estimates_match_the_array_statistics(reward, monkeypatch):
     assert all(map(_close, (est.mean, est.stderr), _variance_stderr(payoffs)))
 
 
+def _pool_rows(run: Run) -> dict:
+    """(value, stderr) of each ``POOL`` row on ``run``'s pool ensemble."""
+    estimates = {name: entry.estimate(run) for name, entry in POOL.items()}
+    return {name: (est.mean, est.stderr) for name, est in estimates.items()}
+
+
 @pytest.mark.parametrize("reward", list(_REWARDS))
 def test_streamed_pool_rows_match_the_array_statistics(reward):
     params = EconomyParams(n=16, d=0.05, reward=_REWARDS[reward])
     trials = 5 * _PATH_BLOCK + 37
-    streamed = pool_variances(Run(params, trials=trials, seed=3), 4)
+    streamed = _pool_rows(Run(params, trials=trials, seed=3, pool_size=4))
     member, solo, truncated = sample_pool_payoffs(params, 4, trials, 3)
     paired = (member - member.mean()) ** 2 - (solo - solo.mean()) ** 2
     array = {
@@ -117,8 +123,8 @@ def test_streamed_pool_rows_match_the_array_statistics(reward):
 def test_streamed_pool_is_worker_invariant():
     params = EconomyParams(n=16, d=0.05, reward=calibrate_lognormal(1.0, 1.0))
     trials = 3 * _PATH_BLOCK + 37
-    serial = pool_variances(Run(params, trials=trials, seed=5, workers=1), 4)
-    parallel = pool_variances(Run(params, trials=trials, seed=5, workers=2), 4)
+    serial = _pool_rows(Run(params, trials=trials, seed=5, workers=1, pool_size=4))
+    parallel = _pool_rows(Run(params, trials=trials, seed=5, workers=2, pool_size=4))
     assert serial == parallel
 
 
