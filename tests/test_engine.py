@@ -1,6 +1,8 @@
 """Lottery state machine law, trajectory records, samplers, and estimator."""
 
 import math
+import os
+import time
 import tracemalloc
 import warnings
 from functools import partial
@@ -687,10 +689,20 @@ def test_pool_holds_a_bounded_window_of_blocks():
     # 150 kB more at 1024 blocks than at 64. CPython keeps freed tuples on
     # free lists that tracemalloc still counts, so warm runs under tracing
     # fill them first.
+    #
+    # A pool forks its workers from this traced process. On CPython 3.11 a
+    # joined thread of the previous pool can still be freeing its thread
+    # state, which takes tracemalloc's lock without the GIL; a worker forked
+    # at that moment inherits the lock held and hangs before it runs (about
+    # one pool run in 150 on a 2-vCPU x86-64 machine). So each run first
+    # waits, with a deadline, until the OS has reaped every thread the test
+    # did not start with.
     params = params_const(32)
     reduce = partial(block_sums, shifts=(32.0,), order=2)
+    threads = _os_threads()
 
     def run(blocks):
+        _wait_for_threads(threads)
         sample_win_slots(params, blocks * _BLOCK, 1, horizon=40, workers=2, reduce=reduce)
 
     def peak(blocks):
@@ -707,6 +719,21 @@ def test_pool_holds_a_bounded_window_of_blocks():
     finally:
         tracemalloc.stop()
     assert large - small < 40_000, (small, large)
+
+
+def _os_threads() -> set:
+    """This process's OS thread ids (empty where /proc is missing)."""
+    try:
+        return set(os.listdir("/proc/self/task"))
+    except FileNotFoundError:
+        return set()
+
+
+def _wait_for_threads(threads: set, timeout: float = 10.0) -> None:
+    """Wait until this process runs no OS thread outside ``threads``."""
+    deadline = time.monotonic() + timeout
+    while _os_threads() - threads and time.monotonic() < deadline:
+        time.sleep(0.001)
 
 
 _DRIVER_CASES = {
