@@ -8,15 +8,18 @@ operations are well defined; integer inputs give the protocol values.
 Forms are kept in their numerically stable shape, e.g. mu / (n*d + 1),
 so nothing overflows or cancels for n up to 2**20 and beyond.
 
-Two series sums: ``doubling_series_sum`` sums a geometric-family series in
-double-double arithmetic in O(log terms) (the quantity table's oracles use
-it), and ``truncated_series_sum`` sums any scalar term one t at a time
-under the same stop rule.
+Two series sums: ``doubling_series_sum`` sums a geometric-family series
+with an exact rational coefficient and ratio in O(log terms), in 40-digit
+decimals (the quantity table's oracles use it), and ``truncated_series_sum``
+sums any scalar term one t at a time under the same stop rule.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal
+from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import DiscountRateError, DivergenceError
@@ -143,53 +146,6 @@ def ticket_value_variance(mu: float, var_r: float, d: float, n: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Double-double arithmetic (Dekker, *Numer. Math.* 18, 1971)
-# ---------------------------------------------------------------------------
-
-# A pair (hi, lo) of floats with hi = fl(hi + lo), carrying about 106 bits.
-DD = tuple[float, float]
-
-
-def _two_sum(a: float, b: float) -> DD:
-    """a + b exactly (Knuth)."""
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
-
-
-def _split(a: float) -> DD:
-    """a as hi + lo of 26 significant bits each; beyond 2**996, 2**27 * a
-    would overflow, so a is split at 2**-28 of its size."""
-    if abs(a) > 2.0**996:
-        hi, lo = _split(a * 2.0**-28)
-        return hi * 2.0**28, lo * 2.0**28
-    c = 134217729.0 * a    # (2**27 + 1) * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def dd_add(x: DD, y: DD) -> DD:
-    s, e = _two_sum(x[0], y[0])
-    t, f = _two_sum(x[1], y[1])
-    s, e = _two_sum(s, e + t)
-    return _two_sum(s, e + f)
-
-
-def dd_mul(x: DD, y: DD) -> DD:
-    """x * y, from Dekker's exact product of the leading parts."""
-    p = x[0] * y[0]
-    (ah, al), (bh, bl) = _split(x[0]), _split(y[0])
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return _two_sum(p, e + (x[0] * y[1] + x[1] * y[0]))
-
-
-def dd_div(x: DD, y: DD) -> DD:
-    q = x[0] / y[0]
-    rest = dd_add(x, dd_mul(y, (-q, 0.0)))
-    return _two_sum(q, rest[0] / y[0])
-
-
-# ---------------------------------------------------------------------------
 # Series sums
 # ---------------------------------------------------------------------------
 
@@ -199,12 +155,18 @@ _MAX_TERMS = 50_000_000   # least term budget of the term loop; a ratio near 1 g
 # Envelope slack: |term(t)| may exceed the anchored geometric envelope by a
 # polynomial factor (e.g. t * x^t) but not by more than this.
 _SLACK = 1e9
+# The doubling sum's arithmetic: 40 significant digits, so its O(log H)
+# roundings stay far below an epsilon of 1e-32.
+_DIGITS = decimal.Context(prec=40)
 
 
-def doubling_series_sum(a: DD, r: DD, kind: str = "geometric", epsilon: float = 1e-12) -> DD:
+def doubling_series_sum(a: Fraction, r: Fraction, kind: str = "geometric",
+                        epsilon: float = 1e-12) -> Fraction:
     """The sum over t = 1..H of a*r^(t-1) (``kind`` "geometric") or of
-    a*t*r^(t-1) ("linear") for 0 <= r < 1, in double-double, where H is the
-    stop of ``truncated_series_sum``'s rule with envelope ratio r.
+    a*t*r^(t-1) ("linear") for 0 <= r < 1, where H is the stop of
+    ``truncated_series_sum``'s rule with envelope ratio r. ``a`` and ``r``
+    are taken exactly (a Fraction, int or float); the unit sum is formed in
+    40-digit decimals and the result is a times it, an exact Fraction.
 
     It doubles on the bits of H, in O(log H) operations: with S_m the sum
     of r^(t-1) and T_m that of t*r^(t-1) over t <= m, S_2m = S_m + r^m*S_m
@@ -215,47 +177,48 @@ def doubling_series_sum(a: DD, r: DD, kind: str = "geometric", epsilon: float = 
         raise ValueError(f"series kind must be one of {SERIES_KINDS}, got {kind!r}")
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    return dd_mul(a, _doubling_sum(r, kind == "linear", epsilon)[0])
+    return Fraction(a) * Fraction(_doubling_sum(r, kind == "linear", epsilon)[0])
 
 
-def _doubling_sum(r: DD, linear: bool, epsilon: float) -> tuple[DD, int]:
+def _doubling_sum(r: Fraction, linear: bool, epsilon: float) -> tuple[Decimal, int]:
     """The sum of r^(t-1), or of t*r^(t-1) when ``linear``, over t = 1..H, and H."""
-    gap = (1.0 - r[0]) - r[1]     # 1 - r, with no cancellation
-    if not (r[0] >= 0.0 and gap > 0.0):
-        raise DivergenceError(f"series does not contract: ratio {r[0] + r[1]} is not in [0, 1)")
+    if not (0 <= r < 1):    # NaN fails it too
+        raise DivergenceError(f"series does not contract: ratio {r} is not in [0, 1)")
+    r, eps = Fraction(r), Decimal(epsilon)
+    with decimal.localcontext(_DIGITS):
+        gap, ratio = (Decimal(f.numerator) / f.denominator for f in (1 - r, r))
 
-    def settled(t: int, power: DD, total: DD) -> bool:
-        """Whether the rule stops at t, given r^t and the unit sum to t: the
-        term decays, and |term(t)|*r'/(1 - r') <= epsilon*|sum|, where the
-        ratio r' to term(t-1) is r, or r*t/(t-1) when linear."""
-        if linear:
-            excess = t * gap - 1.0    # (t - 1)*(1 - r')
-            return t > 1 and excess > 0.0 and t * (t * power[0]) <= epsilon * total[0] * excess
-        return t > 1 and power[0] <= epsilon * total[0] * gap
+        def settled(t: int, power: Decimal, total: Decimal) -> bool:
+            """Whether the rule stops at t, given r^t and the unit sum to t: the
+            term decays, and |term(t)|*r'/(1 - r') <= epsilon*|sum|, where the
+            ratio r' to term(t-1) is r, or r*t/(t-1) when linear."""
+            if linear:
+                excess = t * gap - 1    # (t - 1)*(1 - r')
+                return t > 1 and excess > 0 and t * (t * power) <= eps * total * excess
+            return t > 1 and power <= eps * total * gap
 
-    levels = []     # (r^m, S_m, T_m) at m = 1, 2, 4, ... below the first settled m
-    power, s, lin, m = r, (1.0, 0.0), (1.0, 0.0), 1
-    while not settled(m, power, lin if linear else s):
-        if len(levels) == _MAX_DOUBLINGS:
-            raise DivergenceError(f"series did not converge within 2**{_MAX_DOUBLINGS} terms")
-        levels.append((power, s, lin))
-        if linear:
-            lin = dd_add(lin, dd_mul(power, dd_add(lin, dd_mul(s, (float(m), 0.0)))))
-        s, power, m = dd_add(s, dd_mul(power, s)), dd_mul(power, power), 2 * m
+        levels = []     # (r^m, S_m, T_m) at m = 1, 2, 4, ... below the first settled m
+        power, s, lin, m = ratio, Decimal(1), Decimal(1), 1
+        while not settled(m, power, lin if linear else s):
+            if len(levels) == _MAX_DOUBLINGS:
+                raise DivergenceError(f"series did not converge within 2**{_MAX_DOUBLINGS} terms")
+            levels.append((power, s, lin))
+            if linear:
+                lin += power * (lin + m * s)
+            s, power, m = s + power * s, power * power, 2 * m
 
-    # The last t that does not settle, bit by bit, with r^t and the unit sum to t.
-    t, power, total = 0, (1.0, 0.0), (0.0, 0.0)
-    for j in reversed(range(len(levels))):
-        power_j, s_j, lin_j = levels[j]
-        if linear:    # T_(t+m) = T_t + r^t*(T_m + t*S_m)
-            step = dd_add(total, dd_mul(power, dd_add(lin_j, dd_mul(s_j, (float(t), 0.0)))))
-        else:         # S_(t+m) = S_t + r^t*S_m
-            step = dd_add(total, dd_mul(power, s_j))
-        step_power = dd_mul(power, power_j)
-        if not settled(t + (1 << j), step_power, step):
-            t, power, total = t + (1 << j), step_power, step
-    last = dd_mul(power, (float(t + 1), 0.0)) if linear else power    # the unit term t + 1
-    return dd_add(total, last), t + 1
+        # The last t that does not settle, bit by bit, with r^t and the unit sum to t.
+        t, power, total = 0, Decimal(1), Decimal(0)
+        for j in reversed(range(len(levels))):
+            power_j, s_j, lin_j = levels[j]
+            if linear:    # T_(t+m) = T_t + r^t*(T_m + t*S_m)
+                step = total + power * (lin_j + t * s_j)
+            else:         # S_(t+m) = S_t + r^t*S_m
+                step = total + power * s_j
+            step_power = power * power_j
+            if not settled(t + (1 << j), step_power, step):
+                t, power, total = t + (1 << j), step_power, step
+        return total + (power * (t + 1) if linear else power), t + 1    # plus the unit term t + 1
 
 
 def truncated_series_sum(term: Callable[[int], float], d: Optional[float] = None,

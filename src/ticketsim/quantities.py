@@ -24,25 +24,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import analytics, engine
-from .analytics import DD
 from .core import EconomyParams
 from .errors import ConfigError, NegativePriceError
 from .market import CaptureReport, FairValue, PricingPolicy, protocol_capture
 
-# The tail each oracle series leaves out, relative to its sum: below the
-# double-double resolution (2**-106, about 1.2e-32), so a truncated sum is
-# as exact as its rounding, and E[V^2] - E[V]^2 keeps the variance's digits
-# even where the variance is 2e-18 of E[V^2] (n = 2, d = 1e-9).
+# The tail each oracle series leaves out, relative to its sum: 1e-32, eight
+# digits inside the doubling sum's 40, so E[V^2] - E[V]^2, taken in exact
+# rationals, keeps the variance's digits even where the variance is 2e-18 of
+# E[V^2] (n = 2, d = 1e-9).
 ORACLE_EPSILON = 1e-32
 DEFAULT_HOLDER_SHARE = 0.125   # holder share of a run that configures none
 _COMPLEX_STEP = 1e-20      # complex-step derivative step, relative to n
-_ONE = (1.0, 0.0)
 
 
 class Quantity(str, Enum):
@@ -140,19 +139,14 @@ class Run:
         return self.horizon if self.horizon is not None else engine.discount_horizon(self.d)
 
     @cached_property
-    def discount(self) -> DD:
-        """x = 1/(1+d) as a double-double, from 1 + d carried exactly."""
-        return analytics.dd_div(_ONE, analytics.dd_add(_ONE, (self.d, 0.0)))
+    def discount(self) -> Fraction:
+        """x = 1/(1+d), exactly."""
+        return 1 / (1 + Fraction(self.d))
 
     @cached_property
-    def win_chance(self) -> DD:
-        """1/n, a ticket's chance to win a slot, as a double-double."""
-        return analytics.dd_div(_ONE, (float(self.n), 0.0))
-
-    @cached_property
-    def miss_chance(self) -> DD:
-        """q = 1 - 1/n as a double-double."""
-        return analytics.dd_add(_ONE, (-self.win_chance[0], -self.win_chance[1]))
+    def miss_chance(self) -> Fraction:
+        """q = 1 - 1/n, a ticket's chance to miss a slot, exactly."""
+        return Fraction(self.n - 1, self.n)
 
     @cached_property
     def reward_series(self) -> float:
@@ -160,12 +154,12 @@ class Run:
         return stream_series(self, self.mu)
 
     @cached_property
-    def ticket_sum(self) -> DD:
-        """Proof-structure series for the single-ticket value, as a
-        double-double: the sum of q^(t-1) * (1/n) * mu * x^t."""
-        mul, x = analytics.dd_mul, self.discount
-        return analytics.doubling_series_sum(mul(mul((self.mu, 0.0), x), self.win_chance),
-                                             mul(self.miss_chance, x), "geometric", ORACLE_EPSILON)
+    def ticket_sum(self) -> Fraction:
+        """Proof-structure series for the single-ticket value, unrounded: the
+        sum of q^(t-1) * (1/n) * mu * x^t."""
+        x = self.discount
+        return analytics.doubling_series_sum(Fraction(self.mu) * x / self.n, self.miss_chance * x,
+                                             "geometric", ORACLE_EPSILON)
 
     @cached_property
     def ticket_sums(self) -> tuple[PowerSums, int]:
@@ -224,25 +218,22 @@ class Run:
 def stream_series(run: Run, amount: float) -> float:
     """Series for the NPV of ``amount`` paid every slot: the sum of amount * x^t."""
     x = run.discount
-    return analytics.doubling_series_sum(analytics.dd_mul((amount, 0.0), x), x, "geometric",
-                                         ORACLE_EPSILON)[0]
+    return float(analytics.doubling_series_sum(Fraction(amount) * x, x, "geometric", ORACLE_EPSILON))
 
 
 def _variance_series(run: Run) -> float:
-    """E[V^2] - E[V]^2 in double-double, rounded once. E[V^2] is the sum of
+    """E[V^2] - E[V]^2 in exact rationals, rounded once. E[V^2] is the sum of
     q^(t-1) * (1/n) * (var_r + mu^2) * x^(2t)."""
-    mul, x2 = analytics.dd_mul, analytics.dd_mul(run.discount, run.discount)
-    moment = analytics.dd_add((run.var_r, 0.0), mul((run.mu, 0.0), (run.mu, 0.0)))
-    second = analytics.doubling_series_sum(mul(moment, mul(x2, run.win_chance)),
-                                           mul(run.miss_chance, x2), "geometric", ORACLE_EPSILON)
-    square = mul(run.ticket_sum, run.ticket_sum)
-    return analytics.dd_add(second, (-square[0], -square[1]))[0]
+    x2, mu = run.discount ** 2, Fraction(run.mu)
+    second = analytics.doubling_series_sum((Fraction(run.var_r) + mu * mu) * x2 / run.n,
+                                           run.miss_chance * x2, "geometric", ORACLE_EPSILON)
+    return float(second - run.ticket_sum ** 2)
 
 
 def _slots_to_win_series(run: Run) -> float:
     """The sum of t * q^(t-1) * (1/n)."""
-    return analytics.doubling_series_sum(run.win_chance, run.miss_chance, "linear",
-                                         ORACLE_EPSILON)[0]
+    return float(analytics.doubling_series_sum(Fraction(1, run.n), run.miss_chance, "linear",
+                                               ORACLE_EPSILON))
 
 
 def _complex_step(f: Callable[[complex], complex], n: int) -> float:
@@ -303,32 +294,41 @@ def _zero_degenerate(stderr: float, scale: float) -> float:
     return 0.0 if stderr < 1e-13 * (abs(scale) + 1.0) else stderr
 
 
+def _unit(shift: float) -> float:
+    """The power of two just above |shift| (1 where it is 0). Deviations
+    divided by it keep every bit, and their 4th powers stay in range
+    whatever the reward's unit."""
+    return 2.0 ** math.frexp(shift)[1] if shift else 1.0
+
+
 @dataclass(frozen=True)
 class PowerSums:
-    """An ensemble's power sums about a shift c: ``sums[j]`` is the sum of
-    (v - c)^j over its values, ``sums[0]`` their count.
+    """An ensemble's power sums about a shift c in a unit u: ``sums[j]`` is
+    the sum of ((v - c)/u)^j over its values, ``sums[0]`` their count.
 
     Sums of disjoint blocks add, so an ensemble reduces block by block in
     O(block) memory. Central moments follow from the sums by the binomial
     expansion, which cancels little when c is near the ensemble's mean
-    (Chan, Golub & LeVeque, *Am. Stat.* 37(3), 1983).
+    (Chan, Golub & LeVeque, *Am. Stat.* 37(3), 1983). The statistics are
+    scaled back by powers of u, which, a power of two, changes no bit.
     """
 
     shift: float
     sums: np.ndarray
+    unit: float
 
     def __add__(self, other: PowerSums) -> PowerSums:
-        return PowerSums(self.shift, self.sums + other.sums)
+        return PowerSums(self.shift, self.sums + other.sums, self.unit)
 
     def mean_stderr(self) -> tuple[float, float]:
         """Sample mean and its standard error."""
         n, s1, s2 = map(float, self.sums[:3])
         a = s1 / n
-        mean = self.shift + a
+        mean = self.shift + self.unit * a
         if n < 2:
             return mean, 0.0
         var = max((s2 - s1 * a) / (n - 1.0), 0.0)
-        return mean, _zero_degenerate(math.sqrt(var / n), mean)
+        return mean, _zero_degenerate(self.unit * math.sqrt(var / n), mean)
 
     def variance_stderr(self) -> tuple[float, float]:
         """Sample variance and the asymptotic stderr of that variance estimate."""
@@ -337,12 +337,16 @@ class PowerSums:
         var = max((s2 - s1 * a) / (n - 1.0), 0.0)
         m4 = (s4 - a * (4.0 * s3 - a * (6.0 * s2 - 3.0 * a * s1))) / n    # mean of (v - mean)^4
         stderr = math.sqrt(max(m4 - var * var, 0.0) / n)
-        return var, _zero_degenerate(stderr, var)
+        square = self.unit * self.unit
+        return square * var, _zero_degenerate(square * stderr, square * var)
 
 
 def power_sums(values: np.ndarray, shift: float, order: int) -> PowerSums:
-    """The count of ``values`` and their power sums about ``shift`` to ``order``."""
+    """The count of ``values`` and their power sums about ``shift`` to
+    ``order``, in the unit ``_unit(shift)``."""
+    unit = _unit(shift)
     dev = np.subtract(values, shift, dtype=np.float64)
+    dev /= unit
     sums = np.empty(order + 1)
     sums[0] = dev.size
     power = dev
@@ -350,7 +354,7 @@ def power_sums(values: np.ndarray, shift: float, order: int) -> PowerSums:
         sums[j] = power.sum()
         if j < order:
             power = power * dev if j == 1 else np.multiply(power, dev, out=power)
-    return PowerSums(shift, sums)
+    return PowerSums(shift, sums, unit)
 
 
 def block_sums(parts: tuple, shifts: tuple[float, ...], order: int) -> tuple:
@@ -366,21 +370,23 @@ def pool_sums(parts: tuple, shift: float) -> tuple:
     """A pool block's (per-ticket mean m, solo payoff s, truncated) reduced
     to the power sums of m and s to order 4 about ``shift``, the truncated
     count, and the paired table T[i, j] = sum of e^i f^j (i, j <= 2) of
-    e = m - s and f = (m - shift) + (s - shift). The difference of the two
-    squared deviations from the sample means, (m - m_bar)^2 - (s - s_bar)^2,
-    is the centred product (e - e_bar)(f - f_bar), and is exactly zero
-    where m = s (a pool of one)."""
+    e = (m - s)/u and f = ((m - shift) + (s - shift))/u, u = ``_unit(shift)``.
+    The difference of the two squared deviations from the sample means,
+    (m - m_bar)^2 - (s - s_bar)^2, is u^2 times the centred product
+    (e - e_bar)(f - f_bar), and is exactly zero where m = s (a pool of one)."""
     member, solo, truncated = parts
-    e = member - solo
-    f = np.subtract(member, shift) + np.subtract(solo, shift)
+    unit = _unit(shift)
+    e = (member - solo) / unit
+    f = (np.subtract(member, shift) + np.subtract(solo, shift)) / unit
     ones = np.ones_like(e)
     e_powers, f_powers = np.stack([ones, e, e * e]), np.stack([ones, f, f * f])
     paired = (e_powers[:, None, :] * f_powers[None, :, :]).sum(axis=2)
     return power_sums(member, shift, 4), power_sums(solo, shift, 4), truncated, paired
 
 
-def paired_stderr(paired: np.ndarray) -> float:
-    """Stderr of the mean of (e - e_bar)(f - f_bar) from ``pool_sums``' paired table."""
+def paired_stderr(paired: np.ndarray, unit: float) -> float:
+    """Stderr of the mean of u^2 (e - e_bar)(f - f_bar) from ``pool_sums``'
+    paired table in the unit u."""
     n = float(paired[0, 0])
     e_bar, f_bar = float(paired[1, 0]) / n, float(paired[0, 1]) / n
     total = float(paired[1, 1]) - e_bar * float(paired[0, 1])
@@ -388,7 +394,8 @@ def paired_stderr(paired: np.ndarray) -> float:
     weights = np.outer([e_bar * e_bar, -2.0 * e_bar, 1.0], [f_bar * f_bar, -2.0 * f_bar, 1.0])
     squares = float((weights * paired).sum())
     var = max((squares - total * total / n) / (n - 1.0), 0.0)
-    return _zero_degenerate(math.sqrt(var / n), total / n)
+    square = unit * unit
+    return _zero_degenerate(square * math.sqrt(var / n), square * total / n)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -451,7 +458,7 @@ QUANTITIES: dict[Quantity, Entry] = {
     ),
     Quantity.TICKET_VALUE: Entry(
         closed=lambda run: analytics.expected_ticket_value(run.mu, run.d, run.n),
-        oracle=lambda run: run.ticket_sum[0],
+        oracle=lambda run: float(run.ticket_sum),
         ensemble=lambda run: run.ticket_sums,
         bias=lambda run: run.mu * run.win_tail,
     ),
@@ -464,7 +471,7 @@ QUANTITIES: dict[Quantity, Entry] = {
     ),
     Quantity.ISSUED_MARKET_CAP: Entry(
         closed=lambda run: analytics.issued_market_cap(run.mu, run.d, run.n),
-        oracle=lambda run: run.n * run.ticket_sum[0],
+        oracle=lambda run: run.n * float(run.ticket_sum),
         ensemble=lambda run: run.ticket_sums,
         statistic=lambda run, sums: _scaled_mean(run.n, sums),
         bias=lambda run: run.n * run.mu * run.win_tail,
@@ -487,7 +494,7 @@ QUANTITIES: dict[Quantity, Entry] = {
     # share*n/k times it estimates the value of share.
     Quantity.CONTROL_VALUE: Entry(
         closed=lambda run: analytics.control_value(run.share, run.mu, run.d, run.n),
-        oracle=lambda run: run.share * run.n * run.ticket_sum[0],
+        oracle=lambda run: run.share * run.n * float(run.ticket_sum),
         ensemble=lambda run: (run.holder_sums[1], 0),
         statistic=lambda run, net: _scaled_mean(run.share * run.n / run.holder_tickets, net),
         bias=lambda run: holder_bias(run, run.share, price=fair_price(run)),
@@ -531,7 +538,7 @@ def _variance_gap(run: Run, pool: tuple) -> tuple[float, float]:
     """Pooled minus solo variance; both come from the same trajectories, so
     its stderr is that of the mean paired difference of squared deviations."""
     member, solo, _, paired = pool
-    return member.variance_stderr()[0] - solo.variance_stderr()[0], paired_stderr(paired)
+    return member.variance_stderr()[0] - solo.variance_stderr()[0], paired_stderr(paired, member.unit)
 
 
 # A pool's rows, from one ensemble (``Run.pool``). The pooled variance has no

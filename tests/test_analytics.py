@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -339,27 +340,29 @@ def loop_series_sum(term, ratio, epsilon=EPS):
 
 
 def series_term(a, r, kind):
-    """The scalar term of the doubling sum's (a, r, kind), for float a and r."""
+    """The scalar term of the doubling sum's (a, r, kind), in floats."""
+    a, r = float(a), float(r)
     if kind == "linear":
         return lambda t: a * t * r ** (t - 1)
     return lambda t: a * r ** (t - 1)
 
 
 def check_doubling_sum(a, r, kind, epsilon, cap=50_000):
-    """The doubling sum of float (a, r, kind) against the term loops; False
-    where the series is longer than ``cap`` terms, and not checked."""
-    total, stop = analytics._doubling_sum((r, 0.0), kind == "linear", epsilon)
-    total = analytics.dd_mul((a, 0.0), total)
+    """The doubling sum of (a, r, kind), held exactly, against the term loops
+    over their floats; False where the series is longer than ``cap`` terms,
+    and not checked."""
+    total, stop = analytics._doubling_sum(Fraction(r), kind == "linear", epsilon)
+    total = Fraction(a) * Fraction(total)
     if stop > cap:
         return False
     term = series_term(a, r, kind)
-    _, loop_stop = loop_series_sum(term, r, epsilon)
+    _, loop_stop = loop_series_sum(term, float(r), epsilon)
     # At r = 0 (n = 1) every term after the first is zero, and the loop stops
     # on the eighth of them.
-    assert abs(stop - loop_stop) <= 1 or (r == 0.0 and loop_stop == 9), (stop, loop_stop)
-    assert analytics._series_sum(term, r, epsilon)[1] == loop_stop
+    assert abs(stop - loop_stop) <= 1 or (r == 0 and loop_stop == 9), (stop, loop_stop)
+    assert analytics._series_sum(term, float(r), epsilon)[1] == loop_stop
     # The terms up to the doubling sum's own stop, each rounded once.
-    assert rel_gap(total[0], math.fsum(map(term, range(1, stop + 1)))) <= 1e-13
+    assert rel_gap(float(total), math.fsum(map(term, range(1, stop + 1)))) <= 1e-13
     return True
 
 
@@ -375,16 +378,17 @@ def test_doubling_sum_matches_the_term_loop(a, r, kind, epsilon):
 
 
 def test_doubling_sum_edges():
-    assert analytics.doubling_series_sum((2.0, 0.0), (0.0, 0.0)) == (2.0, 0.0)
-    assert analytics.doubling_series_sum((0.0, 0.0), (0.5, 0.0)) == (0.0, 0.0)
-    # A ratio of 1 - 1e-20 is below 1 only in double-double.
-    x = analytics.dd_div((1.0, 0.0), analytics._two_sum(1.0, 1e-20))
-    assert x[0] == 1.0 and rel_gap(analytics.doubling_series_sum(x, x, epsilon=1e-32)[0], 1e20) < 1e-15
-    for r in [(1.0, 0.0), (1.5, 0.0), (math.nan, 0.0), (-0.5, 0.0)]:
+    assert analytics.doubling_series_sum(Fraction(2), Fraction(0)) == 2
+    assert analytics.doubling_series_sum(Fraction(0), Fraction(1, 2)) == 0
+    # A ratio of 1/(1 + 1e-20), 1 - 1e-20, is below 1 only when held exactly.
+    x = 1 / (1 + Fraction(1e-20))
+    assert float(x) == 1.0
+    assert rel_gap(float(analytics.doubling_series_sum(x, x, epsilon=1e-32)), 1e20) < 1e-15
+    for r in [1.0, 1.5, math.nan, -0.5]:
         with pytest.raises(DivergenceError):
-            analytics.doubling_series_sum((1.0, 0.0), r)
+            analytics.doubling_series_sum(Fraction(1), r)
     with pytest.raises(ValueError, match="kind"):
-        analytics.doubling_series_sum((1.0, 0.0), (0.5, 0.0), "quadratic")
+        analytics.doubling_series_sum(Fraction(1), Fraction(1, 2), "quadratic")
 
 
 def table_series(monkeypatch, n, d):
@@ -425,8 +429,8 @@ def test_table_series_array_and_scalar_terms_agree(monkeypatch, n, d):
     assert all(epsilon == ORACLE_EPSILON for *_, epsilon in series)
     for (a, r, kind, _), (_, term) in zip(series, terms):
         for t in (1, 2, 3):
-            assert rel_gap(series_term(a[0], r[0], kind)(t), term(t)) <= 1e-14
-        check_doubling_sum(a[0], r[0], kind, EPS)
+            assert rel_gap(series_term(a, r, kind)(t), term(t)) <= 1e-14
+        check_doubling_sum(a, r, kind, EPS)
 
 
 def test_time_to_win_series_past_the_cross_check_cap():
@@ -439,9 +443,9 @@ def test_time_to_win_series_past_the_cross_check_cap():
     assert (total, stop) == loop_series_sum(term, q, EPS)
     # Here one term is below 1e-16 of the sum, so a stop one term apart
     # moves the sum by less than the tolerance.
-    unit, doubling_stop = analytics._doubling_sum((q, 0.0), True, EPS)
+    unit, doubling_stop = analytics._doubling_sum(Fraction(n - 1, n), True, EPS)
     assert abs(doubling_stop - stop) <= 1
-    assert rel_gap(unit[0] / n, total) <= 1e-13
+    assert rel_gap(float(unit) / n, total) <= 1e-13
 
 
 def test_scalar_terms_are_called_with_ints_in_order():
@@ -507,7 +511,7 @@ def test_term_loop_matches_the_reference_loop(decay, shape, seed):
 
 
 def test_series_oracle_memory_independent_of_length():
-    # The doubling sums keep O(log terms) double-doubles, so the oracles'
+    # The doubling sums keep O(log terms) 40-digit decimals, so the oracles'
     # peak memory does not grow with the number of terms (about 74n for the
     # slots series).
     def peak_mb(n):

@@ -983,7 +983,7 @@ def test_cli_import_and_serial_run_leave_the_process_pool_unloaded():
 _GOLDEN_BASE = {"n": 64, "d": 0.02, "reward": {"kind": "constant", "mean": 2.0}}
 # Reports that no sampler writes, with the configs that wrote the files
 # tests/data/<case>.<format>. Their bytes are fixed by the closed forms, the
-# series oracles (plain float and double-double arithmetic) and the emitter.
+# series oracles (exact rationals, 40-digit decimals) and the emitter.
 _GOLDEN = {
     "analytic": ("analytic", {**_GOLDEN_BASE, "holder_share": 0.25}),
     "pricing_fair": ("pricing", {**_GOLDEN_BASE, "policy": {"kind": "fair_value"}}),
