@@ -10,8 +10,10 @@ The package splits into:
 * ``market``    pricing policies and the consecutive-win bonus
 * ``config`` / ``report`` / ``harness`` / ``cli``   experiment plumbing
 
-Importing the package loads no submodule (and so no numpy): each public
-name below is imported from its submodule on first access (PEP 562).
+Importing the package loads no submodule: each public name below is
+imported from its submodule on first access (PEP 562). numpy loads only
+where a sampler draws (or an empirical reward is built), so the closed
+forms, the oracles and the closed-form commands never load it.
 """
 
 import importlib

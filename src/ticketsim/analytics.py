@@ -135,14 +135,20 @@ def ticket_value_variance(mu: float, var_r: float, d: float, n: float) -> float:
     Evaluated as (var_r + mu^2 * nd/(nd+1) * (n-1)d/(nd+1)) / (n*d*(d+2) + 1):
     nothing is subtracted, so nothing cancels, and the factors beside var_r
     and mu^2 are at most 1, so nothing overflows. Non-negative, and zero only
-    for var_r = 0 with n = 1 (or mu = var_r = 0).
+    for var_r = 0 with n = 1 (or mu = var_r = 0). It is taken in the unit 2^e
+    just above mu: scaling by a power of two is exact, so the result keeps the
+    unscaled steps' bits wherever those stay normal, and at a tiny unit the
+    last scaling is its only rounding into the subnormal range.
     """
     _check_mu(mu)
     _check_var(var_r)
     _check_rate(d)
     _check_n(n)
+    e = math.frexp(mu)[1]
+    m, v = math.ldexp(mu, -e), math.ldexp(var_r, -2 * e)
     lead = n * d + 1.0
-    return (var_r + mu * mu * (n * d / lead) * ((n - 1.0) * d / lead)) / (n * d * (d + 2.0) + 1.0)
+    scaled = (v + m * m * (n * d / lead) * ((n - 1.0) * d / lead)) / (n * d * (d + 2.0) + 1.0)
+    return math.ldexp(scaled, 2 * e)
 
 
 # ---------------------------------------------------------------------------

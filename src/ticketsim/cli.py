@@ -16,8 +16,9 @@ import time
 from typing import Optional
 
 # ticketsim calls no BLAS routine, but OpenBLAS starts its thread pool (whose
-# workers busy-wait) as soon as numpy loads, which the imports below do. A
-# value the user has set wins.
+# workers busy-wait) as soon as numpy loads, which a command's first sampler
+# does (the closed-form commands never load it). Set before anything that can
+# load numpy; a value the user has set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import ExperimentConfig, read_raw_config, resolve

@@ -13,9 +13,10 @@ import csv
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
-import numpy as np
+if TYPE_CHECKING:   # numpy loads where a reward is sampled or an empirical reward is built
+    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +65,7 @@ class ConstantReward(RewardModel):
     def sample(self, rng: np.random.Generator, size=None):
         if size is None:
             return self.value
+        import numpy as np
         return np.full(size, self.value, dtype=np.float64)
 
 
@@ -92,6 +94,7 @@ class LognormalReward(RewardModel):
         # would consume, without its temporaries.
         if size is None:
             return math.exp(self.mu_log + self.sigma_log * rng.standard_normal())
+        import numpy as np
         draws = rng.standard_normal(size)
         draws *= self.sigma_log
         draws += self.mu_log
@@ -138,6 +141,7 @@ class EmpiricalReward(RewardModel):
     kind: ClassVar[str] = "empirical"
 
     def __init__(self, values):
+        import numpy as np   # the moments are numpy's, to keep their bytes
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("empirical rewards need at least one value")
@@ -167,6 +171,7 @@ class EmpiricalReward(RewardModel):
         return f"EmpiricalReward(<{self._values.size} values>, mean={self._mean:g})"
 
     def __eq__(self, other):
+        import numpy as np
         return isinstance(other, EmpiricalReward) and np.array_equal(self._values, other._values)
 
 

@@ -57,6 +57,10 @@ process pool takes chunks of at most ``_CHUNK`` blocks, at most four per
 worker submitted and not yet merged, so the parent's memory is bounded too.
 Called without one, the public samplers return per-trajectory arrays,
 written into output arrays allocated once as the blocks come back.
+
+Each function imports numpy where it runs, so importing this module (which
+every command does) loads no numpy: the closed-form commands never load it,
+and a command that samples loads it at its first draw.
 """
 
 from __future__ import annotations
@@ -67,11 +71,12 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .core import ConstantReward, DiscountCurve, EconomyParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MARKET_HOLDER = "market"
 
@@ -212,6 +217,7 @@ def run_trajectory(
     trajectory is marked truncated. With ``stop_at_tracked_win=False`` the
     run always covers the full horizon, accumulating holder totals throughout.
     """
+    import numpy as np
     if rng is None:
         rng = np.random.default_rng()
     if horizon is None:
@@ -251,6 +257,7 @@ def run_trajectory(
 
 def substream(seed: int, stream: int, block: int) -> np.random.Generator:
     """Generator for one (stream, block) cell of a run's seed space."""
+    import numpy as np
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream, block)))
 
 
@@ -309,6 +316,7 @@ def _windowed(ex, chunks, window: int):
 def _merge(results, trials: int) -> tuple:
     """The blocks' ``results`` in block order: arrays (each kernel returns one
     first) written into arrays of ``trials`` entries, counts summed."""
+    import numpy as np
     merged, lo = [], 0
     for parts in results:
         merged = merged or [np.empty(trials, p.dtype) if isinstance(p, np.ndarray) else 0 for p in parts]
@@ -341,6 +349,7 @@ def _geometric(p, size, rng: np.random.Generator) -> np.ndarray:
     ch. X.2), faster than ``rng.geometric``. ``p`` may be an
     array broadcasting against ``size``; p = 1 gives 1.
     """
+    import numpy as np
     with np.errstate(divide="ignore"):
         rate = -np.log1p(-np.asarray(p, dtype=np.float64))
     draws = rng.standard_exponential(size)
@@ -357,6 +366,7 @@ def _holder_gaps(p: float, out: np.ndarray, rng: np.random.Generator) -> np.ndar
     are multiples of 2^-53, so 1 - U is exact and ``np.log`` (vectorised,
     where ``np.log1p`` is not) gives log1p(-U) up to rounding.
     """
+    import numpy as np
     rng.random(out=out)
     np.subtract(1.0, out, out=out)
     np.log(out, out=out)
@@ -372,6 +382,7 @@ def _draw_win_slots(rng: np.random.Generator, count: int, n: int, horizon: int):
     Trajectories with T beyond the horizon report ``horizon`` with
     ``won=False``.
     """
+    import numpy as np
     slots = _geometric(1.0 / n, count, rng)
     won = slots <= horizon
     return np.minimum(slots, horizon).astype(np.int64), won
@@ -383,6 +394,7 @@ def _win_slot_block(rng, count, n, horizon) -> tuple[np.ndarray, int]:
 
 
 def _ticket_payoff_block(rng, count, params, horizon) -> tuple[np.ndarray, int]:
+    import numpy as np
     slots, won = _draw_win_slots(rng, count, params.n, horizon)
     rewards = np.asarray(params.reward.sample(rng, size=count), dtype=np.float64)
     disc = (1.0 + params.d) ** (-slots.astype(np.float64))
@@ -399,6 +411,7 @@ def _scale_streaks(rewards: np.ndarray, gaps: np.ndarray, carry: np.ndarray, bet
     the wins after a gap of 1 are touched. ``carry`` is each row's streak at
     its previous win, 0 before the first.
     """
+    import numpy as np
     width = gaps.shape[1]
     ones = gaps == 1
     heads = ones.copy()     # the first and the last win of each run of one-slot gaps
@@ -424,6 +437,7 @@ def _scale_streaks(rewards: np.ndarray, gaps: np.ndarray, carry: np.ndarray, bet
 
 
 def _holder_flow_block(rng, count, params, k, beta, price, horizon) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     # Discount weights are computed per pass, never as a horizon-long table,
     # so memory does not grow as d falls.
     log_decay = -math.log1p(params.d)
@@ -485,6 +499,7 @@ def _guide_table(cdf: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``values[searchsorted(cdf, U, "right")]`` for the U of each of
     ``_CELLS`` equal cells of [0, 1), or NaN where a CDF edge falls inside
     the cell and the index depends on U (Chen & Asau 1974)."""
+    import numpy as np
     guide = values[np.searchsorted(cdf, np.arange(_CELLS) / _CELLS, side="right")]
     for edge in cdf[:-1].tolist():
         cell = edge * _CELLS            # exact: _CELLS is a power of two
@@ -499,6 +514,7 @@ def _guided_lookup(u: np.ndarray, cells: np.ndarray, out: np.ndarray, guide: np.
     uniforms ``u``, through ``guide`` (see ``_guide_table``) and a search in
     the cells it leaves NaN. ``u`` is left scaled by ``_CELLS``, ``cells``
     holds its integer part; all three arrays are C-contiguous."""
+    import numpy as np
     np.multiply(u, _CELLS, out=u)
     cells[...] = u
     np.take(guide, cells, out=out, mode="clip")     # "raise" would buffer ``out``
@@ -521,6 +537,7 @@ def _pattern_tables(p: float, log_decay: float, tail: int) -> tuple:
     wins, ``tail_sums`` the same over the first ``tail`` slots only, and
     ``guide`` is ``sums`` by cell.
     """
+    import numpy as np
     # Built in Python: numpy would page in sort, bit and integer code that
     # no other kernel runs, which shows in a CLI process's peak RSS.
     prob = [p ** j.bit_count() * (1.0 - p) ** (_GROUP - j.bit_count()) for j in range(1 << _GROUP)]
@@ -546,6 +563,7 @@ def _pattern_flow_block(rng, count, p, c, d, price, horizon) -> tuple[np.ndarray
     weights them by one discount row x^(_GROUP g) shared by every row; a
     last group that the horizon cuts short sums only its first slots.
     """
+    import numpy as np
     log_decay = -math.log1p(d)
     tail = horizon % _GROUP
     _, cdf, sums, tail_sums, guide = _pattern_tables(p, log_decay, tail)
@@ -567,6 +585,7 @@ def _pattern_flow_block(rng, count, p, c, d, price, horizon) -> tuple[np.ndarray
 
 
 def _pool_payoff_block(rng, count, params, k, horizon) -> tuple[np.ndarray, np.ndarray, int]:
+    import numpy as np
     # With i members already hit, the next fresh member is hit after a
     # Geometric((k - i)/n) wait, so hit i lands at the running sum.
     slots = np.cumsum(_geometric((k - np.arange(k)) / params.n, (count, k), rng), axis=1)

@@ -26,14 +26,15 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from . import analytics, engine
 from .core import EconomyParams
 from .errors import ConfigError, NegativePriceError
 from .market import CaptureReport, FairValue, PricingPolicy, protocol_capture
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The tail each oracle series leaves out, relative to its sum: 1e-32, eight
 # digits inside the doubling sum's 40, so E[V^2] - E[V]^2, taken in exact
@@ -344,6 +345,7 @@ class PowerSums:
 def power_sums(values: np.ndarray, shift: float, order: int) -> PowerSums:
     """The count of ``values`` and their power sums about ``shift`` to
     ``order``, in the unit ``_unit(shift)``."""
+    import numpy as np
     unit = _unit(shift)
     dev = np.subtract(values, shift, dtype=np.float64)
     dev /= unit
@@ -361,6 +363,7 @@ def block_sums(parts: tuple, shifts: tuple[float, ...], order: int) -> tuple:
     """A sampler block's ``parts`` with its i-th array replaced by its power
     sums about ``shifts[i]`` to ``order``, counts kept: the reducer an
     ensemble binds with ``functools.partial`` and passes to its sampler."""
+    import numpy as np
     shifts = iter(shifts)
     return tuple(power_sums(p, next(shifts), order) if isinstance(p, np.ndarray) else p
                  for p in parts)
@@ -374,6 +377,7 @@ def pool_sums(parts: tuple, shift: float) -> tuple:
     The difference of the two squared deviations from the sample means,
     (m - m_bar)^2 - (s - s_bar)^2, is u^2 times the centred product
     (e - e_bar)(f - f_bar), and is exactly zero where m = s (a pool of one)."""
+    import numpy as np
     member, solo, truncated = parts
     unit = _unit(shift)
     e = (member - solo) / unit
@@ -387,6 +391,7 @@ def pool_sums(parts: tuple, shift: float) -> tuple:
 def paired_stderr(paired: np.ndarray, unit: float) -> float:
     """Stderr of the mean of u^2 (e - e_bar)(f - f_bar) from ``pool_sums``'
     paired table in the unit u."""
+    import numpy as np
     n = float(paired[0, 0])
     e_bar, f_bar = float(paired[1, 0]) / n, float(paired[0, 1]) / n
     total = float(paired[1, 1]) - e_bar * float(paired[0, 1])
@@ -396,16 +401,6 @@ def paired_stderr(paired: np.ndarray, unit: float) -> float:
     var = max((squares - total * total / n) / (n - 1.0), 0.0)
     square = unit * unit
     return _zero_degenerate(square * math.sqrt(var / n), square * total / n)
-
-
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Mean and stderr of an array, through its power sums about its mean."""
-    return power_sums(values, float(np.mean(values)), 2).mean_stderr()
-
-
-def _variance_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Sample variance of an array and its stderr, through its power sums."""
-    return power_sums(values, float(np.mean(values)), 4).variance_stderr()
 
 
 def _scaled_mean(scale: float, sums: PowerSums) -> tuple[float, float]:

@@ -50,7 +50,7 @@ from ticketsim.engine import (
     win_horizon,
 )
 from ticketsim.market import MultiBlockSpec
-from ticketsim.quantities import Quantity, _variance_stderr, block_sums, entries, estimate
+from ticketsim.quantities import Quantity, block_sums, entries, estimate, power_sums
 
 
 def params_const(n, d=0.01, mu=1.0):
@@ -385,7 +385,7 @@ def test_holder_flow_mean_and_variance_match_closed_forms(n, k, d):
     gross, _ = sample_holder_flows(params_const(n, d=d, mu=c), k, 20_000, seed=n + k)
     se = math.sqrt(gross.var(ddof=1) / gross.size)
     assert abs(gross.mean() - c * p * x.sum()) < 4.0 * se
-    var, var_se = _variance_stderr(gross)
+    var, var_se = power_sums(gross, float(gross.mean()), 4).variance_stderr()
     assert abs(var - c * c * p * (1.0 - p) * np.sum(x * x)) < 4.0 * var_se
 
 
@@ -632,7 +632,7 @@ def test_pool_payoffs_solo_matches_closed_forms():
     assert truncated == 0
     se = math.sqrt(solo.var(ddof=1) / solo.size)
     assert abs(solo.mean() - expected_ticket_value(1.0, d, n)) < 4.0 * se
-    var, var_se = _variance_stderr(solo)
+    var, var_se = power_sums(solo, float(solo.mean()), 4).variance_stderr()
     assert abs(var - ticket_value_variance(1.0, params.var_r, d, n)) < 4.0 * var_se
     assert member_mean.var(ddof=1) < solo.var(ddof=1)
 

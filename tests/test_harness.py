@@ -31,7 +31,7 @@ from ticketsim.harness import (
     run_verify,
 )
 from ticketsim.quantities import (
-    POOL, PRICING, QUANTITIES, Entry, Quantity, Run, _mean_stderr, entries, estimate,
+    POOL, PRICING, QUANTITIES, Entry, Quantity, Run, entries, estimate, power_sums,
 )
 from ticketsim.report import emit_report, load_report, make_row, relative_gap
 
@@ -313,10 +313,10 @@ def test_run_verify_draws_one_holder_ensemble(monkeypatch):
     # The rows read the block-streamed sums; the array helpers sum the whole
     # arrays, so the two agree to rounding, not bit for bit.
     control = rows["control_value"]
-    mean, stderr = _mean_stderr(net)    # rescaled by 0.125*32/4 = 1
+    mean, stderr = power_sums(net, float(net.mean()), 2).mean_stderr()    # rescaled by 0.125*32/4 = 1
     assert control.mc_mean == pytest.approx(mean, rel=1e-12, abs=0)
     assert control.mc_stderr == pytest.approx(stderr, rel=1e-12, abs=0)
-    mean, stderr = _mean_stderr(gross)
+    mean, stderr = power_sums(gross, float(gross.mean()), 2).mean_stderr()
     assert rows["npv_rewards"].mc_mean == pytest.approx(8 * mean, rel=1e-12, abs=0)
     assert rows["npv_rewards"].mc_stderr == pytest.approx(8 * stderr, rel=1e-12, abs=0)
 

@@ -13,13 +13,22 @@ from ticketsim.core import ConstantReward, EconomyParams, EmpiricalReward, Paret
 from ticketsim.engine import _BLOCK, _PATH_BLOCK, sample_pool_payoffs
 from ticketsim.harness import run_pool, run_verify
 from ticketsim.quantities import (
-    POOL, Quantity, Run, _mean_stderr, _variance_stderr, entries, estimate, pool_sums, power_sums,
-    ticket_mean,
+    POOL, Quantity, Run, entries, estimate, pool_sums, power_sums, ticket_mean,
 )
 
 # A streamed run holds a block per ensemble in flight, whatever its trials;
 # this allows a few blocks of the tracked samplers' float64 output.
 _ALLOWANCE = 4 * _BLOCK * 8
+
+
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Mean and stderr of an array, through its power sums about its mean."""
+    return power_sums(values, float(np.mean(values)), 2).mean_stderr()
+
+
+def _variance_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Sample variance of an array and its stderr, through its power sums."""
+    return power_sums(values, float(np.mean(values)), 4).variance_stderr()
 
 
 def _peak_bytes(fn) -> int:

@@ -31,6 +31,14 @@ def test_oracle_rows_do_not_depend_on_the_reward_unit(reward, j):
             assert not bad, (n, d, bad)
 
 
+def test_variance_keeps_its_digits_where_it_is_subnormal():
+    # 6e-316 carries about 8 digits; a form that rounds twice into that range
+    # misses the oracle by 8e-9.
+    rows = run_analytic(parse_config({"n": 3, "d": 1e-8, "reward": _REWARDS["constant"](1e-150)}))
+    variance = next(row for row in rows if row.swept_value == "ticket_value_variance")
+    assert variance.closed_form < 1e-315 and variance.rel_err <= 1e-9
+
+
 def _write(tmp_path, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
