@@ -16,7 +16,9 @@ Two implementations of the same law live here:
   retained holder keeps a fixed set of positions. The samplers draw from
   the laws this implies and only the events that carry value:
 
-  - a tracked ticket's win slot is Geometric(1/n), capped at the horizon;
+  - a tracked ticket's win slot is Geometric(1/n), capped at the horizon,
+    and a tracked ticket is a pool of one (below): its payoff is the pool
+    kernel's at k = 1, with the same draws in the same order;
   - a holder of k retained tickets wins with Geometric(k/n) gaps, so its
     flow is thinned to those wins; a win one slot after the previous one
     extends the holder's streak. The bonus 1 + beta * (streak - 1) is
@@ -39,10 +41,10 @@ Two implementations of the same law live here:
   Variate Generation*, 1986, ch. X.2). The thinned holder kernel's gaps,
   most of the variates a streak-bonus run draws, invert a uniform,
   1 + floor(log(1 - U) / log1p(-p)): a uniform and a log cost less than an
-  exponential, and each pass inverts them in place in one buffer. The win-slot, ticket-payoff and
-  pool samplers invert an exponential, ceil(Exp(1) / -log(1 - p)); they
-  draw under 1% of the variates, and keeping their draws keeps their
-  fixed-seed statistical tests on the same samples.
+  exponential, and each pass inverts them in place in one buffer. The
+  win-slot and pool kernels invert an exponential, ceil(Exp(1) /
+  -log(1 - p)); they draw under 1% of the variates, and keeping their draws
+  keeps their fixed-seed statistical tests on the same samples.
 
 Determinism contract: one driver (``_sample``) partitions every sampler's
 trajectories into fixed-size blocks; block ``b`` of a run draws from
@@ -288,10 +290,15 @@ def _sample(kernel, head: tuple, trials: int, block: int, seed: int, stream: int
     merge = _add if reduce is not None else lambda results: _merge(results, trials)
     if workers <= 1 or trials <= block:
         return merge(map(_run_block, tasks))
-    from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
+    import multiprocessing   # only a pool needs these
+    import tracemalloc
+    from concurrent.futures import ProcessPoolExecutor
     size = max(1, min(-(-trials // block) // (4 * workers), _CHUNK))
     chunks = iter(lambda: list(itertools.islice(tasks, size)), [])
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    # Under tracemalloc a thread freeing its state holds tracemalloc's lock, and a worker
+    # forked then waits on it for ever. A forkserver (far slower to start) runs no thread.
+    context = multiprocessing.get_context("forkserver") if tracemalloc.is_tracing() else None
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as ex:
         return merge(itertools.chain.from_iterable(_windowed(ex, chunks, 4 * workers)))
 
 
@@ -375,31 +382,18 @@ def _holder_gaps(p: float, out: np.ndarray, rng: np.random.Generator) -> np.ndar
     return np.add(out, 1.0, out=out)
 
 
-def _draw_win_slots(rng: np.random.Generator, count: int, n: int, horizon: int):
-    """Win slot T ~ Geometric(1/n) of a tracked ticket, per trajectory.
-
-    The tracked ticket wins each slot with probability 1/n, independently.
-    Trajectories with T beyond the horizon report ``horizon`` with
-    ``won=False``.
-    """
+def _win_slot_block(rng, count, n, horizon) -> tuple[np.ndarray, int]:
+    """Win slot T ~ Geometric(1/n) of a tracked ticket, per trajectory,
+    reported as ``horizon`` where T is beyond it, and the count of those."""
     import numpy as np
     slots = _geometric(1.0 / n, count, rng)
-    won = slots <= horizon
-    return np.minimum(slots, horizon).astype(np.int64), won
-
-
-def _win_slot_block(rng, count, n, horizon) -> tuple[np.ndarray, int]:
-    slots, won = _draw_win_slots(rng, count, n, horizon)
-    return slots, int(count - won.sum())
+    return np.minimum(slots, horizon).astype(np.int64), int((slots > horizon).sum())
 
 
 def _ticket_payoff_block(rng, count, params, horizon) -> tuple[np.ndarray, int]:
-    import numpy as np
-    slots, won = _draw_win_slots(rng, count, params.n, horizon)
-    rewards = np.asarray(params.reward.sample(rng, size=count), dtype=np.float64)
-    disc = (1.0 + params.d) ** (-slots.astype(np.float64))
-    payoffs = np.where(won, rewards * disc, 0.0)
-    return payoffs, int(count - won.sum())
+    # A tracked ticket is a pool of one: at k = 1 its win slot, then its reward.
+    member, _, truncated = _pool_payoff_block(rng, count, params, 1, horizon)
+    return member, truncated
 
 
 def _scale_streaks(rewards: np.ndarray, gaps: np.ndarray, carry: np.ndarray, beta: float) -> np.ndarray:

@@ -47,15 +47,12 @@ class VerifyOutcome:
     rows: list[ReportRow]
     failures: list[str]
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
 
 def _mc_gate(mc_mean: float, closed: float, stderr: float, bias: float) -> bool:
     # The last term is a rounding floor: a deterministic ensemble's (stderr 0) truncation
-    # gap equals the bias bound in exact arithmetic and may exceed it by ulps.
-    return abs(mc_mean - closed) <= Z_LIMIT * stderr + bias + 1e-12 * (abs(closed) + 1.0)
+    # gap equals the bias bound in exact arithmetic and may exceed it by ulps. It is
+    # relative, so it is the same share of the row whatever the reward's unit.
+    return abs(mc_mean - closed) <= Z_LIMIT * stderr + bias + 1e-12 * abs(closed)
 
 
 def _run(cfg: ExperimentConfig, *, default_share: bool = True) -> Run:

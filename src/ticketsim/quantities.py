@@ -92,7 +92,7 @@ class Run:
     ``share`` is the configured holder share, or None. ``run.share``, the
     share the closed forms take, is then ``DEFAULT_HOLDER_SHARE`` where
     ``default_share`` is set and otherwise raises ConfigError. ``beta`` is
-    the streak bonus of the holder-value ensemble, ``pool_size`` the tickets
+    the streak bonus of the holder ensemble, ``pool_size`` the tickets
     of the pool ensemble and ``policy`` the pricing policy of ``capture``.
     """
 
@@ -114,7 +114,7 @@ class Run:
 
     @cached_property
     def holder_tickets(self) -> int:
-        """Tickets of the holder ensembles: the configured share's, else the
+        """Tickets of the holder ensemble: the configured share's, else the
         default share's, or one where that rounds to none (n < 4)."""
         if self.configured_share is None:
             return max(1, int(DEFAULT_HOLDER_SHARE * self.n + 0.5))
@@ -174,12 +174,14 @@ class Run:
     @cached_property
     def holder_sums(self) -> tuple[PowerSums, PowerSums]:
         """Power sums to order 2 of the (gross, net) flows of ``holder_tickets``
-        tickets, replaced at the fair price, on stream 3 (stream 2 stays
-        unused, so no stream's bytes move), about their closed forms."""
+        tickets under the streak bonus ``beta``, replaced at the fair price,
+        on stream 3, about their closed forms: the run's one holder ensemble.
+        Streams 2 and 4 stay unused, so no other stream's bytes move."""
         k = self.holder_tickets
-        shifts = (holder_mean(self, k), analytics.control_value(k / self.n, self.mu, self.d, self.n))
+        net = analytics.control_value(k / self.n, self.mu, self.d, self.n)
+        shifts = (holder_mean(self, k, self.beta), net)
         return engine.sample_holder_flows(
-            self.params, k, self.trials, self.seed, replacement_price=fair_price(self),
+            self.params, k, self.trials, self.seed, beta=self.beta, replacement_price=fair_price(self),
             horizon=self.discount_horizon, workers=self.workers, stream=3,
             reduce=partial(block_sums, shifts=shifts, order=2))
 
@@ -250,10 +252,10 @@ def ticket_mean(params: EconomyParams) -> float:
     return params.mu / (params.n * params.d + 1.0)
 
 
-def holder_mean(run: Run, k: int, beta: float = 0.0) -> float:
+def holder_mean(run: Run, k: int, beta: float) -> float:
     """Expected gross flow of k retained tickets under streak bonus beta:
     (p mu / d) (1 + beta p / (1 + d - p)) with p = k/n, the shift of the
-    holder ensembles' sums.
+    holder ensemble's gross sums.
 
     The holder wins each slot with chance p, so a win at slot t ends a
     streak of at least j wins with chance p^(j - 1), j <= t, and its
@@ -291,8 +293,10 @@ def holder_bias(run: Run, share: float, beta: float = 0.0, price: float = 0.0) -
 
 def _zero_degenerate(stderr: float, scale: float) -> float:
     # A deterministic ensemble accumulates rounding noise of a few ulps;
-    # report that as the exact zero it is rather than a misleading 1e-16.
-    return 0.0 if stderr < 1e-13 * (abs(scale) + 1.0) else stderr
+    # report that as the exact zero it is rather than a misleading 1e-16. The
+    # floor is relative: in absolute terms it zeroes every stderr of a run in
+    # a small reward unit.
+    return 0.0 if stderr < 1e-13 * abs(scale) else stderr
 
 
 def _unit(shift: float) -> float:
@@ -510,12 +514,7 @@ QUANTITIES: dict[Quantity, Entry] = {
     # under a streak bonus the closed form is only the additive reference.
     Quantity.HOLDER_VALUE: Entry(
         closed=lambda run: run.held_share * analytics.npv_rewards(run.mu, run.d),
-        ensemble=lambda run: (engine.sample_holder_flows(
-            run.params, run.holder_tickets, run.trials, run.seed, beta=run.beta,
-            horizon=run.discount_horizon, workers=run.workers, stream=4,
-            reduce=partial(block_sums, shifts=(holder_mean(run, run.holder_tickets, run.beta),) * 2,
-                           order=2),
-        )[0], 0),
+        ensemble=lambda run: (run.holder_sums[0], 0),
         bias=lambda run: holder_bias(run, run.held_share, beta=run.beta),
     ),
 }
@@ -583,11 +582,15 @@ def estimate(
     """Monte Carlo estimate of one model quantity over independent trajectories.
 
     Bit-identical for a fixed (seed, trials) regardless of ``workers``.
+    ``multiblock`` sets the streak bonus of the run's one holder ensemble, so
+    only ``holder_value``, which reads that bonus, takes it.
     """
     quantity = Quantity(quantity)
     entry = QUANTITIES[quantity]
     if entry.ensemble is None:
         raise ValueError(f"{quantity.value} has no Monte Carlo estimator")
+    if multiblock is not None and quantity is not Quantity.HOLDER_VALUE:
+        raise ValueError(f"a streak bonus applies to holder_value only, not {quantity.value}")
     if trials < 100:
         raise ValueError(f"need at least 100 trials for a meaningful stderr, got {trials}")
     if seed < 0:

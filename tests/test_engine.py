@@ -625,6 +625,18 @@ def test_pool_payoffs_single_member_is_solo():
     assert np.array_equal(member_mean, solo)
 
 
+@pytest.mark.parametrize("reward", [ConstantReward(2.0), calibrate_lognormal(1.0, 1.0)],
+                         ids=["constant", "lognormal"])
+def test_ticket_payoffs_are_the_payoffs_of_a_pool_of_one(reward):
+    # One block of each sampler (the pool's blocks are smaller) draws from the
+    # same substream; at horizon n about a third of the trajectories truncate.
+    params = EconomyParams(n=16, d=0.01, reward=reward)
+    payoffs, truncated = sample_ticket_payoffs(params, _PATH_BLOCK, 9, horizon=16)
+    member, solo, pool_truncated = sample_pool_payoffs(params, 1, _PATH_BLOCK, 9, horizon=16)
+    assert np.array_equal(payoffs, member) and np.array_equal(payoffs, solo)
+    assert truncated == pool_truncated and 100 < truncated < 250
+
+
 def test_pool_payoffs_solo_matches_closed_forms():
     n, k, d = 12, 4, 0.05
     params = EconomyParams(n=n, d=d, reward=calibrate_lognormal(1.0, 0.5))
@@ -832,6 +844,16 @@ def test_estimate_holder_value():
         estimate(params, Quantity.HOLDER_VALUE, 1000, seed=6)
     with pytest.raises(ValueError):
         estimate(params, Quantity.HOLDER_VALUE, 1000, seed=6, holder_share=0.01)
+
+
+def test_estimate_takes_a_streak_bonus_for_holder_value_only():
+    # The bonus is set on the run's one holder ensemble, which npv_rewards
+    # and control_value read too.
+    params, bonus = params_const(10, d=0.1), MultiBlockSpec(beta=0.5)
+    assert estimate(params, Quantity.HOLDER_VALUE, 1000, seed=6, holder_share=0.5, multiblock=bonus).mean > 0
+    for quantity in (Quantity.NPV_REWARDS, Quantity.CONTROL_VALUE, Quantity.TICKET_VALUE):
+        with pytest.raises(ValueError, match="holder_value only"):
+            estimate(params, quantity, 1000, seed=6, holder_share=0.5, multiblock=bonus)
 
 
 @pytest.mark.parametrize("quantity", [q for q, _ in entries(estimator=True)])

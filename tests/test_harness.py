@@ -227,7 +227,7 @@ def test_csv_renders_17_significant_digits(tmp_path):
 
 def test_run_verify_passes_default_small():
     outcome = run_verify(small_cfg())
-    assert outcome.passed, f"failures: {outcome.failures}"
+    assert not outcome.failures, f"failures: {outcome.failures}"
     assert [row.swept_value for row in outcome.rows] == [
         "npv_rewards",
         "ticket_value",
@@ -245,7 +245,7 @@ def test_run_verify_passes_default_small():
 
 def test_run_verify_single_ticket_edge():
     outcome = run_verify(small_cfg(n=1))
-    assert outcome.passed, f"failures: {outcome.failures}"
+    assert not outcome.failures, f"failures: {outcome.failures}"
     t2 = next(r for r in outcome.rows if r.swept_value == "ticket_value")
     assert t2.mc_stderr <= 1e-12  # constant reward, deterministic win slot
 
@@ -260,7 +260,6 @@ def test_run_verify_detects_corrupted_closed_form(monkeypatch):
     # that shift to the corrupted value too moves no estimate beyond rounding.
     monkeypatch.setattr(quantities, "ticket_mean", lambda params: 0.9)
     outcome = run_verify(small_cfg())
-    assert not outcome.passed
     assert outcome.failures == ["ticket_value"]
     for a, b in zip(clean, outcome.rows):
         assert a.mc_mean == pytest.approx(b.mc_mean, rel=1e-12, abs=0), a.swept_value
@@ -282,7 +281,7 @@ def test_verify_needs_pareto_fourth_moment(shape):
         assert excinfo.value.path == "reward.shape"
     else:
         outcome = run_verify(cfg)
-        assert outcome.passed, f"failures: {outcome.failures}"
+        assert not outcome.failures, f"failures: {outcome.failures}"
     assert all(row.rel_err <= 1e-9 for row in run_analytic(cfg))
     [row] = run_simulate(dataclasses.replace(cfg, quantity="ticket_value_variance"))
     assert math.isfinite(row.mc_mean) and row.mc_stderr > 0.0
@@ -291,7 +290,7 @@ def test_verify_needs_pareto_fourth_moment(shape):
 def test_run_verify_lognormal_rewards():
     cfg = small_cfg(reward={"kind": "lognormal", "mean": 1.0, "sigma_log": 1.0}, trials=5000)
     outcome = run_verify(cfg)
-    assert outcome.passed, f"failures: {outcome.failures}"
+    assert not outcome.failures, f"failures: {outcome.failures}"
 
 
 def test_run_verify_draws_one_holder_ensemble(monkeypatch):
@@ -321,6 +320,25 @@ def test_run_verify_draws_one_holder_ensemble(monkeypatch):
     assert rows["npv_rewards"].mc_stderr == pytest.approx(8 * stderr, rel=1e-12, abs=0)
 
 
+def test_one_run_draws_one_holder_ensemble_for_every_holder_row(monkeypatch):
+    # holder_value reads the gross flows of the ensemble that npv_rewards and
+    # control_value read, so a run that estimates all three draws it once.
+    streams = []
+    sample = engine.sample_holder_flows
+
+    def counted(*args, **kwargs):
+        streams.append(kwargs["stream"])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "sample_holder_flows", counted)
+    run = Run(parse_config({}).params, 0.125, trials=1000, seed=5)
+    npv, _, holder = (QUANTITIES[quantity].estimate(run) for quantity in
+                      (Quantity.NPV_REWARDS, Quantity.CONTROL_VALUE, Quantity.HOLDER_VALUE))
+    assert streams == [3]
+    # npv_rewards is n/k = 8 times the mean gross flow of the k = 4 tickets.
+    assert (npv.mean, npv.stderr) == (8 * holder.mean, 8 * holder.stderr)
+
+
 def test_npv_rewards_gate_holds_with_lognormal_rewards():
     # n/k times the gross flow of k tickets is unbiased for mu/d, and its gate
     # holds on each of seeds 0-9 with skewed rewards.
@@ -335,7 +353,7 @@ def test_npv_rewards_gate_holds_with_lognormal_rewards():
 def test_run_verify_pure_defaults():
     # Empty config: n=32, d=0.01, constant unit reward, 1e5 trials, seed 42.
     outcome = run_verify(parse_config({}))
-    assert outcome.passed, f"failures: {outcome.failures}"
+    assert not outcome.failures, f"failures: {outcome.failures}"
     assert len(outcome.rows) == 9
 
 
@@ -344,7 +362,7 @@ def test_run_verify_passes_at_small_n(n):
     # At n = 2 and 3, E[V^2] and E[V]^2 agree to ~4 digits; their difference
     # must still match the variance closed form within the 1e-9 tolerance.
     outcome = run_verify(parse_config({"n": n, "trials": 20_000}))
-    assert outcome.passed, f"failures: {outcome.failures}"
+    assert not outcome.failures, f"failures: {outcome.failures}"
     variance = next(row for row in outcome.rows if row.swept_value == "ticket_value_variance")
     assert variance.rel_err <= 1e-11
 
@@ -1043,13 +1061,21 @@ _SWEEPS = st.sampled_from(sorted(_SWEPT_VALUES)).flatmap(lambda parameter: st.bu
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(command=st.sampled_from(["analytic", "pricing", "sweep"]), n=_N, d=_D,
-       reward=_REWARD_SPECS, sweep=_SWEEPS)
-def test_cli_every_drawn_config_runs_or_is_a_config_error(tmp_path_factory, command, n, d, reward, sweep):
-    # beta and k sweeps always sample, at the fewest trials allowed.
+@given(command=st.sampled_from(["analytic", "pricing", "sweep", "simulate", "pool", "multiblock"]), n=_N, d=_D,
+       reward=_REWARD_SPECS, sweep=_SWEEPS, quantity=st.sampled_from([quantity.value for quantity in Quantity]),
+       k=_N, beta=_SWEPT_VALUES["beta"], share=st.none() | st.floats(min_value=1e-3, max_value=1.0))
+def test_cli_every_drawn_config_runs_or_is_a_config_error(tmp_path_factory, command, n, d, reward, sweep,
+                                                          quantity, k, beta, share):
+    # The sampling commands run at the fewest trials allowed, on any quantity
+    # (one without an estimator too) and any pool size; beta and k sweeps
+    # always sample. simulate and multiblock take a share or none.
     raw = {"n": n, "d": d, "reward": reward}
-    if command == "sweep":
-        raw.update(sweep=sweep, trials=100)
+    sections = {"sweep": {"sweep": sweep}, "simulate": {"quantity": quantity}, "pool": {"pool": {"k": k}},
+                "multiblock": {"multiblock": {"beta": beta}}}
+    if command in sections:
+        raw.update(sections[command], trials=100)
+    if command in ("simulate", "multiblock") and share is not None:
+        raw["holder_share"] = share
     if reward["kind"] == "empirical":
         path = tmp_path_factory.mktemp("rewards") / "rewards.csv"
         path.write_text("reward_eth\n" + "".join(f"{v!r}\n" for v in reward["values"]))

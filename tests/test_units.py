@@ -8,9 +8,10 @@ import warnings
 
 import pytest
 
+from ticketsim import engine
 from ticketsim.cli import main
 from ticketsim.config import parse_config
-from ticketsim.harness import run_analytic, run_pool
+from ticketsim.harness import run_analytic, run_pool, run_verify
 
 _REWARDS = {
     "constant": lambda mean: {"kind": "constant", "mean": mean},
@@ -37,6 +38,37 @@ def test_variance_keeps_its_digits_where_it_is_subnormal():
     rows = run_analytic(parse_config({"n": 3, "d": 1e-8, "reward": _REWARDS["constant"](1e-150)}))
     variance = next(row for row in rows if row.swept_value == "ticket_value_variance")
     assert variance.closed_form < 1e-315 and variance.rel_err <= 1e-9
+
+
+@pytest.mark.parametrize("reward", list(_REWARDS))
+def test_verify_gates_do_not_depend_on_the_reward_unit(monkeypatch, reward):
+    # A stderr floor or a gate floor in absolute terms zeroes every stderr of
+    # a run in a small unit and then waves through payoffs half again too
+    # large. In powers of two a constant reward's samples scale exactly, so
+    # its z scores are the same bits; a lognormal's move by rounding.
+    def verify():
+        runs = [run_verify(parse_config({"n": 32, "d": 0.01, "trials": 20_000, "seed": 3,
+                                         "reward": _REWARDS[reward](2.0**j)})) for j in (-40, 0, 40)]
+        return ([outcome.failures for outcome in runs],
+                [[row.z_score for row in outcome.rows] for outcome in runs])
+
+    failures, z = verify()
+    assert failures == [[]] * 3
+    payoffs = engine._ticket_payoff_block
+
+    def inflated(*args):
+        payoff, truncated = payoffs(*args)
+        return 1.5 * payoff, truncated
+
+    monkeypatch.setattr(engine, "_ticket_payoff_block", inflated)
+    broken, broken_z = verify()
+    assert broken == [["ticket_value", "total_ticket_value", "issued_market_cap", "ticket_value_variance"]] * 3
+    for scores in (z, broken_z):
+        for other in scores[::2]:
+            if reward == "constant":
+                assert other == scores[1]
+            else:
+                assert other == pytest.approx(scores[1], rel=1e-12, abs=0)
 
 
 def _write(tmp_path, cfg):
