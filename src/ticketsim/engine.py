@@ -18,33 +18,32 @@ Two implementations of the same law live here:
 
   - a tracked ticket's win slot is Geometric(1/n), capped at the horizon,
     and a tracked ticket is a pool of one (below): its payoff is the pool
-    kernel's at k = 1, with the same draws in the same order;
+    kernel's at k = 1, with the same draws in the same order, and its win
+    slot comes from the same draw;
+  - discounting by x = 1/(1+d) per slot is stopping at an independent slot
+    N with P(N >= t) = x^t (the random-horizon reading of discounting;
+    Puterman, *Markov Decision Processes*, 1994, ch. 5), so a holder's
+    flow is the undiscounted sum of its rewards up to its own N, and its
+    mean is the discounted value, with no horizon to cut;
   - a holder of k retained tickets wins with Geometric(k/n) gaps, so its
     flow is thinned to those wins; a win one slot after the previous one
     extends the holder's streak. The bonus 1 + beta * (streak - 1) is
     exactly 1 on a streak of 1, so only the rewards after a one-slot gap
-    (a share p of the wins) are located and scaled in place;
-  - with a constant reward and no streak bonus the holder's flow is its
-    discounted count of wins, each slot an independent Bernoulli(k/n) win.
-    From the share ``_PATTERN_MIN_SHARE`` (a measured crossover) up to
-    k < n, one uniform picks a whole group of 8 slots' win pattern, one of
-    256, by inversion through a guide table (Chen & Asau, *AIIE Trans.*
-    6(2), 1974; Devroye, *Non-Uniform Random Variate Generation*, 1986,
-    ch. III.2.4): the cost is per slot, not per win, and no log or exp is
-    taken per win. Lognormal, Pareto and empirical rewards, any streak
-    bonus, smaller shares and k = n stay on the thinned kernel;
+    (a share p of the wins) are located and scaled in place. With a
+    constant reward and no streak bonus the flow is c times the wins;
   - in a k-ticket pool, the i-th distinct member hit waits
     Geometric((k - i)/n) slots after the previous one, and members are
     exchangeable, so one member's payoff is the payoff at a uniform rank.
 
   Geometric variates are drawn by inversion (Devroye, *Non-Uniform Random
-  Variate Generation*, 1986, ch. X.2). The thinned holder kernel's gaps,
-  most of the variates a streak-bonus run draws, invert a uniform,
+  Variate Generation*, 1986, ch. X.2). The holder kernel's gaps, most of
+  the variates a holder ensemble draws, invert a uniform,
   1 + floor(log(1 - U) / log1p(-p)): a uniform and a log cost less than an
-  exponential, and each pass inverts them in place in one buffer. The
-  win-slot and pool kernels invert an exponential, ceil(Exp(1) /
-  -log(1 - p)); they draw under 1% of the variates, and keeping their draws
-  keeps their fixed-seed statistical tests on the same samples.
+  exponential, and each pass inverts them in place in one buffer. Its
+  stops and the win-slot and pool kernels invert an exponential,
+  ceil(Exp(1) / -log(1 - p)); the last two draw under 1% of the variates,
+  and keeping their draws keeps their fixed-seed statistical tests on the
+  same samples.
 
 Determinism contract: one driver (``_sample``) partitions every sampler's
 trajectories into fixed-size blocks; block ``b`` of a run draws from
@@ -67,7 +66,6 @@ and a command that samples loads it at its first draw.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import deque
@@ -88,13 +86,6 @@ _BLOCK = 4096        # tracked-ticket samplers (small state per trajectory)
 _PATH_BLOCK = 512    # holder-flow and pool samplers
 _WIN_CAP = 64        # holder wins drawn per trajectory in one holder-flow pass
 _CHUNK = 8           # most blocks a pool worker takes in one task
-_GROUP = 8           # slots whose wins one uniform picks in the win-pattern kernel
-_GROUPS = 24         # groups of _GROUP slots per trajectory in one win-pattern pass
-_CELLS = 1 << 14     # guide-table cells; a power of two, so U * _CELLS is exact
-
-# Holder shares k/n from which the win-pattern kernel (a fixed cost per slot)
-# is cheaper than the thinned one (a cost per win); measured, see CHANGES.md.
-_PATTERN_MIN_SHARE = 1 / 16
 
 TAIL_TOLERANCE = 1e-9
 
@@ -382,18 +373,38 @@ def _holder_gaps(p: float, out: np.ndarray, rng: np.random.Generator) -> np.ndar
     return np.add(out, 1.0, out=out)
 
 
-def _win_slot_block(rng, count, n, horizon) -> tuple[np.ndarray, int]:
-    """Win slot T ~ Geometric(1/n) of a tracked ticket, per trajectory,
-    reported as ``horizon`` where T is beyond it, and the count of those."""
+def _member_hits(rng, count, params, k, horizon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(slots, payoffs, won) of each of a k-ticket pool's members in hit order,
+    per trajectory: the slot of each hit, its discounted reward where it
+    falls within ``horizon`` (else 0), and whether it does."""
     import numpy as np
-    slots = _geometric(1.0 / n, count, rng)
-    return np.minimum(slots, horizon).astype(np.int64), int((slots > horizon).sum())
+    # With i members already hit, the next fresh member is hit after a
+    # Geometric((k - i)/n) wait, so hit i lands at the running sum.
+    slots = _geometric((k - np.arange(k)) / params.n, (count, k), rng)
+    if k > 1:
+        np.cumsum(slots, axis=1, out=slots)
+    rewards = np.asarray(params.reward.sample(rng, size=(count, k)), dtype=np.float64)
+    won = slots <= horizon
+    return slots, np.where(won, rewards * (1.0 + params.d) ** -slots, 0.0), won
+
+
+def _tracked_block(rng, count, params, horizon) -> tuple[np.ndarray, int, np.ndarray]:
+    """(payoffs, truncated count, win slots capped at ``horizon``) of tracked
+    tickets. A tracked ticket is a pool of one: at k = 1 its win slot, then
+    its reward, and no rank to draw."""
+    import numpy as np
+    slots, payoffs, won = _member_hits(rng, count, params, 1, horizon)
+    return payoffs[:, 0], count - int(won.sum()), np.minimum(slots[:, 0], horizon)
 
 
 def _ticket_payoff_block(rng, count, params, horizon) -> tuple[np.ndarray, int]:
-    # A tracked ticket is a pool of one: at k = 1 its win slot, then its reward.
-    member, _, truncated = _pool_payoff_block(rng, count, params, 1, horizon)
-    return member, truncated
+    return _tracked_block(rng, count, params, horizon)[:2]
+
+
+def _win_slot_block(rng, count, params, horizon) -> tuple[np.ndarray, int]:
+    import numpy as np
+    _, truncated, slots = _tracked_block(rng, count, params, horizon)
+    return slots.astype(np.int64), truncated
 
 
 def _scale_streaks(rewards: np.ndarray, gaps: np.ndarray, carry: np.ndarray, beta: float) -> np.ndarray:
@@ -430,162 +441,68 @@ def _scale_streaks(rewards: np.ndarray, gaps: np.ndarray, carry: np.ndarray, bet
     return tail
 
 
-def _holder_flow_block(rng, count, params, k, beta, price, horizon) -> tuple[np.ndarray, np.ndarray]:
+def _holder_stops(rng, count, d, horizon) -> np.ndarray:
+    """Each trajectory's last slot: N = Geometric(d/(1+d)) - 1 on {0, 1, ...},
+    so that P(N >= t) = (1+d)^-t, cut to min(N, horizon) where ``horizon`` is
+    set; at d = 0, the horizon itself."""
     import numpy as np
-    # Discount weights are computed per pass, never as a horizon-long table,
-    # so memory does not grow as d falls.
-    log_decay = -math.log1p(params.d)
+    if d == 0.0:
+        return np.full(count, float(horizon))
+    stops = _geometric(d / (1.0 + d), count, rng)
+    stops -= 1.0
+    return stops if horizon is None else np.minimum(stops, horizon, out=stops)
 
-    if k == params.n:
-        # Every slot is a holder win, with streak t at slot t: no gaps to draw.
-        gross = np.zeros(count)
-        paid = 0.0
-        for lo in range(0, horizon, _WIN_CAP):
-            slots = np.arange(lo + 1, min(lo + _WIN_CAP, horizon) + 1, dtype=np.float64)
-            disc = np.exp(slots * log_decay)
-            rewards = np.asarray(params.reward.sample(rng, size=(count, slots.size)), dtype=np.float64)
-            gross += np.einsum("ij,j->i", rewards, disc * (1.0 + beta * (slots - 1.0)))
-            paid += disc.sum()
-        return gross, gross - price * paid
 
-    # Thin the lottery to the holder's wins: Geometric(k/n) gaps between them.
-    # Each pass inverts uniforms into gaps, then turns them into slots and the
-    # slots into discount weights, all in place in one (rows, width) view of
-    # a buffer allocated once per block.
+def _holder_flow_block(rng, count, params, k, beta, price, horizon) -> tuple[np.ndarray, ...]:
+    import numpy as np
+    # Discounting by x = 1/(1+d) per slot is stopping at an independent slot
+    # N with P(N >= t) = x^t, so each row sums its rewards, undiscounted, up
+    # to its own stop.
+    stops = _holder_stops(rng, count, params.d, horizon)
+    # Thin the lottery to the holder's wins: Geometric(k/n) gaps between them
+    # (all 1 at k = n). Each pass inverts uniforms into gaps and then into
+    # slots, in place in one (rows, width) view of a buffer allocated once
+    # per block. A constant reward at beta = 0 is the count of wins times c.
     p = k / params.n
+    constant = isinstance(params.reward, ConstantReward) and beta == 0.0
     gross = np.zeros(count)
-    paid = np.zeros(count)          # discounted replacement purchases
+    wins = np.zeros(count)          # holder wins up to the stop, each a replacement purchase
     last = np.zeros(count)          # slot of the latest holder win
     streak = np.zeros(count)        # streak at that win
     buffer = np.empty(count * _WIN_CAP)
-    rows = slice(None)              # every row, until the first one finishes
-    m = count
-    while m:
-        # Draw enough wins that most trajectories pass the horizon, at most
-        # _WIN_CAP; the rest take another pass.
-        remaining = horizon - last[rows].min()
-        spread = 4.0 * math.sqrt(remaining * p * (1.0 - p))
-        width = min(_WIN_CAP, math.ceil(remaining * p + spread) + 1)
-        view = buffer[:m * width].reshape(m, width)
-        gaps = _holder_gaps(p, view, rng)
-        rewards = np.ascontiguousarray(params.reward.sample(rng, size=view.shape), dtype=np.float64)
-        if beta != 0.0:
-            streak[rows] = _scale_streaks(rewards, gaps, streak[rows], beta)
-        view[:, 0] += last[rows]
+    rows = np.flatnonzero(stops > 0.0)
+    while rows.size:
+        # Draw enough wins that most rows pass their stop, at most _WIN_CAP;
+        # the rest take another pass.
+        stop, prior = stops[rows], last[rows]
+        remaining = float(np.mean(stop - prior))
+        width = min(_WIN_CAP, math.ceil(remaining * p + 2.0 * math.sqrt(remaining * p)) + 1)
+        view = buffer[:rows.size * width].reshape(rows.size, width)
+        if p < 1.0:
+            _holder_gaps(p, view, rng)
+        else:
+            view.fill(1.0)
+        if not constant:
+            rewards = np.ascontiguousarray(params.reward.sample(rng, size=view.shape), dtype=np.float64)
+            if beta != 0.0:
+                streak[rows] = _scale_streaks(rewards, view, streak[rows], beta)
+        view[:, 0] += prior
         slots = np.cumsum(view, axis=1, out=view)     # integers below 2^53: exact
+        inside = slots <= stop[:, None]
+        wins[rows] += np.count_nonzero(inside, axis=1)
+        if not constant:
+            gross[rows] += np.einsum("ij,ij->i", rewards, inside)
+            del rewards             # freed before the next pass draws its own
         last[rows] = slots[:, -1]
-        ends = last[rows]
-        past = slots > horizon if ends.max() > horizon else None
-        weights = np.exp(np.multiply(slots, log_decay, out=slots), out=slots)
-        if past is not None:
-            weights[past] = 0.0
-        gross[rows] += np.einsum("ij,ij->i", rewards, weights)
-        paid[rows] += weights.sum(axis=1)
-        del rewards, past           # freed before the next pass draws its own
-        going = ends < horizon
-        if not going.all():
-            rows = np.flatnonzero(going) if isinstance(rows, slice) else rows[going]
-            m = rows.size
-    return gross, gross - price * paid
-
-
-def _guide_table(cdf: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``values[searchsorted(cdf, U, "right")]`` for the U of each of
-    ``_CELLS`` equal cells of [0, 1), or NaN where a CDF edge falls inside
-    the cell and the index depends on U (Chen & Asau 1974)."""
-    import numpy as np
-    guide = values[np.searchsorted(cdf, np.arange(_CELLS) / _CELLS, side="right")]
-    for edge in cdf[:-1].tolist():
-        cell = edge * _CELLS            # exact: _CELLS is a power of two
-        if cell < _CELLS and cell != math.floor(cell):
-            guide[math.floor(cell)] = np.nan
-    return guide
-
-
-def _guided_lookup(u: np.ndarray, cells: np.ndarray, out: np.ndarray, guide: np.ndarray,
-                   cdf: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with ``values[searchsorted(cdf, U, "right")]`` for the
-    uniforms ``u``, through ``guide`` (see ``_guide_table``) and a search in
-    the cells it leaves NaN. ``u`` is left scaled by ``_CELLS``, ``cells``
-    holds its integer part; all three arrays are C-contiguous."""
-    import numpy as np
-    np.multiply(u, _CELLS, out=u)
-    cells[...] = u
-    np.take(guide, cells, out=out, mode="clip")     # "raise" would buffer ``out``
-    miss = np.flatnonzero(np.isnan(out))
-    if miss.size:
-        out.reshape(-1)[miss] = values[np.searchsorted(cdf, u.reshape(-1)[miss] / _CELLS, side="right")]
-    return out
-
-
-@functools.lru_cache(maxsize=16)
-def _pattern_tables(p: float, log_decay: float, tail: int) -> tuple:
-    """Win-pattern tables for the share p: (patterns, cdf, sums, tail_sums, guide).
-
-    Bit i of pattern j is a holder win at slot i + 1 of a group of _GROUP
-    slots, with probability p^w (1 - p)^(_GROUP - w) for w wins. Patterns
-    are ordered by falling probability (ties by index), which gathers the
-    improbable ones, and so the cells a CDF edge splits, at the top of the
-    CDF. Each CDF edge is its prefix sum rounded once, and the last is inf,
-    so every U < 1 lands. ``sums`` is each pattern's sum of x^(i+1) over its
-    wins, ``tail_sums`` the same over the first ``tail`` slots only, and
-    ``guide`` is ``sums`` by cell.
-    """
-    import numpy as np
-    # Built in Python: numpy would page in sort, bit and integer code that
-    # no other kernel runs, which shows in a CLI process's peak RSS.
-    prob = [p ** j.bit_count() * (1.0 - p) ** (_GROUP - j.bit_count()) for j in range(1 << _GROUP)]
-    patterns = tuple(sorted(range(1 << _GROUP), key=lambda j: -prob[j]))     # stable: ties by index
-    ordered = [prob[j] for j in patterns]
-    cdf = np.array([math.fsum(ordered[:i]) for i in range(1, len(ordered))] + [np.inf])
-    x = [math.exp(i * log_decay) for i in range(1, _GROUP + 1)]
-    sums = np.array([math.fsum(x[i] for i in range(_GROUP) if j >> i & 1) for j in patterns])
-    tail_sums = np.array([math.fsum(x[i] for i in range(tail) if j >> i & 1) for j in patterns])
-    tables = cdf, sums, tail_sums, _guide_table(cdf, sums)
-    for table in tables:            # cached: every caller shares them
-        table.flags.writeable = False
-    return (patterns, *tables)
-
-
-def _pattern_flow_block(rng, count, p, c, d, price, horizon) -> tuple[np.ndarray, np.ndarray]:
-    """(gross, net) holder flows at a constant reward ``c`` and beta = 0.
-
-    The holder wins each slot independently with probability p, so one
-    uniform per group of _GROUP slots picks the group's whole win pattern by
-    inversion, through a guide table (Devroye 1986, ch. III.2.4): no gap,
-    log or exp is drawn per win. A pass takes _GROUPS groups per row and
-    weights them by one discount row x^(_GROUP g) shared by every row; a
-    last group that the horizon cuts short sums only its first slots.
-    """
-    import numpy as np
-    log_decay = -math.log1p(d)
-    tail = horizon % _GROUP
-    _, cdf, sums, tail_sums, guide = _pattern_tables(p, log_decay, tail)
-    groups = -(-horizon // _GROUP)
-    width = min(_GROUPS, groups)
-    discount = np.exp(np.arange(width) * (_GROUP * log_decay))
-    u, cells, flows = np.empty(count * width), np.empty(count * width, np.intp), np.empty(count * width)
-    paid = np.zeros(count)          # discounted holder wins, each a replacement purchase
-    for lo in range(0, groups, width):
-        m = count * min(width, groups - lo)
-        view = u[:m].reshape(count, -1)
-        flow = _guided_lookup(rng.random(out=view), cells[:m].reshape(count, -1),
-                              flows[:m].reshape(count, -1), guide, cdf, sums)
-        if tail and lo + width >= groups:
-            flow[:, -1] = tail_sums[np.searchsorted(cdf, view[:, -1] / _CELLS, side="right")]
-        paid += np.einsum("ij,j->i", flow, discount[:flow.shape[1]] * math.exp(lo * _GROUP * log_decay))
-    gross = c * paid
-    return gross, gross - price * paid
+        rows = rows[slots[:, -1] < stop]
+    if constant:
+        np.multiply(wins, params.reward.value, out=gross)
+    return gross, gross - price * wins, stops
 
 
 def _pool_payoff_block(rng, count, params, k, horizon) -> tuple[np.ndarray, np.ndarray, int]:
     import numpy as np
-    # With i members already hit, the next fresh member is hit after a
-    # Geometric((k - i)/n) wait, so hit i lands at the running sum.
-    slots = np.cumsum(_geometric((k - np.arange(k)) / params.n, (count, k), rng), axis=1)
-    rewards = np.asarray(params.reward.sample(rng, size=(count, k)), dtype=np.float64)
-    won = slots <= horizon
-    payoffs = np.where(won, rewards * (1.0 + params.d) ** -slots, 0.0)
+    _, payoffs, won = _member_hits(rng, count, params, k, horizon)
     # Members are exchangeable: member 0 is the one hit at a uniform rank.
     rank = rng.integers(0, k, size=count)
     return payoffs.mean(axis=1), payoffs[np.arange(count), rank], int(won.size - won.sum())
@@ -609,13 +526,14 @@ def sample_ticket_payoffs(
     """Discounted payoff of a tracked ticket per trajectory.
 
     Returns (payoffs, truncated_count); truncated trajectories contribute 0.
-    With ``reduce``, returns its reduction of each block, summed over the
+    With ``reduce``, returns its reduction of each block's (payoffs,
+    truncated count, win slots capped at the horizon), summed over the
     blocks in block order (see ``_sample``), in place of the arrays.
     """
     if horizon is None:
         horizon = win_horizon(params.n)
-    return _sample(_ticket_payoff_block, (params, horizon), trials, _BLOCK, seed, stream, workers,
-                   reduce)
+    kernel = _ticket_payoff_block if reduce is None else _tracked_block
+    return _sample(kernel, (params, horizon), trials, _BLOCK, seed, stream, workers, reduce)
 
 
 def sample_win_slots(
@@ -628,14 +546,15 @@ def sample_win_slots(
     stream: int = 0,
     reduce=None,
 ) -> tuple[np.ndarray, int]:
-    """Win slot T of a tracked ticket per trajectory (horizon if truncated).
+    """Win slot T of a tracked ticket per trajectory (horizon if truncated):
+    the slots that ``sample_ticket_payoffs`` draws on the same stream.
 
     Returns (slots, truncated_count), or with ``reduce`` its summed block
-    reductions, as ``sample_ticket_payoffs`` does.
+    reductions of them.
     """
     if horizon is None:
         horizon = win_horizon(params.n)
-    return _sample(_win_slot_block, (params.n, horizon), trials, _BLOCK, seed, stream, workers, reduce)
+    return _sample(_win_slot_block, (params, horizon), trials, _BLOCK, seed, stream, workers, reduce)
 
 
 def sample_holder_flows(
@@ -650,29 +569,27 @@ def sample_holder_flows(
     workers: int = 1,
     stream: int = 0,
     reduce=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Discounted reward flows of a holder retaining ``holder_tickets`` of the
-    n tickets (replacements bought back, so the position set is fixed).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reward flows of a holder retaining ``holder_tickets`` of the n tickets
+    (replacements bought back, so the position set is fixed), each stopped
+    at an independent slot N with P(N >= t) = (1+d)^-t, so that its mean is
+    the discounted flow.
 
-    Returns per-trajectory (gross, net) arrays where gross sums the holder's
-    discounted realized rewards over the horizon and net additionally pays
-    ``replacement_price`` at every burn of a holder ticket. ``beta`` applies
-    the consecutive-win bonus to every slot's realized reward. With
-    ``reduce``, returns its summed block reductions instead, as
-    ``sample_ticket_payoffs`` does.
+    Returns per-trajectory (gross, net, stop): the holder's rewards, under
+    the streak bonus ``beta``, at slots up to the stop; the same less
+    ``replacement_price`` at each of those wins; and the stop, N or
+    min(N, horizon). With ``reduce``, returns its summed block reductions
+    instead, as ``sample_ticket_payoffs`` does.
     """
     if not (1 <= holder_tickets <= params.n):
         raise ValueError(f"holder must retain between 1 and n={params.n} tickets, got {holder_tickets}")
     if beta < 0.0:
         raise ValueError(f"streak bonus coefficient must be >= 0, got {beta}")
-    if horizon is None:
-        horizon = discount_horizon(params.d)
-    p = holder_tickets / params.n
-    if isinstance(params.reward, ConstantReward) and beta == 0.0 and _PATTERN_MIN_SHARE <= p < 1.0:
-        kernel, head = _pattern_flow_block, (p, params.reward.value, params.d, replacement_price, horizon)
-    else:
-        kernel, head = _holder_flow_block, (params, holder_tickets, beta, replacement_price, horizon)
-    return _sample(kernel, head, trials, _PATH_BLOCK, seed, stream, workers, reduce)
+    if horizon is None and params.d <= 0.0:
+        from .errors import DiscountRateError
+        raise DiscountRateError(f"cannot stop a holder flow at d={params.d}; pass a horizon explicitly")
+    head = (params, holder_tickets, beta, replacement_price, horizon)
+    return _sample(_holder_flow_block, head, trials, _PATH_BLOCK, seed, stream, workers, reduce)
 
 
 def sample_pool_payoffs(

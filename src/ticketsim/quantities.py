@@ -136,10 +136,6 @@ class Run:
         return (1.0 - 1.0 / self.n) ** self.win_horizon
 
     @cached_property
-    def discount_horizon(self) -> int:
-        return self.horizon if self.horizon is not None else engine.discount_horizon(self.d)
-
-    @cached_property
     def discount(self) -> Fraction:
         """x = 1/(1+d), exactly."""
         return 1 / (1 + Fraction(self.d))
@@ -163,12 +159,15 @@ class Run:
                                              "geometric", ORACLE_EPSILON)
 
     @cached_property
-    def ticket_sums(self) -> tuple[PowerSums, int]:
-        """Power sums to order 4 of one tracked ticket's discounted payoff, on
-        stream 0, about its closed form."""
+    def ticket_sums(self) -> tuple[PowerSums, int, PowerSums]:
+        """The tracked-ticket ensemble on stream 0: the power sums to order 4
+        of one ticket's discounted payoff about its closed form, the count of
+        trajectories truncated, and the power sums to order 2 of its win
+        slot (capped at the horizon) about n."""
         return engine.sample_ticket_payoffs(
             self.params, self.trials, self.seed, horizon=self.win_horizon, workers=self.workers,
-            stream=0, reduce=partial(block_sums, shifts=(ticket_mean(self.params),), order=4),
+            stream=0, reduce=partial(block_sums, shifts=(ticket_mean(self.params), float(self.n)),
+                                     orders=(4, 2)),
         )
 
     @cached_property
@@ -176,14 +175,19 @@ class Run:
         """Power sums to order 2 of the (gross, net) flows of ``holder_tickets``
         tickets under the streak bonus ``beta``, replaced at the fair price,
         on stream 3, about their closed forms: the run's one holder ensemble.
-        Streams 2 and 4 stay unused, so no other stream's bytes move."""
+        Each flow v of closed form s enters as v - s d (N - m), N its stop and
+        m = E[N] = 1/d, or (1 - x^H)/d under a horizon H: a control variate
+        (Glasserman, *Monte Carlo Methods in Financial Engineering*, 2003,
+        sec. 4.1), unbiased as m is exact. Streams 1, 2 and 4 stay unused."""
         k = self.holder_tickets
         net = analytics.control_value(k / self.n, self.mu, self.d, self.n)
         shifts = (holder_mean(self, k, self.beta), net)
+        stop_mean = (1.0 if self.horizon is None else -math.expm1(-self.horizon * math.log1p(self.d))) / self.d
         return engine.sample_holder_flows(
             self.params, k, self.trials, self.seed, beta=self.beta, replacement_price=fair_price(self),
-            horizon=self.discount_horizon, workers=self.workers, stream=3,
-            reduce=partial(block_sums, shifts=shifts, order=2))
+            horizon=self.horizon, workers=self.workers, stream=3,
+            reduce=partial(holder_block_sums, shifts=shifts, slopes=tuple(s * self.d for s in shifts),
+                           stop_mean=stop_mean))
 
     @cached_property
     def pool(self) -> tuple:
@@ -281,11 +285,14 @@ def _arithmetic_geometric_tail(x: float, horizon: int) -> float:
 
 
 def holder_bias(run: Run, share: float, beta: float = 0.0, price: float = 0.0) -> float:
-    """Bound on the truncated expected holder flow beyond the horizon.
+    """Bound on the expected holder flow beyond an explicit horizon: 0 without
+    one, where the flows stop at a random slot and nothing is cut.
 
     Uses streak <= t, so the per-slot bonus factor is at most 1 + beta*(t-1).
     """
-    x, horizon = 1.0 / (1.0 + run.d), run.discount_horizon
+    if run.horizon is None:
+        return 0.0
+    x, horizon = 1.0 / (1.0 + run.d), run.horizon
     geo = _geometric_tail(x, horizon)
     reward_tail = run.mu * ((1.0 - beta) * geo + beta * _arithmetic_geometric_tail(x, horizon))
     return share * (abs(reward_tail) + price * geo)
@@ -363,14 +370,24 @@ def power_sums(values: np.ndarray, shift: float, order: int) -> PowerSums:
     return PowerSums(shift, sums, unit)
 
 
-def block_sums(parts: tuple, shifts: tuple[float, ...], order: int) -> tuple:
+def block_sums(parts: tuple, shifts: tuple[float, ...], orders: tuple[int, ...]) -> tuple:
     """A sampler block's ``parts`` with its i-th array replaced by its power
-    sums about ``shifts[i]`` to ``order``, counts kept: the reducer an
+    sums about ``shifts[i]`` to ``orders[i]``, counts kept: the reducer an
     ensemble binds with ``functools.partial`` and passes to its sampler."""
     import numpy as np
-    shifts = iter(shifts)
-    return tuple(power_sums(p, next(shifts), order) if isinstance(p, np.ndarray) else p
-                 for p in parts)
+    moments = iter(zip(shifts, orders))
+    return tuple(power_sums(p, *next(moments)) if isinstance(p, np.ndarray) else p for p in parts)
+
+
+def holder_block_sums(parts: tuple, shifts: tuple[float, float], slopes: tuple[float, float],
+                      stop_mean: float) -> tuple[PowerSums, PowerSums]:
+    """A holder block's (gross, net, stop) reduced to the power sums to
+    order 2 of each flow v minus ``slope * (stop - stop_mean)``, about its
+    shift: the control variate of ``Run.holder_sums``."""
+    *flows, stops = parts
+    excess = stops - stop_mean
+    return tuple(power_sums(flow - slope * excess, shift, 2)
+                 for flow, shift, slope in zip(flows, shifts, slopes))
 
 
 def pool_sums(parts: tuple, shift: float) -> tuple:
@@ -445,6 +462,10 @@ class Entry:
         return closed * self.sign > 0.0 if mu > 0.0 else closed == 0.0
 
 
+def _payoffs(run: Run) -> tuple[PowerSums, int]:
+    return run.ticket_sums[:2]
+
+
 QUANTITIES: dict[Quantity, Entry] = {
     # The expected gross flow is linear in the tickets held, so n/k times
     # the gross flow of the shared ensemble's k tickets estimates mu/d.
@@ -458,30 +479,27 @@ QUANTITIES: dict[Quantity, Entry] = {
     Quantity.TICKET_VALUE: Entry(
         closed=lambda run: analytics.expected_ticket_value(run.mu, run.d, run.n),
         oracle=lambda run: float(run.ticket_sum),
-        ensemble=lambda run: run.ticket_sums,
+        ensemble=_payoffs,
         bias=lambda run: run.mu * run.win_tail,
     ),
     Quantity.TOTAL_TICKET_VALUE: Entry(
         closed=lambda run: analytics.total_ticket_value(run.mu, run.d, run.n),
         oracle=lambda run: run.reward_series,
-        ensemble=lambda run: run.ticket_sums,
+        ensemble=_payoffs,
         statistic=_total_value,
         bias=lambda run: (run.n + 1.0 / run.d) * run.mu * run.win_tail,
     ),
     Quantity.ISSUED_MARKET_CAP: Entry(
         closed=lambda run: analytics.issued_market_cap(run.mu, run.d, run.n),
         oracle=lambda run: run.n * float(run.ticket_sum),
-        ensemble=lambda run: run.ticket_sums,
+        ensemble=_payoffs,
         statistic=lambda run, sums: _scaled_mean(run.n, sums),
         bias=lambda run: run.n * run.mu * run.win_tail,
     ),
     Quantity.TIME_TO_WIN: Entry(
         closed=lambda run: analytics.expected_slots_to_win(run.n),
         oracle=_slots_to_win_series,
-        ensemble=lambda run: engine.sample_win_slots(
-            run.params, run.trials, run.seed, horizon=run.win_horizon, workers=run.workers,
-            stream=1, reduce=partial(block_sums, shifts=(float(run.n),), order=2),
-        ),
+        ensemble=lambda run: (run.ticket_sums[2], run.ticket_sums[1]),
         bias=lambda run: run.n * run.win_tail,
     ),
     Quantity.TICKET_VALUE_DERIVATIVE: Entry(
@@ -506,7 +524,7 @@ QUANTITIES: dict[Quantity, Entry] = {
     Quantity.TICKET_VALUE_VARIANCE: Entry(
         closed=lambda run: analytics.ticket_value_variance(run.mu, run.var_r, run.d, run.n),
         oracle=_variance_series,
-        ensemble=lambda run: run.ticket_sums,
+        ensemble=_payoffs,
         statistic=lambda run, sums: sums.variance_stderr(),
         bias=lambda run: (run.var_r + 3.0 * run.mu * run.mu) * run.win_tail,
     ),

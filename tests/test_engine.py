@@ -23,20 +23,13 @@ from ticketsim.analytics import (
 from ticketsim.core import ConstantReward, EconomyParams, RewardModel, calibrate_lognormal
 from ticketsim.engine import (
     _BLOCK,
-    _CELLS,
-    _GROUP,
     _PATH_BLOCK,
-    _PATTERN_MIN_SHARE,
     _WIN_CAP,
     MARKET_HOLDER,
     ReplacementRule,
-    _guide_table,
-    _guided_lookup,
     _holder_flow_block,
     _holder_gaps,
-    _pattern_flow_block,
-    _pattern_tables,
-    _sample,
+    _holder_stops,
     _scale_streaks,
     discount_horizon,
     init_state,
@@ -303,22 +296,23 @@ def test_sampler_matches_object_engine_statistically():
 
 
 def test_holder_flows_full_ownership_deterministic():
+    # At k = n every slot is a holder win, so each trajectory collects c and
+    # buys a replacement at every slot up to its stop min(N, H), exactly.
     params = params_const(8, d=0.1, mu=3.0)
-    horizon = discount_horizon(0.1)
-    gross, net = sample_holder_flows(
+    horizon = 25
+    gross, net, stops = sample_holder_flows(
         params, 8, 500, seed=9, replacement_price=0.5, horizon=horizon
     )
-    stream = sum(3.0 / 1.1**t for t in range(1, horizon + 1))
-    purchases = sum(0.5 / 1.1**t for t in range(1, horizon + 1))
-    assert np.all(gross == gross[0])
-    assert math.isclose(gross[0], stream, rel_tol=1e-12)
-    assert math.isclose(float(net[0]), stream - purchases, rel_tol=1e-12)
+    assert np.array_equal(stops, np.floor(stops)) and stops.min() >= 0.0
+    assert 0 < np.count_nonzero(stops == horizon) < stops.size     # the cut and the random stop both act
+    assert np.array_equal(gross, 3.0 * stops)
+    assert np.array_equal(net, 3.0 * stops - 0.5 * stops)
 
 
 def test_holder_flows_share_scaling():
     params = params_const(10, d=0.1)
-    gross, net = sample_holder_flows(params, 3, 50_000, seed=33)
-    expected = 0.3 * sum(1.0 / 1.1**t for t in range(1, discount_horizon(0.1) + 1))
+    gross, net, _ = sample_holder_flows(params, 3, 50_000, seed=33)
+    expected = 0.3 / 0.1        # 0.3 * sum of x^t over every t
     se = math.sqrt(gross.var(ddof=1) / gross.size)
     assert abs(gross.mean() - expected) < 4.0 * se
     assert np.array_equal(gross, net)  # zero replacement price
@@ -336,7 +330,7 @@ def test_holder_flows_match_object_engine_with_streak_bonus():
         ).holder_totals.get("whale", 0.0)
         for _ in range(2_000)
     ])
-    gross, _ = sample_holder_flows(params, k, 20_000, seed=61, beta=beta, horizon=horizon)
+    gross, _, _ = sample_holder_flows(params, k, 20_000, seed=61, beta=beta, horizon=horizon)
     se = math.sqrt(object_totals.var(ddof=1) / object_totals.size)
     se_fast = math.sqrt(gross.var(ddof=1) / gross.size)
     assert abs(object_totals.mean() - gross.mean()) < 5.0 * math.hypot(se, se_fast)
@@ -345,15 +339,16 @@ def test_holder_flows_match_object_engine_with_streak_bonus():
 def test_holder_flow_streak_premium_matches_exact_expectation():
     # A holder win at slot t has streak >= j with probability p^(j-1), so
     # E[streak | win at t] = (1 - p^t)/(1 - p). Streaks run across many
-    # passes at this share and horizon, so the carry between passes is
-    # exercised; common draws for beta and beta=0 isolate the bonus.
+    # passes at this share, so the carry between passes is exercised; common
+    # draws for beta and beta=0 isolate the bonus. The sum stops at the tail
+    # bound, 1e-9 of it.
     n, k, beta, d = 3, 2, 0.5, 0.01
     params = params_const(n, d=d)
     p = k / n
     t = np.arange(1, discount_horizon(d) + 1, dtype=np.float64)
     exact = float(np.sum(p * beta * ((1.0 - p**t) / (1.0 - p) - 1.0) / (1.0 + d) ** t))
-    bonus, _ = sample_holder_flows(params, k, 20_000, seed=5, beta=beta)
-    base, _ = sample_holder_flows(params, k, 20_000, seed=5)
+    bonus, _, _ = sample_holder_flows(params, k, 20_000, seed=5, beta=beta)
+    base, _, _ = sample_holder_flows(params, k, 20_000, seed=5)
     premium = bonus - base
     se = math.sqrt(premium.var(ddof=1) / premium.size)
     assert abs(premium.mean() - exact) < 4.0 * se
@@ -374,81 +369,34 @@ def test_holder_gaps_follow_the_geometric_law(p):
         assert abs(observed - exact) < 4.0 * math.sqrt(exact * (1.0 - exact) / draws), m
 
 
+@pytest.mark.parametrize("d", [1e-2, 1e-4])
+def test_holder_stops_follow_the_discount_law(d):
+    # P(N >= t) = x^t at the t where it is about 0.9, 0.5, 0.1 and 0.01, and
+    # at t = 1; N is a whole number >= 0, and the draw raises no
+    # floating-point warning.
+    draws = 1_000_000
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        stops = _holder_stops(np.random.default_rng(2024), draws, d, None)
+    assert np.all(stops >= 0.0) and np.array_equal(stops, np.floor(stops))
+    for t in sorted({1, *(math.ceil(math.log(q) / -math.log1p(d)) for q in (0.9, 0.5, 0.1, 0.01))}):
+        exact = (1.0 + d) ** -t
+        observed = np.count_nonzero(stops >= t) / draws
+        assert abs(observed - exact) < 4.0 * math.sqrt(exact * (1.0 - exact) / draws), t
+
+
 @pytest.mark.parametrize("n, k, d", [(32, 4, 0.01), (8, 7, 0.05), (3, 1, 0.1), (64, 2, 0.01), (64, 63, 0.01)])
 def test_holder_flow_mean_and_variance_match_closed_forms(n, k, d):
-    # At beta = 0 with constant reward c the holder wins each slot t <= H
-    # independently with probability p, so gross = c * sum_t I_t x^t has mean
-    # c p sum x^t and variance c^2 p (1 - p) sum x^(2t). The share 2/64 is
-    # below the win-pattern kernel's crossover, so the thinned kernel draws it.
+    # At beta = 0 with constant reward c the holder wins each slot up to its
+    # stop N independently with probability p, so gross = c K with K ~
+    # Binomial(N, p): mean c p / d, and variance c^2 (E[N] p (1 - p) + p^2
+    # Var N) = c^2 [p (1 - p) / d + p^2 (1 + d) / d^2].
     c, p = 2.5, k / n
-    x = (1.0 + d) ** -np.arange(1, discount_horizon(d) + 1, dtype=np.float64)
-    gross, _ = sample_holder_flows(params_const(n, d=d, mu=c), k, 20_000, seed=n + k)
+    gross, _, _ = sample_holder_flows(params_const(n, d=d, mu=c), k, 20_000, seed=n + k)
     se = math.sqrt(gross.var(ddof=1) / gross.size)
-    assert abs(gross.mean() - c * p * x.sum()) < 4.0 * se
+    assert abs(gross.mean() - c * p / d) < 4.0 * se
     var, var_se = power_sums(gross, float(gross.mean()), 4).variance_stderr()
-    assert abs(var - c * c * p * (1.0 - p) * np.sum(x * x)) < 4.0 * var_se
-
-
-@pytest.mark.parametrize("reward, n, k, beta, kernel", [
-    (ConstantReward(2.0), 32, 4, 0.0, "pattern"),
-    (ConstantReward(2.0), 64, 4, 0.0, "pattern"),       # the crossover share itself
-    (ConstantReward(2.0), 64, 63, 0.0, "pattern"),
-    (ConstantReward(2.0), 64, 3, 0.0, "thinned"),       # below the crossover
-    (ConstantReward(2.0), 32, 32, 0.0, "thinned"),      # k = n: every slot a win
-    (ConstantReward(2.0), 32, 4, 0.5, "thinned"),       # a streak bonus
-    (calibrate_lognormal(1.0, 1.0), 32, 4, 0.0, "thinned"),
-])
-def test_holder_flows_dispatch_to_the_pattern_kernel_only_where_it_applies(
-        reward, n, k, beta, kernel, monkeypatch):
-    called = []
-    for name in ("_pattern_flow_block", "_holder_flow_block"):
-        inner = getattr(engine, name)
-        monkeypatch.setattr(engine, name,
-                            lambda *a, _inner=inner, _name=name: called.append(_name) or _inner(*a))
-    assert 64 * _PATTERN_MIN_SHARE == 4     # the cases at n = 64 straddle the crossover
-    sample_holder_flows(EconomyParams(n, 0.05, reward), k, 100, seed=0, beta=beta)
-    assert called == ["_pattern_flow_block" if kernel == "pattern" else "_holder_flow_block"]
-
-
-def test_pattern_and_thinned_kernels_agree_at_the_crossover_share():
-    # The same config through both kernels, on two streams: the means of
-    # independent ensembles of the same law differ by less than 4 stderrs.
-    n, k, d, c, trials = 64, 4, 0.01, 2.5, 20_000
-    assert k / n == _PATTERN_MIN_SHARE
-    horizon = discount_horizon(d)
-    pattern, _ = _sample(_pattern_flow_block, (k / n, c, d, 0.0, horizon), trials, _PATH_BLOCK, 7, 0, 1)
-    thinned, _ = _sample(_holder_flow_block, (params_const(n, d=d, mu=c), k, 0.0, 0.0, horizon),
-                         trials, _PATH_BLOCK, 7, 1, 1)
-    se = math.hypot(pattern.std(ddof=1), thinned.std(ddof=1)) / math.sqrt(trials)
-    assert abs(pattern.mean() - thinned.mean()) < 4.0 * se
-
-
-# At p = 0.49 the CDF edges fall in the lowest cells, just off those of p = 1/2.
-@pytest.mark.parametrize("p", [1 / 2, 0.49, 1 / 8, 7 / 8, _PATTERN_MIN_SHARE, 1 - 2**-10])
-def test_guided_lookup_equals_a_search_of_the_pattern_cdf(p):
-    patterns, cdf, sums, _, guide = _pattern_tables(p, -math.log1p(0.01), 3)
-    # The 256 patterns, by falling probability, and a CDF that reaches 1.
-    prob = [p ** j.bit_count() * (1.0 - p) ** (_GROUP - j.bit_count()) for j in patterns]
-    assert sorted(patterns) == list(range(1 << _GROUP))
-    assert all(a >= b for a, b in zip(prob, prob[1:]))
-    assert abs(math.fsum(prob) - 1.0) <= 1e-15
-    assert abs(cdf[-2] + prob[-1] - 1.0) <= 1e-15 and cdf[-1] == np.inf
-    if p == 1 / 2:      # every CDF edge is a multiple of 1/256, so no cell is split
-        assert not np.isnan(guide).any()
-    # Uniforms on every cell edge, 1 ulp either side of it, and at random.
-    edges = np.arange(_CELLS) / _CELLS
-    u = np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0),
-                        np.random.default_rng(11).random(100_000)])
-    want = np.searchsorted(cdf, u, side="right")
-    ranks = np.arange(1 << _GROUP, dtype=np.float64)
-    got = _guided_lookup(u.copy(), np.empty(u.size, np.intp), np.empty(u.size), _guide_table(cdf, ranks),
-                         cdf, ranks)
-    assert np.array_equal(got, want)
-    # The kernel's own guide holds the sums of the same patterns.
-    cells = np.searchsorted(cdf, edges, side="right")
-    assert np.array_equal(np.isnan(guide), np.isnan(_guide_table(cdf, ranks)))
-    pure = ~np.isnan(guide)
-    assert np.array_equal(guide[pure], sums[cells[pure]])
+    assert abs(var - c * c * (p * (1.0 - p) / d + p * p * (1.0 + d) / d**2)) < 4.0 * var_se
 
 
 class _Recorded(RewardModel):
@@ -472,105 +420,68 @@ class _Recorded(RewardModel):
 
 
 class _RecordingRng:
-    """A generator that keeps a copy of the uniforms of every ``random`` call."""
+    """A generator that keeps a copy of the uniforms of every ``random`` call
+    and of the variates of every ``standard_exponential`` call."""
 
     def __init__(self, rng):
-        self.rng, self.uniforms = rng, []
+        self.rng, self.uniforms, self.exponentials = rng, [], []
 
     def random(self, *, out):
         self.rng.random(out=out)
         self.uniforms.append(out.copy())
         return out
+
+    def standard_exponential(self, size):
+        drawn = self.rng.standard_exponential(size)
+        self.exponentials.append(drawn.copy())
+        return drawn
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5])
-@pytest.mark.parametrize("k", [1, 4, 7])
+@pytest.mark.parametrize("k", [1, 4, 7, 8])
 def test_holder_flow_block_matches_a_per_win_loop_on_recorded_draws(k, beta):
-    # The kernel's in-place passes against a plain loop over the same uniforms
-    # and rewards: each row's gaps, slots, streak (carried across passes),
-    # horizon cut and discounted gross and purchases. At k = 4 every row
-    # takes three whole passes before the rows left are indexed.
+    # The kernel's in-place passes against a plain loop over the same draws:
+    # each row's stop min(N, H) from its exponential, its gaps (all 1 at
+    # k = n, where no uniform is drawn), slots, streak (carried across
+    # passes) and its gross and purchases up to the stop.
     n, d, price, count = 8, 0.05, 0.3, 40
-    horizon = discount_horizon(d)
-    reward = _Recorded(calibrate_lognormal(1.0, 1.0))
-    rng = _RecordingRng(np.random.default_rng(k))
-    gross, net = _holder_flow_block(rng, count, EconomyParams(n, d, reward), k, beta, price, horizon)
+    for horizon in (None, 30):
+        reward = _Recorded(calibrate_lognormal(1.0, 1.0))
+        rng = _RecordingRng(np.random.default_rng(k))
+        gross, net, stops = _holder_flow_block(rng, count, EconomyParams(n, d, reward), k, beta, price,
+                                               horizon)
 
-    p = k / n
-    want_gross, want_paid = [0.0] * count, [0.0] * count
-    last, streak = [0] * count, [0] * count
-    assert len(rng.uniforms) == len(reward.draws) >= 2    # streaks carry across passes
-    for uniforms, rewards in zip(rng.uniforms, reward.draws):
-        active = [i for i in range(count) if last[i] < horizon]
-        assert uniforms.shape == rewards.shape and uniforms.shape[0] == len(active)
-        for row, i in enumerate(active):
-            for u, r in zip(uniforms[row], rewards[row]):
-                gap = 1 + math.floor(math.log1p(-u) / math.log1p(-p))
-                streak[i] = streak[i] + 1 if gap == 1 else 1
-                last[i] += gap
-                if last[i] <= horizon:
-                    weight = (1.0 + d) ** -last[i]
-                    want_gross[i] += r * (1.0 + beta * (streak[i] - 1)) * weight
-                    want_paid[i] += weight
-    assert min(last) >= horizon
-    want_gross, want_paid = np.array(want_gross), np.array(want_paid)
-    assert np.allclose(gross, want_gross, rtol=1e-12, atol=0.0)
-    assert np.allclose(net, want_gross - price * want_paid, rtol=0.0,
-                       atol=1e-12 * float(np.max(want_gross + price * want_paid)))
-
-
-class _PlantingRng(_RecordingRng):
-    """A recording generator that overwrites half of each draw, and its last
-    column, with the ``planted`` uniforms before the kernel sees them."""
-
-    def __init__(self, rng, planted):
-        super().__init__(rng)
-        self.planted = planted
-
-    def random(self, *, out):
-        self.rng.random(out=out)
-        flat = out.reshape(-1)
-        flat[::2] = np.resize(self.planted, flat[::2].size)
-        out[:, -1] = np.resize(self.planted[::-1], out.shape[0])
-        self.uniforms.append(out.copy())
-        return out
-
-
-@pytest.mark.parametrize("horizon", [5, 243, 389])
-@pytest.mark.parametrize("k", [1, 4, 7])
-def test_pattern_flow_block_matches_a_per_slot_loop_on_recorded_draws(k, horizon):
-    # The kernel's guided lookup, discounting and horizon cut against a plain
-    # loop over the same uniforms: invert each by a search of the CDF, expand
-    # its pattern's bits into wins and sum x^t over the wins with t <= H. No
-    # horizon is a multiple of _GROUP; 389 slots take two whole passes and a
-    # pass of the cut last group alone. Half the uniforms sit on a CDF edge or
-    # 1 ulp from one, which splits its guide cell at shares 1/8 and 7/8.
-    n, d, c, price, count = 8, 0.05, 2.5, 0.3, 40
-    p = k / n
-    patterns, cdf, _, _, _ = _pattern_tables(p, -math.log1p(d), horizon % _GROUP)
-    edges = cdf[:-1][cdf[:-1] < 1.0]
-    planted = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
-    rng = _PlantingRng(np.random.default_rng(k), planted[np.random.default_rng(0).permutation(planted.size)])
-    gross, net = _pattern_flow_block(rng, count, p, c, d, price, horizon)
-
-    paid, lo = [0.0] * count, 0
-    for uniforms in rng.uniforms:
-        assert uniforms.shape[0] == count
-        for i in range(count):
-            for j, u in enumerate(uniforms[i]):
-                pattern = patterns[int(np.searchsorted(cdf, u, side="right"))]
-                for bit in range(_GROUP):
-                    t = _GROUP * (lo + j) + bit + 1
-                    if pattern >> bit & 1 and t <= horizon:
-                        paid[i] += (1.0 + d) ** -t
-        lo += uniforms.shape[1]
-    assert lo == -(-horizon // _GROUP)
-    paid = np.array(paid)
-    assert np.allclose(gross, c * paid, rtol=1e-12, atol=0.0)
-    assert np.allclose(net, (c - price) * paid, rtol=1e-12, atol=0.0)
+        [exponentials] = rng.exponentials
+        rate = -math.log1p(-d / (1.0 + d))         # log1p(d), as the kernel rounds it
+        want_stops = [max(math.ceil(e / rate), 1) - 1 for e in exponentials]
+        if horizon is not None:
+            want_stops = [min(stop, horizon) for stop in want_stops]
+        assert stops.tolist() == want_stops
+        p = k / n
+        want_gross, want_paid = [0.0] * count, [0] * count
+        last, streak = [0] * count, [0] * count
+        uniforms = rng.uniforms if k < n else [None] * len(reward.draws)
+        assert len(uniforms) == len(reward.draws) and (k < n or not rng.uniforms)
+        assert len(reward.draws) >= 2 or horizon is not None       # streaks carry across passes
+        for pass_uniforms, rewards in zip(uniforms, reward.draws):
+            active = [i for i in range(count) if last[i] < want_stops[i]]
+            assert rewards.shape[0] == len(active)
+            for row, i in enumerate(active):
+                for j, r in enumerate(rewards[row]):
+                    gap = 1 if k == n else 1 + math.floor(math.log1p(-pass_uniforms[row, j]) / math.log1p(-p))
+                    streak[i] = streak[i] + 1 if gap == 1 else 1
+                    last[i] += gap
+                    if last[i] <= want_stops[i]:
+                        want_gross[i] += r * (1.0 + beta * (streak[i] - 1))
+                        want_paid[i] += 1
+        assert all(a >= b for a, b in zip(last, want_stops))
+        want_gross, want_paid = np.array(want_gross), np.array(want_paid, dtype=np.float64)
+        assert np.allclose(gross, want_gross, rtol=1e-12, atol=0.0)
+        assert np.allclose(net, want_gross - price * want_paid, rtol=0.0,
+                           atol=1e-12 * float(np.max(want_gross + price * want_paid)))
 
 
 def test_holder_flows_validation():
@@ -580,6 +491,13 @@ def test_holder_flows_validation():
         sample_holder_flows(params_const(4), 5, 1000, seed=0)
     with pytest.raises(ValueError):
         sample_holder_flows(params_const(4), 2, 1000, seed=0, beta=-0.5)
+    # Undiscounted, a flow stops only at an explicit horizon, for every row.
+    from ticketsim.errors import DiscountRateError
+
+    with pytest.raises(DiscountRateError):
+        sample_holder_flows(params_const(4, d=0.0), 2, 1000, seed=0)
+    _, _, stops = sample_holder_flows(params_const(4, d=0.0), 2, 1000, seed=0, horizon=7)
+    assert np.all(stops == 7.0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -650,11 +568,10 @@ def test_pool_payoffs_solo_matches_closed_forms():
 
 
 def test_holder_flow_and_pool_memory_independent_of_d():
-    # Holder flows draw at most a fixed number of wins (thinned kernel, k = 1)
-    # or slots (win-pattern kernel, k = 4) per pass and pools one slot per
-    # member, so peak memory does not grow with the horizon. A thinned block
-    # holds one pass buffer of _WIN_CAP wins per row for its gaps, slots and
-    # weights, and one pass's rewards beside it.
+    # Holder flows draw at most a fixed number of wins per pass and pools one
+    # slot per member, so peak memory does not grow as the mean stop 1/d
+    # does. A holder block holds one pass buffer of _WIN_CAP wins per row
+    # for its gaps and slots, and one pass's rewards beside it.
     def peak_mb(fn):
         tracemalloc.start()
         try:
@@ -710,7 +627,7 @@ def test_pool_holds_a_bounded_window_of_blocks():
     # waits, with a deadline, until the OS has reaped every thread the test
     # did not start with.
     params = params_const(32)
-    reduce = partial(block_sums, shifts=(32.0,), order=2)
+    reduce = partial(block_sums, shifts=(32.0,), orders=(2,))
     threads = _os_threads()
 
     def run(blocks):
@@ -844,6 +761,16 @@ def test_estimate_holder_value():
         estimate(params, Quantity.HOLDER_VALUE, 1000, seed=6)
     with pytest.raises(ValueError):
         estimate(params, Quantity.HOLDER_VALUE, 1000, seed=6, holder_share=0.01)
+
+
+def test_estimate_holder_value_under_a_short_horizon():
+    # An explicit horizon H stops the flows at min(N, H), whose mean
+    # (1 - x^H)/d the control takes, so the estimate is the flow discounted
+    # over H slots, and the bias bound covers the tail past H.
+    params = params_const(10, d=0.05)
+    est = estimate(params, Quantity.HOLDER_VALUE, 50_000, seed=3, holder_share=0.5, horizon=20)
+    assert abs(est.mean - 0.5 * sum(1.05**-t for t in range(1, 21))) <= 4.0 * est.stderr
+    assert est.bias_bound == pytest.approx(0.5 * sum(1.05**-t for t in range(21, 2000)), rel=1e-9)
 
 
 def test_estimate_takes_a_streak_bonus_for_holder_value_only():

@@ -224,19 +224,18 @@ def test_library_share_above_one_fails_with_its_key(monkeypatch):
 
 
 def test_multiblock_full_ownership_constant_rewards_closed_form():
-    # p = 1 with constant rewards is deterministic: every slot extends the
-    # streak, so the gross flow is sum_t mu*(1+beta*(t-1)) * disc_t.
+    # At p = 1 with constant rewards every slot extends the streak, so a flow
+    # stopped at min(N, H) is the sum of mu*(1+beta*(t-1)) over t up to it,
+    # with mean sum_{t <= H} mu*(1+beta*(t-1)) * x^t.
     mu, d, n, beta = 1.0, 0.05, 4, 0.5
     params = params_const(n, d=d, mu=mu)
     horizon = discount_horizon(d)
     est, closed = _holder_value(params, 1.0, 500, seed=2, beta=beta, horizon=horizon)
     t = np.arange(1, horizon + 1, dtype=np.float64)
     finite_sum = float(np.sum(mu * (1.0 + beta * (t - 1.0)) / (1.0 + d) ** t))
-    assert est.stderr == 0.0
-    assert math.isclose(est.mean, finite_sum, rel_tol=1e-12)
-    # Infinite-horizon limit: (k/n)*mu/d + beta*mu/d^2. The bias bound is
-    # exactly the tail here, so the gap can pass it by rounding ulps, which
-    # the program's gate allows.
+    assert 0.0 < est.stderr and abs(est.mean - finite_sum) <= 4.0 * est.stderr
+    # Infinite-horizon limit: (k/n)*mu/d + beta*mu/d^2, within the gate and
+    # the bias bound of the tail past the horizon.
     limit = closed + beta * mu / d**2
     assert _mc_gate(est.mean, limit, est.stderr, est.bias_bound)
 
@@ -248,5 +247,6 @@ def test_multiblock_share_rounding_reported():
     assert QUANTITIES[Quantity.HOLDER_VALUE].closed(run) == 3 / 32 * npv_rewards(1.0, 0.05)
     # The ensemble holds the 3 tickets.
     est, _ = _holder_value(params, 0.1, 1_000, seed=4)
-    gross, _ = sample_holder_flows(params, 3, 1_000, 4, stream=3)
-    assert est.mean == float(np.mean(gross))
+    gross, _, stops = sample_holder_flows(params, 3, 1_000, 4, stream=3)
+    controlled = gross - 3 / 32 * (stops - 1 / 0.05)     # the flow's mean per slot times N - E[N]
+    assert est.mean == pytest.approx(float(np.mean(controlled)), rel=1e-12, abs=0)

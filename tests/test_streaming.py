@@ -78,14 +78,15 @@ def test_streamed_estimates_match_the_array_statistics(reward, monkeypatch):
 
     streamed = {q: entry.estimate(run()) for q, entry in entries(estimator=True)}
 
-    # The array statistics: each sampler's whole arrays reduced once, about
-    # their own mean, which is what _mean_stderr and _variance_stderr do.
+    # The array statistics: each sampler's whole arrays reduced once by the
+    # ensemble's own reducer, but about their own means, which is what
+    # _mean_stderr and _variance_stderr do.
     sample = engine._sample
 
     def whole_arrays(kernel, head, trials, block, seed, stream, workers, reduce=None):
         parts = sample(kernel, head, trials, block, seed, stream, workers)
-        return tuple(power_sums(p, float(np.mean(p)), 4) if isinstance(p, np.ndarray) else p
-                     for p in parts)
+        means = tuple(float(np.mean(p)) for p in parts if isinstance(p, np.ndarray))
+        return reduce.func(parts, **{**reduce.keywords, "shifts": means})
 
     monkeypatch.setattr(engine, "_sample", whole_arrays)
     for quantity, entry in entries(estimator=True):

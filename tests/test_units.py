@@ -54,13 +54,13 @@ def test_verify_gates_do_not_depend_on_the_reward_unit(monkeypatch, reward):
 
     failures, z = verify()
     assert failures == [[]] * 3
-    payoffs = engine._ticket_payoff_block
+    tracked = engine._tracked_block
 
     def inflated(*args):
-        payoff, truncated = payoffs(*args)
-        return 1.5 * payoff, truncated
+        payoff, truncated, slots = tracked(*args)
+        return 1.5 * payoff, truncated, slots
 
-    monkeypatch.setattr(engine, "_ticket_payoff_block", inflated)
+    monkeypatch.setattr(engine, "_tracked_block", inflated)
     broken, broken_z = verify()
     assert broken == [["ticket_value", "total_ticket_value", "issued_market_cap", "ticket_value_variance"]] * 3
     for scores in (z, broken_z):
