@@ -25,22 +25,25 @@ Two implementations of the same law live here:
     Puterman, *Markov Decision Processes*, 1994, ch. 5), so a holder's
     flow is the undiscounted sum of its rewards up to its own N, and its
     mean is the discounted value, with no horizon to cut;
-  - a holder of k retained tickets wins with Geometric(k/n) gaps, so its
-    flow is thinned to those wins; a win one slot after the previous one
-    extends the holder's streak. The bonus 1 + beta * (streak - 1) is
-    exactly 1 on a streak of 1, so only the rewards after a one-slot gap
-    (a share p of the wins) are located and scaled in place. With a
-    constant reward and no streak bonus the flow is c times the wins;
+  - a holder of k retained tickets wins each slot with probability
+    p = k/n, independently, so with a constant reward c and no streak
+    bonus its flow up to N is c * K, K ~ Binomial(N, p): two variates per
+    trajectory, whatever d is. Any other flow is thinned to the holder's
+    wins, Geometric(k/n) gaps apart, ~p/d of them per trajectory; a win one
+    slot after the previous one extends the holder's streak. The bonus
+    1 + beta * (streak - 1) is exactly 1 on a streak of 1, so only the
+    rewards after a one-slot gap (a share p of the wins) are located and
+    scaled in place;
   - in a k-ticket pool, the i-th distinct member hit waits
     Geometric((k - i)/n) slots after the previous one, and members are
     exchangeable, so one member's payoff is the payoff at a uniform rank.
 
   Geometric variates are drawn by inversion (Devroye, *Non-Uniform Random
-  Variate Generation*, 1986, ch. X.2). The holder kernel's gaps, most of
-  the variates a holder ensemble draws, invert a uniform,
+  Variate Generation*, 1986, ch. X.2). The thinned holder kernel's gaps,
+  most of the variates it draws, invert a uniform,
   1 + floor(log(1 - U) / log1p(-p)): a uniform and a log cost less than an
-  exponential, and each pass inverts them in place in one buffer. Its
-  stops and the win-slot and pool kernels invert an exponential,
+  exponential, and each pass inverts them in place in one buffer. The
+  holder stops and the win-slot and pool kernels invert an exponential,
   ceil(Exp(1) / -log(1 - p)); the last two draw under 1% of the variates,
   and keeping their draws keeps their fixed-seed statistical tests on the
   same samples.
@@ -82,8 +85,8 @@ MARKET_HOLDER = "market"
 
 # Trajectories per RNG substream. Part of the determinism contract: results
 # depend on these constants, never on the worker count.
-_BLOCK = 4096        # tracked-ticket samplers (small state per trajectory)
-_PATH_BLOCK = 512    # holder-flow and pool samplers
+_BLOCK = 4096        # tracked-ticket and holder win-count samplers (small state per row)
+_PATH_BLOCK = 512    # thinned holder-flow and pool samplers
 _WIN_CAP = 64        # holder wins drawn per trajectory in one holder-flow pass
 _CHUNK = 8           # most blocks a pool worker takes in one task
 
@@ -453,6 +456,18 @@ def _holder_stops(rng, count, d, horizon) -> np.ndarray:
     return stops if horizon is None else np.minimum(stops, horizon, out=stops)
 
 
+def _holder_count_block(rng, count, params, k, beta, price, horizon) -> tuple[np.ndarray, ...]:
+    """(gross, net, stop) of holder flows at a constant reward and beta = 0.
+    Each slot up to a row's stop is a holder win with probability k/n,
+    independently, so its wins are K ~ Binomial(stop, k/n), all of them at
+    k = n, and its flow is c K."""
+    import numpy as np
+    stops = _holder_stops(rng, count, params.d, horizon)
+    wins = rng.binomial(stops.astype(np.int64), k / params.n).astype(np.float64)
+    c = params.reward.value
+    return c * wins, (c - price) * wins, stops
+
+
 def _holder_flow_block(rng, count, params, k, beta, price, horizon) -> tuple[np.ndarray, ...]:
     import numpy as np
     # Discounting by x = 1/(1+d) per slot is stopping at an independent slot
@@ -462,9 +477,8 @@ def _holder_flow_block(rng, count, params, k, beta, price, horizon) -> tuple[np.
     # Thin the lottery to the holder's wins: Geometric(k/n) gaps between them
     # (all 1 at k = n). Each pass inverts uniforms into gaps and then into
     # slots, in place in one (rows, width) view of a buffer allocated once
-    # per block. A constant reward at beta = 0 is the count of wins times c.
+    # per block.
     p = k / params.n
-    constant = isinstance(params.reward, ConstantReward) and beta == 0.0
     gross = np.zeros(count)
     wins = np.zeros(count)          # holder wins up to the stop, each a replacement purchase
     last = np.zeros(count)          # slot of the latest holder win
@@ -482,21 +496,17 @@ def _holder_flow_block(rng, count, params, k, beta, price, horizon) -> tuple[np.
             _holder_gaps(p, view, rng)
         else:
             view.fill(1.0)
-        if not constant:
-            rewards = np.ascontiguousarray(params.reward.sample(rng, size=view.shape), dtype=np.float64)
-            if beta != 0.0:
-                streak[rows] = _scale_streaks(rewards, view, streak[rows], beta)
+        rewards = np.ascontiguousarray(params.reward.sample(rng, size=view.shape), dtype=np.float64)
+        if beta != 0.0:
+            streak[rows] = _scale_streaks(rewards, view, streak[rows], beta)
         view[:, 0] += prior
         slots = np.cumsum(view, axis=1, out=view)     # integers below 2^53: exact
         inside = slots <= stop[:, None]
         wins[rows] += np.count_nonzero(inside, axis=1)
-        if not constant:
-            gross[rows] += np.einsum("ij,ij->i", rewards, inside)
-            del rewards             # freed before the next pass draws its own
+        gross[rows] += np.einsum("ij,ij->i", rewards, inside)
+        del rewards                 # freed before the next pass draws its own
         last[rows] = slots[:, -1]
         rows = rows[slots[:, -1] < stop]
-    if constant:
-        np.multiply(wins, params.reward.value, out=gross)
     return gross, gross - price * wins, stops
 
 
@@ -580,6 +590,11 @@ def sample_holder_flows(
     ``replacement_price`` at each of those wins; and the stop, N or
     min(N, horizon). With ``reduce``, returns its summed block reductions
     instead, as ``sample_ticket_payoffs`` does.
+
+    A constant reward c at ``beta`` = 0 draws each row's stop and then its
+    win count, c * Binomial(stop, k/n): two variates per trajectory, on
+    ``_BLOCK``-sized blocks. Any other flow is drawn win by win, ~k/(n d)
+    wins per trajectory, on ``_PATH_BLOCK``-sized blocks.
     """
     if not (1 <= holder_tickets <= params.n):
         raise ValueError(f"holder must retain between 1 and n={params.n} tickets, got {holder_tickets}")
@@ -589,6 +604,8 @@ def sample_holder_flows(
         from .errors import DiscountRateError
         raise DiscountRateError(f"cannot stop a holder flow at d={params.d}; pass a horizon explicitly")
     head = (params, holder_tickets, beta, replacement_price, horizon)
+    if beta == 0.0 and isinstance(params.reward, ConstantReward):
+        return _sample(_holder_count_block, head, trials, _BLOCK, seed, stream, workers, reduce)
     return _sample(_holder_flow_block, head, trials, _PATH_BLOCK, seed, stream, workers, reduce)
 
 

@@ -27,6 +27,7 @@ from ticketsim.engine import (
     _WIN_CAP,
     MARKET_HOLDER,
     ReplacementRule,
+    _holder_count_block,
     _holder_flow_block,
     _holder_gaps,
     _holder_stops,
@@ -336,11 +337,35 @@ def test_holder_flows_match_object_engine_with_streak_bonus():
     assert abs(object_totals.mean() - gross.mean()) < 5.0 * math.hypot(se, se_fast)
 
 
+def test_holder_counts_match_object_engine():
+    # A constant reward at beta = 0 takes the win-count kernel, on blocks of
+    # _BLOCK rows: c times a Binomial(stop, k/n) count per row.
+    n, k, d, horizon, c = 6, 2, 0.05, 100, 2.5
+    params = params_const(n, d=d, mu=c)
+    holders = ["whale"] * k + [MARKET_HOLDER] * (n - k)
+    rng = np.random.default_rng(62)
+    object_totals = np.array([
+        run_trajectory(
+            params, horizon=horizon, rng=rng, holders=holders, replacement=ReplacementRule.RETAIN,
+            stop_at_tracked_win=False,
+        ).holder_totals.get("whale", 0.0)
+        for _ in range(2_000)
+    ])
+    gross, _, _ = sample_holder_flows(params, k, 20_000, seed=62, horizon=horizon)
+    first, _, _ = _holder_count_block(substream(62, 0, 0), _BLOCK, params, k, 0.0, 0.0, horizon)
+    assert gross[:_BLOCK].tobytes() == first.tobytes()
+    se = math.sqrt(object_totals.var(ddof=1) / object_totals.size)
+    se_fast = math.sqrt(gross.var(ddof=1) / gross.size)
+    assert abs(object_totals.mean() - gross.mean()) < 5.0 * math.hypot(se, se_fast)
+
+
 def test_holder_flow_streak_premium_matches_exact_expectation():
     # A holder win at slot t has streak >= j with probability p^(j-1), so
     # E[streak | win at t] = (1 - p^t)/(1 - p). Streaks run across many
     # passes at this share, so the carry between passes is exercised; common
-    # draws for beta and beta=0 isolate the bonus. The sum stops at the tail
+    # draws for beta and beta=0 isolate the bonus, so the base is drawn by
+    # the thinned kernel on the same blocks, not by the win-count kernel
+    # that a constant reward at beta = 0 takes. The sum stops at the tail
     # bound, 1e-9 of it.
     n, k, beta, d = 3, 2, 0.5, 0.01
     params = params_const(n, d=d)
@@ -348,7 +373,8 @@ def test_holder_flow_streak_premium_matches_exact_expectation():
     t = np.arange(1, discount_horizon(d) + 1, dtype=np.float64)
     exact = float(np.sum(p * beta * ((1.0 - p**t) / (1.0 - p) - 1.0) / (1.0 + d) ** t))
     bonus, _, _ = sample_holder_flows(params, k, 20_000, seed=5, beta=beta)
-    base, _, _ = sample_holder_flows(params, k, 20_000, seed=5)
+    base, _, _ = engine._sample(_holder_flow_block, (params, k, 0.0, 0.0, None), 20_000, _PATH_BLOCK,
+                                seed=5, stream=0, workers=1)
     premium = bonus - base
     se = math.sqrt(premium.var(ddof=1) / premium.size)
     assert abs(premium.mean() - exact) < 4.0 * se
@@ -420,11 +446,12 @@ class _Recorded(RewardModel):
 
 
 class _RecordingRng:
-    """A generator that keeps a copy of the uniforms of every ``random`` call
-    and of the variates of every ``standard_exponential`` call."""
+    """A generator that keeps a copy of the uniforms of every ``random`` call,
+    of the variates of every ``standard_exponential`` call, and of the
+    (trials, probability, variates) of every ``binomial`` call."""
 
     def __init__(self, rng):
-        self.rng, self.uniforms, self.exponentials = rng, [], []
+        self.rng, self.uniforms, self.exponentials, self.binomials = rng, [], [], []
 
     def random(self, *, out):
         self.rng.random(out=out)
@@ -436,8 +463,20 @@ class _RecordingRng:
         self.exponentials.append(drawn.copy())
         return drawn
 
+    def binomial(self, trials, p):
+        drawn = self.rng.binomial(trials, p)
+        self.binomials.append((np.copy(trials), p, drawn.copy()))
+        return drawn
+
     def __getattr__(self, name):
         return getattr(self.rng, name)
+
+
+def _recorded_stops(exponentials, d, horizon) -> list:
+    """Each row's stop min(N, horizon) from its recorded exponential."""
+    rate = -math.log1p(-d / (1.0 + d))         # log1p(d), as the kernel rounds it
+    stops = [max(math.ceil(e / rate), 1) - 1 for e in exponentials]
+    return stops if horizon is None else [min(stop, horizon) for stop in stops]
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5])
@@ -455,10 +494,7 @@ def test_holder_flow_block_matches_a_per_win_loop_on_recorded_draws(k, beta):
                                                horizon)
 
         [exponentials] = rng.exponentials
-        rate = -math.log1p(-d / (1.0 + d))         # log1p(d), as the kernel rounds it
-        want_stops = [max(math.ceil(e / rate), 1) - 1 for e in exponentials]
-        if horizon is not None:
-            want_stops = [min(stop, horizon) for stop in want_stops]
+        want_stops = _recorded_stops(exponentials, d, horizon)
         assert stops.tolist() == want_stops
         p = k / n
         want_gross, want_paid = [0.0] * count, [0] * count
@@ -482,6 +518,35 @@ def test_holder_flow_block_matches_a_per_win_loop_on_recorded_draws(k, beta):
         assert np.allclose(gross, want_gross, rtol=1e-12, atol=0.0)
         assert np.allclose(net, want_gross - price * want_paid, rtol=0.0,
                            atol=1e-12 * float(np.max(want_gross + price * want_paid)))
+
+
+@pytest.mark.parametrize("d", [1e-2, 1e-8])
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_holder_count_block_draws_one_stop_and_one_count_per_row(k, d):
+    # Each row draws one exponential for its stop and one binomial for its
+    # wins up to that stop, however small d is; the flows are exact
+    # multiples of the count, and at k = n every slot is a win.
+    n, c, price, count = 8, 2.5, 0.3, 40
+    params = EconomyParams(n, d, ConstantReward(c))
+    for horizon in (None, 30):
+        rng = _RecordingRng(np.random.default_rng(k))
+        gross, net, stops = _holder_count_block(rng, count, params, k, 0.0, price, horizon)
+        [exponentials] = rng.exponentials
+        [(trials, p, wins)] = rng.binomials
+        assert exponentials.shape == wins.shape == (count,) and not rng.uniforms
+        assert stops.tolist() == _recorded_stops(exponentials, d, horizon) == trials.tolist()
+        assert p == k / n and np.all(wins <= trials)
+        assert gross.tobytes() == (c * wins.astype(np.float64)).tobytes()
+        assert net.tobytes() == ((c - price) * wins.astype(np.float64)).tobytes()
+        if k == n:
+            assert np.array_equal(wins, trials)
+    # Undiscounted, every row stops at the explicit horizon and draws only its count.
+    rng = _RecordingRng(np.random.default_rng(k))
+    gross, _, stops = _holder_count_block(rng, count, EconomyParams(n, 0.0, ConstantReward(c)), k, 0.0,
+                                          price, 30)
+    [(trials, _, wins)] = rng.binomials
+    assert not rng.exponentials and np.all(stops == 30.0) and np.all(trials == 30)
+    assert gross.tobytes() == (c * wins.astype(np.float64)).tobytes()
 
 
 def test_holder_flows_validation():
@@ -568,10 +633,15 @@ def test_pool_payoffs_solo_matches_closed_forms():
 
 
 def test_holder_flow_and_pool_memory_independent_of_d():
-    # Holder flows draw at most a fixed number of wins per pass and pools one
-    # slot per member, so peak memory does not grow as the mean stop 1/d
-    # does. A holder block holds one pass buffer of _WIN_CAP wins per row
-    # for its gaps and slots, and one pass's rewards beside it.
+    # Thinned holder flows draw at most a fixed number of wins per pass and
+    # pools one slot per member, so peak memory does not grow as the mean
+    # stop 1/d does. A random reward under a streak bonus keeps the flows on
+    # the thinned kernel. Its pass widens with 1/d until it holds _WIN_CAP
+    # wins per row (below d of about 6e-4 at k = 1, 2.5e-3 at k = 4), and
+    # then holds one buffer for its gaps and slots, one pass's rewards beside
+    # it, and the streak scaling's masks and indices, less than one more
+    # buffer at these shares. A constant reward at beta = 0 draws two
+    # variates per row, whatever d is.
     def peak_mb(fn):
         tracemalloc.start()
         try:
@@ -582,10 +652,14 @@ def test_holder_flow_and_pool_memory_independent_of_d():
 
     buffer_mb = _PATH_BLOCK * _WIN_CAP * 8 / 1e6      # 256 KiB
     for k in (1, 4):
-        holder = {d: peak_mb(lambda: sample_holder_flows(params_const(32, d=d), k, _PATH_BLOCK, seed=3))
-                  for d in (1e-2, 1e-4)}
-        assert holder[1e-4] < 3.0 * buffer_mb, k
-        assert holder[1e-4] <= 1.5 * holder[1e-2], k
+        holder = {d: peak_mb(lambda: sample_holder_flows(
+            EconomyParams(32, d, calibrate_lognormal(1.0, 1.0)), k, _PATH_BLOCK, seed=3, beta=0.5))
+                  for d in (1e-3, 1e-4)}
+        assert holder[1e-4] < 4.0 * buffer_mb, k
+        assert holder[1e-4] <= 1.5 * holder[1e-3], k
+        counts = {d: peak_mb(lambda: sample_holder_flows(params_const(32, d=d), k, _BLOCK, seed=3))
+                  for d in (1e-2, 1e-8)}
+        assert counts[1e-8] <= 1.5 * counts[1e-2], k
     pool = {h: peak_mb(lambda: sample_pool_payoffs(params_const(32), 4, 512, seed=3, horizon=h))
             for h in (1_000, 1_000_000)}
     assert pool[1_000_000] <= 1.5 * pool[1_000]
@@ -665,19 +739,22 @@ def _wait_for_threads(threads: set, timeout: float = 10.0) -> None:
         time.sleep(0.001)
 
 
+_LOGNORMAL = calibrate_lognormal(1.0, 1.0)
 _DRIVER_CASES = {
-    # sampler, its arguments between params and trials, options, block size
-    "ticket_payoffs": (sample_ticket_payoffs, (), {"horizon": 40}, _BLOCK),
-    "win_slots": (sample_win_slots, (), {"horizon": 40}, _BLOCK),
-    "holder_flows": (sample_holder_flows, (4,), {"beta": 0.5, "replacement_price": 0.3}, _PATH_BLOCK),
-    "pool": (sample_pool_payoffs, (4,), {"horizon": 40}, _PATH_BLOCK),
+    # sampler, its arguments between params and trials, options, block size, reward
+    "ticket_payoffs": (sample_ticket_payoffs, (), {"horizon": 40}, _BLOCK, _LOGNORMAL),
+    "win_slots": (sample_win_slots, (), {"horizon": 40}, _BLOCK, _LOGNORMAL),
+    "holder_flows": (sample_holder_flows, (4,), {"beta": 0.5, "replacement_price": 0.3}, _PATH_BLOCK,
+                     _LOGNORMAL),
+    "holder_counts": (sample_holder_flows, (4,), {"replacement_price": 0.3}, _BLOCK, ConstantReward(2.0)),
+    "pool": (sample_pool_payoffs, (4,), {"horizon": 40}, _PATH_BLOCK, _LOGNORMAL),
 }
 
 
 @pytest.mark.parametrize("name", list(_DRIVER_CASES))
 def test_sampler_output_bit_identical_across_workers(name):
-    sampler, head, options, block = _DRIVER_CASES[name]
-    params = EconomyParams(n=32, d=0.05, reward=calibrate_lognormal(1.0, 1.0))
+    sampler, head, options, block, reward = _DRIVER_CASES[name]
+    params = EconomyParams(n=32, d=0.05, reward=reward)
     trials = 3 * block + 37     # several full blocks and a partial last one
     serial = sampler(params, *head, trials, 5, workers=1, **options)
     parallel = sampler(params, *head, trials, 5, workers=2, **options)
