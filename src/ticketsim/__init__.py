@@ -3,9 +3,9 @@ execution-rights ticket economy.
 
 The package splits into:
 
-* ``core``      model constants, reward distributions, discounting
+* ``core``      model constants and reward distributions
 * ``analytics`` closed-form valuations and the truncated-series oracle
-* ``engine``    the slot lottery state machine and Monte Carlo samplers
+* ``engine``    the Monte Carlo samplers of the slot lottery
 * ``quantities`` one table of every quantity: closed form, oracle, estimator
 * ``market``    pricing policies and the consecutive-win bonus
 * ``config`` / ``report`` / ``harness`` / ``cli``   experiment plumbing
@@ -22,17 +22,16 @@ _EXPORTS = {
     "analytics": (
         "control_value", "control_value_derivative_n", "expected_slots_to_win",
         "expected_ticket_value", "issued_market_cap", "npv_rewards", "slots_to_win_variance",
-        "ticket_value_derivative_n", "ticket_value_second_moment", "ticket_value_variance",
+        "ticket_value_derivative_n", "ticket_value_variance",
         "total_ticket_value", "truncated_series_sum",
     ),
     "core": (
-        "ConstantReward", "DiscountCurve", "EconomyParams", "EmpiricalReward", "LognormalReward",
+        "ConstantReward", "EconomyParams", "EmpiricalReward", "LognormalReward",
         "ParetoReward", "RewardModel", "calibrate_lognormal", "load_empirical_rewards",
     ),
     "engine": (
-        "ReplacementRule", "SlotState", "Ticket", "TrajectoryRecord", "discount_horizon",
-        "init_state", "run_trajectory", "sample_holder_flows", "sample_pool_payoffs",
-        "sample_ticket_payoffs", "sample_win_slots", "step", "win_horizon",
+        "discount_horizon", "sample_holder_flows", "sample_pool_payoffs", "sample_ticket_payoffs",
+        "sample_win_slots", "win_horizon",
     ),
     "errors": (
         "ConfigError", "DiscountRateError", "DivergenceError", "NegativePriceError",

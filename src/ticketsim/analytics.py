@@ -119,15 +119,6 @@ def control_value_derivative_n(p: float, mu: float, d: float, n: float) -> float
     return p * mu / (n * d + 1.0) / (n * d + 1.0)
 
 
-def ticket_value_second_moment(mu: float, var_r: float, d: float, n: float) -> float:
-    """E[V^2] for one ticket: (var_r + mu^2) / (n*d^2 + 2*n*d + 1)."""
-    _check_mu(mu)
-    _check_var(var_r)
-    _check_rate(d)
-    _check_n(n)
-    return (var_r + mu * mu) / (n * d * d + 2.0 * n * d + 1.0)
-
-
 def ticket_value_variance(mu: float, var_r: float, d: float, n: float) -> float:
     """Variance of one ticket's discounted payoff:
     [var_r*(nd+1)^2 + mu^2*n(n-1)*d^2] / [(n*d*(d+2) + 1)*(nd+1)^2].

@@ -114,7 +114,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg, echo = _merge_config(args)
         started = time.perf_counter()
         rows = _COMMANDS[args.command][1](cfg)
-        if isinstance(rows, VerifyOutcome):
+        if isinstance(rows, VerifyOutcome):     # first: a VerifyOutcome is a tuple too
             rows, failures = rows.rows, rows.failures
         elif isinstance(rows, tuple):
             rows, verdicts = rows

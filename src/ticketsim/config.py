@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     ConstantReward,
@@ -73,8 +72,7 @@ _UNECHOED = ("workers", "output")
 _TOP_KEYS = {*_READ_BY, *_UNECHOED}
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     """A sweep: each value's config, and the row that each value gives, read
     as ``harness`` reads a command's rows: the table entry named ``entry``,
     in ``mode``, sampling in ``check`` mode where ``mc`` is set."""
@@ -87,8 +85,7 @@ class SweepSpec:
     mc: bool = False
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     seed: int
     trials: int
     workers: int
@@ -296,7 +293,7 @@ def _parse_policy(spec, path: str) -> tuple[PricingPolicy, dict]:
         raise ConfigError(
             f"{path}.kind", f"expected one of fair_value/fixed_margin/fixed_discount, got {kind!r}"
         )
-    return policy, {"kind": kind, **asdict(policy)}
+    return policy, {"kind": kind, **policy._asdict()}
 
 
 def _parse_pool(spec, path: str) -> tuple[int, dict]:
@@ -310,7 +307,7 @@ def _parse_multiblock(spec, path: str) -> tuple[MultiBlockSpec, dict]:
     spec = _expect_mapping(spec, path)
     _check_keys(spec, {"beta"}, path)
     multiblock = MultiBlockSpec(beta=_expect_number(spec.get("beta", 0.0), f"{path}.beta", minimum=0.0))
-    return multiblock, asdict(multiblock)
+    return multiblock, multiblock._asdict()
 
 
 def _section(raw: dict, key: str, parse) -> tuple:

@@ -1,5 +1,5 @@
-"""Domain types shared by every other module: economy parameters, per-slot
-reward distributions, and present-value discounting.
+"""Domain types shared by every other module: economy parameters and
+per-slot reward distributions.
 
 Rewards are dimensionless non-negative reals; the caller decides the unit
 (ETH, Gwei, ...). All types here are immutable after construction and safe
@@ -12,11 +12,50 @@ from __future__ import annotations
 import csv
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
 if TYPE_CHECKING:   # numpy loads where a reward is sampled or an empirical reward is built
     import numpy as np
+
+
+class Frozen:
+    """Base of the validated value types: ``__init__`` checks its arguments
+    and stores them as the ``_fields``, which nothing may then reassign. An
+    object equals one of its own type with equal fields, hashes and prints
+    by them, and unpickles through ``__init__`` (so a process pool's workers
+    receive it checked again)."""
+
+    _fields: ClassVar[tuple[str, ...]] = ()
+
+    def _freeze(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -45,16 +84,16 @@ class RewardModel(ABC):
         """Draw one reward (size=None) or an array of the given shape."""
 
 
-@dataclass(frozen=True)
-class ConstantReward(RewardModel):
+class ConstantReward(Frozen, RewardModel):
     """Degenerate distribution: every slot pays exactly ``value``."""
 
-    value: float
-    kind: ClassVar[str] = "constant"
+    _fields = ("value",)
+    kind = "constant"
 
-    def __post_init__(self):
-        if not (self.value >= 0.0 and math.isfinite(self.value)):
-            raise ValueError(f"constant reward must be finite and >= 0, got {self.value}")
+    def __init__(self, value: float):
+        if not (value >= 0.0 and math.isfinite(value)):
+            raise ValueError(f"constant reward must be finite and >= 0, got {value}")
+        self._freeze(value)
 
     def mean(self) -> float:
         return self.value
@@ -69,19 +108,18 @@ class ConstantReward(RewardModel):
         return np.full(size, self.value, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class LognormalReward(RewardModel):
+class LognormalReward(Frozen, RewardModel):
     """Lognormal rewards parameterized on the log scale (mu_log, sigma_log)."""
 
-    mu_log: float
-    sigma_log: float
-    kind: ClassVar[str] = "lognormal"
+    _fields = ("mu_log", "sigma_log")
+    kind = "lognormal"
 
-    def __post_init__(self):
-        if not (self.sigma_log > 0.0 and math.isfinite(self.sigma_log)):
-            raise ValueError(f"sigma_log must be finite and > 0, got {self.sigma_log}")
-        if not math.isfinite(self.mu_log):
-            raise ValueError(f"mu_log must be finite, got {self.mu_log}")
+    def __init__(self, mu_log: float, sigma_log: float):
+        if not (sigma_log > 0.0 and math.isfinite(sigma_log)):
+            raise ValueError(f"sigma_log must be finite and > 0, got {sigma_log}")
+        if not math.isfinite(mu_log):
+            raise ValueError(f"mu_log must be finite, got {mu_log}")
+        self._freeze(mu_log, sigma_log)
 
     def mean(self) -> float:
         return math.exp(self.mu_log + 0.5 * self.sigma_log**2)
@@ -101,23 +139,22 @@ class LognormalReward(RewardModel):
         return np.exp(draws, out=draws)
 
 
-@dataclass(frozen=True)
-class ParetoReward(RewardModel):
+class ParetoReward(Frozen, RewardModel):
     """Heavy-tailed rewards: classical Pareto with minimum ``scale``.
 
     ``shape`` must exceed 2 so the variance is finite; the variance
     analytics downstream are meaningless otherwise.
     """
 
-    shape: float
-    scale: float
-    kind: ClassVar[str] = "pareto"
+    _fields = ("shape", "scale")
+    kind = "pareto"
 
-    def __post_init__(self):
-        if not (self.shape > 2.0 and math.isfinite(self.shape)):
-            raise ValueError(f"pareto shape must be > 2 for finite variance, got {self.shape}")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValueError(f"pareto scale must be finite and > 0, got {self.scale}")
+    def __init__(self, shape: float, scale: float):
+        if not (shape > 2.0 and math.isfinite(shape)):
+            raise ValueError(f"pareto shape must be > 2 for finite variance, got {shape}")
+        if not (scale > 0.0 and math.isfinite(scale)):
+            raise ValueError(f"pareto scale must be finite and > 0, got {scale}")
+        self._freeze(shape, scale)
 
     def mean(self) -> float:
         return self.shape * self.scale / (self.shape - 1.0)
@@ -138,7 +175,7 @@ class EmpiricalReward(RewardModel):
     population moments (ddof=0) of the data.
     """
 
-    kind: ClassVar[str] = "empirical"
+    kind = "empirical"
 
     def __init__(self, values):
         import numpy as np   # the moments are numpy's, to keep their bytes
@@ -221,34 +258,11 @@ def load_empirical_rewards(path) -> EmpiricalReward:
 
 
 # ---------------------------------------------------------------------------
-# Discounting
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscountCurve:
-    """Per-slot geometric discounting at rate ``d``."""
-
-    d: float
-
-    def __post_init__(self):
-        if not (self.d >= 0.0 and math.isfinite(self.d)):
-            raise ValueError(f"discount rate must be finite and >= 0, got {self.d}")
-
-    def factor(self, t: int) -> float:
-        """1 / (1+d)^t, with factor(0) = 1."""
-        if t < 0 or t != int(t):
-            raise ValueError(f"slot index must be a non-negative integer, got {t}")
-        return (1.0 + self.d) ** (-float(t))
-
-
-# ---------------------------------------------------------------------------
 # Economy parameters
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EconomyParams:
+class EconomyParams(Frozen):
     """Constants of one economy: ticket count ``n``, inter-slot discount rate
     ``d``, and the per-slot reward distribution.
 
@@ -257,17 +271,16 @@ class EconomyParams:
     ``DiscountRateError`` on its own.
     """
 
-    n: int
-    d: float
-    reward: RewardModel
+    _fields = ("n", "d", "reward")
 
-    def __post_init__(self):
-        if self.n < 1 or self.n != int(self.n):
-            raise ValueError(f"ticket count n must be an integer >= 1, got {self.n}")
-        if not (self.d >= 0.0 and math.isfinite(self.d)):
-            raise ValueError(f"discount rate d must be finite and >= 0, got {self.d}")
-        if not isinstance(self.reward, RewardModel):
-            raise TypeError(f"reward must be a RewardModel, got {type(self.reward).__name__}")
+    def __init__(self, n: int, d: float, reward: RewardModel):
+        if n < 1 or n != int(n):
+            raise ValueError(f"ticket count n must be an integer >= 1, got {n}")
+        if not (d >= 0.0 and math.isfinite(d)):
+            raise ValueError(f"discount rate d must be finite and >= 0, got {d}")
+        if not isinstance(reward, RewardModel):
+            raise TypeError(f"reward must be a RewardModel, got {type(reward).__name__}")
+        self._freeze(n, d, reward)
 
     @property
     def mu(self) -> float:

@@ -1,52 +1,49 @@
-"""Slot-by-slot lottery engine and Monte Carlo trajectory sampling.
+"""Monte Carlo trajectory sampling of the slot lottery.
 
 The economy holds exactly ``n`` live tickets. Each slot one ticket is drawn
 uniformly, collects that slot's reward, is burned, and is replaced in place
 by a freshly minted ticket that becomes eligible from the next slot's draw,
 so every draw sees exactly ``n`` tickets and each wins with probability 1/n.
 
-Two implementations of the same law live here:
+The vectorized samplers here (``sample_ticket_payoffs`` etc.) draw from the
+laws this implies; the slot-by-slot state machine that keeps full ticket
+identity, holder and streak bookkeeping is their statistical reference, and
+lives with the tests (``tests/reference.py``). A replacement ticket takes
+its predecessor's pool position, so a tracked ticket keeps one position
+until it wins and a retained holder keeps a fixed set of positions. The
+samplers draw only the events that carry value:
 
-* an object-level state machine (``init_state`` / ``step`` /
-  ``run_trajectory``) that keeps full ticket identity, holder, and streak
-  bookkeeping; it is the statistical reference, and
-* vectorized samplers (``sample_ticket_payoffs`` etc.) used for large
-  trial counts. A replacement ticket takes its predecessor's pool
-  position, so a tracked ticket keeps one position until it wins and a
-  retained holder keeps a fixed set of positions. The samplers draw from
-  the laws this implies and only the events that carry value:
+- a tracked ticket's win slot is Geometric(1/n), capped at the horizon,
+  and a tracked ticket is a pool of one (below): its payoff is the pool
+  kernel's at k = 1, with the same draws in the same order, and its win
+  slot comes from the same draw;
+- discounting by x = 1/(1+d) per slot is stopping at an independent slot
+  N with P(N >= t) = x^t (the random-horizon reading of discounting;
+  Puterman, *Markov Decision Processes*, 1994, ch. 5), so a holder's
+  flow is the undiscounted sum of its rewards up to its own N, and its
+  mean is the discounted value, with no horizon to cut;
+- a holder of k retained tickets wins each slot with probability
+  p = k/n, independently, so with a constant reward c and no streak
+  bonus its flow up to N is c * K, K ~ Binomial(N, p): two variates per
+  trajectory, whatever d is. Any other flow is thinned to the holder's
+  wins, Geometric(k/n) gaps apart, ~p/d of them per trajectory; a win one
+  slot after the previous one extends the holder's streak. The bonus
+  1 + beta * (streak - 1) is exactly 1 on a streak of 1, so only the
+  rewards after a one-slot gap (a share p of the wins) are located and
+  scaled in place;
+- in a k-ticket pool, the i-th distinct member hit waits
+  Geometric((k - i)/n) slots after the previous one, and members are
+  exchangeable, so one member's payoff is the payoff at a uniform rank.
 
-  - a tracked ticket's win slot is Geometric(1/n), capped at the horizon,
-    and a tracked ticket is a pool of one (below): its payoff is the pool
-    kernel's at k = 1, with the same draws in the same order, and its win
-    slot comes from the same draw;
-  - discounting by x = 1/(1+d) per slot is stopping at an independent slot
-    N with P(N >= t) = x^t (the random-horizon reading of discounting;
-    Puterman, *Markov Decision Processes*, 1994, ch. 5), so a holder's
-    flow is the undiscounted sum of its rewards up to its own N, and its
-    mean is the discounted value, with no horizon to cut;
-  - a holder of k retained tickets wins each slot with probability
-    p = k/n, independently, so with a constant reward c and no streak
-    bonus its flow up to N is c * K, K ~ Binomial(N, p): two variates per
-    trajectory, whatever d is. Any other flow is thinned to the holder's
-    wins, Geometric(k/n) gaps apart, ~p/d of them per trajectory; a win one
-    slot after the previous one extends the holder's streak. The bonus
-    1 + beta * (streak - 1) is exactly 1 on a streak of 1, so only the
-    rewards after a one-slot gap (a share p of the wins) are located and
-    scaled in place;
-  - in a k-ticket pool, the i-th distinct member hit waits
-    Geometric((k - i)/n) slots after the previous one, and members are
-    exchangeable, so one member's payoff is the payoff at a uniform rank.
-
-  Geometric variates are drawn by inversion (Devroye, *Non-Uniform Random
-  Variate Generation*, 1986, ch. X.2). The thinned holder kernel's gaps,
-  most of the variates it draws, invert a uniform,
-  1 + floor(log(1 - U) / log1p(-p)): a uniform and a log cost less than an
-  exponential, and each pass inverts them in place in one buffer. The
-  holder stops and the win-slot and pool kernels invert an exponential,
-  ceil(Exp(1) / -log(1 - p)); the last two draw under 1% of the variates,
-  and keeping their draws keeps their fixed-seed statistical tests on the
-  same samples.
+Geometric variates are drawn by inversion (Devroye, *Non-Uniform Random
+Variate Generation*, 1986, ch. X.2). The thinned holder kernel's gaps,
+most of the variates it draws, invert a uniform,
+1 + floor(log(1 - U) / log1p(-p)): a uniform and a log cost less than an
+exponential, and each pass inverts them in place in one buffer. The
+holder stops and the win-slot and pool kernels invert an exponential,
+ceil(Exp(1) / -log(1 - p)); the last two draw under 1% of the variates,
+and keeping their draws keeps their fixed-seed statistical tests on the
+same samples.
 
 Determinism contract: one driver (``_sample``) partitions every sampler's
 trajectories into fixed-size blocks; block ``b`` of a run draws from
@@ -72,16 +69,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
-from enum import Enum
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
-from .core import ConstantReward, DiscountCurve, EconomyParams
+from .core import ConstantReward, EconomyParams
 
 if TYPE_CHECKING:
     import numpy as np
-
-MARKET_HOLDER = "market"
 
 # Trajectories per RNG substream. Part of the determinism contract: results
 # depend on these constants, never on the worker count.
@@ -91,92 +84,6 @@ _WIN_CAP = 64        # holder wins drawn per trajectory in one holder-flow pass
 _CHUNK = 8           # most blocks a pool worker takes in one task
 
 TAIL_TOLERANCE = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Object-level state machine
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Ticket:
-    """One live lottery ticket."""
-
-    id: int
-    holder: str
-    minted_at: int
-
-
-class ReplacementRule(Enum):
-    """Who owns the ticket minted after a burn."""
-
-    MARKET = "market"    # replacements go to the open market label
-    RETAIN = "retain"    # the winner's holder buys the replacement
-
-
-@dataclass
-class SlotState:
-    """Mutable per-trajectory lottery state. Single-owner; never shared."""
-
-    slot: int
-    pool: list[Ticket]
-    next_id: int
-    last_winner_holder: Optional[str] = None
-    streak: int = 0
-
-    @property
-    def n(self) -> int:
-        return len(self.pool)
-
-
-@dataclass
-class TrajectoryRecord:
-    """Outcome of one simulated trajectory."""
-
-    tracked_ticket_win_slot: Optional[int]
-    discounted_payoff: float
-    holder_totals: dict[str, float]
-    slots_simulated: int
-    truncated: bool
-
-
-def init_state(params: EconomyParams, holders: Optional[Sequence[str]] = None) -> SlotState:
-    """Mint tickets 0..n-1 at slot 0, assigned to ``holders`` position-wise."""
-    if holders is None:
-        holders = [MARKET_HOLDER] * params.n
-    if len(holders) != params.n:
-        raise ValueError(f"holder assignment covers {len(holders)} tickets, need exactly {params.n}")
-    pool = [Ticket(id=i, holder=h, minted_at=0) for i, h in enumerate(holders)]
-    return SlotState(slot=0, pool=pool, next_id=params.n)
-
-
-def step(
-    state: SlotState,
-    params: EconomyParams,
-    rng: np.random.Generator,
-    multiblock=None,
-    replacement: ReplacementRule = ReplacementRule.MARKET,
-) -> tuple[Ticket, float, SlotState]:
-    """Advance one slot: draw a winner uniformly, realize its reward, burn it,
-    and mint the replacement (eligible from the next draw).
-
-    ``multiblock``, when given, rescales the drawn reward by its streak bonus
-    without consuming extra randomness, so a zero-bonus spec is bit-identical
-    to no spec at all. Mutates ``state`` in place and returns it.
-    """
-    i = int(rng.integers(0, state.n))
-    winner = state.pool[i]
-    base = float(params.reward.sample(rng))
-    streak = state.streak + 1 if winner.holder == state.last_winner_holder else 1
-    reward = base if multiblock is None else multiblock.apply(base, streak)
-
-    state.slot += 1
-    new_holder = winner.holder if replacement is ReplacementRule.RETAIN else MARKET_HOLDER
-    state.pool[i] = Ticket(id=state.next_id, holder=new_holder, minted_at=state.slot)
-    state.next_id += 1
-    state.last_winner_holder = winner.holder
-    state.streak = streak
-    return winner, reward, state
 
 
 def win_horizon(n: int, tol: float = TAIL_TOLERANCE) -> int:
@@ -193,57 +100,6 @@ def discount_horizon(d: float, tol: float = TAIL_TOLERANCE) -> int:
     if d <= 0.0:
         raise DiscountRateError(f"cannot derive a finite horizon from d={d}; pass one explicitly")
     return math.ceil(-math.log(tol) / math.log1p(d))
-
-
-def run_trajectory(
-    params: EconomyParams,
-    tracked: int = 0,
-    horizon: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    holders: Optional[Sequence[str]] = None,
-    multiblock=None,
-    replacement: ReplacementRule = ReplacementRule.MARKET,
-    stop_at_tracked_win: bool = True,
-) -> TrajectoryRecord:
-    """Run the state machine, tracking one ticket id and per-holder value.
-
-    Stops when the tracked ticket wins (recording its win slot and discounted
-    payoff) or at ``horizon``, in which case the payoff contributes 0 and the
-    trajectory is marked truncated. With ``stop_at_tracked_win=False`` the
-    run always covers the full horizon, accumulating holder totals throughout.
-    """
-    import numpy as np
-    if rng is None:
-        rng = np.random.default_rng()
-    if horizon is None:
-        horizon = win_horizon(params.n)
-    if not (0 <= tracked < params.n):
-        raise ValueError(f"tracked ticket id must be one of the initial ids 0..{params.n - 1}")
-
-    state = init_state(params, holders)
-    curve = DiscountCurve(params.d)
-    holder_totals: dict[str, float] = {}
-    win_slot: Optional[int] = None
-    payoff = 0.0
-
-    for t in range(1, horizon + 1):
-        winner, reward, state = step(state, params, rng, multiblock=multiblock, replacement=replacement)
-        discounted = reward * curve.factor(t)
-        holder_totals[winner.holder] = holder_totals.get(winner.holder, 0.0) + discounted
-        if win_slot is None and winner.id == tracked:
-            win_slot = t
-            payoff = discounted
-            if stop_at_tracked_win:
-                break
-
-    return TrajectoryRecord(
-        tracked_ticket_win_slot=win_slot,
-        discounted_payoff=payoff,
-        holder_totals=holder_totals,
-        slots_simulated=state.slot,
-        truncated=win_slot is None,
-    )
 
 
 # ---------------------------------------------------------------------------

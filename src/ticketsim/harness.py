@@ -28,7 +28,7 @@ time, so an entry added to a selection needs no change here.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .config import ExperimentConfig
 from .core import ParetoReward
@@ -40,8 +40,7 @@ ORACLE_TOLERANCE = 1e-9    # closed form vs oracle acceptance
 Z_LIMIT = 4.0
 
 
-@dataclass
-class VerifyOutcome:
+class VerifyOutcome(NamedTuple):
     """A command's rows and the labels of the rows that fail."""
 
     rows: list[ReportRow]
@@ -85,7 +84,7 @@ def _rows(cfg: ExperimentConfig, selection, mode: str, *, sample: bool = False,
     for label, entry in selection:
         row, ok = _row(label, entry, run, mode, sample)
         if cfg.timings:
-            row = replace(row, runtime_ms=(time.perf_counter() - start) * 1000.0)
+            row = row._replace(runtime_ms=(time.perf_counter() - start) * 1000.0)
         outcome.rows.append(row)
         if not ok:
             outcome.failures.append(label)

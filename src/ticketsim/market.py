@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .analytics import expected_ticket_value, npv_rewards
-from .core import EconomyParams
+from .core import EconomyParams, Frozen
 from .errors import NegativePriceError
 
 
@@ -34,26 +33,25 @@ class PricingPolicy(ABC):
     def price(self, expected_value: float) -> float: ...
 
 
-@dataclass(frozen=True)
-class FairValue(PricingPolicy):
+class FairValue(Frozen, PricingPolicy):
     """Sell at exactly the expected ticket value."""
 
-    kind: ClassVar[str] = "fair_value"
+    kind = "fair_value"
 
     def price(self, expected_value: float) -> float:
         return expected_value
 
 
-@dataclass(frozen=True)
-class FixedMargin(PricingPolicy):
+class FixedMargin(Frozen, PricingPolicy):
     """Sell below expected value by an absolute margin (buyer's required profit)."""
 
-    margin: float
-    kind: ClassVar[str] = "fixed_margin"
+    _fields = ("margin",)
+    kind = "fixed_margin"
 
-    def __post_init__(self):
-        if not (self.margin >= 0.0 and math.isfinite(self.margin)):
-            raise ValueError(f"margin must be finite and >= 0, got {self.margin}")
+    def __init__(self, margin: float):
+        if not (margin >= 0.0 and math.isfinite(margin)):
+            raise ValueError(f"margin must be finite and >= 0, got {margin}")
+        self._freeze(margin)
 
     def price(self, expected_value: float) -> float:
         if self.margin > expected_value:
@@ -63,23 +61,22 @@ class FixedMargin(PricingPolicy):
         return expected_value - self.margin
 
 
-@dataclass(frozen=True)
-class FixedDiscount(PricingPolicy):
+class FixedDiscount(Frozen, PricingPolicy):
     """Sell at a proportional discount to expected value."""
 
-    discount: float
-    kind: ClassVar[str] = "fixed_discount"
+    _fields = ("discount",)
+    kind = "fixed_discount"
 
-    def __post_init__(self):
-        if not (0.0 <= self.discount <= 1.0):
-            raise ValueError(f"discount must be in [0, 1], got {self.discount}")
+    def __init__(self, discount: float):
+        if not (0.0 <= discount <= 1.0):
+            raise ValueError(f"discount must be in [0, 1], got {discount}")
+        self._freeze(discount)
 
     def price(self, expected_value: float) -> float:
         return expected_value * (1.0 - self.discount)
 
 
-@dataclass(frozen=True)
-class CaptureReport:
+class CaptureReport(NamedTuple):
     """Protocol revenue split for one pricing policy."""
 
     price: float
@@ -116,15 +113,12 @@ def protocol_capture(policy: PricingPolicy, params: EconomyParams) -> CaptureRep
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiBlockSpec:
+class MultiBlockSpec(Frozen):
     """Consecutive-win superadditivity: reward scaled by 1 + beta*(streak-1)."""
 
-    beta: float
+    _fields = ("beta",)
 
-    def __post_init__(self):
-        if not (self.beta >= 0.0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-
-    def apply(self, reward: float, streak: int) -> float:
-        return reward * (1.0 + self.beta * (streak - 1))
+    def __init__(self, beta: float):
+        if not (beta >= 0.0 and math.isfinite(beta)):
+            raise ValueError(f"beta must be finite and >= 0, got {beta}")
+        self._freeze(beta)

@@ -22,11 +22,10 @@ trial-length array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import analytics, engine
 from .core import EconomyParams
@@ -58,8 +57,7 @@ class Quantity(str, Enum):
     HOLDER_VALUE = "holder_value"
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """Aggregated Monte Carlo estimate.
 
     ``bias_bound`` bounds the systematic error introduced by horizon
@@ -313,8 +311,7 @@ def _unit(shift: float) -> float:
     return 2.0 ** math.frexp(shift)[1] if shift else 1.0
 
 
-@dataclass(frozen=True)
-class PowerSums:
+class PowerSums(NamedTuple):
     """An ensemble's power sums about a shift c in a unit u: ``sums[j]`` is
     the sum of ((v - c)/u)^j over its values, ``sums[0]`` their count.
 
@@ -434,8 +431,7 @@ def _total_value(run: Run, sums: PowerSums) -> tuple[float, float]:
     return run.n * mean + mean / run.d, (run.n + 1.0 / run.d) * stderr
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(NamedTuple):
     """One quantity. An entry with an ``ensemble`` has a Monte Carlo
     estimator: ``statistic`` of the ensemble's power sums, within ``bias`` of
     the truth up to sampling error (no bound is stated where ``bias`` is
@@ -569,7 +565,7 @@ def _capture_entry(field: str) -> Entry:
 
 # Protocol capture under the run's policy: each closed form is a field of
 # ``Run.capture``, and its oracle the same field of ``Run.capture_series``.
-PRICING: dict[str, Entry] = {field.name: _capture_entry(field.name) for field in fields(CaptureReport)}
+PRICING: dict[str, Entry] = {field: _capture_entry(field) for field in CaptureReport._fields}
 
 
 def entries(*, oracle: bool = False, estimator: bool = False) -> list[tuple[Quantity, Entry]]:

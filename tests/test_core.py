@@ -7,7 +7,6 @@ import pytest
 
 from ticketsim.core import (
     ConstantReward,
-    DiscountCurve,
     EconomyParams,
     EmpiricalReward,
     LognormalReward,
@@ -15,6 +14,7 @@ from ticketsim.core import (
     calibrate_lognormal,
     load_empirical_rewards,
 )
+from reference import DiscountCurve
 
 
 # ---------------------------------------------------------------------------

@@ -25,26 +25,22 @@ from ticketsim.engine import (
     _BLOCK,
     _PATH_BLOCK,
     _WIN_CAP,
-    MARKET_HOLDER,
-    ReplacementRule,
     _holder_count_block,
     _holder_flow_block,
     _holder_gaps,
     _holder_stops,
     _scale_streaks,
     discount_horizon,
-    init_state,
-    run_trajectory,
     sample_holder_flows,
     sample_pool_payoffs,
     sample_ticket_payoffs,
     sample_win_slots,
-    step,
     substream,
     win_horizon,
 )
 from ticketsim.market import MultiBlockSpec
 from ticketsim.quantities import Quantity, block_sums, entries, estimate, power_sums
+from reference import MARKET_HOLDER, ReplacementRule, init_state, run_trajectory, step
 
 
 def params_const(n, d=0.01, mu=1.0):

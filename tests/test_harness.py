@@ -1,7 +1,6 @@
 """Config ingestion, report emission, the verify/sweep runners, and the CLI."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ticketsim
-from ticketsim import config as config_module, engine, quantities
+from ticketsim import cli, config as config_module, engine, quantities
 from ticketsim.analytics import control_value, expected_ticket_value, npv_rewards
 from ticketsim.cli import main
 from ticketsim.config import load_config, parse_config, resolve
@@ -254,7 +253,7 @@ def test_run_verify_detects_corrupted_closed_form(monkeypatch):
     clean = run_verify(small_cfg()).rows
     entry = QUANTITIES[Quantity.TICKET_VALUE]
     monkeypatch.setitem(
-        QUANTITIES, Quantity.TICKET_VALUE, dataclasses.replace(entry, closed=lambda run: 0.9)
+        QUANTITIES, Quantity.TICKET_VALUE, entry._replace(closed=lambda run: 0.9)
     )
     # The ticket payoffs' sums are shifted by their closed-form mean; moving
     # that shift to the corrupted value too moves no estimate beyond rounding.
@@ -283,7 +282,7 @@ def test_verify_needs_pareto_fourth_moment(shape):
         outcome = run_verify(cfg)
         assert not outcome.failures, f"failures: {outcome.failures}"
     assert all(row.rel_err <= 1e-9 for row in run_analytic(cfg))
-    [row] = run_simulate(dataclasses.replace(cfg, quantity="ticket_value_variance"))
+    [row] = run_simulate(cfg._replace(quantity="ticket_value_variance"))
     assert math.isfinite(row.mc_mean) and row.mc_stderr > 0.0
 
 
@@ -493,7 +492,7 @@ def test_beta_and_k_sweep_rows_are_their_commands_rows():
     # The k row's rel_err is the pooled variance's gap to the solo closed form.
     [k_row], _ = run_sweep(small_cfg(sweep={"parameter": "k", "values": [4]}))
     pooled = {row.swept_value: row for row in run_pool(small_cfg(pool={"k": 4}))}
-    assert k_row == dataclasses.replace(pooled["pooled_per_ticket_variance"], swept_value=4)
+    assert k_row == pooled["pooled_per_ticket_variance"]._replace(swept_value=4)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +514,7 @@ def test_analytic_timings_fill_runtime_per_row():
     timed = run_analytic(small_cfg(timings=True))
     assert all(row.runtime_ms == 0.0 for row in plain)
     assert all(row.runtime_ms > 0.0 for row in timed)
-    assert [dataclasses.replace(row, runtime_ms=0.0) for row in timed] == plain
+    assert [row._replace(runtime_ms=0.0) for row in timed] == plain
 
 
 def test_rel_err_is_the_oracle_gap_in_analytic_and_the_mc_gap_in_simulate():
@@ -548,7 +547,7 @@ def test_npv_rewards_needs_no_holder_share(n):
     assert _mc_gate(est.mean, npv_rewards(1.0, 0.05), est.stderr, est.bias_bound)
     for quantity in ("control_value", "holder_value"):
         with pytest.raises(ConfigError, match="holder_share: required"):
-            run_simulate(dataclasses.replace(cfg, quantity=quantity))
+            run_simulate(cfg._replace(quantity=quantity))
 
 
 def test_run_pricing_defaults_to_fair_value():
@@ -606,7 +605,7 @@ def test_run_pool_reads_a_corrupted_pool_closed_form(monkeypatch):
     clean = run_pool(cfg)
     [k_clean], _ = run_sweep(small_cfg(trials=2000, sweep={"parameter": "k", "values": [4]}))
     entry = POOL["pooled_per_ticket_variance"]
-    monkeypatch.setitem(POOL, "pooled_per_ticket_variance", dataclasses.replace(entry, closed=lambda run: 0.5))
+    monkeypatch.setitem(POOL, "pooled_per_ticket_variance", entry._replace(closed=lambda run: 0.5))
     rows = run_pool(cfg)
     _moved_rows(clean, rows, "pooled_per_ticket_variance", 0.5)
     pooled = {row.swept_value: row for row in rows}["pooled_per_ticket_variance"]
@@ -619,7 +618,7 @@ def test_run_pool_reads_a_corrupted_pool_closed_form(monkeypatch):
 def test_run_pricing_reads_a_corrupted_pricing_closed_form(monkeypatch):
     cfg = small_cfg(policy={"kind": "fixed_discount", "discount": 0.25})
     clean = run_pricing(cfg)
-    monkeypatch.setitem(PRICING, "total", dataclasses.replace(PRICING["total"], closed=lambda run: 3.0))
+    monkeypatch.setitem(PRICING, "total", PRICING["total"]._replace(closed=lambda run: 3.0))
     rows = run_pricing(cfg)
     _moved_rows(clean, rows, "total", 3.0)
     total = {row.swept_value: row for row in rows}["total"]
@@ -635,8 +634,7 @@ def test_an_entry_added_to_a_table_is_a_row_of_its_command(monkeypatch):
     solo = POOL["solo_variance"]
     monkeypatch.setitem(POOL, "solo_variance_again", solo)
     rows = {row.swept_value: row for row in run_pool(small_cfg(pool={"k": 2}))}
-    assert rows["solo_variance_again"] == dataclasses.replace(rows["solo_variance"],
-                                                              swept_value="solo_variance_again")
+    assert rows["solo_variance_again"] == rows["solo_variance"]._replace(swept_value="solo_variance_again")
 
 
 @pytest.mark.parametrize("parameter, values, entry, mode", [
@@ -782,6 +780,45 @@ def test_cli_pricing_pool_multiblock_smoke(tmp_path):
     assert main(["multiblock", "--config", str(multi)]) == 0
 
 
+_BRANCH_CONFIGS = {
+    "analytic": {"trials": None},
+    "verify": {},
+    "simulate": {},
+    "sweep": {"sweep": {"parameter": "n", "values": [4, 8]}},
+    "pricing": {"trials": None},
+    "pool": {"pool": {"k": 4}},
+    "multiblock": {"multiblock": {"beta": 0.25}, "holder_share": 0.25},
+}
+
+
+def _status_lines(stdout: str) -> list[str]:
+    return [line for line in stdout.splitlines() if line.startswith(("verify:", "verdict "))]
+
+
+def test_cli_main_takes_each_commands_branch(tmp_path, capsys, monkeypatch):
+    # verify's outcome and a sweep's (rows, verdicts) are both tuples: main
+    # must read failures from the one and verdicts from the other, and take
+    # every other command's result as its rows.
+    assert set(_BRANCH_CONFIGS) == set(cli._COMMANDS)
+    for command, overrides in _BRANCH_CONFIGS.items():
+        config = _write_config(tmp_path, **overrides)
+        out = tmp_path / f"{command}.jsonl"
+        assert main([command, "--config", str(config), "--out", str(out), "--format", "jsonl"]) == 0, command
+        rows, _, verdicts = load_report(out)
+        status = _status_lines(capsys.readouterr().out)
+        if command == "verify":
+            assert status == [f"verify: PASS ({len(rows)}/{len(rows)} rows)"]
+        elif command == "sweep":
+            assert len(rows) == 2 and verdicts
+            assert status == [f"verdict {name}: pass" for name in sorted(verdicts)]
+        else:
+            assert rows and status == [] and verdicts == {}, command
+    monkeypatch.setitem(QUANTITIES, Quantity.TIME_TO_WIN,
+                        QUANTITIES[Quantity.TIME_TO_WIN]._replace(closed=lambda run: -1.0))
+    assert main(["verify", "--config", str(_write_config(tmp_path))]) == 1
+    assert _status_lines(capsys.readouterr().out) == ["verify: FAIL (8/9 rows passed)"]
+
+
 _KEY_VALUES = {
     "policy": {"kind": "fair_value"},
     "pool": {"k": 2},
@@ -925,7 +962,7 @@ def test_cli_timings_fill_runtime_in_every_command(tmp_path, command, section):
     assert all(row.runtime_ms > 0.0 for row in timed_rows)
     # The first row of a shared computation carries its cost.
     assert timed_rows[0].runtime_ms == max(row.runtime_ms for row in timed_rows)
-    assert [dataclasses.replace(row, runtime_ms=0.0) for row in timed_rows] == plain_rows
+    assert [row._replace(runtime_ms=0.0) for row in timed_rows] == plain_rows
 
 
 _LOGNORMAL = {"kind": "lognormal", "mean": 2.0, "sigma_log": 0.5}

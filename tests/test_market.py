@@ -8,23 +8,12 @@ import pytest
 from ticketsim.analytics import expected_ticket_value, npv_rewards
 from ticketsim.core import ConstantReward, EconomyParams, calibrate_lognormal
 from ticketsim import engine
-from ticketsim.engine import (
-    MARKET_HOLDER,
-    ReplacementRule,
-    discount_horizon,
-    run_trajectory,
-    sample_holder_flows,
-)
+from ticketsim.engine import discount_horizon, sample_holder_flows
 from ticketsim.errors import ConfigError, NegativePriceError
-from ticketsim.market import (
-    FairValue,
-    FixedDiscount,
-    FixedMargin,
-    MultiBlockSpec,
-    protocol_capture,
-)
+from ticketsim.market import FairValue, FixedDiscount, FixedMargin, protocol_capture
 from ticketsim.harness import _mc_gate
 from ticketsim.quantities import POOL, QUANTITIES, Quantity, Run, estimate
+from reference import MARKET_HOLDER, MultiBlockSpec, ReplacementRule, run_trajectory
 
 
 def params_const(n, d=0.01, mu=1.0):

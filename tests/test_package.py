@@ -1,7 +1,9 @@
 """The package's lazy public names, and what a fresh CLI process starts."""
 
 import json
+import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +61,94 @@ def test_closed_form_commands_load_no_numpy(tmp_path):
             + _cli_then_loaded(closed_form)
             + _cli_then_loaded([["simulate", "--trials", "1000"]]))    # a sampler loads it
     assert _python(code).splitlines() == ["[0, 0, 0] False", "[0] True"]
+
+
+def test_cli_loads_no_dataclasses():
+    # The records are NamedTuples and the value types build on core.Frozen,
+    # so a CLI process neither imports ``dataclasses`` (nor the ``inspect``
+    # it pulls in) nor builds classes by ``exec``. An in-process profiler
+    # reads the layers below from ``sys.modules`` after ``import ticketsim.cli``.
+    code = ("import sys, ticketsim.cli\n"
+            "print('dataclasses' in sys.modules, sorted(m for m in sys.modules if m.startswith('ticketsim.')))\n"
+            + _cli_then_loaded([["analytic"]])
+            + "print('dataclasses' in sys.modules)\n")
+    layers = ["analytics", "cli", "config", "core", "engine", "errors", "harness", "market",
+              "quantities", "report"]
+    assert _python(code).splitlines() == [
+        f"False {[f'ticketsim.{layer}' for layer in layers]}", "[0] False", "False"]
+
+
+def _value_types():
+    from ticketsim.core import ConstantReward, EconomyParams, LognormalReward, ParetoReward
+    from ticketsim.market import FairValue, FixedDiscount, FixedMargin, MultiBlockSpec
+
+    reward = ConstantReward(1.0)
+    # Per type: valid arguments, other valid arguments, and bad arguments with
+    # the exception each raises.
+    return {
+        ConstantReward: ((1.0,), (2.0,), [
+            ((-1.0,), ValueError, "constant reward must be finite and >= 0, got -1.0"),
+            ((math.inf,), ValueError, "constant reward must be finite and >= 0, got inf"),
+            ((math.nan,), ValueError, "constant reward must be finite and >= 0, got nan"),
+        ]),
+        LognormalReward: ((0.0, 1.0), (0.0, 0.5), [
+            ((0.0, 0.0), ValueError, "sigma_log must be finite and > 0, got 0.0"),
+            ((0.0, math.inf), ValueError, "sigma_log must be finite and > 0, got inf"),
+            ((math.nan, 1.0), ValueError, "mu_log must be finite, got nan"),
+        ]),
+        ParetoReward: ((3.0, 1.0), (3.0, 2.0), [
+            ((2.0, 1.0), ValueError, "pareto shape must be > 2 for finite variance, got 2.0"),
+            ((math.inf, 1.0), ValueError, "pareto shape must be > 2 for finite variance, got inf"),
+            ((3.0, 0.0), ValueError, "pareto scale must be finite and > 0, got 0.0"),
+            ((3.0, math.nan), ValueError, "pareto scale must be finite and > 0, got nan"),
+        ]),
+        EconomyParams: ((8, 0.01, reward), (8, 0.02, reward), [
+            ((0, 0.01, reward), ValueError, "ticket count n must be an integer >= 1, got 0"),
+            ((2.5, 0.01, reward), ValueError, "ticket count n must be an integer >= 1, got 2.5"),
+            ((8, -0.1, reward), ValueError, "discount rate d must be finite and >= 0, got -0.1"),
+            ((8, math.inf, reward), ValueError, "discount rate d must be finite and >= 0, got inf"),
+            ((8, 0.01, 1.0), TypeError, "reward must be a RewardModel, got float"),
+        ]),
+        FairValue: ((), None, []),
+        FixedMargin: ((0.1,), (0.2,), [
+            ((-0.1,), ValueError, "margin must be finite and >= 0, got -0.1"),
+            ((math.inf,), ValueError, "margin must be finite and >= 0, got inf"),
+        ]),
+        FixedDiscount: ((0.1,), (0.2,), [
+            ((1.5,), ValueError, "discount must be in [0, 1], got 1.5"),
+            ((-0.1,), ValueError, "discount must be in [0, 1], got -0.1"),
+        ]),
+        MultiBlockSpec: ((0.5,), (0.25,), [
+            ((-0.1,), ValueError, "beta must be finite and >= 0, got -0.1"),
+            ((math.nan,), ValueError, "beta must be finite and >= 0, got nan"),
+        ]),
+    }
+
+
+def test_value_types_validate_and_are_immutable_hashable_values():
+    for cls, (args, other, bad) in _value_types().items():
+        for bad_args, error, message in bad:
+            with pytest.raises(error) as caught:
+                cls(*bad_args)
+            assert str(caught.value) == message, cls.__name__
+        value = cls(*args)
+        for name in (*value._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1.0)
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        same = cls(**dict(zip(value._fields, args)))
+        assert same == value and hash(same) == hash(value) and same is not value
+        assert repr(value) == f"{cls.__name__}({', '.join(f'{n}={a!r}' for n, a in zip(value._fields, args))})"
+        if other is not None:
+            assert cls(*other) != value
+        copied = pickle.loads(pickle.dumps(value))
+        assert type(copied) is cls and copied == value and hash(copied) == hash(value)
+    # Equal only within a type, unlike a tuple.
+    margin, discount = ticketsim.FixedMargin(0.1), ticketsim.FixedDiscount(0.1)
+    assert margin != discount and ticketsim.MultiBlockSpec(0.1) != (0.1,)
+    assert len({margin, ticketsim.FixedMargin(0.1), discount}) == 2
 
 
 def test_cli_import_keeps_a_blas_thread_count_the_user_set():
