@@ -1,5 +1,9 @@
-"""The package's lazy public names, and what a fresh CLI process starts."""
+"""The package's lazy public names, and what a fresh CLI process starts and
+how it exits."""
 
+import contextlib
+import gc
+import io
 import json
 import math
 import os
@@ -11,21 +15,32 @@ from pathlib import Path
 import pytest
 
 import ticketsim
+from ticketsim.cli import main
 
 
-def _python(code: str, **env_overrides) -> str:
-    """Run ``code`` in a fresh interpreter that finds this ticketsim; return its stdout.
+def _child_env(**env_overrides) -> dict:
+    """The environment of a fresh interpreter that finds this ticketsim.
 
-    ``OPENBLAS_NUM_THREADS`` is left out of the child's environment unless
-    it is given here.
+    ``OPENBLAS_NUM_THREADS`` is left out unless it is given here.
     """
     src = str(Path(ticketsim.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env.update(env_overrides)
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          check=True)
+    return env
+
+
+def _python(code: str, **env_overrides) -> str:
+    """Run ``code`` in a fresh interpreter that finds this ticketsim; return its stdout."""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(**env_overrides), check=True)
     return done.stdout.strip()
+
+
+def _cli_process(args: list, cwd) -> subprocess.CompletedProcess:
+    """Run ``python -m ticketsim.cli`` on ``args`` in ``cwd``, output captured."""
+    return subprocess.run([sys.executable, "-m", "ticketsim.cli", *args], cwd=cwd,
+                          capture_output=True, text=True, env=_child_env())
 
 
 def _cli_then_loaded(argvs: list) -> str:
@@ -149,6 +164,49 @@ def test_value_types_validate_and_are_immutable_hashable_values():
     margin, discount = ticketsim.FixedMargin(0.1), ticketsim.FixedDiscount(0.1)
     assert margin != discount and ticketsim.MultiBlockSpec(0.1) != (0.1,)
     assert len({margin, ticketsim.FixedMargin(0.1), discount}) == 2
+
+
+def test_cli_process_entry_freezes_the_heap_at_exit():
+    # atexit runs its handlers last-in-first-out, so a probe registered
+    # before run() runs after the freeze that run() registers.
+    code = ("import atexit, contextlib, gc, io, sys, ticketsim.cli\n"
+            "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+            "print('frozen before:', gc.get_freeze_count() > 0)\n"
+            "sys.argv = ['ticketsim', 'analytic']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    ticketsim.cli.run()\n")
+    assert _python(code).splitlines() == ["frozen before: False", "frozen at exit: True"]
+
+
+def test_cli_main_in_process_leaves_the_collector_as_it_was():
+    before = (gc.isenabled(), gc.get_freeze_count())
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [main(["analytic"]), main(["verify", "--trials", "1000"])]
+    assert codes == [0, 0]
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_cli_process_exit_codes(tmp_path):
+    (tmp_path / "bad.json").write_text(json.dumps({"d": -1}))
+    ok = _cli_process(["analytic"], tmp_path)
+    bad = _cli_process(["analytic", "--config", "bad.json"], tmp_path)
+    assert (ok.returncode, bad.returncode) == (0, 2)
+    assert bad.stderr.startswith("config error: ")
+
+
+def test_cli_process_writes_the_report_that_main_writes(tmp_path, monkeypatch):
+    # Freezing the heap at exit loses no buffered output, on stdout or in
+    # the report.
+    args = ["verify", "--trials", "2000", "--seed", "3", "--out", "report.jsonl",
+            "--format", "jsonl"]
+    done = _cli_process(args, tmp_path)
+    assert done.returncode == 0 and done.stdout.splitlines()[-1].startswith("verify: PASS")
+    written = (tmp_path / "report.jsonl").read_bytes()
+    (tmp_path / "report.jsonl").unlink()
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0
+    assert (tmp_path / "report.jsonl").read_bytes() == written
 
 
 def test_cli_import_keeps_a_blas_thread_count_the_user_set():
