@@ -4,7 +4,7 @@ execution-rights ticket economy.
 The package splits into:
 
 * ``core``      model constants and reward distributions
-* ``analytics`` closed-form valuations and the truncated-series oracle
+* ``analytics`` closed-form valuations and the series sums of the oracles
 * ``engine``    the Monte Carlo samplers of the slot lottery
 * ``quantities`` one table of every quantity: closed form, oracle, estimator
 * ``market``    pricing policies and the consecutive-win bonus

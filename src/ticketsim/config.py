@@ -45,7 +45,6 @@ DEFAULTS = {
     "reward": {"kind": "constant", "mean": 1.0},
     "quantity": Quantity.TICKET_VALUE.value,
     "holder_share": None,
-    "horizon": None,
     "timings": False,
     "policy": {"kind": "fair_value"},
 }
@@ -55,8 +54,8 @@ DEFAULTS = {
 # 2 naming it, and its report echoes every key it reads.
 _READ_BY = {
     **dict.fromkeys(("seed", "n", "d", "reward", "timings"), lambda command, cfg: True),
-    # No closed form or oracle reads the Monte Carlo keys.
-    **dict.fromkeys(("trials", "horizon"), lambda command, cfg: command not in ("analytic", "pricing")),
+    # No closed form or oracle reads the Monte Carlo key.
+    "trials": lambda command, cfg: command not in ("analytic", "pricing"),
     "quantity": lambda command, cfg: command == "simulate",
     # A p sweep's values replace the share, and a k sweep's pool reads none.
     "holder_share": lambda command, cfg: command not in ("pricing", "pool") and not (
@@ -94,7 +93,6 @@ class ExperimentConfig(NamedTuple):
     reward: RewardModel
     quantity: str
     holder_share: Optional[float]
-    horizon: Optional[int]
     sweep: Optional[SweepSpec]
     policy: PricingPolicy
     pool_size: Optional[int]     # k tickets sharing their payoffs equally
@@ -148,10 +146,6 @@ def _expect_quantity(value, path: str, choices) -> str:
     if value not in names:
         raise ConfigError(path, f"expected one of {names}, got {value!r}")
     return value
-
-
-def _optional(value, path: str, expect, **bounds):
-    return None if value is None else expect(value, path, **bounds)
 
 
 def _check_keys(mapping: dict, allowed: set, path: str) -> None:
@@ -220,7 +214,7 @@ _SWEEP_ROWS = {
 }
 SWEEP_PARAMETERS = tuple(_SWEEP_ROWS)
 # The keys of the base config that each sweep value's config takes.
-_SWEEP_RUN_KEYS = ("seed", "trials", "workers", "n", "d", "reward", "holder_share", "horizon", "timings")
+_SWEEP_RUN_KEYS = ("seed", "trials", "workers", "n", "d", "reward", "holder_share", "timings")
 
 
 def _swept_key(parameter: str, value, reward: RewardModel) -> dict:
@@ -334,9 +328,9 @@ def _parse(raw: dict, reward: Optional[tuple[RewardModel, dict]] = None) -> tupl
         raise ConfigError("d", f"must be between {D_RANGE[0]:g} and {D_RANGE[1]:g}, got {d}")
     reward, spec["reward"] = reward or _parse_reward(merged["reward"], "reward")
     spec["quantity"] = _expect_quantity(merged["quantity"], "quantity", entries(estimator=True))
-    spec["holder_share"] = _optional(merged["holder_share"], "holder_share", _expect_number,
-                                     exclusive_min=0.0, maximum=1.0)
-    spec["horizon"] = _optional(merged["horizon"], "horizon", _expect_int, minimum=1)
+    share = merged["holder_share"]
+    spec["holder_share"] = None if share is None else _expect_number(
+        share, "holder_share", exclusive_min=0.0, maximum=1.0)
     spec["timings"] = _expect_bool(merged["timings"], "timings")
 
     sweep, spec["sweep"] = _section(
@@ -358,7 +352,7 @@ def _parse(raw: dict, reward: Optional[tuple[RewardModel, dict]] = None) -> tupl
     if pool_size is not None and pool_size > n:
         raise ConfigError("pool.k", f"pool size {pool_size} exceeds ticket count n={n}")
 
-    scalars = ("seed", "trials", "n", "d", "quantity", "holder_share", "horizon", "timings")
+    scalars = ("seed", "trials", "n", "d", "quantity", "holder_share", "timings")
     cfg = ExperimentConfig(
         **{key: spec[key] for key in scalars}, workers=workers, reward=reward, sweep=sweep,
         policy=policy, pool_size=pool_size, multiblock=multiblock, output_path=output_path,

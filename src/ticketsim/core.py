@@ -266,9 +266,9 @@ class EconomyParams(Frozen):
     """Constants of one economy: ticket count ``n``, inter-slot discount rate
     ``d``, and the per-slot reward distribution.
 
-    ``d == 0`` is accepted here because finite-horizon simulation is well
-    defined without discounting; every infinite-horizon valuation raises
-    ``DiscountRateError`` on its own.
+    ``d == 0`` is accepted here because a sampler given an explicit horizon
+    is well defined without discounting; every valuation and ``estimate``
+    raise ``DiscountRateError`` on their own.
     """
 
     _fields = ("n", "d", "reward")

@@ -13,10 +13,10 @@ its predecessor's pool position, so a tracked ticket keeps one position
 until it wins and a retained holder keeps a fixed set of positions. The
 samplers draw only the events that carry value:
 
-- a tracked ticket's win slot is Geometric(1/n), capped at the horizon,
-  and a tracked ticket is a pool of one (below): its payoff is the pool
-  kernel's at k = 1, with the same draws in the same order, and its win
-  slot comes from the same draw;
+- a tracked ticket's win slot is Geometric(1/n), uncapped (only an
+  explicit ``horizon`` cuts a sampler's draws), and a tracked ticket is a
+  pool of one (below): its payoff is the pool kernel's at k = 1, with the
+  same draws in the same order, and its win slot comes from the same draw;
 - discounting by x = 1/(1+d) per slot is stopping at an independent slot
   N with P(N >= t) = x^t (the random-horizon reading of discounting;
   Puterman, *Markov Decision Processes*, 1994, ch. 5), so a holder's
@@ -83,7 +83,7 @@ _PATH_BLOCK = 512    # thinned holder-flow and pool samplers
 _WIN_CAP = 64        # holder wins drawn per trajectory in one holder-flow pass
 _CHUNK = 8           # most blocks a pool worker takes in one task
 
-TAIL_TOLERANCE = 1e-9
+TAIL_TOLERANCE = 1e-9   # the tail the horizons below cut, to size an explicit horizon
 
 
 def win_horizon(n: int, tol: float = TAIL_TOLERANCE) -> int:
@@ -302,14 +302,14 @@ def _scale_streaks(rewards: np.ndarray, gaps: np.ndarray, carry: np.ndarray, bet
 
 def _holder_stops(rng, count, d, horizon) -> np.ndarray:
     """Each trajectory's last slot: N = Geometric(d/(1+d)) - 1 on {0, 1, ...},
-    so that P(N >= t) = (1+d)^-t, cut to min(N, horizon) where ``horizon`` is
-    set; at d = 0, the horizon itself."""
+    so that P(N >= t) = (1+d)^-t, cut to min(N, horizon); at d = 0, the
+    horizon itself."""
     import numpy as np
     if d == 0.0:
         return np.full(count, float(horizon))
     stops = _geometric(d / (1.0 + d), count, rng)
     stops -= 1.0
-    return stops if horizon is None else np.minimum(stops, horizon, out=stops)
+    return np.minimum(stops, horizon, out=stops)
 
 
 def _holder_count_block(rng, count, params, k, beta, price, horizon) -> tuple[np.ndarray, ...]:
@@ -391,15 +391,15 @@ def sample_ticket_payoffs(
 ) -> tuple[np.ndarray, int]:
     """Discounted payoff of a tracked ticket per trajectory.
 
-    Returns (payoffs, truncated_count); truncated trajectories contribute 0.
-    With ``reduce``, returns its reduction of each block's (payoffs,
-    truncated count, win slots capped at the horizon), summed over the
-    blocks in block order (see ``_sample``), in place of the arrays.
+    Returns (payoffs, truncated_count); a win past an explicit ``horizon``
+    pays 0 and counts as truncated. With ``reduce``, returns its reduction
+    of each block's (payoffs, truncated count, win slots capped at the
+    horizon), summed over the blocks in block order (see ``_sample``), in
+    place of the arrays.
     """
-    if horizon is None:
-        horizon = win_horizon(params.n)
     kernel = _ticket_payoff_block if reduce is None else _tracked_block
-    return _sample(kernel, (params, horizon), trials, _BLOCK, seed, stream, workers, reduce)
+    head = (params, math.inf if horizon is None else horizon)
+    return _sample(kernel, head, trials, _BLOCK, seed, stream, workers, reduce)
 
 
 def sample_win_slots(
@@ -418,9 +418,8 @@ def sample_win_slots(
     Returns (slots, truncated_count), or with ``reduce`` its summed block
     reductions of them.
     """
-    if horizon is None:
-        horizon = win_horizon(params.n)
-    return _sample(_win_slot_block, (params, horizon), trials, _BLOCK, seed, stream, workers, reduce)
+    head = (params, math.inf if horizon is None else horizon)
+    return _sample(_win_slot_block, head, trials, _BLOCK, seed, stream, workers, reduce)
 
 
 def sample_holder_flows(
@@ -443,9 +442,9 @@ def sample_holder_flows(
 
     Returns per-trajectory (gross, net, stop): the holder's rewards, under
     the streak bonus ``beta``, at slots up to the stop; the same less
-    ``replacement_price`` at each of those wins; and the stop, N or
-    min(N, horizon). With ``reduce``, returns its summed block reductions
-    instead, as ``sample_ticket_payoffs`` does.
+    ``replacement_price`` at each of those wins; and the stop, N, or
+    min(N, horizon) under an explicit ``horizon``. With ``reduce``, returns
+    its summed block reductions instead, as ``sample_ticket_payoffs`` does.
 
     A constant reward c at ``beta`` = 0 draws each row's stop and then its
     win count, c * Binomial(stop, k/n): two variates per trajectory, on
@@ -459,7 +458,7 @@ def sample_holder_flows(
     if horizon is None and params.d <= 0.0:
         from .errors import DiscountRateError
         raise DiscountRateError(f"cannot stop a holder flow at d={params.d}; pass a horizon explicitly")
-    head = (params, holder_tickets, beta, replacement_price, horizon)
+    head = (params, holder_tickets, beta, replacement_price, math.inf if horizon is None else horizon)
     if beta == 0.0 and isinstance(params.reward, ConstantReward):
         return _sample(_holder_count_block, head, trials, _BLOCK, seed, stream, workers, reduce)
     return _sample(_holder_flow_block, head, trials, _PATH_BLOCK, seed, stream, workers, reduce)
@@ -486,7 +485,5 @@ def sample_pool_payoffs(
     """
     if not (1 <= pool_tickets <= params.n):
         raise ValueError(f"pool size must be between 1 and n={params.n}, got {pool_tickets}")
-    if horizon is None:
-        horizon = win_horizon(params.n, TAIL_TOLERANCE / pool_tickets)
-    head = (params, pool_tickets, horizon)
+    head = (params, pool_tickets, math.inf if horizon is None else horizon)
     return _sample(_pool_payoff_block, head, trials, _PATH_BLOCK, seed, stream, workers, reduce)

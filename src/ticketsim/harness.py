@@ -6,7 +6,7 @@ A row sets an entry's closed form (``closed_form``) against a second figure:
   ``mc_mean``/``mc_stderr`` hold the Monte Carlo estimate where the command
   samples and the entry has an estimator, else the oracle. The row passes if
   the gap is within ORACLE_TOLERANCE, the closed form has the paper's sign,
-  and a sampled estimate is within 4 * stderr + bias_bound (horizon truncation).
+  and a sampled estimate is within 4 * stderr of the closed form.
 * ``estimate``: ``rel_err`` is the estimate's gap to the closed form; no verdict.
 
 | command | mode | entries |
@@ -47,18 +47,17 @@ class VerifyOutcome(NamedTuple):
     failures: list[str]
 
 
-def _mc_gate(mc_mean: float, closed: float, stderr: float, bias: float) -> bool:
-    # The last term is a rounding floor: a deterministic ensemble's (stderr 0) truncation
-    # gap equals the bias bound in exact arithmetic and may exceed it by ulps. It is
-    # relative, so it is the same share of the row whatever the reward's unit.
-    return abs(mc_mean - closed) <= Z_LIMIT * stderr + bias + 1e-12 * abs(closed)
+def _mc_gate(mc_mean: float, closed: float, stderr: float) -> bool:
+    # The last term is a rounding floor: a deterministic ensemble (n = 1, stderr 0) equals
+    # its closed form in exact arithmetic and may miss it by ulps. It is relative, so it is
+    # the same share of the row whatever the reward's unit.
+    return abs(mc_mean - closed) <= Z_LIMIT * stderr + 1e-12 * abs(closed)
 
 
 def _run(cfg: ExperimentConfig, *, default_share: bool = True) -> Run:
     beta = cfg.multiblock.beta if cfg.multiblock is not None else 0.0
     return Run(cfg.params, cfg.holder_share, trials=cfg.trials, seed=cfg.seed, workers=cfg.workers,
-               horizon=cfg.horizon, beta=beta, pool_size=cfg.pool_size, policy=cfg.policy,
-               default_share=default_share)
+               beta=beta, pool_size=cfg.pool_size, policy=cfg.policy, default_share=default_share)
 
 
 def _row(label, entry: Entry, run: Run, mode: str, sample: bool) -> tuple[ReportRow, bool]:
@@ -69,7 +68,7 @@ def _row(label, entry: Entry, run: Run, mode: str, sample: bool) -> tuple[Report
     mean, stderr, trials = (est.mean, est.stderr, est.trials) if est else (oracle, 0.0, 0)
     rel = relative_gap(mean if mode == "estimate" else oracle, closed)
     ok = mode == "estimate" or rel <= ORACLE_TOLERANCE and entry.sign_holds(closed, run.mu) and (
-        est is None or _mc_gate(est.mean, closed, est.stderr, est.bias_bound))
+        est is None or _mc_gate(est.mean, closed, est.stderr))
     return make_row(label, closed, mean, stderr, trials, rel), ok
 
 

@@ -3,8 +3,8 @@
 Each entry holds a quantity's closed form, its independent oracle (a
 series summed by ``analytics.doubling_series_sum``, or a complex-step
 derivative) and its Monte Carlo estimator: the
-ensemble it draws, on which RNG stream, the statistic it takes of it and a
-bound on the bias that horizon truncation leaves. ``QUANTITIES`` holds the
+ensemble it draws, on which RNG stream, and the statistic it takes of it.
+Every ensemble draws the untruncated law. ``QUANTITIES`` holds the
 model quantities, ``POOL`` the rows of a payoff pool and ``PRICING`` those of
 protocol capture under a pricing policy; which command reads which entries
 is stated once, in ``harness``.
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import analytics, engine
 from .core import EconomyParams
-from .errors import ConfigError, NegativePriceError
+from .errors import ConfigError, DiscountRateError, NegativePriceError
 from .market import CaptureReport, FairValue, PricingPolicy, protocol_capture
 
 if TYPE_CHECKING:
@@ -58,18 +58,12 @@ class Quantity(str, Enum):
 
 
 class Estimate(NamedTuple):
-    """Aggregated Monte Carlo estimate.
-
-    ``bias_bound`` bounds the systematic error introduced by horizon
-    truncation; it is reported so callers can fold it into comparisons.
-    """
+    """Aggregated Monte Carlo estimate."""
 
     mean: float
     stderr: float
     ci95: tuple[float, float]
     trials: int
-    truncated: int = 0
-    bias_bound: float = 0.0
 
 
 def holder_tickets(share: float, n: int) -> int:
@@ -95,14 +89,14 @@ class Run:
     """
 
     def __init__(self, params: EconomyParams, share: Optional[float] = None, *,
-                 trials: int = 0, seed: int = 0, workers: int = 1,
-                 horizon: Optional[int] = None, beta: float = 0.0, default_share: bool = False,
-                 pool_size: Optional[int] = None, policy: PricingPolicy = FairValue()):
+                 trials: int = 0, seed: int = 0, workers: int = 1, beta: float = 0.0,
+                 default_share: bool = False, pool_size: Optional[int] = None,
+                 policy: PricingPolicy = FairValue()):
         self.params, self.configured_share = params, share
         self._share = DEFAULT_HOLDER_SHARE if share is None and default_share else share
         self.mu, self.var_r, self.d, self.n = params.mu, params.var_r, params.d, params.n
         self.trials, self.seed, self.workers = trials, seed, workers
-        self.horizon, self.beta, self.pool_size, self.policy = horizon, beta, pool_size, policy
+        self.beta, self.pool_size, self.policy = beta, pool_size, policy
 
     @property
     def share(self) -> float:
@@ -123,15 +117,6 @@ class Run:
         """k/n of the holder's k tickets, which, unlike the tickets, needs a share."""
         _ = self.share    # a ConfigError where the run has no share
         return self.holder_tickets / self.n
-
-    @cached_property
-    def win_horizon(self) -> int:
-        return self.horizon if self.horizon is not None else engine.win_horizon(self.n)
-
-    @cached_property
-    def win_tail(self) -> float:
-        """Chance that a tracked ticket has not won within the horizon."""
-        return (1.0 - 1.0 / self.n) ** self.win_horizon
 
     @cached_property
     def discount(self) -> Fraction:
@@ -160,13 +145,12 @@ class Run:
     def ticket_sums(self) -> tuple[PowerSums, int, PowerSums]:
         """The tracked-ticket ensemble on stream 0: the power sums to order 4
         of one ticket's discounted payoff about its closed form, the count of
-        trajectories truncated, and the power sums to order 2 of its win
-        slot (capped at the horizon) about n."""
+        trajectories truncated (none: no horizon is set), and the power sums
+        to order 2 of its win slot about n."""
+        shifts = (ticket_mean(self.params), float(self.n))
         return engine.sample_ticket_payoffs(
-            self.params, self.trials, self.seed, horizon=self.win_horizon, workers=self.workers,
-            stream=0, reduce=partial(block_sums, shifts=(ticket_mean(self.params), float(self.n)),
-                                     orders=(4, 2)),
-        )
+            self.params, self.trials, self.seed, workers=self.workers, stream=0,
+            reduce=partial(block_sums, shifts=shifts, orders=(4, 2)))
 
     @cached_property
     def holder_sums(self) -> tuple[PowerSums, PowerSums]:
@@ -174,33 +158,29 @@ class Run:
         tickets under the streak bonus ``beta``, replaced at the fair price,
         on stream 3, about their closed forms: the run's one holder ensemble.
         Each flow v of closed form s enters as v - s d (N - m), N its stop and
-        m = E[N] = 1/d, or (1 - x^H)/d under a horizon H: a control variate
-        (Glasserman, *Monte Carlo Methods in Financial Engineering*, 2003,
-        sec. 4.1), unbiased as m is exact. Streams 1, 2 and 4 stay unused."""
+        m = E[N] = 1/d: a control variate (Glasserman, *Monte Carlo Methods
+        in Financial Engineering*, 2003, sec. 4.1), unbiased as m is exact.
+        Streams 1, 2 and 4 stay unused."""
         k = self.holder_tickets
         net = analytics.control_value(k / self.n, self.mu, self.d, self.n)
         shifts = (holder_mean(self, k, self.beta), net)
-        stop_mean = (1.0 if self.horizon is None else -math.expm1(-self.horizon * math.log1p(self.d))) / self.d
         return engine.sample_holder_flows(
             self.params, k, self.trials, self.seed, beta=self.beta, replacement_price=fair_price(self),
-            horizon=self.horizon, workers=self.workers, stream=3,
+            workers=self.workers, stream=3,
             reduce=partial(holder_block_sums, shifts=shifts, slopes=tuple(s * self.d for s in shifts),
-                           stop_mean=stop_mean))
+                           stop_mean=1.0 / self.d))
 
     @cached_property
     def pool(self) -> tuple:
         """The ``pool_sums`` of one ensemble of a ``pool_size``-ticket
         equal-share pool, on stream 0: (member, solo, truncated, paired).
-
-        The sampler takes the configured horizon, not ``win_horizon``: its
-        own default tightens the tail tolerance to 1e-9 / k, one tail per
-        member. Solo and pooled payoffs come from the same trajectories.
+        Solo and pooled payoffs come from the same trajectories.
         """
         if self.pool_size is None:
             raise ConfigError("pool", "pool command needs a pool section")
         return engine.sample_pool_payoffs(
-            self.params, self.pool_size, self.trials, self.seed, horizon=self.horizon,
-            workers=self.workers, stream=0, reduce=partial(pool_sums, shift=ticket_mean(self.params)))
+            self.params, self.pool_size, self.trials, self.seed, workers=self.workers, stream=0,
+            reduce=partial(pool_sums, shift=ticket_mean(self.params)))
 
     @cached_property
     def capture(self) -> CaptureReport:
@@ -249,8 +229,8 @@ def _complex_step(f: Callable[[complex], complex], n: int) -> float:
 
 
 def ticket_mean(params: EconomyParams) -> float:
-    """E[V] = mu / (n d + 1), a ticket's closed-form value written out, since a
-    finite-horizon run may take d = 0: the shift of the ticket-payoff sums."""
+    """E[V] = mu / (n d + 1), a ticket's closed-form value: the shift of the
+    ticket-payoff sums."""
     return params.mu / (params.n * params.d + 1.0)
 
 
@@ -270,30 +250,6 @@ def holder_mean(run: Run, k: int, beta: float) -> float:
 
 def fair_price(run: Run) -> float:
     return analytics.expected_ticket_value(run.mu, run.d, run.n)
-
-
-def _geometric_tail(x: float, horizon: int) -> float:
-    """sum_{t > horizon} x^t for 0 <= x < 1."""
-    return x ** (horizon + 1) / (1.0 - x)
-
-
-def _arithmetic_geometric_tail(x: float, horizon: int) -> float:
-    """sum_{t > horizon} t * x^t for 0 <= x < 1."""
-    return x ** (horizon + 1) * ((horizon + 1) - horizon * x) / (1.0 - x) ** 2
-
-
-def holder_bias(run: Run, share: float, beta: float = 0.0, price: float = 0.0) -> float:
-    """Bound on the expected holder flow beyond an explicit horizon: 0 without
-    one, where the flows stop at a random slot and nothing is cut.
-
-    Uses streak <= t, so the per-slot bonus factor is at most 1 + beta*(t-1).
-    """
-    if run.horizon is None:
-        return 0.0
-    x, horizon = 1.0 / (1.0 + run.d), run.horizon
-    geo = _geometric_tail(x, horizon)
-    reward_tail = run.mu * ((1.0 - beta) * geo + beta * _arithmetic_geometric_tail(x, horizon))
-    return share * (abs(reward_tail) + price * geo)
 
 
 def _zero_degenerate(stderr: float, scale: float) -> float:
@@ -433,24 +389,21 @@ def _total_value(run: Run, sums: PowerSums) -> tuple[float, float]:
 
 class Entry(NamedTuple):
     """One quantity. An entry with an ``ensemble`` has a Monte Carlo
-    estimator: ``statistic`` of the ensemble's power sums, within ``bias`` of
-    the truth up to sampling error (no bound is stated where ``bias`` is
-    None). ``sign`` is the sign the paper gives the closed form when mu > 0
-    (0 when it states none)."""
+    estimator: ``statistic`` of the ensemble's power sums. ``sign`` is the
+    sign the paper gives the closed form when mu > 0 (0 when it states
+    none)."""
 
     closed: Callable[[Run], float]
     oracle: Optional[Callable[[Run], float]] = None
-    ensemble: Optional[Callable[[Run], tuple[PowerSums, int]]] = None
+    ensemble: Optional[Callable[[Run], PowerSums]] = None
     statistic: Callable[[Run, PowerSums], tuple[float, float]] = lambda run, sums: sums.mean_stderr()
-    bias: Optional[Callable[[Run], float]] = None
     sign: int = 0
 
     def estimate(self, run: Run) -> Estimate:
-        bias = self.bias(run) if self.bias else 0.0    # first: it fails fast on a missing share
-        sums, truncated = self.ensemble(run)
-        mean, stderr = self.statistic(run, sums)
+        self.closed(run)    # first: a quantity of a share fails fast where the run has none
+        mean, stderr = self.statistic(run, self.ensemble(run))
         ci95 = (mean - 1.96 * stderr, mean + 1.96 * stderr)
-        return Estimate(mean, stderr, ci95, run.trials, truncated, bias)
+        return Estimate(mean, stderr, ci95, run.trials)
 
     def sign_holds(self, closed: float, mu: float) -> bool:
         if not self.sign:
@@ -458,8 +411,8 @@ class Entry(NamedTuple):
         return closed * self.sign > 0.0 if mu > 0.0 else closed == 0.0
 
 
-def _payoffs(run: Run) -> tuple[PowerSums, int]:
-    return run.ticket_sums[:2]
+def _payoffs(run: Run) -> PowerSums:
+    return run.ticket_sums[0]
 
 
 QUANTITIES: dict[Quantity, Entry] = {
@@ -468,35 +421,30 @@ QUANTITIES: dict[Quantity, Entry] = {
     Quantity.NPV_REWARDS: Entry(
         closed=lambda run: analytics.npv_rewards(run.mu, run.d),
         oracle=lambda run: run.reward_series,
-        ensemble=lambda run: (run.holder_sums[0], 0),
+        ensemble=lambda run: run.holder_sums[0],
         statistic=lambda run, gross: _scaled_mean(run.n / run.holder_tickets, gross),
-        bias=lambda run: holder_bias(run, 1.0),
     ),
     Quantity.TICKET_VALUE: Entry(
         closed=lambda run: analytics.expected_ticket_value(run.mu, run.d, run.n),
         oracle=lambda run: float(run.ticket_sum),
         ensemble=_payoffs,
-        bias=lambda run: run.mu * run.win_tail,
     ),
     Quantity.TOTAL_TICKET_VALUE: Entry(
         closed=lambda run: analytics.total_ticket_value(run.mu, run.d, run.n),
         oracle=lambda run: run.reward_series,
         ensemble=_payoffs,
         statistic=_total_value,
-        bias=lambda run: (run.n + 1.0 / run.d) * run.mu * run.win_tail,
     ),
     Quantity.ISSUED_MARKET_CAP: Entry(
         closed=lambda run: analytics.issued_market_cap(run.mu, run.d, run.n),
         oracle=lambda run: run.n * float(run.ticket_sum),
         ensemble=_payoffs,
         statistic=lambda run, sums: _scaled_mean(run.n, sums),
-        bias=lambda run: run.n * run.mu * run.win_tail,
     ),
     Quantity.TIME_TO_WIN: Entry(
         closed=lambda run: analytics.expected_slots_to_win(run.n),
         oracle=_slots_to_win_series,
-        ensemble=lambda run: (run.ticket_sums[2], run.ticket_sums[1]),
-        bias=lambda run: run.n * run.win_tail,
+        ensemble=lambda run: run.ticket_sums[2],
     ),
     Quantity.TICKET_VALUE_DERIVATIVE: Entry(
         closed=lambda run: analytics.ticket_value_derivative_n(run.mu, run.d, run.n),
@@ -508,9 +456,8 @@ QUANTITIES: dict[Quantity, Entry] = {
     Quantity.CONTROL_VALUE: Entry(
         closed=lambda run: analytics.control_value(run.share, run.mu, run.d, run.n),
         oracle=lambda run: run.share * run.n * float(run.ticket_sum),
-        ensemble=lambda run: (run.holder_sums[1], 0),
+        ensemble=lambda run: run.holder_sums[1],
         statistic=lambda run, net: _scaled_mean(run.share * run.n / run.holder_tickets, net),
-        bias=lambda run: holder_bias(run, run.share, price=fair_price(run)),
     ),
     Quantity.CONTROL_VALUE_DERIVATIVE: Entry(
         closed=lambda run: analytics.control_value_derivative_n(run.share, run.mu, run.d, run.n),
@@ -522,20 +469,18 @@ QUANTITIES: dict[Quantity, Entry] = {
         oracle=_variance_series,
         ensemble=_payoffs,
         statistic=lambda run, sums: sums.variance_stderr(),
-        bias=lambda run: (run.var_r + 3.0 * run.mu * run.mu) * run.win_tail,
     ),
     # Gross holder flow collects the holder's share of every slot's reward;
     # under a streak bonus the closed form is only the additive reference.
     Quantity.HOLDER_VALUE: Entry(
         closed=lambda run: run.held_share * analytics.npv_rewards(run.mu, run.d),
-        ensemble=lambda run: (run.holder_sums[0], 0),
-        bias=lambda run: holder_bias(run, run.held_share, beta=run.beta),
+        ensemble=lambda run: run.holder_sums[0],
     ),
 }
 
 
 def _pool_entry(closed: Callable[[Run], float], statistic) -> Entry:
-    return Entry(closed=closed, ensemble=lambda run: (run.pool, run.pool[2]), statistic=statistic)
+    return Entry(closed=closed, ensemble=lambda run: run.pool, statistic=statistic)
 
 
 def _solo_variance(run: Run) -> float:
@@ -589,7 +534,6 @@ def estimate(
     seed: int,
     *,
     workers: int = 1,
-    horizon: Optional[int] = None,
     holder_share: Optional[float] = None,
     multiblock=None,
 ) -> Estimate:
@@ -609,7 +553,10 @@ def estimate(
         raise ValueError(f"need at least 100 trials for a meaningful stderr, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if params.d <= 0.0:
+        raise DiscountRateError(f"an infinite-horizon estimate needs d > 0, got d={params.d}")
     beta = float(multiblock.beta) if multiblock is not None else 0.0
-    run = Run(params, holder_share, trials=trials, seed=seed, workers=workers,
-              horizon=horizon, beta=beta)
+    run = Run(params, holder_share, trials=trials, seed=seed, workers=workers, beta=beta)
     return entry.estimate(run)

@@ -67,7 +67,7 @@ def test_config_defaults_echoed():
     # Defaults materialized, sections normalized; result-neutral keys stay out
     # of the echo so reports are byte-stable across worker counts and output
     # destinations.
-    assert echo == {"seed": 42, "trials": 100_000, "n": 10, "d": 0.01, "horizon": None, "timings": False,
+    assert echo == {"seed": 42, "trials": 100_000, "n": 10, "d": 0.01, "timings": False,
                     "reward": {"kind": "constant", "mean": 1.0}, "quantity": "ticket_value",
                     "holder_share": None}
     assert resolve(echo, "simulate")[1] == echo
@@ -350,7 +350,7 @@ def test_npv_rewards_gate_holds_with_lognormal_rewards():
     for seed in range(10):
         run = Run(params, trials=20_000, seed=seed, default_share=True)
         est = entry.estimate(run)
-        assert _mc_gate(est.mean, entry.closed(run), est.stderr, est.bias_bound), seed
+        assert _mc_gate(est.mean, entry.closed(run), est.stderr), seed
 
 
 def test_holder_rows_z_over_seeds_are_unbiased_with_honest_stderrs():
@@ -544,7 +544,7 @@ def test_npv_rewards_needs_no_holder_share(n):
     [row] = run_simulate(cfg)
     est = estimate(cfg.params, Quantity.NPV_REWARDS, 5000, seed=42)
     assert (row.mc_mean, row.mc_stderr) == (est.mean, est.stderr)
-    assert _mc_gate(est.mean, npv_rewards(1.0, 0.05), est.stderr, est.bias_bound)
+    assert _mc_gate(est.mean, npv_rewards(1.0, 0.05), est.stderr)
     for quantity in ("control_value", "holder_value"):
         with pytest.raises(ConfigError, match="holder_share: required"):
             run_simulate(cfg._replace(quantity=quantity))
@@ -838,7 +838,7 @@ _READS = {
     "multiblock": {"multiblock", "holder_share"},
 }
 _REQUIRED = {"sweep": "sweep", "pool": "pool", "multiblock": "multiblock"}
-# No row of these commands samples, so they read no trials and no horizon.
+# No row of these commands samples, so they read no trials.
 _UNSAMPLED = ("analytic", "pricing")
 
 
@@ -985,7 +985,7 @@ _ROUND_TRIPS = {
                              "sweep": {"parameter": "beta", "values": [0, 0.5]}}),
     "sweep_k": ("sweep", {"reward": _PARETO, "sweep": {"parameter": "k", "values": [1, 4]}}),
     "pool": ("pool", {"reward": _EMPIRICAL, "pool": {"k": 4}}),
-    "multiblock": ("multiblock", {"multiblock": {"beta": 0.25}, "holder_share": 0.5, "horizon": 300}),
+    "multiblock": ("multiblock", {"multiblock": {"beta": 0.25}, "holder_share": 0.5}),
 }
 
 
@@ -1018,20 +1018,30 @@ def test_cli_echoed_config_reruns_to_the_same_report(tmp_path, case, fmt):
     assert second.read_bytes() == first.read_bytes()
 
 
-def test_cli_run_wide_keys_accepted_by_every_command(tmp_path):
+def test_cli_run_wide_keys_accepted_by_every_command(tmp_path, capsys):
     run_wide = {"seed": 7, "workers": 1, "timings": False, "output": {"format": "csv"}}
     for command in _READS:
-        sampled = {} if command in _UNSAMPLED else {"trials": 2000, "horizon": 2000}
+        sampled = {} if command in _UNSAMPLED else {"trials": 2000}
         config = _command_config(tmp_path, command, **run_wide, **sampled)
         assert main([command, "--config", str(config)]) == 0
+    # No command reads a horizon: every estimate draws the untruncated law.
+    config = _write_config(tmp_path, n=None, d=None, reward=None, seed=None, horizon=5)
+    capsys.readouterr()
+    assert main(["verify", "--config", str(config)]) == 2
+    assert "horizon: unknown key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,value", [("trials", 2000), ("horizon", 2000)])
-@pytest.mark.parametrize("command", _UNSAMPLED)
+# trials where no row samples, and horizon, which no command reads, everywhere.
+_REJECTED = [(command, "trials", 2000) for command in _UNSAMPLED] + [
+    (command, "horizon", horizon) for command in _READS for horizon in (2000, 5)]
+
+
+@pytest.mark.parametrize("command,key,value", _REJECTED)
 def test_cli_unsampled_commands_reject_trials_and_horizon(tmp_path, capsys, command, key, value):
     config = _command_config(tmp_path, command, **{key: value})
     assert main([command, "--config", str(config)]) == 2
-    assert f"{key}: not read by {command}" in capsys.readouterr().err
+    error = "unknown key" if key == "horizon" else f"not read by {command}"
+    assert f"{key}: {error}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,section", [

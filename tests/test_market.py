@@ -8,7 +8,7 @@ import pytest
 from ticketsim.analytics import expected_ticket_value, npv_rewards
 from ticketsim.core import ConstantReward, EconomyParams, calibrate_lognormal
 from ticketsim import engine
-from ticketsim.engine import discount_horizon, sample_holder_flows
+from ticketsim.engine import sample_holder_flows
 from ticketsim.errors import ConfigError, NegativePriceError
 from ticketsim.market import FairValue, FixedDiscount, FixedMargin, protocol_capture
 from ticketsim.harness import _mc_gate
@@ -178,7 +178,7 @@ def _holder_value(params, share, trials, seed, beta=None, **kwargs):
 def test_multiblock_premium_zero_without_bonus():
     est, closed = _holder_value(params_const(20, d=0.05), 0.2, 20_000, seed=9)
     assert closed == 0.2 * npv_rewards(1.0, 0.05)
-    assert abs(est.mean - closed) <= 3.0 * est.stderr + est.bias_bound
+    assert abs(est.mean - closed) <= 3.0 * est.stderr
 
 
 def test_multiblock_premium_positive_with_bonus():
@@ -214,19 +214,13 @@ def test_library_share_above_one_fails_with_its_key(monkeypatch):
 
 def test_multiblock_full_ownership_constant_rewards_closed_form():
     # At p = 1 with constant rewards every slot extends the streak, so a flow
-    # stopped at min(N, H) is the sum of mu*(1+beta*(t-1)) over t up to it,
-    # with mean sum_{t <= H} mu*(1+beta*(t-1)) * x^t.
+    # stopped at N is the sum of mu*(1+beta*(t-1)) over t up to it, with mean
+    # the sum of mu*(1+beta*(t-1)) * x^t over all t: (k/n)*mu/d + beta*mu/d^2.
     mu, d, n, beta = 1.0, 0.05, 4, 0.5
     params = params_const(n, d=d, mu=mu)
-    horizon = discount_horizon(d)
-    est, closed = _holder_value(params, 1.0, 500, seed=2, beta=beta, horizon=horizon)
-    t = np.arange(1, horizon + 1, dtype=np.float64)
-    finite_sum = float(np.sum(mu * (1.0 + beta * (t - 1.0)) / (1.0 + d) ** t))
-    assert 0.0 < est.stderr and abs(est.mean - finite_sum) <= 4.0 * est.stderr
-    # Infinite-horizon limit: (k/n)*mu/d + beta*mu/d^2, within the gate and
-    # the bias bound of the tail past the horizon.
+    est, closed = _holder_value(params, 1.0, 500, seed=2, beta=beta)
     limit = closed + beta * mu / d**2
-    assert _mc_gate(est.mean, limit, est.stderr, est.bias_bound)
+    assert 0.0 < est.stderr and _mc_gate(est.mean, limit, est.stderr)
 
 
 def test_multiblock_share_rounding_reported():
