@@ -23,27 +23,24 @@ samplers draw only the events that carry value:
   flow is the undiscounted sum of its rewards up to its own N, and its
   mean is the discounted value, with no horizon to cut;
 - a holder of k retained tickets wins each slot with probability
-  p = k/n, independently, so with a constant reward c and no streak
-  bonus its flow up to N is c * K, K ~ Binomial(N, p): two variates per
-  trajectory, whatever d is. Any other flow is thinned to the holder's
-  wins, Geometric(k/n) gaps apart, ~p/d of them per trajectory; a win one
-  slot after the previous one extends the holder's streak. The bonus
-  1 + beta * (streak - 1) is exactly 1 on a streak of 1, so only the
-  rewards after a one-slot gap (a share p of the wins) are located and
-  scaled in place;
+  p = k/n, independently, so its wins up to N are K ~ Binomial(N, p).
+  Given (N, K) the wins are a uniform K-subset of the N slots and the
+  rewards are independent of them, so a holder trajectory reports its
+  flow's expectation given (N, K) (conditional Monte Carlo; Asmussen &
+  Glynn, *Stochastic Simulation*, 2007, ch. V): two variates per
+  trajectory, whatever d, the reward law and the streak bonus are. The
+  bonus 1 + beta * (streak - 1) adds beta * (streak - 1) at each win, and
+  E[sum of (streak - 1) | N, K] = K (K - 1) / (N - K + 2): a run of L
+  wins adds L (L - 1) / 2, the count of its windows of m >= 2
+  consecutive wins, and N - m + 1 windows each hold m wins with chance
+  (K)_m / (N)_m, which sum over m to that form;
 - in a k-ticket pool, the i-th distinct member hit waits
   Geometric((k - i)/n) slots after the previous one, and members are
   exchangeable, so one member's payoff is the payoff at a uniform rank.
 
 Geometric variates are drawn by inversion (Devroye, *Non-Uniform Random
-Variate Generation*, 1986, ch. X.2). The thinned holder kernel's gaps,
-most of the variates it draws, invert a uniform,
-1 + floor(log(1 - U) / log1p(-p)): a uniform and a log cost less than an
-exponential, and each pass inverts them in place in one buffer. The
-holder stops and the win-slot and pool kernels invert an exponential,
-ceil(Exp(1) / -log(1 - p)); the last two draw under 1% of the variates,
-and keeping their draws keeps their fixed-seed statistical tests on the
-same samples.
+Variate Generation*, 1986, ch. X.2) of an exponential,
+ceil(Exp(1) / -log(1 - p)).
 
 Determinism contract: one driver (``_sample``) partitions every sampler's
 trajectories into fixed-size blocks; block ``b`` of a run draws from
@@ -71,16 +68,15 @@ import math
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
-from .core import ConstantReward, EconomyParams
+from .core import EconomyParams
 
 if TYPE_CHECKING:
     import numpy as np
 
 # Trajectories per RNG substream. Part of the determinism contract: results
 # depend on these constants, never on the worker count.
-_BLOCK = 4096        # tracked-ticket and holder win-count samplers (small state per row)
-_PATH_BLOCK = 512    # thinned holder-flow and pool samplers
-_WIN_CAP = 64        # holder wins drawn per trajectory in one holder-flow pass
+_BLOCK = 4096        # tracked-ticket and holder samplers (small state per row)
+_PATH_BLOCK = 512    # pool sampler (k slots per row)
 _CHUNK = 8           # most blocks a pool worker takes in one task
 
 TAIL_TOLERANCE = 1e-9   # the tail the horizons below cut, to size an explicit horizon
@@ -215,23 +211,6 @@ def _geometric(p, size, rng: np.random.Generator) -> np.ndarray:
     return np.maximum(draws, 1.0, out=draws)
 
 
-def _holder_gaps(p: float, out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Fill ``out`` in place with Geometric(p) gaps on {1, 2, ...}, 0 < p < 1.
-
-    Inverts a uniform: 1 + floor(log(1 - U) / log1p(-p)) (Devroye 1986,
-    ch. X.2), with U on [0, 1), so log(1 - U) is finite. numpy's uniforms
-    are multiples of 2^-53, so 1 - U is exact and ``np.log`` (vectorised,
-    where ``np.log1p`` is not) gives log1p(-U) up to rounding.
-    """
-    import numpy as np
-    rng.random(out=out)
-    np.subtract(1.0, out, out=out)
-    np.log(out, out=out)
-    np.divide(out, math.log1p(-p), out=out)
-    np.floor(out, out=out)
-    return np.add(out, 1.0, out=out)
-
-
 def _member_hits(rng, count, params, k, horizon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(slots, payoffs, won) of each of a k-ticket pool's members in hit order,
     per trajectory: the slot of each hit, its discounted reward where it
@@ -266,40 +245,6 @@ def _win_slot_block(rng, count, params, horizon) -> tuple[np.ndarray, int]:
     return slots.astype(np.int64), truncated
 
 
-def _scale_streaks(rewards: np.ndarray, gaps: np.ndarray, carry: np.ndarray, beta: float) -> np.ndarray:
-    """Scale the C-contiguous ``rewards`` in place by each holder win's bonus
-    factor 1 + beta * (streak - 1), and return each row's streak at its last win.
-
-    A win one slot after the holder's previous win extends its streak; any
-    longer gap starts a new streak at 1, whose factor is exactly 1, so only
-    the wins after a gap of 1 are touched. ``carry`` is each row's streak at
-    its previous win, 0 before the first.
-    """
-    import numpy as np
-    width = gaps.shape[1]
-    ones = gaps == 1
-    heads = ones.copy()     # the first and the last win of each run of one-slot gaps
-    heads[:, 1:] &= ~ones[:, :-1]
-    ends = ones.copy()
-    ends[:, :-1] &= ~ones[:, 1:]
-    heads, ends, ones = np.flatnonzero(heads), np.flatnonzero(ends), np.flatnonzero(ones)
-    lengths = ends - heads + 1
-    row, col = np.divmod(heads, width)
-    # A run after a longer gap starts at streak 2; one at column 0 continues
-    # the streak carried from the previous pass.
-    first = np.where(col == 0, carry[row] + 1.0, 2.0)
-    factor = np.repeat(first - heads, lengths)
-    factor += ones          # the streak; then 1 + beta * (streak - 1), in place
-    factor -= 1.0
-    factor *= beta
-    factor += 1.0
-    rewards.reshape(-1)[ones] *= factor
-    tail = np.ones(gaps.shape[0])
-    last = col + lengths == width
-    tail[row[last]] = first[last] + (lengths[last] - 1)
-    return tail
-
-
 def _holder_stops(rng, count, d, horizon) -> np.ndarray:
     """Each trajectory's last slot: N = Geometric(d/(1+d)) - 1 on {0, 1, ...},
     so that P(N >= t) = (1+d)^-t, cut to min(N, horizon); at d = 0, the
@@ -313,56 +258,18 @@ def _holder_stops(rng, count, d, horizon) -> np.ndarray:
 
 
 def _holder_count_block(rng, count, params, k, beta, price, horizon) -> tuple[np.ndarray, ...]:
-    """(gross, net, stop) of holder flows at a constant reward and beta = 0.
-    Each slot up to a row's stop is a holder win with probability k/n,
-    independently, so its wins are K ~ Binomial(stop, k/n), all of them at
-    k = n, and its flow is c K."""
+    """(gross, net, stop) of holder flows, each row's flow's expectation
+    given its stop S and its wins K. Each slot up to S is a holder win with
+    probability k/n, independently, so K ~ Binomial(S, k/n), all of them at
+    k = n; given (S, K), gross is mu (K + beta K (K - 1) / (S - K + 2)) and
+    each win buys a replacement at ``price``."""
     import numpy as np
     stops = _holder_stops(rng, count, params.d, horizon)
     wins = rng.binomial(stops.astype(np.int64), k / params.n).astype(np.float64)
-    c = params.reward.value
-    return c * wins, (c - price) * wins, stops
-
-
-def _holder_flow_block(rng, count, params, k, beta, price, horizon) -> tuple[np.ndarray, ...]:
-    import numpy as np
-    # Discounting by x = 1/(1+d) per slot is stopping at an independent slot
-    # N with P(N >= t) = x^t, so each row sums its rewards, undiscounted, up
-    # to its own stop.
-    stops = _holder_stops(rng, count, params.d, horizon)
-    # Thin the lottery to the holder's wins: Geometric(k/n) gaps between them
-    # (all 1 at k = n). Each pass inverts uniforms into gaps and then into
-    # slots, in place in one (rows, width) view of a buffer allocated once
-    # per block.
-    p = k / params.n
-    gross = np.zeros(count)
-    wins = np.zeros(count)          # holder wins up to the stop, each a replacement purchase
-    last = np.zeros(count)          # slot of the latest holder win
-    streak = np.zeros(count)        # streak at that win
-    buffer = np.empty(count * _WIN_CAP)
-    rows = np.flatnonzero(stops > 0.0)
-    while rows.size:
-        # Draw enough wins that most rows pass their stop, at most _WIN_CAP;
-        # the rest take another pass.
-        stop, prior = stops[rows], last[rows]
-        remaining = float(np.mean(stop - prior))
-        width = min(_WIN_CAP, math.ceil(remaining * p + 2.0 * math.sqrt(remaining * p)) + 1)
-        view = buffer[:rows.size * width].reshape(rows.size, width)
-        if p < 1.0:
-            _holder_gaps(p, view, rng)
-        else:
-            view.fill(1.0)
-        rewards = np.ascontiguousarray(params.reward.sample(rng, size=view.shape), dtype=np.float64)
-        if beta != 0.0:
-            streak[rows] = _scale_streaks(rewards, view, streak[rows], beta)
-        view[:, 0] += prior
-        slots = np.cumsum(view, axis=1, out=view)     # integers below 2^53: exact
-        inside = slots <= stop[:, None]
-        wins[rows] += np.count_nonzero(inside, axis=1)
-        gross[rows] += np.einsum("ij,ij->i", rewards, inside)
-        del rewards                 # freed before the next pass draws its own
-        last[rows] = slots[:, -1]
-        rows = rows[slots[:, -1] < stop]
+    mu = params.mu
+    if beta == 0.0:
+        return mu * wins, (mu - price) * wins, stops
+    gross = mu * (wins + beta * wins * (wins - 1.0) / (stops - wins + 2.0))
     return gross, gross - price * wins, stops
 
 
@@ -440,16 +347,15 @@ def sample_holder_flows(
     at an independent slot N with P(N >= t) = (1+d)^-t, so that its mean is
     the discounted flow.
 
-    Returns per-trajectory (gross, net, stop): the holder's rewards, under
-    the streak bonus ``beta``, at slots up to the stop; the same less
-    ``replacement_price`` at each of those wins; and the stop, N, or
-    min(N, horizon) under an explicit ``horizon``. With ``reduce``, returns
-    its summed block reductions instead, as ``sample_ticket_payoffs`` does.
-
-    A constant reward c at ``beta`` = 0 draws each row's stop and then its
-    win count, c * Binomial(stop, k/n): two variates per trajectory, on
-    ``_BLOCK``-sized blocks. Any other flow is drawn win by win, ~k/(n d)
-    wins per trajectory, on ``_PATH_BLOCK``-sized blocks.
+    Returns per-trajectory (gross, net, stop). Each row draws its stop, N
+    or min(N, horizon) under an explicit ``horizon``, and its wins
+    K ~ Binomial(stop, k/n), two variates, and draws no reward: gross is the
+    expectation, given (stop, K), of the holder's rewards under the streak
+    bonus ``beta`` at slots up to the stop (see ``_holder_count_block``),
+    and net is gross less ``replacement_price`` at each of the K wins. So
+    the rows' mean is the raw flow's, and at a random reward or ``beta`` > 0
+    their variance is below it. With ``reduce``, returns its summed block
+    reductions instead, as ``sample_ticket_payoffs`` does.
     """
     if not (1 <= holder_tickets <= params.n):
         raise ValueError(f"holder must retain between 1 and n={params.n} tickets, got {holder_tickets}")
@@ -459,9 +365,7 @@ def sample_holder_flows(
         from .errors import DiscountRateError
         raise DiscountRateError(f"cannot stop a holder flow at d={params.d}; pass a horizon explicitly")
     head = (params, holder_tickets, beta, replacement_price, math.inf if horizon is None else horizon)
-    if beta == 0.0 and isinstance(params.reward, ConstantReward):
-        return _sample(_holder_count_block, head, trials, _BLOCK, seed, stream, workers, reduce)
-    return _sample(_holder_flow_block, head, trials, _PATH_BLOCK, seed, stream, workers, reduce)
+    return _sample(_holder_count_block, head, trials, _BLOCK, seed, stream, workers, reduce)
 
 
 def sample_pool_payoffs(

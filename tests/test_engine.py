@@ -1,17 +1,17 @@
 """Lottery state machine law, trajectory records, samplers, and estimator."""
 
+import itertools
 import math
 import os
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ticketsim import engine
 from ticketsim.analytics import (
@@ -25,12 +25,8 @@ from ticketsim.errors import DiscountRateError
 from ticketsim.engine import (
     _BLOCK,
     _PATH_BLOCK,
-    _WIN_CAP,
     _holder_count_block,
-    _holder_flow_block,
-    _holder_gaps,
     _holder_stops,
-    _scale_streaks,
     discount_horizon,
     sample_holder_flows,
     sample_pool_payoffs,
@@ -306,7 +302,9 @@ def test_sampler_matches_object_engine_statistically():
 
 def test_holder_flows_full_ownership_deterministic():
     # At k = n every slot is a holder win, so each trajectory collects c and
-    # buys a replacement at every slot up to its stop min(N, H), exactly.
+    # buys a replacement at every slot up to its stop S = min(N, H), exactly;
+    # under a streak bonus the win at slot t has streak t, so the bonus adds
+    # c beta S (S - 1) / 2.
     params = params_const(8, d=0.1, mu=3.0)
     horizon = 25
     gross, net, stops = sample_holder_flows(
@@ -316,6 +314,13 @@ def test_holder_flows_full_ownership_deterministic():
     assert 0 < np.count_nonzero(stops == horizon) < stops.size     # the cut and the random stop both act
     assert np.array_equal(gross, 3.0 * stops)
     assert np.array_equal(net, 3.0 * stops - 0.5 * stops)
+    beta = 0.5
+    bonus, net, same_stops = sample_holder_flows(
+        params, 8, 500, seed=9, beta=beta, replacement_price=0.5, horizon=horizon
+    )
+    assert np.array_equal(same_stops, stops)
+    assert np.array_equal(bonus, 3.0 * (stops + beta * stops * (stops - 1.0) / 2.0))
+    assert np.array_equal(net, bonus - 0.5 * stops)
 
 
 def test_holder_flows_share_scaling():
@@ -328,26 +333,30 @@ def test_holder_flows_share_scaling():
 
 
 def test_holder_flows_match_object_engine_with_streak_bonus():
+    # The sampler's rows are the flows' expectations given each row's stop
+    # and win count; their mean is the reference state machine's raw flows',
+    # at a random reward too.
     n, k, beta, d, horizon = 6, 2, 0.5, 0.05, 100
-    params = params_const(n, d=d)
     holders = ["whale"] * k + [MARKET_HOLDER] * (n - k)
-    rng = np.random.default_rng(61)
-    object_totals = np.array([
-        run_trajectory(
-            params, horizon=horizon, rng=rng, holders=holders, replacement=ReplacementRule.RETAIN,
-            multiblock=MultiBlockSpec(beta), stop_at_tracked_win=False,
-        ).holder_totals.get("whale", 0.0)
-        for _ in range(2_000)
-    ])
-    gross, _, _ = sample_holder_flows(params, k, 20_000, seed=61, beta=beta, horizon=horizon)
-    se = math.sqrt(object_totals.var(ddof=1) / object_totals.size)
-    se_fast = math.sqrt(gross.var(ddof=1) / gross.size)
-    assert abs(object_totals.mean() - gross.mean()) < 5.0 * math.hypot(se, se_fast)
+    for reward in (ConstantReward(1.0), calibrate_lognormal(1.0, 1.0)):
+        params = EconomyParams(n, d, reward)
+        rng = np.random.default_rng(61)
+        object_totals = np.array([
+            run_trajectory(
+                params, horizon=horizon, rng=rng, holders=holders, replacement=ReplacementRule.RETAIN,
+                multiblock=MultiBlockSpec(beta), stop_at_tracked_win=False,
+            ).holder_totals.get("whale", 0.0)
+            for _ in range(2_000)
+        ])
+        gross, _, _ = sample_holder_flows(params, k, 20_000, seed=61, beta=beta, horizon=horizon)
+        se = math.sqrt(object_totals.var(ddof=1) / object_totals.size)
+        se_fast = math.sqrt(gross.var(ddof=1) / gross.size)
+        assert abs(object_totals.mean() - gross.mean()) < 5.0 * math.hypot(se, se_fast), reward
 
 
 def test_holder_counts_match_object_engine():
-    # A constant reward at beta = 0 takes the win-count kernel, on blocks of
-    # _BLOCK rows: c times a Binomial(stop, k/n) count per row.
+    # At a constant reward and beta = 0 a row's flow is its own expectation,
+    # c times a Binomial(stop, k/n) count, on blocks of _BLOCK rows.
     n, k, d, horizon, c = 6, 2, 0.05, 100, 2.5
     params = params_const(n, d=d, mu=c)
     holders = ["whale"] * k + [MARKET_HOLDER] * (n - k)
@@ -369,38 +378,19 @@ def test_holder_counts_match_object_engine():
 
 def test_holder_flow_streak_premium_matches_exact_expectation():
     # A holder win at slot t has streak >= j with probability p^(j-1), so
-    # E[streak | win at t] = (1 - p^t)/(1 - p). Streaks run across many
-    # passes at this share, so the carry between passes is exercised; common
-    # draws for beta and beta=0 isolate the bonus, so the base is drawn by
-    # the thinned kernel on the same blocks, not by the win-count kernel
-    # that a constant reward at beta = 0 takes. The sum stops at the tail
-    # bound, 1e-9 of it.
+    # E[streak | win at t] = (1 - p^t)/(1 - p). Common draws for beta and
+    # beta = 0 (the same stops and win counts on the same seed) isolate the
+    # bonus. The sum stops at the tail bound, 1e-9 of it.
     n, k, beta, d = 3, 2, 0.5, 0.01
     params = params_const(n, d=d)
     p = k / n
     t = np.arange(1, discount_horizon(d) + 1, dtype=np.float64)
     exact = float(np.sum(p * beta * ((1.0 - p**t) / (1.0 - p) - 1.0) / (1.0 + d) ** t))
     bonus, _, _ = sample_holder_flows(params, k, 20_000, seed=5, beta=beta)
-    base, _, _ = engine._sample(_holder_flow_block, (params, k, 0.0, 0.0, math.inf), 20_000, _PATH_BLOCK,
-                                seed=5, stream=0, workers=1)
+    base, _, _ = sample_holder_flows(params, k, 20_000, seed=5)
     premium = bonus - base
     se = math.sqrt(premium.var(ddof=1) / premium.size)
     assert abs(premium.mean() - exact) < 4.0 * se
-
-
-@pytest.mark.parametrize("p", [1 / 8, 1 / 2, 7 / 8, 1 / 4096])
-def test_holder_gaps_follow_the_geometric_law(p):
-    # P(G > m) = (1 - p)^m at the m where it is about 0.9, 0.5, 0.1, 0.01 and
-    # 0.001, and at m = 1; the inversion raises no floating-point warning.
-    draws = 1_000_000
-    with warnings.catch_warnings(), np.errstate(all="raise"):
-        warnings.simplefilter("error")
-        gaps = _holder_gaps(p, np.empty(draws), np.random.default_rng(2024))
-    assert np.all(gaps >= 1.0) and np.array_equal(gaps, np.floor(gaps))
-    for m in sorted({1, *(math.ceil(math.log(q) / math.log1p(-p)) for q in (0.9, 0.5, 0.1, 0.01, 0.001))}):
-        exact = (1.0 - p) ** m
-        observed = np.count_nonzero(gaps > m) / draws
-        assert abs(observed - exact) < 4.0 * math.sqrt(exact * (1.0 - exact) / draws), m
 
 
 @pytest.mark.parametrize("d", [1e-2, 1e-4])
@@ -487,74 +477,58 @@ def _recorded_stops(exponentials, d, horizon) -> list:
     return [min(stop, horizon) for stop in stops]
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.5])
-@pytest.mark.parametrize("k", [1, 4, 7, 8])
-def test_holder_flow_block_matches_a_per_win_loop_on_recorded_draws(k, beta):
-    # The kernel's in-place passes against a plain loop over the same draws:
-    # each row's stop min(N, H) from its exponential, its gaps (all 1 at
-    # k = n, where no uniform is drawn), slots, streak (carried across
-    # passes) and its gross and purchases up to the stop.
-    n, d, price, count = 8, 0.05, 0.3, 40
-    for horizon in (math.inf, 30):
-        reward = _Recorded(calibrate_lognormal(1.0, 1.0))
-        rng = _RecordingRng(np.random.default_rng(k))
-        gross, net, stops = _holder_flow_block(rng, count, EconomyParams(n, d, reward), k, beta, price,
-                                               horizon)
-
-        [exponentials] = rng.exponentials
-        want_stops = _recorded_stops(exponentials, d, horizon)
-        assert stops.tolist() == want_stops
-        p = k / n
-        want_gross, want_paid = [0.0] * count, [0] * count
-        last, streak = [0] * count, [0] * count
-        uniforms = rng.uniforms if k < n else [None] * len(reward.draws)
-        assert len(uniforms) == len(reward.draws) and (k < n or not rng.uniforms)
-        assert len(reward.draws) >= 2 or horizon < math.inf       # streaks carry across passes
-        for pass_uniforms, rewards in zip(uniforms, reward.draws):
-            active = [i for i in range(count) if last[i] < want_stops[i]]
-            assert rewards.shape[0] == len(active)
-            for row, i in enumerate(active):
-                for j, r in enumerate(rewards[row]):
-                    gap = 1 if k == n else 1 + math.floor(math.log1p(-pass_uniforms[row, j]) / math.log1p(-p))
-                    streak[i] = streak[i] + 1 if gap == 1 else 1
-                    last[i] += gap
-                    if last[i] <= want_stops[i]:
-                        want_gross[i] += r * (1.0 + beta * (streak[i] - 1))
-                        want_paid[i] += 1
-        assert all(a >= b for a, b in zip(last, want_stops))
-        want_gross, want_paid = np.array(want_gross), np.array(want_paid, dtype=np.float64)
-        assert np.allclose(gross, want_gross, rtol=1e-12, atol=0.0)
-        assert np.allclose(net, want_gross - price * want_paid, rtol=0.0,
-                           atol=1e-12 * float(np.max(want_gross + price * want_paid)))
+def test_streak_sum_given_stop_and_wins_matches_every_win_pattern():
+    # Given S slots and K wins, each K-subset of the slots is equally likely;
+    # the bonus's sum of (streak - 1) over the wins, averaged over the
+    # subsets in exact rationals, is K (K - 1) / (S - K + 2).
+    for slots in range(11):
+        for wins in range(slots + 1):
+            total = patterns = 0
+            for chosen in itertools.combinations(range(slots), wins):
+                streak, previous = 0, None
+                for slot in chosen:
+                    streak = streak + 1 if previous == slot - 1 else 1
+                    total += streak - 1
+                    previous = slot
+                patterns += 1
+            assert Fraction(total, patterns) == Fraction(wins * (wins - 1), slots - wins + 2), (slots, wins)
 
 
 @pytest.mark.parametrize("d", [1e-2, 1e-8])
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_holder_count_block_draws_one_stop_and_one_count_per_row(k, d):
     # Each row draws one exponential for its stop and one binomial for its
-    # wins up to that stop, however small d is; the flows are exact
-    # multiples of the count, and at k = n every slot is a win.
-    n, c, price, count = 8, 2.5, 0.3, 40
-    params = EconomyParams(n, d, ConstantReward(c))
-    for horizon in (math.inf, 30):
+    # wins up to that stop, however small d is, and no reward: its flows are
+    # their expectations given (stop, wins), and at k = n every slot is a win.
+    n, price, count = 8, 0.3, 40
+
+    def flows(params, beta, horizon):
         rng = _RecordingRng(np.random.default_rng(k))
-        gross, net, stops = _holder_count_block(rng, count, params, k, 0.0, price, horizon)
-        [exponentials] = rng.exponentials
+        gross, net, stops = _holder_count_block(rng, count, params, k, beta, price, horizon)
         [(trials, p, wins)] = rng.binomials
-        assert exponentials.shape == wins.shape == (count,) and not rng.uniforms
-        assert stops.tolist() == _recorded_stops(exponentials, d, horizon) == trials.tolist()
-        assert p == k / n and np.all(wins <= trials)
-        assert gross.tobytes() == (c * wins.astype(np.float64)).tobytes()
-        assert net.tobytes() == ((c - price) * wins.astype(np.float64)).tobytes()
+        assert p == k / n and np.all(wins <= trials) and not rng.uniforms
+        assert not params.reward.draws
+        mu, wins = params.mu, wins.astype(np.float64)
+        if beta == 0.0:
+            want_gross, want_net = mu * wins, (mu - price) * wins
+        else:
+            want_gross = mu * (wins + beta * wins * (wins - 1.0) / (stops - wins + 2.0))
+            want_net = want_gross - price * wins
+        assert gross.tobytes() == want_gross.tobytes()
+        assert net.tobytes() == want_net.tobytes()
         if k == n:
             assert np.array_equal(wins, trials)
-    # Undiscounted, every row stops at the explicit horizon and draws only its count.
-    rng = _RecordingRng(np.random.default_rng(k))
-    gross, _, stops = _holder_count_block(rng, count, EconomyParams(n, 0.0, ConstantReward(c)), k, 0.0,
-                                          price, 30)
-    [(trials, _, wins)] = rng.binomials
-    assert not rng.exponentials and np.all(stops == 30.0) and np.all(trials == 30)
-    assert gross.tobytes() == (c * wins.astype(np.float64)).tobytes()
+        return rng, trials, stops
+
+    for law, beta in itertools.product((ConstantReward(2.5), calibrate_lognormal(1.0, 1.0)), (0.0, 0.5)):
+        for horizon in (math.inf, 30):
+            rng, trials, stops = flows(EconomyParams(n, d, _Recorded(law)), beta, horizon)
+            [exponentials] = rng.exponentials
+            assert exponentials.shape == (count,)
+            assert stops.tolist() == _recorded_stops(exponentials, d, horizon) == trials.tolist()
+        # Undiscounted, every row stops at the explicit horizon and draws only its count.
+        rng, trials, stops = flows(EconomyParams(n, 0.0, _Recorded(law)), beta, 30)
+        assert not rng.exponentials and np.all(stops == 30.0) and np.all(trials == 30)
 
 
 def test_holder_flows_validation():
@@ -571,32 +545,6 @@ def test_holder_flows_validation():
         sample_holder_flows(params_const(4, d=0.0), 2, 1000, seed=0)
     _, _, stops = sample_holder_flows(params_const(4, d=0.0), 2, 1000, seed=0, horizon=7)
     assert np.all(stops == 7.0)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    p=st.sampled_from([1 / 8, 1 / 2, 0.9, 1.0]),
-    rows=st.integers(1, 80),
-    width=st.integers(1, 64),
-    seed=st.integers(0, 2**32 - 1),
-    beta=st.sampled_from([0.25, 0.5, 3.0]),
-)
-def test_streak_scaling_matches_a_per_win_loop(p, rows, width, seed, beta):
-    rng = np.random.default_rng(seed)
-    gaps = rng.geometric(p, (rows, width)).astype(np.float64)
-    gaps[rng.random(rows) < 0.25] = 1.0          # rows made entirely of one-slot gaps
-    carry = rng.integers(0, 6, rows).astype(np.float64)
-    rewards = rng.lognormal(size=(rows, width))
-    expected, tails = rewards.copy(), np.empty(rows)
-    for i in range(rows):
-        streak = carry[i]
-        for j in range(width):
-            streak = streak + 1.0 if gaps[i, j] == 1 else 1.0
-            expected[i, j] *= 1.0 + beta * (streak - 1.0)
-        tails[i] = streak
-    got = _scale_streaks(rewards, gaps, carry, beta)
-    assert rewards.tobytes() == expected.tobytes()
-    assert got.tobytes() == tails.tobytes()
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -641,15 +589,9 @@ def test_pool_payoffs_solo_matches_closed_forms():
 
 
 def test_holder_flow_and_pool_memory_independent_of_d():
-    # Thinned holder flows draw at most a fixed number of wins per pass and
-    # pools one slot per member, so peak memory does not grow as the mean
-    # stop 1/d does. A random reward under a streak bonus keeps the flows on
-    # the thinned kernel. Its pass widens with 1/d until it holds _WIN_CAP
-    # wins per row (below d of about 6e-4 at k = 1, 2.5e-3 at k = 4), and
-    # then holds one buffer for its gaps and slots, one pass's rewards beside
-    # it, and the streak scaling's masks and indices, less than one more
-    # buffer at these shares. A constant reward at beta = 0 draws two
-    # variates per row, whatever d is.
+    # A holder flow draws two variates per row, whatever d, the reward and
+    # the streak bonus are, and a pool one slot per member, so peak memory
+    # does not grow as the mean stop 1/d does.
     def peak_mb(fn):
         tracemalloc.start()
         try:
@@ -658,16 +600,15 @@ def test_holder_flow_and_pool_memory_independent_of_d():
         finally:
             tracemalloc.stop()
 
-    buffer_mb = _PATH_BLOCK * _WIN_CAP * 8 / 1e6      # 256 KiB
+    sample_holder_flows(params_const(32), 1, _BLOCK, seed=3)     # first-call allocations
+    rows_mb = _BLOCK * 8 / 1e6      # one float64 per row of a block
     for k in (1, 4):
-        holder = {d: peak_mb(lambda: sample_holder_flows(
-            EconomyParams(32, d, calibrate_lognormal(1.0, 1.0)), k, _PATH_BLOCK, seed=3, beta=0.5))
-                  for d in (1e-3, 1e-4)}
-        assert holder[1e-4] < 4.0 * buffer_mb, k
-        assert holder[1e-4] <= 1.5 * holder[1e-3], k
-        counts = {d: peak_mb(lambda: sample_holder_flows(params_const(32, d=d), k, _BLOCK, seed=3))
-                  for d in (1e-2, 1e-8)}
-        assert counts[1e-8] <= 1.5 * counts[1e-2], k
+        for reward, beta in ((ConstantReward(1.0), 0.0), (calibrate_lognormal(1.0, 1.0), 0.5)):
+            holder = {d: peak_mb(lambda: sample_holder_flows(EconomyParams(32, d, reward), k, _BLOCK,
+                                                             seed=3, beta=beta))
+                      for d in (1e-2, 1e-8)}
+            assert holder[1e-8] <= 1.5 * holder[1e-2], (k, beta)
+            assert holder[1e-8] < 12 * rows_mb, (k, beta)
     pool = {h: peak_mb(lambda: sample_pool_payoffs(params_const(32), 4, 512, seed=3, horizon=h))
             for h in (1_000, 1_000_000)}
     assert pool[1_000_000] <= 1.5 * pool[1_000]
@@ -752,7 +693,7 @@ _DRIVER_CASES = {
     # sampler, its arguments between params and trials, options, block size, reward
     "ticket_payoffs": (sample_ticket_payoffs, (), {"horizon": 40}, _BLOCK, _LOGNORMAL),
     "win_slots": (sample_win_slots, (), {"horizon": 40}, _BLOCK, _LOGNORMAL),
-    "holder_flows": (sample_holder_flows, (4,), {"beta": 0.5, "replacement_price": 0.3}, _PATH_BLOCK,
+    "holder_flows": (sample_holder_flows, (4,), {"beta": 0.5, "replacement_price": 0.3}, _BLOCK,
                      _LOGNORMAL),
     "holder_counts": (sample_holder_flows, (4,), {"replacement_price": 0.3}, _BLOCK, ConstantReward(2.0)),
     "pool": (sample_pool_payoffs, (4,), {"horizon": 40}, _PATH_BLOCK, _LOGNORMAL),

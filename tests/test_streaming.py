@@ -44,7 +44,7 @@ def _peak_bytes(fn) -> int:
     ("verify", _BLOCK, lambda trials: run_verify(parse_config({"n": 8, "d": 0.5, "trials": trials}))),
     ("pool", _PATH_BLOCK,
      lambda trials: run_pool(parse_config({"n": 64, "d": 0.05, "pool": {"k": 4}, "trials": trials}))),
-    ("holder_value", _BLOCK,     # a constant reward at beta = 0: the win-count kernel
+    ("holder_value", _BLOCK,     # the holder kernel, at a constant reward and beta = 0
      lambda trials: estimate(EconomyParams(n=8, d=0.2, reward=ConstantReward(1.0)),
                              Quantity.HOLDER_VALUE, trials, 1, holder_share=0.25)),
 ])
