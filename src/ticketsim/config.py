@@ -399,7 +399,7 @@ def read_raw_config(path) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # a JSONDecodeError, or a UnicodeDecodeError
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(str(path), "top-level config must be a JSON object")

@@ -9,7 +9,6 @@ sampling call takes the caller's generator.
 
 from __future__ import annotations
 
-import csv
 import math
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, ClassVar
@@ -233,6 +232,7 @@ def load_empirical_rewards(path) -> EmpiricalReward:
 
     Malformed rows are a hard error naming the offending line number.
     """
+    import csv
     values = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

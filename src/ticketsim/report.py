@@ -8,7 +8,6 @@ JSONL as typed records before the rows.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from typing import NamedTuple, Optional, Union
@@ -83,6 +82,7 @@ def emit_report(
     if not rows:
         raise ValueError("refusing to emit an empty report")
     if fmt == "csv":
+        import csv
         with open(path, "w", newline="") as fh:
             if config is not None:
                 fh.write(f"# config={json.dumps(config, sort_keys=True, separators=(',', ':'))}\n")

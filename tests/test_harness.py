@@ -1101,6 +1101,91 @@ def test_cli_requires_subcommand():
     assert exc.value.code == 2
 
 
+def _cli_exit(argv) -> tuple:
+    """(exit code, stdout, stderr) of ``main(argv)``, returned or raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "unknown command 'bogus'"),
+    (["-x"], "unknown command '-x'"),
+    (["verify", "--bogus"], "unrecognized argument '--bogus'"),
+    (["verify", "extra"], "unrecognized argument 'extra'"),
+    (["verify", "--tri", "1000"], "unrecognized argument '--tri'"),      # no prefix abbreviations
+    (["verify", "--seed"], "--seed expects a value"),
+    (["verify", "--out", "--timings"], "--out expects a value"),
+    (["verify", "--trials", "many"], "--trials: not an integer: 'many'"),
+    (["verify", "--workers=1.5"], "--workers: not an integer: '1.5'"),
+    (["verify", "--timings=yes"], "--timings takes no value"),
+])
+def test_cli_usage_errors_exit_2(argv, message):
+    code, out, err = _cli_exit(argv)
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: ticketsim ")
+    assert error.startswith(f"ticketsim: error: {message}")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help", "verify"], ["verify", "-h"], ["pool", "--seed", "1", "--help"]])
+def test_cli_help_lists_the_commands_or_the_options(argv):
+    code, out, err = _cli_exit(argv)
+    assert (code, err) == (0, "")
+    names = list(cli._COMMANDS) if argv[0] in ("-h", "--help") else [f"--{name}" for name in cli._OPTIONS]
+    assert out.startswith("usage: ticketsim ") and all(name in out for name in names)
+
+
+def test_cli_equals_forms_and_repeated_flags(tmp_path):
+    # --name=value reads as --name value, and a repeated flag's last value wins.
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert main(["simulate", "--trials", "1000", "--seed", "3", "--out", str(spaced)]) == 0
+    assert main(["simulate", "--seed=8", "--trials=1000", f"--out={joined}", "--format=jsonl", "--format", "csv",
+                 "--seed", "3"]) == 0
+    assert joined.read_bytes() == spaced.read_bytes()
+
+
+def test_cli_bad_format_is_a_config_error(tmp_path):
+    code, _, err = _cli_exit(["analytic", "--format", "xml", "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert err == "config error: ConfigError: output.format: expected one of ('csv', 'jsonl'), got 'xml'\n"
+
+
+@pytest.mark.parametrize("output, flags", [("r.csv", ["--out", "x.csv"]), (["ab", "cd"], ["--format", "csv"])])
+def test_cli_flags_merge_only_into_an_output_object(tmp_path, output, flags):
+    config = _write_config(tmp_path, trials=None, output=output)
+    code, _, err = _cli_exit(["analytic", "--config", str(config), *flags])
+    assert code == 2
+    assert err.startswith("config error: ConfigError: output: expected an object, got ")
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config"),
+    (b"{", "invalid JSON"),
+    (b"\xff\xfe{}", "invalid JSON"),          # not UTF-8
+    (b"[]", "top-level config must be a JSON object"),
+])
+def test_cli_unreadable_config_is_a_config_error(tmp_path, content, message):
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_bytes(content)
+    code, _, err = _cli_exit(["analytic", "--config", str(config)])
+    assert code == 2
+    assert err.startswith(f"config error: ConfigError: {config}: {message}")
+
+
+def test_cli_unwritable_report_is_a_config_error(tmp_path):
+    out = tmp_path / "missing" / "r.csv"
+    code, stdout, err = _cli_exit(["analytic", "--out", str(out)])
+    assert code == 2 and not out.parent.exists()
+    assert "ticket_value" in stdout               # the rows were printed first
+    assert err.startswith("config error: ConfigError: output.path: cannot write report: ")
+
+
 def _mostly(moderate, extreme):
     """``moderate`` three draws in four, else ``extreme``."""
     return st.integers(0, 3).flatmap(lambda i: extreme if i == 0 else moderate)
@@ -1163,3 +1248,59 @@ def test_cli_every_drawn_config_runs_or_is_a_config_error(tmp_path_factory, comm
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([command, "--config", str(config)])
     assert code == 0 or (code == 2 and err.getvalue().startswith("config error:")), (code, err.getvalue())
+
+
+# What the command line's property test draws: each option's values, some
+# of them invalid, and the config files its --config values name.
+_ARGV_CONFIGS = {
+    "empty.json": "{}",
+    "pool.json": json.dumps({"n": 8, "pool": {"k": 2}}),
+    "multiblock.json": json.dumps({"multiblock": {"beta": 0.5}}),
+    "sweep.json": json.dumps({"sweep": {"parameter": "n", "values": [8, 16], "mc": True}}),
+    "output.json": json.dumps({"output": "r.csv"}),
+    "broken.json": "{",
+}
+_ARGV_VALUES = {
+    "config": st.sampled_from([*_ARGV_CONFIGS, "absent.json"]),
+    "seed": _mostly(st.integers(-1, 2**64).map(str), st.just("x")),
+    "trials": _mostly(st.integers(-1, 1000).map(str), st.just("1e3")),     # cheap runs only
+    "workers": st.sampled_from(["1", "0", "x"]),
+    "out": st.sampled_from(["r.out", "absent/r.out"]),
+    "format": st.sampled_from(["csv", "jsonl", "xml", ""]),
+    "timings": st.just(None),
+}
+
+
+def _argv_option(name):
+    """One option's tokens: mostly ``--name value`` or ``--name=value``, else
+    the flag alone."""
+    return _ARGV_VALUES[name].flatmap(lambda value: _mostly(
+        st.sampled_from([[f"--{name}", value], [f"--{name}={value}"]]), st.just([f"--{name}"]))
+        if value is not None else st.just([f"--{name}"]))
+
+
+_ARGV_TOKENS = _mostly(
+    st.sampled_from(list(cli._OPTIONS)).flatmap(_argv_option),
+    st.sampled_from([["-h"], ["--help"], ["--timings=1"], ["--bogus"], ["--tri"], ["extra"], ["--"], ["-"]]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command=st.sampled_from([*cli._COMMANDS, "bogus", "--help"]) | st.none(),
+       tokens=st.lists(_ARGV_TOKENS, max_size=4))
+def test_cli_every_drawn_argv_exits_0_1_or_2(tmp_path_factory, command, tokens):
+    # main ends in 0, 1 or 2, returned or raised as SystemExit, and in no
+    # other exception; exit 2 says why on stderr.
+    workdir = tmp_path_factory.mktemp("argv")
+    for name, text in _ARGV_CONFIGS.items():
+        (workdir / name).write_text(text)
+    argv = sum(tokens, [] if command is None else [command])
+    cwd = os.getcwd()
+    os.chdir(workdir)       # the drawn paths are relative
+    try:
+        code, out, err = _cli_exit(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert err.startswith(("usage: ticketsim ", "config error: ")), (argv, err)
