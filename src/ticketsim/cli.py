@@ -215,6 +215,5 @@ def run() -> None:
     sys.exit(main())
 
 
-# A pool's forkserver imports this module as __mp_main__, which must not run().
 if __name__ == "__main__":
     run()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -304,6 +305,17 @@ def _parse_multiblock(spec, path: str) -> tuple[MultiBlockSpec, dict]:
     return multiblock, multiblock._asdict()
 
 
+def _check_report_path(path) -> None:
+    """Reject a report path that no write can succeed at, before the run."""
+    if not isinstance(path, str) or not path:
+        raise ConfigError("output.path", f"expected a file path, got {path!r}")
+    if os.path.isdir(path):
+        raise ConfigError("output.path", f"{path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError("output.path", f"no directory {parent!r}")
+
+
 def _section(raw: dict, key: str, parse) -> tuple:
     """``parse``'s (typed value, normalized spec) of section ``key``, or (None, None)."""
     return parse(raw[key], key) if raw.get(key) is not None else (None, None)
@@ -343,8 +355,8 @@ def _parse(raw: dict, reward: Optional[tuple[RewardModel, dict]] = None) -> tupl
     out = _expect_mapping({} if raw.get("output") is None else raw["output"], "output")
     _check_keys(out, {"path", "format"}, "output")
     output_path = out.get("path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError("output.path", f"expected a string, got {output_path!r}")
+    if output_path is not None:
+        _check_report_path(output_path)
     output_format = out.get("format", "csv")
     if output_format not in OUTPUT_FORMATS:
         raise ConfigError("output.format", f"expected one of {OUTPUT_FORMATS}, got {output_format!r}")

@@ -21,8 +21,7 @@ class Frozen:
     """Base of the validated value types: ``__init__`` checks its arguments
     and stores them as the ``_fields``, which nothing may then reassign. An
     object equals one of its own type with equal fields, hashes and prints
-    by them, and unpickles through ``__init__`` (so a process pool's workers
-    receive it checked again)."""
+    by them, and unpickles through ``__init__``, so a copy is checked again."""
 
     _fields: ClassVar[tuple[str, ...]] = ()
 

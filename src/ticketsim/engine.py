@@ -46,14 +46,13 @@ Determinism contract: one driver (``_sample``) partitions every sampler's
 trajectories into fixed-size blocks; block ``b`` of a run draws from
 ``SeedSequence(seed, spawn_key=(stream, b))`` and results are merged in
 block order, so a given (seed, trials) pair produces bit-identical output
-regardless of the worker count. A sampler called with a ``reduce``
-function applies it to each block where the block is drawn (inside the
-worker when a pool is used) and adds the returned sums in block order, so
-it holds one block per worker in flight and memory that does not grow with
-trials; the CLI and ``quantities.estimate`` run every ensemble this way. A
-process pool takes chunks of at most ``_CHUNK`` blocks, at most four per
-worker submitted and not yet merged, so the parent's memory is bounded too.
-Called without one, the public samplers return per-trajectory arrays,
+regardless of the worker count. With ``workers > 1`` the blocks run on a
+thread pool (numpy draws and reduces a block outside the GIL), with at most
+four blocks per thread submitted and not yet merged. A sampler called with
+a ``reduce`` function applies it to each block where the block is drawn
+and adds the returned sums in block order, so its memory does not grow
+with trials; the CLI and ``quantities.estimate`` run every ensemble this
+way. Called without one, the public samplers return per-trajectory arrays,
 written into output arrays allocated once as the blocks come back.
 
 Each function imports numpy where it runs, so importing this module (which
@@ -63,8 +62,8 @@ and a command that samples loads it at its first draw.
 
 from __future__ import annotations
 
-import itertools
 import math
+import os
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
@@ -77,7 +76,6 @@ if TYPE_CHECKING:
 # depend on these constants, never on the worker count.
 _BLOCK = 4096        # tracked-ticket and holder samplers (small state per row)
 _PATH_BLOCK = 512    # pool sampler (k slots per row)
-_CHUNK = 8           # most blocks a pool worker takes in one task
 
 TAIL_TOLERANCE = 1e-9   # the tail the horizons below cut, to size an explicit horizon
 
@@ -118,14 +116,14 @@ def _run_block(task) -> tuple:
 def _sample(kernel, head: tuple, trials: int, block: int, seed: int, stream: int,
             workers: int, reduce=None) -> tuple:
     """Run ``kernel(substream(seed, stream, b), count, *head)`` over the
-    ``block``-sized blocks of ``trials``, serially or in a process pool.
+    ``block``-sized blocks of ``trials``, serially or on a thread pool of at
+    most one thread per CPU.
 
     With ``reduce``, each block's result is passed through it where the
     block is drawn, and the reduced tuples are added entry by entry in
-    block order; ``reduce`` must be picklable (a module-level function or a
-    ``functools.partial`` of one) for a pool. Without it, arrays are written
-    into place and counts summed. Each block derives its own substream, so
-    the merge is invariant to the worker count by construction.
+    block order. Without it, arrays are written into place and counts
+    summed. Each block derives its own substream, so the merge is invariant
+    to the worker count by construction.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -136,32 +134,21 @@ def _sample(kernel, head: tuple, trials: int, block: int, seed: int, stream: int
     merge = _add if reduce is not None else lambda results: _merge(results, trials)
     if workers <= 1 or trials <= block:
         return merge(map(_run_block, tasks))
-    import multiprocessing   # only a pool needs these
-    import tracemalloc
-    from concurrent.futures import ProcessPoolExecutor
-    size = max(1, min(-(-trials // block) // (4 * workers), _CHUNK))
-    chunks = iter(lambda: list(itertools.islice(tasks, size)), [])
-    # Under tracemalloc a thread freeing its state holds tracemalloc's lock, and a worker
-    # forked then waits on it for ever. A forkserver (far slower to start) runs no thread.
-    context = multiprocessing.get_context("forkserver") if tracemalloc.is_tracing() else None
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as ex:
-        return merge(itertools.chain.from_iterable(_windowed(ex, chunks, 4 * workers)))
+    from concurrent.futures import ThreadPoolExecutor   # only a pool needs it
+    threads = min(workers, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        return merge(_windowed(ex, tasks, 4 * threads))
 
 
-def _run_chunk(chunk: list) -> list:
-    return [_run_block(task) for task in chunk]
-
-
-def _windowed(ex, chunks, window: int):
-    """``_run_chunk`` over ``chunks`` in the pool ``ex``, results in chunk
-    order, with at most ``window`` chunks submitted and not yet merged, so
-    the parent holds a bounded number of tasks and results however many
-    blocks a run has."""
+def _windowed(ex, tasks, window: int):
+    """``_run_block`` over ``tasks`` in the pool ``ex``, results in block
+    order, with at most ``window`` blocks submitted and not yet merged, so
+    a run holds a bounded number of blocks however many it has."""
     pending = deque()
-    for chunk in chunks:
+    for task in tasks:
         if len(pending) == window:
             yield pending.popleft().result()
-        pending.append(ex.submit(_run_chunk, chunk))
+        pending.append(ex.submit(_run_block, task))
     while pending:
         yield pending.popleft().result()
 

@@ -3,7 +3,6 @@
 import itertools
 import math
 import os
-import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -635,26 +634,15 @@ def test_block_merge_holds_one_copy_of_the_output():
 
 
 def test_pool_holds_a_bounded_window_of_blocks():
-    # A pool run keeps at most a window of chunks of blocks submitted and not
-    # yet merged, so the parent's memory does not grow with the block count.
-    # Submitting every block's task at once holds ~0.4 kB a block, about
-    # 150 kB more at 1024 blocks than at 64. CPython keeps freed tuples on
-    # free lists that tracemalloc still counts, so warm runs under tracing
-    # fill them first.
-    #
-    # A pool forks its workers from this traced process. On CPython 3.11 a
-    # joined thread of the previous pool can still be freeing its thread
-    # state, which takes tracemalloc's lock without the GIL; a worker forked
-    # at that moment inherits the lock held and hangs before it runs (about
-    # one pool run in 150 on a 2-vCPU x86-64 machine). So each run first
-    # waits, with a deadline, until the OS has reaped every thread the test
-    # did not start with.
+    # A pool run keeps at most a window of blocks submitted and not yet
+    # merged, so its memory does not grow with the block count. Submitting
+    # every block's task at once holds ~0.4 kB a block, about 150 kB more at
+    # 1024 blocks than at 64. CPython keeps freed tuples on free lists that
+    # tracemalloc still counts, so warm runs under tracing fill them first.
     params = params_const(32)
     reduce = partial(block_sums, shifts=(32.0,), orders=(2,))
-    threads = _os_threads()
 
     def run(blocks):
-        _wait_for_threads(threads)
         sample_win_slots(params, blocks * _BLOCK, 1, horizon=40, workers=2, reduce=reduce)
 
     def peak(blocks):
@@ -673,19 +661,41 @@ def test_pool_holds_a_bounded_window_of_blocks():
     assert large - small < 40_000, (small, large)
 
 
-def _os_threads() -> set:
-    """This process's OS thread ids (empty where /proc is missing)."""
-    try:
-        return set(os.listdir("/proc/self/task"))
-    except FileNotFoundError:
-        return set()
+@pytest.mark.parametrize("cpus, threads", [(3, 3), (None, 1)])
+def test_pool_threads_are_capped_at_the_cpu_count(monkeypatch, cpus, threads):
+    # However many workers are asked for, the pool starts at most one thread
+    # per CPU and holds a window of four blocks per thread. The recording
+    # executor notes the size asked for and runs on two threads, and a
+    # process pool is refused outright, so the million-worker request starts
+    # no more than two threads and no process.
+    import concurrent.futures
 
+    sizes, windows = [], []
 
-def _wait_for_threads(threads: set, timeout: float = 10.0) -> None:
-    """Wait until this process runs no OS thread outside ``threads``."""
-    deadline = time.monotonic() + timeout
-    while _os_threads() - threads and time.monotonic() < deadline:
-        time.sleep(0.001)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=2)
+
+    windowed = engine._windowed
+
+    def recording_windowed(ex, tasks, window):
+        windows.append(window)
+        return windowed(ex, tasks, window)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(engine, "_windowed", recording_windowed)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    params = params_const(32)
+    trials = 3 * _BLOCK + 37
+    serial = sample_win_slots(params, trials, 5, horizon=40, workers=1)
+    pooled = sample_win_slots(params, trials, 5, horizon=40, workers=10**6)
+    assert sizes == [threads] and windows == [4 * threads]
+    assert serial[0].tobytes() == pooled[0].tobytes() and serial[1] == pooled[1] > 0
 
 
 _LOGNORMAL = calibrate_lognormal(1.0, 1.0)

@@ -1057,15 +1057,18 @@ def test_cli_pool_reports_byte_identical_across_workers(tmp_path, command, secti
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_cli_import_and_serial_run_leave_the_process_pool_unloaded():
-    # Only a run with workers > 1 imports the process pool.
+def test_cli_serial_run_loads_no_pool_and_a_pool_run_no_multiprocessing():
+    # Only a run with workers > 1 imports the thread pool, and no run imports
+    # multiprocessing.
     src = str(Path(ticketsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, ticketsim.cli; loaded = 'multiprocessing' in sys.modules; "
-            "ticketsim.cli.main(['simulate', '--trials', '1000']); "
-            "print(loaded, 'multiprocessing' in sys.modules)")
+    code = ("import sys, ticketsim.cli\n"
+            "loaded = lambda: print('loaded', 'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)\n"
+            "ticketsim.cli.main(['simulate', '--trials', '1000']); loaded()\n"
+            "ticketsim.cli.main(['simulate', '--workers', '2', '--trials', '20000']); loaded()\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.splitlines()[-1] == "False False"
+    assert [line for line in done.stdout.splitlines() if line.startswith("loaded ")] == [
+        "loaded False False", "loaded True False"]
 
 
 _GOLDEN_BASE = {"n": 64, "d": 0.02, "reward": {"kind": "constant", "mean": 2.0}}
@@ -1179,11 +1182,24 @@ def test_cli_unreadable_config_is_a_config_error(tmp_path, content, message):
 
 
 def test_cli_unwritable_report_is_a_config_error(tmp_path):
-    out = tmp_path / "missing" / "r.csv"
+    # A file name longer than any file system takes: only the write sees it.
+    out = tmp_path / ("r" * 300 + ".csv")
     code, stdout, err = _cli_exit(["analytic", "--out", str(out)])
-    assert code == 2 and not out.parent.exists()
+    assert code == 2 and list(tmp_path.iterdir()) == []
     assert "ticket_value" in stdout               # the rows were printed first
     assert err.startswith("config error: ConfigError: output.path: cannot write report: ")
+
+
+@pytest.mark.parametrize("out, message", [
+    ("", "expected a file path, got ''"),
+    (".", "'.' is a directory"),
+    ("missing/r.csv", "no directory 'missing'"),
+], ids=["empty", "directory", "missing-directory"])
+def test_cli_report_path_is_checked_before_the_run(tmp_path, monkeypatch, out, message):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = _cli_exit(["analytic", f"--out={out}"])
+    assert code == 2 and stdout == "" and list(tmp_path.iterdir()) == []
+    assert err == f"config error: ConfigError: output.path: {message}\n"
 
 
 def _mostly(moderate, extreme):
