@@ -16,13 +16,14 @@ sums any scalar term one t at a time under the same stop rule.
 
 from __future__ import annotations
 
-import decimal
 import math
-from decimal import Decimal
-from fractions import Fraction
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import DiscountRateError, DivergenceError
+
+if TYPE_CHECKING:
+    from decimal import Decimal
+    from fractions import Fraction
 
 
 def _check_rate(d: float) -> None:
@@ -152,9 +153,9 @@ _MAX_TERMS = 50_000_000   # least term budget of the term loop; a ratio near 1 g
 # Envelope slack: |term(t)| may exceed the anchored geometric envelope by a
 # polynomial factor (e.g. t * x^t) but not by more than this.
 _SLACK = 1e9
-# The doubling sum's arithmetic: 40 significant digits, so its O(log H)
-# roundings stay far below an epsilon of 1e-32.
-_DIGITS = decimal.Context(prec=40)
+# The doubling sum's significant digits, so its O(log H) roundings stay far
+# below an epsilon of 1e-32.
+_DIGITS = 40
 
 
 def doubling_series_sum(a: Fraction, r: Fraction, kind: str = "geometric",
@@ -174,6 +175,7 @@ def doubling_series_sum(a: Fraction, r: Fraction, kind: str = "geometric",
         raise ValueError(f"series kind must be one of {SERIES_KINDS}, got {kind!r}")
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    from fractions import Fraction
     return Fraction(a) * Fraction(_doubling_sum(r, kind == "linear", epsilon)[0])
 
 
@@ -181,8 +183,10 @@ def _doubling_sum(r: Fraction, linear: bool, epsilon: float) -> tuple[Decimal, i
     """The sum of r^(t-1), or of t*r^(t-1) when ``linear``, over t = 1..H, and H."""
     if not (0 <= r < 1):    # NaN fails it too
         raise DivergenceError(f"series does not contract: ratio {r} is not in [0, 1)")
+    from decimal import Context, Decimal, localcontext   # only the oracles need exact arithmetic
+    from fractions import Fraction
     r, eps = Fraction(r), Decimal(epsilon)
-    with decimal.localcontext(_DIGITS):
+    with localcontext(Context(prec=_DIGITS)):
         gap, ratio = (Decimal(f.numerator) / f.denominator for f in (1 - r, r))
 
         def settled(t: int, power: Decimal, total: Decimal) -> bool:

@@ -55,9 +55,11 @@ with trials; the CLI and ``quantities.estimate`` run every ensemble this
 way. Called without one, the public samplers return per-trajectory arrays,
 written into output arrays allocated once as the blocks come back.
 
-Each function imports numpy where it runs, so importing this module (which
-every command does) loads no numpy: the closed-form commands never load it,
-and a command that samples loads it at its first draw.
+``quantities`` registers this module without running its code, which runs
+at the first lookup of one of its names: a command's first draw. Each
+function imports numpy where it runs, so running this module loads no numpy
+either. The closed-form commands compile neither, and a command that samples
+compiles this module and loads numpy at its first draw.
 """
 
 from __future__ import annotations
@@ -346,8 +348,10 @@ def sample_holder_flows(
     """
     if not (1 <= holder_tickets <= params.n):
         raise ValueError(f"holder must retain between 1 and n={params.n} tickets, got {holder_tickets}")
-    if beta < 0.0:
-        raise ValueError(f"streak bonus coefficient must be >= 0, got {beta}")
+    if not (beta >= 0.0 and math.isfinite(beta)):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    if not math.isfinite(replacement_price):
+        raise ValueError(f"replacement_price must be finite, got {replacement_price}")
     if horizon is None and params.d <= 0.0:
         from .errors import DiscountRateError
         raise DiscountRateError(f"cannot stop a holder flow at d={params.d}; pass a horizon explicitly")

@@ -21,19 +21,61 @@ trial-length array.
 
 from __future__ import annotations
 
+import _thread
 import math
+import sys
+import types
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, partial
+from importlib.util import find_spec, module_from_spec
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from . import analytics, engine
+from . import analytics
 from .core import EconomyParams
 from .errors import ConfigError, DiscountRateError, NegativePriceError
 from .market import CaptureReport, FairValue, PricingPolicy, protocol_capture
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
+
+
+_DEFERRED_LOCK = _thread.allocate_lock()
+
+
+class _Deferred(types.ModuleType):
+    """A module whose code has not run: the first attribute lookup that its
+    namespace cannot answer runs it, once, and the module becomes a plain one.
+    The lock makes every other thread's first lookup wait for that run."""
+
+    def __getattr__(self, name: str):
+        with _DEFERRED_LOCK:
+            if type(self) is _Deferred:
+                self.__spec__.loader.exec_module(self)
+                self.__class__ = types.ModuleType
+        return getattr(self, name)
+
+
+def _deferred_import(name: str) -> types.ModuleType:
+    """Module ``name``, registered in ``sys.modules`` and on its package as
+    an import would, but with its code deferred (``_Deferred``) unless it
+    has already run."""
+    if name not in sys.modules:
+        spec = find_spec(name)
+        module = module_from_spec(spec)
+        module.__class__ = _Deferred
+        sys.modules[name] = module
+        package, _, child = name.rpartition(".")
+        setattr(sys.modules[package], child, module)
+    return sys.modules[name]
+
+
+# The samplers: a command that draws runs ``engine``'s code at its first
+# draw, and one that draws nothing never compiles it. It is registered here
+# all the same, so that a profiler finds it in ``sys.modules`` after
+# ``import ticketsim.cli``.
+engine = _deferred_import(f"{__package__}.engine")
 
 # The tail each oracle series leaves out, relative to its sum: 1e-32, eight
 # digits inside the doubling sum's 40, so E[V^2] - E[V]^2, taken in exact
@@ -121,11 +163,13 @@ class Run:
     @cached_property
     def discount(self) -> Fraction:
         """x = 1/(1+d), exactly."""
+        from fractions import Fraction   # only the oracles need exact arithmetic
         return 1 / (1 + Fraction(self.d))
 
     @cached_property
     def miss_chance(self) -> Fraction:
         """q = 1 - 1/n, a ticket's chance to miss a slot, exactly."""
+        from fractions import Fraction
         return Fraction(self.n - 1, self.n)
 
     @cached_property
@@ -137,6 +181,7 @@ class Run:
     def ticket_sum(self) -> Fraction:
         """Proof-structure series for the single-ticket value, unrounded: the
         sum of q^(t-1) * (1/n) * mu * x^t."""
+        from fractions import Fraction
         x = self.discount
         return analytics.doubling_series_sum(Fraction(self.mu) * x / self.n, self.miss_chance * x,
                                              "geometric", ORACLE_EPSILON)
@@ -202,6 +247,7 @@ class Run:
 
 def stream_series(run: Run, amount: float) -> float:
     """Series for the NPV of ``amount`` paid every slot: the sum of amount * x^t."""
+    from fractions import Fraction
     x = run.discount
     return float(analytics.doubling_series_sum(Fraction(amount) * x, x, "geometric", ORACLE_EPSILON))
 
@@ -209,6 +255,7 @@ def stream_series(run: Run, amount: float) -> float:
 def _variance_series(run: Run) -> float:
     """E[V^2] - E[V]^2 in exact rationals, rounded once. E[V^2] is the sum of
     q^(t-1) * (1/n) * (var_r + mu^2) * x^(2t)."""
+    from fractions import Fraction
     x2, mu = run.discount ** 2, Fraction(run.mu)
     second = analytics.doubling_series_sum((Fraction(run.var_r) + mu * mu) * x2 / run.n,
                                            run.miss_chance * x2, "geometric", ORACLE_EPSILON)
@@ -217,6 +264,7 @@ def _variance_series(run: Run) -> float:
 
 def _slots_to_win_series(run: Run) -> float:
     """The sum of t * q^(t-1) * (1/n)."""
+    from fractions import Fraction
     return float(analytics.doubling_series_sum(Fraction(1, run.n), run.miss_chance, "linear",
                                                ORACLE_EPSILON))
 

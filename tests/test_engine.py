@@ -546,6 +546,21 @@ def test_holder_flows_validation():
     assert np.all(stops == 7.0)
 
 
+@pytest.mark.parametrize("keyword, value, message", [
+    ("beta", math.nan, "beta must be finite and >= 0, got nan"),
+    ("beta", math.inf, "beta must be finite and >= 0, got inf"),
+    ("beta", -0.5, "beta must be finite and >= 0, got -0.5"),
+    ("replacement_price", math.nan, "replacement_price must be finite, got nan"),
+    ("replacement_price", math.inf, "replacement_price must be finite, got inf"),
+    ("replacement_price", -math.inf, "replacement_price must be finite, got -inf"),
+])
+def test_holder_flows_reject_a_non_finite_bonus_or_price(keyword, value, message):
+    # A NaN passes a bare ``beta < 0`` check and would come back as NaN flows.
+    with pytest.raises(ValueError) as caught:
+        sample_holder_flows(params_const(4), 2, 1000, seed=0, **{keyword: value})
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 @pytest.mark.parametrize("sampler", [
     lambda params, trials: sample_ticket_payoffs(params, trials, seed=0),

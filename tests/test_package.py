@@ -62,6 +62,11 @@ def test_cli_import_starts_no_blas_thread():
 
 
 def test_closed_form_commands_load_no_numpy(tmp_path):
+    # Nor do they run the samplers' module: ``ticketsim.engine`` is in
+    # ``sys.modules`` (a profiler looks it up there), but its namespace,
+    # read without a lookup that would run it, holds only what the import
+    # system set. The first lookup of a name runs it. The commands that run
+    # no oracle load neither ``fractions`` nor ``decimal``.
     configs = {
         "sweep": {"sweep": {"parameter": "n", "values": [8, 16, 32]}},
         "verify": {"n": 64, "trials": 1000},
@@ -74,8 +79,36 @@ def test_closed_form_commands_load_no_numpy(tmp_path):
     closed_form = [["analytic"], ["pricing"], ["sweep", "--config", str(tmp_path / "sweep.json")]]
     code = (f"from ticketsim.config import load_config\nfor path in {parsed!r}: load_config(path)\n"
             + _cli_then_loaded(closed_form)
+            + "engine = sys.modules['ticketsim.engine']\n"
+            "print(sorted(k for k in object.__getattribute__(engine, '__dict__') if k[:2] != '__'))\n"
+            "print(callable(getattr(engine, 'sample_win_slots')), 'numpy' in sys.modules)\n"
             + _cli_then_loaded([["simulate", "--trials", "1000"]]))    # a sampler loads it
-    assert _python(code).splitlines() == ["[0, 0, 0] False", "[0] True"]
+    assert _python(code).splitlines() == ["[0, 0, 0] False", "[]", "True False", "[0] True"]
+    samplers = [[verb, "--config", str(tmp_path / f"{verb}.json")] for verb in ("pool", "multiblock")]
+    code = (_cli_then_loaded(samplers)
+            + "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n")
+    assert _python(code).splitlines() == ["[0, 0] True", "[]"]
+
+
+def test_first_lookups_of_the_samplers_from_several_threads_all_succeed():
+    # Four threads released together look up a sampler in a module whose
+    # code has not run: one runs it, and the others wait for it instead of
+    # finding a half-filled namespace. Each attempt is a fresh process, with
+    # a short switch interval so that the threads interleave often.
+    code = ("import sys, threading, ticketsim.cli\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "engine, barrier, errors = sys.modules['ticketsim.engine'], threading.Barrier(4), []\n"
+            "def look_up():\n"
+            "    barrier.wait(60)\n"
+            "    try:\n"
+            "        engine.sample_holder_flows\n"
+            "    except Exception as exc:\n"
+            "        errors.append(repr(exc))\n"
+            "threads = [threading.Thread(target=look_up, daemon=True) for _ in range(4)]\n"
+            "for thread in threads: thread.start()\n"
+            "for thread in threads: thread.join(60)\n"
+            "print(errors, [thread.is_alive() for thread in threads])\n")
+    assert [_python(code) for _ in range(5)] == ["[] [False, False, False, False]"] * 5
 
 
 def test_cli_loads_no_dataclasses():
