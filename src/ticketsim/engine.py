@@ -98,6 +98,15 @@ def discount_horizon(d: float, tol: float = TAIL_TOLERANCE) -> int:
     return math.ceil(-math.log(tol) / math.log1p(d))
 
 
+def _horizon(horizon: Optional[float]) -> float:
+    """An explicit ``horizon``, or inf for none; a NaN or negative one is an error."""
+    if horizon is None:
+        return math.inf
+    if not horizon >= 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    return horizon
+
+
 # ---------------------------------------------------------------------------
 # Deterministic substreams and block plumbing
 # ---------------------------------------------------------------------------
@@ -129,6 +138,8 @@ def _sample(kernel, head: tuple, trials: int, block: int, seed: int, stream: int
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = (   # a generator: a serial run holds one block's task at a time
         (kernel, seed, stream, b, min(block, trials - lo), head, reduce)
         for b, lo in enumerate(range(0, trials, block))
@@ -291,10 +302,11 @@ def sample_ticket_payoffs(
     pays 0 and counts as truncated. With ``reduce``, returns its reduction
     of each block's (payoffs, truncated count, win slots capped at the
     horizon), summed over the blocks in block order (see ``_sample``), in
-    place of the arrays.
+    place of the arrays. Every sampler here raises ``ValueError`` for a NaN
+    or negative ``horizon`` and for ``workers`` < 1.
     """
     kernel = _ticket_payoff_block if reduce is None else _tracked_block
-    head = (params, math.inf if horizon is None else horizon)
+    head = (params, _horizon(horizon))
     return _sample(kernel, head, trials, _BLOCK, seed, stream, workers, reduce)
 
 
@@ -314,7 +326,7 @@ def sample_win_slots(
     Returns (slots, truncated_count), or with ``reduce`` its summed block
     reductions of them.
     """
-    head = (params, math.inf if horizon is None else horizon)
+    head = (params, _horizon(horizon))
     return _sample(_win_slot_block, head, trials, _BLOCK, seed, stream, workers, reduce)
 
 
@@ -355,7 +367,7 @@ def sample_holder_flows(
     if horizon is None and params.d <= 0.0:
         from .errors import DiscountRateError
         raise DiscountRateError(f"cannot stop a holder flow at d={params.d}; pass a horizon explicitly")
-    head = (params, holder_tickets, beta, replacement_price, math.inf if horizon is None else horizon)
+    head = (params, holder_tickets, beta, replacement_price, _horizon(horizon))
     return _sample(_holder_count_block, head, trials, _BLOCK, seed, stream, workers, reduce)
 
 
@@ -380,5 +392,5 @@ def sample_pool_payoffs(
     """
     if not (1 <= pool_tickets <= params.n):
         raise ValueError(f"pool size must be between 1 and n={params.n}, got {pool_tickets}")
-    head = (params, pool_tickets, math.inf if horizon is None else horizon)
+    head = (params, pool_tickets, _horizon(horizon))
     return _sample(_pool_payoff_block, head, trials, _PATH_BLOCK, seed, stream, workers, reduce)

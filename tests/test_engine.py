@@ -741,6 +741,23 @@ def test_sampler_output_bit_identical_across_workers(name):
             assert a == b > 0
 
 
+@pytest.mark.parametrize("sampler, head", [
+    (sample_ticket_payoffs, ()), (sample_win_slots, ()), (sample_holder_flows, (4,)), (sample_pool_payoffs, (4,)),
+], ids=["ticket_payoffs", "win_slots", "holder_flows", "pool"])
+def test_samplers_reject_a_nan_or_negative_horizon_and_fewer_than_one_worker(sampler, head):
+    # Unchecked, a negative horizon makes every win slot the horizon, a NaN
+    # one counts every win as truncated (or fails inside numpy), and a worker
+    # count below one runs serially.
+    params = params_const(32)
+    for horizon in (-5, -0.5, math.nan):
+        with pytest.raises(ValueError, match=rf"horizon must be >= 0, got {horizon}$"):
+            sampler(params, *head, 100, 1, horizon=horizon)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match=rf"workers must be >= 1, got {workers}$"):
+            sampler(params, *head, 100, 1, workers=workers)
+    assert len(sampler(params, *head, 100, 1, horizon=0, workers=1)) >= 2
+
+
 def test_substream_determinism_and_separation():
     a = substream(42, 0, 3).integers(0, 1_000_000, size=8)
     b = substream(42, 0, 3).integers(0, 1_000_000, size=8)

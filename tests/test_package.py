@@ -214,12 +214,63 @@ def test_cli_process_entry_freezes_the_heap_at_exit():
     assert _python(code).splitlines() == ["frozen before: False", "frozen at exit: True"]
 
 
-def test_cli_main_in_process_leaves_the_collector_as_it_was():
-    before = (gc.isenabled(), gc.get_freeze_count())
+def test_cli_main_in_process_leaves_the_collector_and_the_import_system_as_they_were():
+    # So a program that calls main(), like one that uses the library, keeps
+    # OpenSSL; only run() refuses it.
+    before = (gc.isenabled(), gc.get_freeze_count(), list(sys.meta_path), sys.modules.get("_hashlib"))
     with contextlib.redirect_stdout(io.StringIO()):
         codes = [main(["analytic"]), main(["verify", "--trials", "1000"])]
     assert codes == [0, 0]
-    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    assert (gc.isenabled(), gc.get_freeze_count(), sys.meta_path, sys.modules.get("_hashlib")) == before
+
+
+def _cli_entry_then_openssl(prelude: str) -> subprocess.CompletedProcess:
+    """Run ``prelude``, then ``python -m ticketsim.cli verify --trials 2000``
+    in the same fresh process; at exit, after run()'s own handlers, print
+    what ``sys.modules`` holds for ``_hashlib``, whether ``sys.meta_path`` is
+    as ``prelude`` left it, whether ``libcrypto`` is mapped, and a SHA-256."""
+    code = (f"{prelude}\n"
+            "import atexit, runpy, sys\n"
+            "meta_path = list(sys.meta_path)\n"
+            "def probe():\n"
+            "    import hashlib\n"
+            "    with open('/proc/self/maps') as maps:\n"
+            "        libcrypto = 'libcrypto' in maps.read()\n"
+            "    print(type(sys.modules.get('_hashlib')).__name__, sys.meta_path == meta_path, libcrypto,\n"
+            "          hashlib.sha256(b'x').hexdigest())\n"
+            "atexit.register(probe)\n"
+            "sys.argv = ['ticketsim', 'verify', '--trials', '2000']\n"
+            "runpy.run_module('ticketsim.cli', run_name='__main__', alter_sys=True)\n")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+
+
+_SHA256_X = "2d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881"
+needs_proc_maps = pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
+
+
+@needs_proc_maps
+def test_cli_process_refuses_openssl_and_hashes_with_the_builtin_digests():
+    # numpy.random imports hashlib and hmac, which import _hashlib; refused,
+    # they fall back to the builtin digests and libcrypto is never mapped.
+    done = _cli_entry_then_openssl("")
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.splitlines()[-2:] == ["verify: PASS (9/9 rows)", f"NoneType False False {_SHA256_X}"]
+
+
+@needs_proc_maps
+def test_cli_process_keeps_openssl_where_a_builtin_digest_is_missing():
+    # Without builtin md5, hashlib could build md5 only from OpenSSL, and
+    # without OpenSSL it would log an error for it.
+    done = _cli_entry_then_openssl("import sys; sys.modules['_md5'] = None")
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.splitlines()[-1] == f"module False True {_SHA256_X}"
+
+
+@needs_proc_maps
+def test_cli_process_keeps_openssl_that_is_already_loaded():
+    done = _cli_entry_then_openssl("import _hashlib")
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.splitlines()[-1] == f"module True True {_SHA256_X}"
 
 
 def test_cli_process_exit_codes(tmp_path):

@@ -1,7 +1,10 @@
 """Results that must not depend on the reward's unit: the oracle rows at
-every scale, and the Monte Carlo statistics where a deviation's 4th power
-would leave the float range."""
+every scale, the Monte Carlo statistics where a deviation's 4th power
+would leave the float range, and every sampling command's values and
+verdicts."""
 
+import contextlib
+import io
 import json
 import math
 import warnings
@@ -40,6 +43,20 @@ def test_variance_keeps_its_digits_where_it_is_subnormal():
     assert variance.closed_form < 1e-315 and variance.rel_err <= 1e-9
 
 
+# The verify rows that a tracked ticket's payoffs half again too large fail.
+_INFLATED_ROWS = ["ticket_value", "total_ticket_value", "issued_market_cap", "ticket_value_variance"]
+
+
+def _inflate_tracked_payoffs(monkeypatch):
+    tracked = engine._tracked_block
+
+    def inflated(*args):
+        payoff, truncated, slots = tracked(*args)
+        return 1.5 * payoff, truncated, slots
+
+    monkeypatch.setattr(engine, "_tracked_block", inflated)
+
+
 @pytest.mark.parametrize("reward", list(_REWARDS))
 def test_verify_gates_do_not_depend_on_the_reward_unit(monkeypatch, reward):
     # A stderr floor or a gate floor in absolute terms zeroes every stderr of
@@ -54,15 +71,9 @@ def test_verify_gates_do_not_depend_on_the_reward_unit(monkeypatch, reward):
 
     failures, z = verify()
     assert failures == [[]] * 3
-    tracked = engine._tracked_block
-
-    def inflated(*args):
-        payoff, truncated, slots = tracked(*args)
-        return 1.5 * payoff, truncated, slots
-
-    monkeypatch.setattr(engine, "_tracked_block", inflated)
+    _inflate_tracked_payoffs(monkeypatch)
     broken, broken_z = verify()
-    assert broken == [["ticket_value", "total_ticket_value", "issued_market_cap", "ticket_value_variance"]] * 3
+    assert broken == [_INFLATED_ROWS] * 3
     for scores in (z, broken_z):
         for other in scores[::2]:
             if reward == "constant":
@@ -94,3 +105,65 @@ def test_pool_stderrs_stay_finite_at_a_large_reward_unit():
         warnings.simplefilter("error")
         rows = run_pool(cfg)
     assert all(math.isfinite(row.mc_mean) and math.isfinite(row.mc_stderr) for row in rows)
+
+
+# ROADMAP item 8's full test: each sampling command at reward units 2^j.
+_SCALES = (-480, -40, 0, 40, 240)
+_SAMPLING = {
+    "verify": {},
+    "simulate": {},
+    "pool": {"pool": {"k": 4}},
+    "multiblock": {"multiblock": {"beta": 0.5}},
+}
+
+
+def _scale_exponent(row: str) -> int:
+    """The power of the reward unit that ``row``'s values carry."""
+    return 0 if row == "time_to_win" else 2 if "variance" in row else 1
+
+
+def _run_at_scale(tmp_path, command, reward, j) -> tuple[int, list, dict]:
+    """``command``'s exit code, the rows it prints as failing and its report
+    rows by name, run in-process on 2000 trials at reward mean 2^j."""
+    cfg = {**_SAMPLING[command], "trials": 2000, "seed": 3, "reward": _REWARDS[reward](2.0**j)}
+    report = tmp_path / "report.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main([command, "--config", _write(tmp_path, cfg), "--format", "jsonl", "--out", str(report)])
+    failed = [line.split()[0] for line in out.getvalue().splitlines() if line.endswith("  FAIL")]
+    records = [json.loads(line) for line in report.read_text().splitlines()]
+    return code, failed, {str(r["swept_value"]): r for r in records if r["type"] == "row"}
+
+
+@pytest.mark.parametrize("reward", list(_REWARDS))
+@pytest.mark.parametrize("command", list(_SAMPLING))
+def test_sampling_verdicts_do_not_depend_on_the_reward_unit(tmp_path, monkeypatch, command, reward):
+    runs = {j: _run_at_scale(tmp_path, command, reward, j)[:2] for j in _SCALES}
+    assert runs == {j: (0, []) for j in _SCALES}
+    if command != "verify":
+        return
+    _inflate_tracked_payoffs(monkeypatch)
+    assert {j: _run_at_scale(tmp_path, command, reward, j)[:2] for j in _SCALES} == {
+        j: (1, _INFLATED_ROWS) for j in _SCALES}
+
+
+@pytest.mark.parametrize("reward", [
+    "constant",
+    pytest.param("lognormal", marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 8: a lognormal reward is held as (mu_log, sigma_log), so its mean "
+        "and its draws are rounded by exp() and scale by 2^j only to ~1e-14"))),
+])
+@pytest.mark.parametrize("command", list(_SAMPLING))
+def test_sampling_values_scale_exactly_with_the_reward_unit(tmp_path, command, reward):
+    # In powers of two a sample, its moments and the closed forms scale
+    # exactly, so z keeps its bits, and so does a relative error (an
+    # absolute one, where the closed form is 0, scales with the row).
+    unit = _run_at_scale(tmp_path, command, reward, 0)[2]
+    for j in _SCALES:
+        rows = _run_at_scale(tmp_path, command, reward, j)[2]
+        assert list(rows) == list(unit)
+        for name, row in rows.items():
+            scale = 2.0 ** (j * _scale_exponent(name))
+            at_unit = {**unit[name], "rel_err": unit[name]["rel_err"] * (scale if row["closed_form"] == 0 else 1)}
+            for key in ("closed_form", "mc_mean", "mc_stderr"):
+                at_unit[key] *= scale
+            assert {key: row[key] for key in at_unit} == at_unit, (name, j)
