@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1072,9 +1073,24 @@ def test_cli_serial_run_loads_no_pool_and_a_pool_run_no_multiprocessing():
 
 
 _GOLDEN_BASE = {"n": 64, "d": 0.02, "reward": {"kind": "constant", "mean": 2.0}}
-# Reports that no sampler writes, with the configs that wrote the files
-# tests/data/<case>.<format>. Their bytes are fixed by the closed forms, the
-# series oracles (exact rationals, 40-digit decimals) and the emitter.
+_GOLDEN_REWARDS = {
+    "constant": _GOLDEN_BASE["reward"],
+    "lognormal": {"kind": "lognormal", "mean": 2.0, "sigma_log": 0.5},
+    "pareto": {"kind": "pareto", "shape": 4.5, "scale": 1.0},
+}
+_SAMPLED_BASE = {**_GOLDEN_BASE, "trials": 2000, "seed": 7}
+_SAMPLED_SECTIONS = {
+    "verify": {},
+    "pool": {"pool": {"k": 4}},
+    "multiblock": {"multiblock": {"beta": 0.5}, "holder_share": 0.25},
+}
+# The configs that wrote the files tests/data/<case>.<format>. The oracle
+# reports' bytes are fixed by the closed forms, the series oracles (exact
+# rationals, 40-digit decimals) and the emitter. The sampled reports' bytes
+# rest also on the block size, the substreams and numpy's variates
+# (``test_the_variates_behind_the_sampled_goldens_keep_their_first_draws``);
+# the 10 000-trial verify spans three tracked and holder blocks, so at two
+# workers it pins the thread pool's merge in block order.
 _GOLDEN = {
     "analytic": ("analytic", {**_GOLDEN_BASE, "holder_share": 0.25}),
     "pricing_fair": ("pricing", {**_GOLDEN_BASE, "policy": {"kind": "fair_value"}}),
@@ -1084,18 +1100,61 @@ _GOLDEN = {
     "sweep_d": ("sweep", {**_GOLDEN_BASE, "sweep": {"parameter": "d", "values": [0.001, 0.01, 0.1]}}),
     "sweep_mu": ("sweep", {**_GOLDEN_BASE, "sweep": {"parameter": "mu", "values": [0.5, 1.0, 3.0]}}),
     "sweep_p": ("sweep", {**_GOLDEN_BASE, "sweep": {"parameter": "p", "values": [0.125, 0.25, 0.5]}}),
+    **{f"{command}_{law}": (command, {**_SAMPLED_BASE, **section, "reward": reward})
+       for command, section in _SAMPLED_SECTIONS.items() for law, reward in _GOLDEN_REWARDS.items()},
+    "verify_10k": ("verify", {**_SAMPLED_BASE, "trials": 10_000}),
+    "simulate_ticket_value": ("simulate", {**_SAMPLED_BASE, "quantity": "ticket_value"}),
+    "simulate_control_value": ("simulate", {**_SAMPLED_BASE, "quantity": "control_value", "holder_share": 0.25}),
+    "sweep_n_mc": ("sweep", {**_SAMPLED_BASE, "sweep": {"parameter": "n", "values": [4, 16, 64], "mc": True}}),
 }
+_SAMPLED_GOLDEN = [case for case, (_, raw) in _GOLDEN.items() if "trials" in raw]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-@pytest.mark.parametrize("case", list(_GOLDEN))
-def test_cli_oracle_reports_keep_their_golden_bytes(tmp_path, case, fmt):
+def _golden_bytes_match(tmp_path, case, fmt, *flags) -> bool:
     command, raw = _GOLDEN[case]
     config, out = tmp_path / "config.json", tmp_path / f"report.{fmt}"
     config.write_text(json.dumps(raw))
-    assert main([command, "--config", str(config), "--out", str(out), "--format", fmt]) == 0
+    assert main([command, "--config", str(config), "--out", str(out), "--format", fmt, *flags]) == 0
     golden = Path(__file__).parent / "data" / f"{case}.{fmt}"
-    assert out.read_bytes() == golden.read_bytes()
+    return out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("case", [case for case in _GOLDEN if case not in _SAMPLED_GOLDEN])
+def test_cli_oracle_reports_keep_their_golden_bytes(tmp_path, case, fmt):
+    assert _golden_bytes_match(tmp_path, case, fmt)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("case", _SAMPLED_GOLDEN)
+def test_cli_sampled_reports_keep_their_golden_bytes(tmp_path, case, fmt, workers):
+    assert _golden_bytes_match(tmp_path, case, fmt, "--workers", str(workers)), (
+        f"{case}.{fmt} moved; if the first draws test fails too, numpy {np.__version__} "
+        f"changed a variate's stream")
+
+
+# The first draws on substream(0, 0, 0) of each variate the samplers and
+# reward laws take, under numpy 2.4.6. numpy does not promise its streams
+# across releases (NEP 19), so where this fails the sampled goldens fail
+# with it and need regenerating, with no change of the code at fault.
+_FIRST_DRAWS = {
+    "standard_exponential": (lambda rng: rng.standard_exponential(3),
+                             [1.0545469102572156, 2.3262532366469673, 0.20612720376771848]),
+    "binomial": (lambda rng: rng.binomial([10, 1000, 10**6], 0.25), [3, 218, 249265]),
+    "standard_normal": (lambda rng: rng.standard_normal(3),
+                        [0.7859067677198036, -0.9199529560235964, 1.4715789384981375]),
+    "pareto": (lambda rng: rng.pareto(4.5, 3),
+               [0.26407895457319164, 0.6768971709520191, 0.04687134562791275]),
+    "integers": (lambda rng: rng.integers(0, 64, 3), [1, 36, 58]),
+}
+
+
+@pytest.mark.parametrize("variate", list(_FIRST_DRAWS))
+def test_the_variates_behind_the_sampled_goldens_keep_their_first_draws(variate):
+    draw, first = _FIRST_DRAWS[variate]
+    assert draw(engine.substream(0, 0, 0)).tolist() == first, (
+        f"numpy {np.__version__} draws another {variate} stream than the goldens were written with")
 
 
 def test_cli_requires_subcommand():
