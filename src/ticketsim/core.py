@@ -209,6 +209,9 @@ class EmpiricalReward(RewardModel):
         import numpy as np
         return isinstance(other, EmpiricalReward) and np.array_equal(self._values, other._values)
 
+    def __hash__(self):
+        return hash((self._values.size, self._mean))     # equal values (-0.0 == 0.0) have equal means
+
 
 def calibrate_lognormal(target_mean: float, sigma_log: float) -> LognormalReward:
     """Lognormal model whose analytic mean equals ``target_mean``.

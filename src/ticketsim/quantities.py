@@ -2,14 +2,23 @@
 
 Each entry holds a quantity's closed form, its independent oracle (a
 series summed by ``analytics.doubling_series_sum``, or a complex-step
-derivative) and its Monte Carlo estimator: the
-ensemble it draws, on which RNG stream, and the statistic it takes of it.
+derivative) and its Monte Carlo estimator: the ensemble it reads, the
+column of that ensemble's sums, and the statistic it takes of them.
 Every ensemble draws the untruncated law. ``QUANTITIES`` holds the
 model quantities, ``POOL`` the rows of a payoff pool and ``PRICING`` those of
 protocol capture under a pricing policy; which command reads which entries
 is stated once, in ``harness``.
 
-Entries reach the samplers and the series oracle through their modules at
+The ensembles, declared once in ``ENSEMBLES``; a run draws each at most
+once (``Run.sums``), and streams 1, 2 and 4 stay unused:
+
+| name | ``engine`` sampler | stream | columns of its reduced sums |
+| --- | --- | --- | --- |
+| ``tracked`` | ``sample_ticket_payoffs`` | 0 | payoff, count truncated, win slot |
+| ``holder`` | ``sample_holder_flows`` | 3 | gross flow, net flow, each controlled by its stop |
+| ``pool`` | ``sample_pool_payoffs`` | 0 | member payoff, solo payoff, count truncated, paired table |
+
+Runs reach the samplers and the series oracle through their modules at
 call time, so that anything wrapping a module attribute (a profiler, a
 tracer) sees every call.
 
@@ -120,8 +129,8 @@ def holder_tickets(share: float, n: int) -> int:
 
 
 class Run:
-    """One run's inputs, with the oracle series and the ensembles that several
-    entries share, each computed at most once.
+    """One run's inputs, with the oracle series and the ensembles
+    (``ENSEMBLES``) that several entries share, each computed at most once.
 
     ``share`` is the configured holder share, or None. ``run.share``, the
     share the closed forms take, is then ``DEFAULT_HOLDER_SHARE`` where
@@ -139,6 +148,7 @@ class Run:
         self.mu, self.var_r, self.d, self.n = params.mu, params.var_r, params.d, params.n
         self.trials, self.seed, self.workers = trials, seed, workers
         self.beta, self.pool_size, self.policy = beta, pool_size, policy
+        self._sums: dict[str, tuple] = {}
 
     @property
     def share(self) -> float:
@@ -186,46 +196,13 @@ class Run:
         return analytics.doubling_series_sum(Fraction(self.mu) * x / self.n, self.miss_chance * x,
                                              "geometric", ORACLE_EPSILON)
 
-    @cached_property
-    def ticket_sums(self) -> tuple[PowerSums, int, PowerSums]:
-        """The tracked-ticket ensemble on stream 0: the power sums to order 4
-        of one ticket's discounted payoff about its closed form, the count of
-        trajectories truncated (none: no horizon is set), and the power sums
-        to order 2 of its win slot about n."""
-        shifts = (ticket_mean(self.params), float(self.n))
-        return engine.sample_ticket_payoffs(
-            self.params, self.trials, self.seed, workers=self.workers, stream=0,
-            reduce=partial(block_sums, shifts=shifts, orders=(4, 2)))
-
-    @cached_property
-    def holder_sums(self) -> tuple[PowerSums, PowerSums]:
-        """Power sums to order 2 of the (gross, net) flows of ``holder_tickets``
-        tickets under the streak bonus ``beta``, replaced at the fair price,
-        on stream 3, about their closed forms: the run's one holder ensemble.
-        Each flow v of closed form s enters as v - s d (N - m), N its stop and
-        m = E[N] = 1/d: a control variate (Glasserman, *Monte Carlo Methods
-        in Financial Engineering*, 2003, sec. 4.1), unbiased as m is exact.
-        Streams 1, 2 and 4 stay unused."""
-        k = self.holder_tickets
-        net = analytics.control_value(k / self.n, self.mu, self.d, self.n)
-        shifts = (holder_mean(self, k, self.beta), net)
-        return engine.sample_holder_flows(
-            self.params, k, self.trials, self.seed, beta=self.beta, replacement_price=fair_price(self),
-            workers=self.workers, stream=3,
-            reduce=partial(holder_block_sums, shifts=shifts, slopes=tuple(s * self.d for s in shifts),
-                           stop_mean=1.0 / self.d))
-
-    @cached_property
-    def pool(self) -> tuple:
-        """The ``pool_sums`` of one ensemble of a ``pool_size``-ticket
-        equal-share pool, on stream 0: (member, solo, truncated, paired).
-        Solo and pooled payoffs come from the same trajectories.
-        """
-        if self.pool_size is None:
-            raise ConfigError("pool", "pool command needs a pool section")
-        return engine.sample_pool_payoffs(
-            self.params, self.pool_size, self.trials, self.seed, workers=self.workers, stream=0,
-            reduce=partial(pool_sums, shift=ticket_mean(self.params)))
+    def sums(self, name: str, column: Optional[int] = None):
+        """Ensemble ``name``'s reduced sums (at ``column``, if given), drawn at most once."""
+        if name not in self._sums:
+            sampler, stream, arguments = ENSEMBLES[name]
+            self._sums[name] = getattr(engine, sampler)(self.params, trials=self.trials, seed=self.seed,
+                                                        workers=self.workers, stream=stream, **arguments(self))
+        return self._sums[name] if column is None else self._sums[name][column]
 
     @cached_property
     def capture(self) -> CaptureReport:
@@ -276,12 +253,6 @@ def _complex_step(f: Callable[[complex], complex], n: int) -> float:
     return f(complex(n, h)).imag / h
 
 
-def ticket_mean(params: EconomyParams) -> float:
-    """E[V] = mu / (n d + 1), a ticket's closed-form value: the shift of the
-    ticket-payoff sums."""
-    return params.mu / (params.n * params.d + 1.0)
-
-
 def holder_mean(run: Run, k: int, beta: float) -> float:
     """Expected gross flow of k retained tickets under streak bonus beta:
     (p mu / d) (1 + beta p / (1 + d - p)) with p = k/n, the shift of the
@@ -297,6 +268,8 @@ def holder_mean(run: Run, k: int, beta: float) -> float:
 
 
 def fair_price(run: Run) -> float:
+    """E[V] = mu / (n d + 1), a ticket's closed-form value: the holder's
+    replacement price and the shift of the ticket-payoff sums."""
     return analytics.expected_ticket_value(run.mu, run.d, run.n)
 
 
@@ -384,7 +357,8 @@ def holder_block_sums(parts: tuple, shifts: tuple[float, float], slopes: tuple[f
                       stop_mean: float) -> tuple[PowerSums, PowerSums]:
     """A holder block's (gross, net, stop) reduced to the power sums to
     order 2 of each flow v minus ``slope * (stop - stop_mean)``, about its
-    shift: the control variate of ``Run.holder_sums``."""
+    shift: a control variate (Glasserman, *Monte Carlo Methods in Financial
+    Engineering*, 2003, sec. 4.1), unbiased where ``stop_mean`` is exact."""
     *flows, stops = parts
     excess = stops - stop_mean
     return tuple(power_sums(flow - slope * excess, shift, 2)
@@ -408,6 +382,33 @@ def pool_sums(parts: tuple, shift: float) -> tuple:
     e_powers, f_powers = np.stack([ones, e, e * e]), np.stack([ones, f, f * f])
     paired = (e_powers[:, None, :] * f_powers[None, :, :]).sum(axis=2)
     return power_sums(member, shift, 4), power_sums(solo, shift, 4), truncated, paired
+
+
+def _tracked_arguments(run: Run) -> dict:
+    return {"reduce": partial(block_sums, shifts=(fair_price(run), float(run.n)), orders=(4, 2))}
+
+
+def _holder_arguments(run: Run) -> dict:
+    # Each flow v of closed form s enters as v - s d (N - 1/d), N its stop.
+    k = run.holder_tickets
+    shifts = (holder_mean(run, k, run.beta), analytics.control_value(k / run.n, run.mu, run.d, run.n))
+    reduce = partial(holder_block_sums, shifts=shifts, slopes=tuple(s * run.d for s in shifts),
+                     stop_mean=1.0 / run.d)
+    return {"holder_tickets": k, "beta": run.beta, "replacement_price": fair_price(run), "reduce": reduce}
+
+
+def _pool_arguments(run: Run) -> dict:
+    if run.pool_size is None:
+        raise ConfigError("pool", "pool command needs a pool section")
+    return {"pool_tickets": run.pool_size, "reduce": partial(pool_sums, shift=fair_price(run))}
+
+
+# name: (``engine`` sampler, stream, its keywords on a run, the reducer bound to the run's shifts)
+ENSEMBLES: dict[str, tuple[str, int, Callable[[Run], dict]]] = {
+    "tracked": ("sample_ticket_payoffs", 0, _tracked_arguments),
+    "holder": ("sample_holder_flows", 3, _holder_arguments),
+    "pool": ("sample_pool_payoffs", 0, _pool_arguments),
+}
 
 
 def paired_stderr(paired: np.ndarray, unit: float) -> float:
@@ -436,20 +437,21 @@ def _total_value(run: Run, sums: PowerSums) -> tuple[float, float]:
 
 
 class Entry(NamedTuple):
-    """One quantity. An entry with an ``ensemble`` has a Monte Carlo
-    estimator: ``statistic`` of the ensemble's power sums. ``sign`` is the
-    sign the paper gives the closed form when mu > 0 (0 when it states
-    none)."""
+    """One quantity. An entry that names an ``ensemble`` has a Monte Carlo
+    estimator: ``statistic`` of the ensemble's reduced sums at ``column``,
+    or of all of them where ``column`` is None. ``sign`` is the sign the
+    paper gives the closed form when mu > 0 (0 when it states none)."""
 
     closed: Callable[[Run], float]
     oracle: Optional[Callable[[Run], float]] = None
-    ensemble: Optional[Callable[[Run], PowerSums]] = None
+    ensemble: Optional[str] = None
+    column: Optional[int] = None
     statistic: Callable[[Run, PowerSums], tuple[float, float]] = lambda run, sums: sums.mean_stderr()
     sign: int = 0
 
     def estimate(self, run: Run) -> Estimate:
         self.closed(run)    # first: a quantity of a share fails fast where the run has none
-        mean, stderr = self.statistic(run, self.ensemble(run))
+        mean, stderr = self.statistic(run, run.sums(self.ensemble, self.column))
         ci95 = (mean - 1.96 * stderr, mean + 1.96 * stderr)
         return Estimate(mean, stderr, ci95, run.trials)
 
@@ -459,40 +461,36 @@ class Entry(NamedTuple):
         return closed * self.sign > 0.0 if mu > 0.0 else closed == 0.0
 
 
-def _payoffs(run: Run) -> PowerSums:
-    return run.ticket_sums[0]
-
-
 QUANTITIES: dict[Quantity, Entry] = {
     # The expected gross flow is linear in the tickets held, so n/k times
     # the gross flow of the shared ensemble's k tickets estimates mu/d.
     Quantity.NPV_REWARDS: Entry(
         closed=lambda run: analytics.npv_rewards(run.mu, run.d),
         oracle=lambda run: run.reward_series,
-        ensemble=lambda run: run.holder_sums[0],
+        ensemble="holder", column=0,
         statistic=lambda run, gross: _scaled_mean(run.n / run.holder_tickets, gross),
     ),
     Quantity.TICKET_VALUE: Entry(
         closed=lambda run: analytics.expected_ticket_value(run.mu, run.d, run.n),
         oracle=lambda run: float(run.ticket_sum),
-        ensemble=_payoffs,
+        ensemble="tracked", column=0,
     ),
     Quantity.TOTAL_TICKET_VALUE: Entry(
         closed=lambda run: analytics.total_ticket_value(run.mu, run.d, run.n),
         oracle=lambda run: run.reward_series,
-        ensemble=_payoffs,
+        ensemble="tracked", column=0,
         statistic=_total_value,
     ),
     Quantity.ISSUED_MARKET_CAP: Entry(
         closed=lambda run: analytics.issued_market_cap(run.mu, run.d, run.n),
         oracle=lambda run: run.n * float(run.ticket_sum),
-        ensemble=_payoffs,
+        ensemble="tracked", column=0,
         statistic=lambda run, sums: _scaled_mean(run.n, sums),
     ),
     Quantity.TIME_TO_WIN: Entry(
         closed=lambda run: analytics.expected_slots_to_win(run.n),
         oracle=_slots_to_win_series,
-        ensemble=lambda run: run.ticket_sums[2],
+        ensemble="tracked", column=2,
     ),
     Quantity.TICKET_VALUE_DERIVATIVE: Entry(
         closed=lambda run: analytics.ticket_value_derivative_n(run.mu, run.d, run.n),
@@ -504,7 +502,7 @@ QUANTITIES: dict[Quantity, Entry] = {
     Quantity.CONTROL_VALUE: Entry(
         closed=lambda run: analytics.control_value(run.share, run.mu, run.d, run.n),
         oracle=lambda run: run.share * run.n * float(run.ticket_sum),
-        ensemble=lambda run: run.holder_sums[1],
+        ensemble="holder", column=1,
         statistic=lambda run, net: _scaled_mean(run.share * run.n / run.holder_tickets, net),
     ),
     Quantity.CONTROL_VALUE_DERIVATIVE: Entry(
@@ -515,20 +513,16 @@ QUANTITIES: dict[Quantity, Entry] = {
     Quantity.TICKET_VALUE_VARIANCE: Entry(
         closed=lambda run: analytics.ticket_value_variance(run.mu, run.var_r, run.d, run.n),
         oracle=_variance_series,
-        ensemble=_payoffs,
+        ensemble="tracked", column=0,
         statistic=lambda run, sums: sums.variance_stderr(),
     ),
     # Gross holder flow collects the holder's share of every slot's reward;
     # under a streak bonus the closed form is only the additive reference.
     Quantity.HOLDER_VALUE: Entry(
         closed=lambda run: run.held_share * analytics.npv_rewards(run.mu, run.d),
-        ensemble=lambda run: run.holder_sums[0],
+        ensemble="holder", column=0,
     ),
 }
-
-
-def _pool_entry(closed: Callable[[Run], float], statistic) -> Entry:
-    return Entry(closed=closed, ensemble=lambda run: run.pool, statistic=statistic)
 
 
 def _solo_variance(run: Run) -> float:
@@ -542,12 +536,14 @@ def _variance_gap(run: Run, pool: tuple) -> tuple[float, float]:
     return member.variance_stderr()[0] - solo.variance_stderr()[0], paired_stderr(paired, member.unit)
 
 
-# A pool's rows, from one ensemble (``Run.pool``). The pooled variance has no
+# A pool's rows, from one ensemble (``pool``). The pooled variance has no
 # closed form yet: it is compared with the solo variance's, and the gap with 0.
 POOL: dict[str, Entry] = {
-    "solo_variance": _pool_entry(_solo_variance, lambda run, pool: pool[1].variance_stderr()),
-    "pooled_per_ticket_variance": _pool_entry(_solo_variance, lambda run, pool: pool[0].variance_stderr()),
-    "variance_gap": _pool_entry(lambda run: 0.0, _variance_gap),
+    "solo_variance": Entry(_solo_variance, ensemble="pool", column=1,
+                           statistic=lambda run, solo: solo.variance_stderr()),
+    "pooled_per_ticket_variance": Entry(_solo_variance, ensemble="pool", column=0,
+                                        statistic=lambda run, member: member.variance_stderr()),
+    "variance_gap": Entry(lambda run: 0.0, ensemble="pool", statistic=_variance_gap),
 }
 
 

@@ -166,6 +166,15 @@ def test_empirical_reward_rejects_bad_data():
         EmpiricalReward([1.0, float("nan")])
 
 
+def test_empirical_params_hash_as_they_compare():
+    # -0.0 is an accepted reward and equals 0.0, so their params are equal
+    # and hash alike; the bytes of the values differ.
+    plus, minus = (EconomyParams(4, 0.1, EmpiricalReward([zero, 2.0])) for zero in (0.0, -0.0))
+    assert plus == minus and hash(plus) == hash(minus)
+    assert {plus: 1}[minus] == 1
+    assert plus != EconomyParams(4, 0.1, EmpiricalReward([2.0, 0.0]))
+
+
 # ---------------------------------------------------------------------------
 # Empirical CSV ingestion
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -258,7 +259,9 @@ def test_run_verify_detects_corrupted_closed_form(monkeypatch):
     )
     # The ticket payoffs' sums are shifted by their closed-form mean; moving
     # that shift to the corrupted value too moves no estimate beyond rounding.
-    monkeypatch.setattr(quantities, "ticket_mean", lambda params: 0.9)
+    sampler, stream, _ = quantities.ENSEMBLES["tracked"]
+    monkeypatch.setitem(quantities.ENSEMBLES, "tracked", (sampler, stream, lambda run: {
+        "reduce": partial(quantities.block_sums, shifts=(0.9, float(run.n)), orders=(4, 2))}))
     outcome = run_verify(small_cfg())
     assert outcome.failures == ["ticket_value"]
     for a, b in zip(clean, outcome.rows):
@@ -293,22 +296,41 @@ def test_run_verify_lognormal_rewards():
     assert not outcome.failures, f"failures: {outcome.failures}"
 
 
-def test_run_verify_draws_one_holder_ensemble(monkeypatch):
-    # npv_rewards and control_value read one holder ensemble, drawn once on
-    # stream 3: the default share 0.125 of 32 tickets holds k = 4.
-    streams = []
-    sample = engine.sample_holder_flows
+_SAMPLERS = ("sample_ticket_payoffs", "sample_holder_flows", "sample_pool_payoffs")
 
-    def counted(*args, **kwargs):
-        streams.append(kwargs["stream"])
-        return sample(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "sample_holder_flows", counted)
+def _simulate_every_quantity(cfg):
+    run = Run(cfg.params, 0.125, trials=cfg.trials, seed=cfg.seed)
+    return [entry.estimate(run) for _, entry in entries(estimator=True)]
+
+
+@pytest.mark.parametrize("command, section, drawn", [
+    (run_verify, {}, {"sample_ticket_payoffs": [0], "sample_holder_flows": [3]}),
+    (run_pool, {"pool": {"k": 4}}, {"sample_pool_payoffs": [0]}),
+    (run_multiblock, {"multiblock": {"beta": 0.5}}, {"sample_holder_flows": [3]}),
+    (_simulate_every_quantity, {}, {"sample_ticket_payoffs": [0], "sample_holder_flows": [3]}),
+], ids=["verify", "pool", "multiblock", "simulate"])
+def test_each_ensemble_is_drawn_at_most_once_per_run_on_its_stream(monkeypatch, command, section, drawn):
+    # However many rows read an ensemble, a run draws it once, on the stream
+    # that ENSEMBLES declares.
+    streams = {name: [] for name in _SAMPLERS}
+    for name in _SAMPLERS:
+        def counted(*args, _sample=getattr(engine, name), _streams=streams[name], **kwargs):
+            _streams.append(kwargs["stream"])
+            return _sample(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counted)
+    command(parse_config({"trials": 1000, **section}))
+    assert streams == {name: drawn.get(name, []) for name in _SAMPLERS}
+
+
+def test_run_verify_holder_rows_are_the_controlled_flows_of_one_ensemble():
+    # npv_rewards and control_value read one holder ensemble on stream 3,
+    # as holder_value does: the default share 0.125 of 32 tickets holds k = 4.
     cfg = parse_config({})
     rows = {row.swept_value: row for row in run_verify(cfg).rows}
-    assert streams == [3]
-    gross, net, stops = sample(cfg.params, 4, cfg.trials, cfg.seed,
-                               replacement_price=expected_ticket_value(1.0, 0.01, 32), stream=3)
+    gross, net, stops = engine.sample_holder_flows(cfg.params, 4, cfg.trials, cfg.seed,
+                                                   replacement_price=expected_ticket_value(1.0, 0.01, 32), stream=3)
     # Each flow is controlled by its stop: v - (its mean per slot) (N - 1/d),
     # at p = 4/32 and d = 0.01.
     gross = gross - 0.125 * (stops - 100.0)
@@ -322,25 +344,9 @@ def test_run_verify_draws_one_holder_ensemble(monkeypatch):
     mean, stderr = power_sums(gross, float(gross.mean()), 2).mean_stderr()
     assert rows["npv_rewards"].mc_mean == pytest.approx(8 * mean, rel=1e-12, abs=0)
     assert rows["npv_rewards"].mc_stderr == pytest.approx(8 * stderr, rel=1e-12, abs=0)
-
-
-def test_one_run_draws_one_holder_ensemble_for_every_holder_row(monkeypatch):
-    # holder_value reads the gross flows of the ensemble that npv_rewards and
-    # control_value read, so a run that estimates all three draws it once.
-    streams = []
-    sample = engine.sample_holder_flows
-
-    def counted(*args, **kwargs):
-        streams.append(kwargs["stream"])
-        return sample(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "sample_holder_flows", counted)
-    run = Run(parse_config({}).params, 0.125, trials=1000, seed=5)
-    npv, _, holder = (QUANTITIES[quantity].estimate(run) for quantity in
-                      (Quantity.NPV_REWARDS, Quantity.CONTROL_VALUE, Quantity.HOLDER_VALUE))
-    assert streams == [3]
-    # npv_rewards is n/k = 8 times the mean gross flow of the k = 4 tickets.
-    assert (npv.mean, npv.stderr) == (8 * holder.mean, 8 * holder.stderr)
+    # npv_rewards is n/k = 8 times holder_value, the mean gross flow of the k = 4 tickets.
+    holder = QUANTITIES[Quantity.HOLDER_VALUE].estimate(Run(cfg.params, 0.125, trials=cfg.trials, seed=cfg.seed))
+    assert (rows["npv_rewards"].mc_mean, rows["npv_rewards"].mc_stderr) == (8 * holder.mean, 8 * holder.stderr)
 
 
 def test_npv_rewards_gate_holds_with_lognormal_rewards():
@@ -1137,7 +1143,7 @@ def test_cli_sampled_reports_keep_their_golden_bytes(tmp_path, case, fmt, worker
 # The first draws on substream(0, 0, 0) of each variate the samplers and
 # reward laws take, under numpy 2.4.6. numpy does not promise its streams
 # across releases (NEP 19), so where this fails the sampled goldens fail
-# with it and need regenerating, with no change of the code at fault.
+# with it and need regenerating, though no code is at fault.
 _FIRST_DRAWS = {
     "standard_exponential": (lambda rng: rng.standard_exponential(3),
                              [1.0545469102572156, 2.3262532366469673, 0.20612720376771848]),

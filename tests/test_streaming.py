@@ -13,7 +13,7 @@ from ticketsim.core import ConstantReward, EconomyParams, EmpiricalReward, Paret
 from ticketsim.engine import _BLOCK, _PATH_BLOCK, sample_pool_payoffs
 from ticketsim.harness import run_pool, run_verify
 from ticketsim.quantities import (
-    POOL, Quantity, Run, entries, estimate, pool_sums, power_sums, ticket_mean,
+    POOL, Quantity, Run, entries, estimate, fair_price, pool_sums, power_sums,
 )
 
 # A streamed run holds a block per ensemble in flight, whatever its trials;
@@ -125,7 +125,7 @@ def test_streamed_pool_rows_match_the_array_statistics(reward):
     for row in array:
         assert all(map(_close, streamed[row], array[row])), row
     # The reduced blocks keep the truncated count.
-    reduce = partial(pool_sums, shift=ticket_mean(params))
+    reduce = partial(pool_sums, shift=fair_price(Run(params)))
     assert sample_pool_payoffs(params, 4, trials, 3, reduce=reduce)[2] == truncated
 
 
