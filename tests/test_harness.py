@@ -1106,6 +1106,19 @@ _GOLDEN = {
     "sweep_d": ("sweep", {**_GOLDEN_BASE, "sweep": {"parameter": "d", "values": [0.001, 0.01, 0.1]}}),
     "sweep_mu": ("sweep", {**_GOLDEN_BASE, "sweep": {"parameter": "mu", "values": [0.5, 1.0, 3.0]}}),
     "sweep_p": ("sweep", {**_GOLDEN_BASE, "sweep": {"parameter": "p", "values": [0.125, 0.25, 0.5]}}),
+    # The oracles at the edges of what the parser accepts: the paper's 5%/yr
+    # over 12 s slots with a heavy lognormal, E[V^2] - E[V]^2 cancelling to
+    # 2e-18 of E[V^2], r = 0 at the floor of D_RANGE, the most tickets with a
+    # Pareto reward, the ceiling of D_RANGE, and a reward unit of 1e-300.
+    "analytic_paper_regime": ("analytic", {"n": 2**16, "d": 1.855e-8, "holder_share": 0.25, "reward": {
+        "kind": "lognormal", "mean": 2.0, "sigma_log": 2.0}}),
+    "analytic_cancellation": ("analytic", {**_GOLDEN_BASE, "n": 2, "d": 1e-9, "holder_share": 0.5}),
+    "analytic_one_ticket": ("analytic", {**_GOLDEN_BASE, "n": 1, "d": 1e-10, "holder_share": 1.0}),
+    "analytic_pareto_huge_n": ("analytic", {"n": 2**20, "d": 1e-10, "holder_share": 0.25, "reward": {
+        "kind": "pareto", "shape": 2.5, "scale": 1.0}}),
+    "analytic_huge_d": ("analytic", {**_GOLDEN_BASE, "n": 8, "d": 1e100, "holder_share": 0.25}),
+    "pricing_tiny_unit": ("pricing", {"n": 2**16, "d": 1.855e-8, "reward": {"kind": "constant", "mean": 1e-300},
+                                      "policy": {"kind": "fair_value"}}),
     **{f"{command}_{law}": (command, {**_SAMPLED_BASE, **section, "reward": reward})
        for command, section in _SAMPLED_SECTIONS.items() for law, reward in _GOLDEN_REWARDS.items()},
     "verify_10k": ("verify", {**_SAMPLED_BASE, "trials": 10_000}),
