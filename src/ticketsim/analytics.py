@@ -9,21 +9,18 @@ Forms are kept in their numerically stable shape, e.g. mu / (n*d + 1),
 so nothing overflows or cancels for n up to 2**20 and beyond.
 
 Two series sums: ``doubling_series_sum`` sums a geometric-family series
-with an exact rational coefficient and ratio in O(log terms), in 40-digit
-decimals (the quantity table's oracles use it), and ``truncated_series_sum``
-sums any scalar term one t at a time under the same stop rule.
+with an exact rational coefficient and ratio in O(log terms), in binary
+fixed-point Python ints (the quantity table's oracles use it), and
+``truncated_series_sum`` sums any scalar term one t at a time under the
+same stop rule.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from .errors import DiscountRateError, DivergenceError
-
-if TYPE_CHECKING:
-    from decimal import Decimal
-    from fractions import Fraction
 
 
 def _check_rate(d: float) -> None:
@@ -153,18 +150,28 @@ _MAX_TERMS = 50_000_000   # least term budget of the term loop; a ratio near 1 g
 # Envelope slack: |term(t)| may exceed the anchored geometric envelope by a
 # polynomial factor (e.g. t * x^t) but not by more than this.
 _SLACK = 1e9
-# The doubling sum's significant digits, so its O(log H) roundings stay far
-# below an epsilon of 1e-32.
-_DIGITS = 40
+# The doubling sum's fraction bits. Each of its O(log H) products rounds
+# down once, by 2^-_BITS, far below an epsilon of 1e-32 (40 digits need 133).
+_BITS = 192
 
 
-def doubling_series_sum(a: Fraction, r: Fraction, kind: str = "geometric",
-                        epsilon: float = 1e-12) -> Fraction:
+def _exact(*factors) -> tuple[int, int]:
+    """The product of ``factors``, each an int pair (numerator, denominator)
+    or a number with ``as_integer_ratio()``, exactly, as such a pair."""
+    numerator = denominator = 1
+    for factor in factors:
+        fn, fd = factor if isinstance(factor, tuple) else factor.as_integer_ratio()
+        numerator, denominator = numerator * fn, denominator * fd
+    return numerator, denominator
+
+
+def doubling_series_sum(a, r, kind: str = "geometric", epsilon: float = 1e-12) -> tuple[int, int]:
     """The sum over t = 1..H of a*r^(t-1) (``kind`` "geometric") or of
     a*t*r^(t-1) ("linear") for 0 <= r < 1, where H is the stop of
     ``truncated_series_sum``'s rule with envelope ratio r. ``a`` and ``r``
-    are taken exactly (a Fraction, int or float); the unit sum is formed in
-    40-digit decimals and the result is a times it, an exact Fraction.
+    are taken exactly (as ``_exact`` reads them); the unit sum is formed in
+    ``_BITS``-bit fixed point, and the result is a times it, exactly, as
+    (numerator, denominator), which ``/`` rounds correctly to a float.
 
     It doubles on the bits of H, in O(log H) operations: with S_m the sum
     of r^(t-1) and T_m that of t*r^(t-1) over t <= m, S_2m = S_m + r^m*S_m
@@ -175,51 +182,50 @@ def doubling_series_sum(a: Fraction, r: Fraction, kind: str = "geometric",
         raise ValueError(f"series kind must be one of {SERIES_KINDS}, got {kind!r}")
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    from fractions import Fraction
-    return Fraction(a) * Fraction(_doubling_sum(r, kind == "linear", epsilon)[0])
+    numerator, denominator = _exact(a)
+    return numerator * _doubling_sum(r, kind == "linear", epsilon)[0], denominator << _BITS
 
 
-def _doubling_sum(r: Fraction, linear: bool, epsilon: float) -> tuple[Decimal, int]:
-    """The sum of r^(t-1), or of t*r^(t-1) when ``linear``, over t = 1..H, and H."""
-    if not (0 <= r < 1):    # NaN fails it too
+def _doubling_sum(r, linear: bool, epsilon: float) -> tuple[int, int]:
+    """The sum of r^(t-1), or of t*r^(t-1) when ``linear``, over t = 1..H, in
+    units of 2^-_BITS, and H."""
+    rn, rd = _exact(r) if isinstance(r, tuple) or 0 <= r < 1 else (1, 1)    # NaN, inf: fail below
+    if not 0 <= rn < rd:
         raise DivergenceError(f"series does not contract: ratio {r} is not in [0, 1)")
-    from decimal import Context, Decimal, localcontext   # only the oracles need exact arithmetic
-    from fractions import Fraction
-    r, eps = Fraction(r), Decimal(epsilon)
-    with localcontext(Context(prec=_DIGITS)):
-        gap, ratio = (Decimal(f.numerator) / f.denominator for f in (1 - r, r))
+    one, ratio, gap = 1 << _BITS, (rn << _BITS) // rd, ((rd - rn) << _BITS) // rd
+    en, ed = epsilon.as_integer_ratio()
 
-        def settled(t: int, power: Decimal, total: Decimal) -> bool:
-            """Whether the rule stops at t, given r^t and the unit sum to t: the
-            term decays, and |term(t)|*r'/(1 - r') <= epsilon*|sum|, where the
-            ratio r' to term(t-1) is r, or r*t/(t-1) when linear."""
-            if linear:
-                excess = t * gap - 1    # (t - 1)*(1 - r')
-                return t > 1 and excess > 0 and t * (t * power) <= eps * total * excess
-            return t > 1 and power <= eps * total * gap
+    def settled(t: int, power: int, total: int) -> bool:
+        """Whether the rule stops at t, given r^t and the unit sum to t: the
+        term decays, and |term(t)|*r'/(1 - r') <= epsilon*|sum|, where the
+        ratio r' to term(t-1) is r, or r*t/(t-1) when linear: exact products."""
+        if linear:
+            excess = t * gap - one    # (t - 1)*(1 - r')
+            return t > 1 and excess > 0 and t * t * power * ed << _BITS <= en * total * excess
+        return t > 1 and power * ed << _BITS <= en * total * gap
 
-        levels = []     # (r^m, S_m, T_m) at m = 1, 2, 4, ... below the first settled m
-        power, s, lin, m = ratio, Decimal(1), Decimal(1), 1
-        while not settled(m, power, lin if linear else s):
-            if len(levels) == _MAX_DOUBLINGS:
-                raise DivergenceError(f"series did not converge within 2**{_MAX_DOUBLINGS} terms")
-            levels.append((power, s, lin))
-            if linear:
-                lin += power * (lin + m * s)
-            s, power, m = s + power * s, power * power, 2 * m
+    levels = []     # (r^m, S_m, T_m) at m = 1, 2, 4, ... below the first settled m
+    power, s, lin, m = ratio, one, one, 1
+    while not settled(m, power, lin if linear else s):
+        if len(levels) == _MAX_DOUBLINGS:
+            raise DivergenceError(f"series did not converge within 2**{_MAX_DOUBLINGS} terms")
+        levels.append((power, s, lin))
+        if linear:
+            lin += power * (lin + m * s) >> _BITS
+        s, power, m = s + (power * s >> _BITS), power * power >> _BITS, 2 * m
 
-        # The last t that does not settle, bit by bit, with r^t and the unit sum to t.
-        t, power, total = 0, Decimal(1), Decimal(0)
-        for j in reversed(range(len(levels))):
-            power_j, s_j, lin_j = levels[j]
-            if linear:    # T_(t+m) = T_t + r^t*(T_m + t*S_m)
-                step = total + power * (lin_j + t * s_j)
-            else:         # S_(t+m) = S_t + r^t*S_m
-                step = total + power * s_j
-            step_power = power * power_j
-            if not settled(t + (1 << j), step_power, step):
-                t, power, total = t + (1 << j), step_power, step
-        return total + (power * (t + 1) if linear else power), t + 1    # plus the unit term t + 1
+    # The last t that does not settle, bit by bit, with r^t and the unit sum to t.
+    t, power, total = 0, one, 0
+    for j in reversed(range(len(levels))):
+        power_j, s_j, lin_j = levels[j]
+        if linear:    # T_(t+m) = T_t + r^t*(T_m + t*S_m)
+            step = total + (power * (lin_j + t * s_j) >> _BITS)
+        else:         # S_(t+m) = S_t + r^t*S_m
+            step = total + (power * s_j >> _BITS)
+        step_power = power * power_j >> _BITS
+        if not settled(t + (1 << j), step_power, step):
+            t, power, total = t + (1 << j), step_power, step
+    return total + (power * (t + 1) if linear else power), t + 1    # plus the unit term t + 1
 
 
 def truncated_series_sum(term: Callable[[int], float], d: Optional[float] = None,

@@ -199,12 +199,11 @@ def _geometric(p, size, rng: np.random.Generator) -> np.ndarray:
     """Geometric(p) waiting times on {1, 2, ...}, as float64.
 
     Inverts an exponential: ceil(Exp(1) / -log(1 - p)) (Devroye 1986,
-    ch. X.2), faster than ``rng.geometric``. ``p`` may be an
-    array broadcasting against ``size``; p = 1 gives 1.
+    ch. X.2), faster than ``rng.geometric``. ``p``, a float or a list of them
+    broadcasting against ``size``, is passed to ``math.log1p``; p = 1 gives 1.
     """
     import numpy as np
-    with np.errstate(divide="ignore"):
-        rate = -np.log1p(-np.asarray(p, dtype=np.float64))
+    rate = [-math.log1p(-q) if q < 1.0 else math.inf for q in (p if isinstance(p, list) else [p])]
     draws = rng.standard_exponential(size)
     np.divide(draws, rate, out=draws)
     np.ceil(draws, out=draws)
@@ -218,7 +217,7 @@ def _member_hits(rng, count, params, k, horizon) -> tuple[np.ndarray, np.ndarray
     import numpy as np
     # With i members already hit, the next fresh member is hit after a
     # Geometric((k - i)/n) wait, so hit i lands at the running sum.
-    slots = _geometric((k - np.arange(k)) / params.n, (count, k), rng)
+    slots = _geometric([(k - i) / params.n for i in range(k)], (count, k), rng)
     if k > 1:
         np.cumsum(slots, axis=1, out=slots)
     rewards = np.asarray(params.reward.sample(rng, size=(count, k)), dtype=np.float64)

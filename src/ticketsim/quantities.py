@@ -37,16 +37,16 @@ import types
 from enum import Enum
 from functools import cached_property, partial
 from importlib.util import find_spec, module_from_spec
+from operator import truediv
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import analytics
+from .analytics import _exact
 from .core import EconomyParams
 from .errors import ConfigError, DiscountRateError, NegativePriceError
 from .market import CaptureReport, FairValue, PricingPolicy, protocol_capture
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     import numpy as np
 
 
@@ -86,10 +86,10 @@ def _deferred_import(name: str) -> types.ModuleType:
 # ``import ticketsim.cli``.
 engine = _deferred_import(f"{__package__}.engine")
 
-# The tail each oracle series leaves out, relative to its sum: 1e-32, eight
-# digits inside the doubling sum's 40, so E[V^2] - E[V]^2, taken in exact
-# rationals, keeps the variance's digits even where the variance is 2e-18 of
-# E[V^2] (n = 2, d = 1e-9).
+# The tail each oracle series leaves out, relative to its sum: 1e-32, far
+# above the doubling sum's 2^-192 roundings, so E[V^2] - E[V]^2, one integer
+# cross-product over a common denominator, keeps the variance's digits even
+# where the variance is 2e-18 of E[V^2] (n = 2, d = 1e-9).
 ORACLE_EPSILON = 1e-32
 DEFAULT_HOLDER_SHARE = 0.125   # holder share of a run that configures none
 _COMPLEX_STEP = 1e-20      # complex-step derivative step, relative to n
@@ -171,16 +171,15 @@ class Run:
         return self.holder_tickets / self.n
 
     @cached_property
-    def discount(self) -> Fraction:
-        """x = 1/(1+d), exactly."""
-        from fractions import Fraction   # only the oracles need exact arithmetic
-        return 1 / (1 + Fraction(self.d))
+    def discount(self) -> tuple[int, int]:
+        """x = 1/(1+d), exactly, as (numerator, denominator)."""
+        dn, dd = self.d.as_integer_ratio()
+        return dd, dd + dn
 
     @cached_property
-    def miss_chance(self) -> Fraction:
-        """q = 1 - 1/n, a ticket's chance to miss a slot, exactly."""
-        from fractions import Fraction
-        return Fraction(self.n - 1, self.n)
+    def miss_chance(self) -> tuple[int, int]:
+        """q = 1 - 1/n, a ticket's chance to miss a slot, as (numerator, denominator)."""
+        return self.n - 1, self.n
 
     @cached_property
     def reward_series(self) -> float:
@@ -188,12 +187,10 @@ class Run:
         return stream_series(self, self.mu)
 
     @cached_property
-    def ticket_sum(self) -> Fraction:
-        """Proof-structure series for the single-ticket value, unrounded: the
-        sum of q^(t-1) * (1/n) * mu * x^t."""
-        from fractions import Fraction
+    def ticket_sum(self) -> tuple[int, int]:
+        """The proof's series for the ticket value, exact: the sum of q^(t-1) * (1/n) * mu * x^t."""
         x = self.discount
-        return analytics.doubling_series_sum(Fraction(self.mu) * x / self.n, self.miss_chance * x,
+        return analytics.doubling_series_sum(_exact(self.mu, x, (1, self.n)), _exact(self.miss_chance, x),
                                              "geometric", ORACLE_EPSILON)
 
     def sums(self, name: str, column: Optional[int] = None):
@@ -224,26 +221,24 @@ class Run:
 
 def stream_series(run: Run, amount: float) -> float:
     """Series for the NPV of ``amount`` paid every slot: the sum of amount * x^t."""
-    from fractions import Fraction
     x = run.discount
-    return float(analytics.doubling_series_sum(Fraction(amount) * x, x, "geometric", ORACLE_EPSILON))
+    return truediv(*analytics.doubling_series_sum(_exact(amount, x), x, "geometric", ORACLE_EPSILON))
 
 
 def _variance_series(run: Run) -> float:
-    """E[V^2] - E[V]^2 in exact rationals, rounded once. E[V^2] is the sum of
-    q^(t-1) * (1/n) * (var_r + mu^2) * x^(2t)."""
-    from fractions import Fraction
-    x2, mu = run.discount ** 2, Fraction(run.mu)
-    second = analytics.doubling_series_sum((Fraction(run.var_r) + mu * mu) * x2 / run.n,
-                                           run.miss_chance * x2, "geometric", ORACLE_EPSILON)
-    return float(second - run.ticket_sum ** 2)
+    """E[V^2] - E[V]^2 as one integer numerator over a common denominator,
+    rounded once. E[V^2] is the sum of q^(t-1) * (1/n) * (var_r + mu^2) * x^(2t)."""
+    (vn, vd), (mn, md) = run.var_r.as_integer_ratio(), run.mu.as_integer_ratio()
+    x2 = _exact(run.discount, run.discount)
+    sn, sd = analytics.doubling_series_sum(_exact((vn * md * md + mn * mn * vd, vd * md * md), x2, (1, run.n)),
+                                           _exact(run.miss_chance, x2), "geometric", ORACLE_EPSILON)
+    tn, td = run.ticket_sum
+    return (sn * td * td - tn * tn * sd) / (sd * td * td)
 
 
 def _slots_to_win_series(run: Run) -> float:
     """The sum of t * q^(t-1) * (1/n)."""
-    from fractions import Fraction
-    return float(analytics.doubling_series_sum(Fraction(1, run.n), run.miss_chance, "linear",
-                                               ORACLE_EPSILON))
+    return truediv(*analytics.doubling_series_sum((1, run.n), run.miss_chance, "linear", ORACLE_EPSILON))
 
 
 def _complex_step(f: Callable[[complex], complex], n: int) -> float:
@@ -472,7 +467,7 @@ QUANTITIES: dict[Quantity, Entry] = {
     ),
     Quantity.TICKET_VALUE: Entry(
         closed=lambda run: analytics.expected_ticket_value(run.mu, run.d, run.n),
-        oracle=lambda run: float(run.ticket_sum),
+        oracle=lambda run: truediv(*run.ticket_sum),
         ensemble="tracked", column=0,
     ),
     Quantity.TOTAL_TICKET_VALUE: Entry(
@@ -483,7 +478,7 @@ QUANTITIES: dict[Quantity, Entry] = {
     ),
     Quantity.ISSUED_MARKET_CAP: Entry(
         closed=lambda run: analytics.issued_market_cap(run.mu, run.d, run.n),
-        oracle=lambda run: run.n * float(run.ticket_sum),
+        oracle=lambda run: run.n * truediv(*run.ticket_sum),
         ensemble="tracked", column=0,
         statistic=lambda run, sums: _scaled_mean(run.n, sums),
     ),
@@ -501,7 +496,7 @@ QUANTITIES: dict[Quantity, Entry] = {
     # share*n/k times it estimates the value of share.
     Quantity.CONTROL_VALUE: Entry(
         closed=lambda run: analytics.control_value(run.share, run.mu, run.d, run.n),
-        oracle=lambda run: run.share * run.n * float(run.ticket_sum),
+        oracle=lambda run: run.share * run.n * truediv(*run.ticket_sum),
         ensemble="holder", column=1,
         statistic=lambda run, net: _scaled_mean(run.share * run.n / run.holder_tickets, net),
     ),

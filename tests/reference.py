@@ -9,15 +9,19 @@ compiles none of it.
 
 Also here, as the state machine's helpers and as references for tests:
 per-slot discounting (``DiscountCurve``), the streak bonus applied to one
-reward (``MultiBlockSpec.apply``) and a ticket's second moment
-(``ticket_value_second_moment``).
+reward (``MultiBlockSpec.apply``), a ticket's second moment
+(``ticket_value_second_moment``) and the doubling series sum in exact
+rationals and 40-digit decimals (``decimal_doubling_sum``), which the
+package's fixed-point sum replaced.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from enum import Enum
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,6 +29,7 @@ import numpy as np
 from ticketsim import analytics, market
 from ticketsim.core import EconomyParams
 from ticketsim.engine import win_horizon
+from ticketsim.errors import DivergenceError
 
 MARKET_HOLDER = "market"
 
@@ -65,6 +70,49 @@ def ticket_value_second_moment(mu: float, var_r: float, d: float, n: float) -> f
     analytics._check_rate(d)
     analytics._check_n(n)
     return (var_r + mu * mu) / (n * d * d + 2.0 * n * d + 1.0)
+
+
+def decimal_doubling_sum(r: Fraction, linear: bool, epsilon: float) -> tuple[Decimal, int]:
+    """The sum of r^(t-1), or of t*r^(t-1) when ``linear``, over t = 1..H, and
+    H, with ``r`` held exactly and the sums in 40-digit decimals: the same
+    doubling, binary lifting and stop rule as ``analytics._doubling_sum``."""
+    if not (0 <= r < 1):    # NaN fails it too
+        raise DivergenceError(f"series does not contract: ratio {r} is not in [0, 1)")
+    r, eps = Fraction(r), Decimal(epsilon)
+    with localcontext(Context(prec=40)):
+        gap, ratio = (Decimal(f.numerator) / f.denominator for f in (1 - r, r))
+
+        def settled(t: int, power: Decimal, total: Decimal) -> bool:
+            """Whether the rule stops at t, given r^t and the unit sum to t: the
+            term decays, and |term(t)|*r'/(1 - r') <= epsilon*|sum|, where the
+            ratio r' to term(t-1) is r, or r*t/(t-1) when linear."""
+            if linear:
+                excess = t * gap - 1    # (t - 1)*(1 - r')
+                return t > 1 and excess > 0 and t * (t * power) <= eps * total * excess
+            return t > 1 and power <= eps * total * gap
+
+        levels = []     # (r^m, S_m, T_m) at m = 1, 2, 4, ... below the first settled m
+        power, s, lin, m = ratio, Decimal(1), Decimal(1), 1
+        while not settled(m, power, lin if linear else s):
+            if len(levels) == analytics._MAX_DOUBLINGS:
+                raise DivergenceError(f"series did not converge within 2**{analytics._MAX_DOUBLINGS} terms")
+            levels.append((power, s, lin))
+            if linear:
+                lin += power * (lin + m * s)
+            s, power, m = s + power * s, power * power, 2 * m
+
+        # The last t that does not settle, bit by bit, with r^t and the unit sum to t.
+        t, power, total = 0, Decimal(1), Decimal(0)
+        for j in reversed(range(len(levels))):
+            power_j, s_j, lin_j = levels[j]
+            if linear:    # T_(t+m) = T_t + r^t*(T_m + t*S_m)
+                step = total + power * (lin_j + t * s_j)
+            else:         # S_(t+m) = S_t + r^t*S_m
+                step = total + power * s_j
+            step_power = power * power_j
+            if not settled(t + (1 << j), step_power, step):
+                t, power, total = t + (1 << j), step_power, step
+        return total + (power * (t + 1) if linear else power), t + 1    # plus the unit term t + 1
 
 
 # ---------------------------------------------------------------------------

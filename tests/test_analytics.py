@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from ticketsim.core import ConstantReward, EconomyParams, calibrate_lognormal
 from ticketsim.errors import ConfigError, DiscountRateError, DivergenceError
 from ticketsim.harness import run_analytic, run_verify
 from ticketsim.quantities import ORACLE_EPSILON, QUANTITIES, Quantity, Run, entries
-from reference import ticket_value_second_moment
+from reference import decimal_doubling_sum, ticket_value_second_moment
 
 EPS = 1e-12
 REL = 1e-9
@@ -347,12 +348,17 @@ def series_term(a, r, kind):
     return lambda t: a * r ** (t - 1)
 
 
+def exact(v):
+    """A number or a doubling sum's (numerator, denominator), as a Fraction."""
+    return Fraction(*analytics._exact(v))
+
+
 def check_doubling_sum(a, r, kind, epsilon, cap=50_000):
     """The doubling sum of (a, r, kind), held exactly, against the term loops
     over their floats; False where the series is longer than ``cap`` terms,
     and not checked."""
-    total, stop = analytics._doubling_sum(Fraction(r), kind == "linear", epsilon)
-    total = Fraction(a) * Fraction(total)
+    unit, stop = analytics._doubling_sum(Fraction(r), kind == "linear", epsilon)
+    total = Fraction(a) * Fraction(unit, 1 << analytics._BITS)
     if stop > cap:
         return False
     term = series_term(a, r, kind)
@@ -378,17 +384,57 @@ def test_doubling_sum_matches_the_term_loop(a, r, kind, epsilon):
 
 
 def test_doubling_sum_edges():
-    assert analytics.doubling_series_sum(Fraction(2), Fraction(0)) == 2
-    assert analytics.doubling_series_sum(Fraction(0), Fraction(1, 2)) == 0
+    assert exact(analytics.doubling_series_sum(Fraction(2), Fraction(0))) == 2
+    assert exact(analytics.doubling_series_sum(Fraction(0), Fraction(1, 2))) == 0
     # A ratio of 1/(1 + 1e-20), 1 - 1e-20, is below 1 only when held exactly.
     x = 1 / (1 + Fraction(1e-20))
     assert float(x) == 1.0
-    assert rel_gap(float(analytics.doubling_series_sum(x, x, epsilon=1e-32)), 1e20) < 1e-15
+    assert rel_gap(float(exact(analytics.doubling_series_sum(x, x, epsilon=1e-32))), 1e20) < 1e-15
     for r in [1.0, 1.5, math.nan, -0.5]:
         with pytest.raises(DivergenceError):
             analytics.doubling_series_sum(Fraction(1), r)
     with pytest.raises(ValueError, match="kind"):
         analytics.doubling_series_sum(Fraction(1), Fraction(1, 2), "quadratic")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    a=st.floats(1e-300, 1e250) | st.floats(-1e3, -1e-3),
+    r=(st.floats(0.0, 0.9995)
+       # The oracles' ratios q*x and q*x^2, held exactly, from n and d.
+       | st.builds(lambda n, d, power: Fraction(n - 1, n) / (1 + Fraction(d)) ** power,
+                   st.integers(1, 2**20), st.floats(1e-10, 1e2), st.sampled_from([1, 2]))
+       | st.just(1 / (1 + Fraction(1e-20)))),
+    kind=st.sampled_from(analytics.SERIES_KINDS),
+    epsilon=st.sampled_from([1e-6, EPS, 1e-15, ORACLE_EPSILON]),
+)
+def test_doubling_sum_rounds_as_the_decimal_reference(a, r, kind, epsilon):
+    # The fixed-point sum against the exact-rational, 40-digit-decimal sum it
+    # replaced: the same float, and a stop within one term. Near r = 1 the
+    # reference's own stop drifts: its 40-digit ratio is off by up to 1e-40,
+    # which moves r^t by up to t*1e-40 relative, and so the stop by up to
+    # t*1e-40/(1 - r) terms (24 at r = 1/(1 + 1e-20)), while the 192-bit
+    # ratio is off by 2^-192.
+    linear = kind == "linear"
+    total = exact(analytics.doubling_series_sum(a, r, kind, epsilon))
+    stop = analytics._doubling_sum(r, linear, epsilon)[1]
+    unit, reference_stop = decimal_doubling_sum(Fraction(r), linear, epsilon)
+    drift = reference_stop / (1 - Fraction(r)) / 10**40
+    assert abs(stop - reference_stop) <= 1 + drift, (stop, reference_stop)
+    assert float(total) == float(Fraction(a) * Fraction(unit))
+
+
+def test_doubling_sum_stops_where_the_exact_rule_does():
+    # At r = 1/(1 + 1e-20), held exactly, the geometric rule stops at the
+    # least t > 1 with r^t <= epsilon*(1 - r^t): t = ceil(log(epsilon/(1 +
+    # epsilon))/log(r)), here taken in 80-digit decimals. The fixed-point
+    # sum stops there; the 40-digit reference stops 24 terms late.
+    r = 1 / (1 + Fraction(1e-20))
+    with localcontext(Context(prec=80)):
+        eps = Decimal(ORACLE_EPSILON)
+        exact_stop = math.ceil((eps / (1 + eps)).ln() / (Decimal(r.numerator) / r.denominator).ln())
+    assert analytics._doubling_sum(r, False, ORACLE_EPSILON)[1] == exact_stop
+    assert decimal_doubling_sum(r, False, ORACLE_EPSILON)[1] == exact_stop + 24
 
 
 def table_series(monkeypatch, n, d):
@@ -399,7 +445,7 @@ def table_series(monkeypatch, n, d):
     doubling_series_sum = analytics.doubling_series_sum
 
     def record(a, r, kind="geometric", epsilon=EPS):
-        seen.append((a, r, kind, epsilon))
+        seen.append((exact(a), exact(r), kind, epsilon))
         return doubling_series_sum(a, r, kind, epsilon)
 
     monkeypatch.setattr(analytics, "doubling_series_sum", record)
@@ -445,7 +491,7 @@ def test_time_to_win_series_past_the_cross_check_cap():
     # moves the sum by less than the tolerance.
     unit, doubling_stop = analytics._doubling_sum(Fraction(n - 1, n), True, EPS)
     assert abs(doubling_stop - stop) <= 1
-    assert rel_gap(float(unit) / n, total) <= 1e-13
+    assert rel_gap(unit / (n << analytics._BITS), total) <= 1e-13
 
 
 def test_scalar_terms_are_called_with_ints_in_order():
@@ -511,7 +557,7 @@ def test_term_loop_matches_the_reference_loop(decay, shape, seed):
 
 
 def test_series_oracle_memory_independent_of_length():
-    # The doubling sums keep O(log terms) 40-digit decimals, so the oracles'
+    # The doubling sums keep O(log terms) fixed-point ints, so the oracles'
     # peak memory does not grow with the number of terms (about 74n for the
     # slots series).
     def peak_mb(n):

@@ -255,6 +255,14 @@ def test_win_slot_survival_is_geometric():
         assert abs(observed - p) < z * math.sqrt(p * (1.0 - p) / slots.size)
 
 
+def test_a_certain_hit_waits_one_slot():
+    # p = 1 (a pool of all n tickets, or n = 1) has an infinite rate, where
+    # math.log1p(-1.0) would raise: each of its waits is 1 slot.
+    slots = engine._geometric([1.0, 0.5], (1000, 2), engine.substream(0, 0, 0))
+    assert (slots[:, 0] == 1.0).all() and (slots[:, 1] >= 1.0).all() and (slots[:, 1] > 1.0).any()
+    assert (engine._geometric(1.0, 8, engine.substream(0, 0, 1)) == 1.0).all()
+
+
 def test_tracked_ticket_is_not_cut_without_a_horizon(monkeypatch):
     # A win ten times past the 1e-9 tail horizon still pays r x^T: nothing is cut.
     n, d, r = 2, 1e-3, 2.0

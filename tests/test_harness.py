@@ -1092,8 +1092,9 @@ _SAMPLED_SECTIONS = {
 }
 # The configs that wrote the files tests/data/<case>.<format>. The oracle
 # reports' bytes are fixed by the closed forms, the series oracles (exact
-# rationals, 40-digit decimals) and the emitter. The sampled reports' bytes
-# rest also on the block size, the substreams and numpy's variates
+# int rationals, 192-bit fixed-point sums) and the emitter. The sampled
+# reports' bytes rest also on the block size, the substreams, the Geometric
+# rates that ``math.log1p`` takes, and numpy's variates
 # (``test_the_variates_behind_the_sampled_goldens_keep_their_first_draws``);
 # the 10 000-trial verify spans three tracked and holder blocks, so at two
 # workers it pins the thread pool's merge in block order.

@@ -65,8 +65,8 @@ def test_closed_form_commands_load_no_numpy(tmp_path):
     # Nor do they run the samplers' module: ``ticketsim.engine`` is in
     # ``sys.modules`` (a profiler looks it up there), but its namespace,
     # read without a lookup that would run it, holds only what the import
-    # system set. The first lookup of a name runs it. The commands that run
-    # no oracle load neither ``fractions`` nor ``decimal``.
+    # system set. The first lookup of a name runs it. No command loads
+    # ``fractions`` or ``decimal``: the oracles sum in Python ints.
     configs = {
         "sweep": {"sweep": {"parameter": "n", "values": [8, 16, 32]}},
         "verify": {"n": 64, "trials": 1000},
@@ -77,17 +77,17 @@ def test_closed_form_commands_load_no_numpy(tmp_path):
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
     parsed = [str(tmp_path / f"{name}.json") for name in ("verify", "pool", "multiblock")]
     closed_form = [["analytic"], ["pricing"], ["sweep", "--config", str(tmp_path / "sweep.json")]]
+    exact = "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n"
     code = (f"from ticketsim.config import load_config\nfor path in {parsed!r}: load_config(path)\n"
-            + _cli_then_loaded(closed_form)
+            + _cli_then_loaded(closed_form) + exact
             + "engine = sys.modules['ticketsim.engine']\n"
             "print(sorted(k for k in object.__getattribute__(engine, '__dict__') if k[:2] != '__'))\n"
             "print(callable(getattr(engine, 'sample_win_slots')), 'numpy' in sys.modules)\n"
             + _cli_then_loaded([["simulate", "--trials", "1000"]]))    # a sampler loads it
-    assert _python(code).splitlines() == ["[0, 0, 0] False", "[]", "True False", "[0] True"]
-    samplers = [[verb, "--config", str(tmp_path / f"{verb}.json")] for verb in ("pool", "multiblock")]
-    code = (_cli_then_loaded(samplers)
-            + "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n")
-    assert _python(code).splitlines() == ["[0, 0] True", "[]"]
+    assert _python(code).splitlines() == ["[0, 0, 0] False", "[]", "[]", "True False", "[0] True"]
+    samplers = [[verb, "--config", str(tmp_path / f"{verb}.json")]
+                for verb in ("verify", "pool", "multiblock")]
+    assert _python(_cli_then_loaded(samplers) + exact).splitlines() == ["[0, 0, 0] True", "[]"]
 
 
 def test_first_lookups_of_the_samplers_from_several_threads_all_succeed():
