@@ -199,11 +199,11 @@ def _geometric(p, size, rng: np.random.Generator) -> np.ndarray:
     """Geometric(p) waiting times on {1, 2, ...}, as float64.
 
     Inverts an exponential: ceil(Exp(1) / -log(1 - p)) (Devroye 1986,
-    ch. X.2), faster than ``rng.geometric``. ``p``, a float or a list of them
+    ch. X.2), faster than ``rng.geometric``. ``p``, a list of floats
     broadcasting against ``size``, is passed to ``math.log1p``; p = 1 gives 1.
     """
     import numpy as np
-    rate = [-math.log1p(-q) if q < 1.0 else math.inf for q in (p if isinstance(p, list) else [p])]
+    rate = [-math.log1p(-q) if q < 1.0 else math.inf for q in p]
     draws = rng.standard_exponential(size)
     np.divide(draws, rate, out=draws)
     np.ceil(draws, out=draws)
@@ -251,7 +251,7 @@ def _holder_stops(rng, count, d, horizon) -> np.ndarray:
     import numpy as np
     if d == 0.0:
         return np.full(count, float(horizon))
-    stops = _geometric(d / (1.0 + d), count, rng)
+    stops = _geometric([d / (1.0 + d)], count, rng)
     stops -= 1.0
     return np.minimum(stops, horizon, out=stops)
 

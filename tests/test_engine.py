@@ -260,7 +260,7 @@ def test_a_certain_hit_waits_one_slot():
     # math.log1p(-1.0) would raise: each of its waits is 1 slot.
     slots = engine._geometric([1.0, 0.5], (1000, 2), engine.substream(0, 0, 0))
     assert (slots[:, 0] == 1.0).all() and (slots[:, 1] >= 1.0).all() and (slots[:, 1] > 1.0).any()
-    assert (engine._geometric(1.0, 8, engine.substream(0, 0, 1)) == 1.0).all()
+    assert (engine._geometric([1.0], 8, engine.substream(0, 0, 1)) == 1.0).all()
 
 
 def test_tracked_ticket_is_not_cut_without_a_horizon(monkeypatch):
