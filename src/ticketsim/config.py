@@ -25,7 +25,6 @@ from .core import (
     LognormalReward,
     ParetoReward,
     RewardModel,
-    calibrate_lognormal,
     load_empirical_rewards,
 )
 from .errors import ConfigError
@@ -167,12 +166,18 @@ def _parse_reward(spec, path: str) -> tuple[RewardModel, dict]:
         sigma = _expect_number(spec.get("sigma_log", 1.0), f"{path}.sigma_log", exclusive_min=0.0)
         if "mu_log" in spec and "mean" in spec:
             raise ConfigError(path, "give either 'mean' or 'mu_log', not both")
-        if "mu_log" in spec:
-            model = LognormalReward(_expect_number(spec["mu_log"], f"{path}.mu_log"), sigma)
+        if "mu_log" in spec:    # the mean exp(mu_log + sigma_log^2 / 2), which the model holds
+            mu_log = _expect_number(spec["mu_log"], f"{path}.mu_log")
+            try:
+                mean = math.exp(mu_log + 0.5 * sigma**2)
+            except OverflowError:
+                mean = math.inf
+            if not 0.0 < mean < math.inf:
+                raise ConfigError(f"{path}.mu_log", f"gives the mean {mean}, not finite and > 0")
         else:
             mean = _expect_number(spec.get("mean", 1.0), f"{path}.mean", exclusive_min=0.0)
-            model = calibrate_lognormal(mean, sigma)
-        normalized = {"kind": "lognormal", "mu_log": model.mu_log, "sigma_log": model.sigma_log}
+        model = LognormalReward(mean, sigma)
+        normalized = {"kind": "lognormal", "mean": mean, "sigma_log": sigma}
     elif kind == "pareto":
         _check_keys(spec, {"kind", "shape", "scale"}, path)
         shape = _expect_number(spec.get("shape"), f"{path}.shape", exclusive_min=2.0)

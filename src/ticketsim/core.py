@@ -3,8 +3,9 @@ per-slot reward distributions.
 
 Rewards are dimensionless non-negative reals; the caller decides the unit
 (ETH, Gwei, ...). All types here are immutable after construction and safe
-to share across workers. Random streams are never stored on a model: every
-sampling call takes the caller's generator.
+to share across workers. A reward model holds a law's exact mean and
+variance and draws nothing: the samplers draw the lottery's slots and
+condition on them, so these two moments are all they read of a reward.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, ClassVar
 
-if TYPE_CHECKING:   # numpy loads where a reward is sampled or an empirical reward is built
+if TYPE_CHECKING:   # numpy loads where an empirical reward is built
     import numpy as np
 
 
@@ -64,7 +65,7 @@ class Frozen:
 class RewardModel(ABC):
     """Distribution of the per-slot reward collected by a winning ticket.
 
-    Draws at distinct slots are i.i.d. and non-negative. ``mean`` and
+    Rewards at distinct slots are i.i.d. and non-negative. ``mean`` and
     ``variance`` return the exact analytic moments of the configured
     distribution, not sample estimates.
     """
@@ -76,10 +77,6 @@ class RewardModel(ABC):
 
     @abstractmethod
     def variance(self) -> float: ...
-
-    @abstractmethod
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw one reward (size=None) or an array of the given shape."""
 
 
 class ConstantReward(Frozen, RewardModel):
@@ -99,42 +96,34 @@ class ConstantReward(Frozen, RewardModel):
     def variance(self) -> float:
         return 0.0
 
-    def sample(self, rng: np.random.Generator, size=None):
-        if size is None:
-            return self.value
-        import numpy as np
-        return np.full(size, self.value, dtype=np.float64)
-
 
 class LognormalReward(Frozen, RewardModel):
-    """Lognormal rewards parameterized on the log scale (mu_log, sigma_log)."""
+    """Lognormal rewards of mean ``mu`` and log-scale deviation ``sigma_log``.
 
-    _fields = ("mu_log", "sigma_log")
+    The mean is held as given, so it and the variance mu^2 (e^(sigma_log^2)
+    - 1) scale exactly with the reward's unit; the log-scale mean ``mu_log``
+    is derived from them.
+    """
+
+    _fields = ("mu", "sigma_log")
     kind = "lognormal"
 
-    def __init__(self, mu_log: float, sigma_log: float):
+    def __init__(self, mu: float, sigma_log: float):
         if not (sigma_log > 0.0 and math.isfinite(sigma_log)):
             raise ValueError(f"sigma_log must be finite and > 0, got {sigma_log}")
-        if not math.isfinite(mu_log):
-            raise ValueError(f"mu_log must be finite, got {mu_log}")
-        self._freeze(mu_log, sigma_log)
+        if not (mu > 0.0 and math.isfinite(mu)):
+            raise ValueError(f"lognormal mean must be finite and > 0, got {mu}")
+        self._freeze(mu, sigma_log)
+
+    @property
+    def mu_log(self) -> float:
+        return math.log(self.mu) - 0.5 * self.sigma_log**2
 
     def mean(self) -> float:
-        return math.exp(self.mu_log + 0.5 * self.sigma_log**2)
+        return self.mu
 
     def variance(self) -> float:
-        return self.mean() ** 2 * math.expm1(self.sigma_log**2)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        # exp(mu_log + sigma_log * Z) in place: the normals ``rng.lognormal``
-        # would consume, without its temporaries.
-        if size is None:
-            return math.exp(self.mu_log + self.sigma_log * rng.standard_normal())
-        import numpy as np
-        draws = rng.standard_normal(size)
-        draws *= self.sigma_log
-        draws += self.mu_log
-        return np.exp(draws, out=draws)
+        return self.mu**2 * math.expm1(self.sigma_log**2)
 
 
 class ParetoReward(Frozen, RewardModel):
@@ -161,15 +150,11 @@ class ParetoReward(Frozen, RewardModel):
         a = self.shape
         return self.scale**2 * a / ((a - 1.0) ** 2 * (a - 2.0))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        # numpy's pareto() is the Lomax form on [0, inf); shift to [scale, inf).
-        return (rng.pareto(self.shape, size=size) + 1.0) * self.scale
-
 
 class EmpiricalReward(RewardModel):
     """Resampling distribution over an ingested data set.
 
-    Draws are uniform with replacement, so the exact moments are the
+    A reward is one of the values, uniformly, so the exact moments are the
     population moments (ddof=0) of the data.
     """
 
@@ -198,10 +183,6 @@ class EmpiricalReward(RewardModel):
     def variance(self) -> float:
         return self._var
 
-    def sample(self, rng: np.random.Generator, size=None):
-        picked = self._values[rng.integers(0, self._values.size, size=size)]
-        return float(picked) if size is None else picked
-
     def __repr__(self):
         return f"EmpiricalReward(<{self._values.size} values>, mean={self._mean:g})"
 
@@ -214,16 +195,9 @@ class EmpiricalReward(RewardModel):
 
 
 def calibrate_lognormal(target_mean: float, sigma_log: float) -> LognormalReward:
-    """Lognormal model whose analytic mean equals ``target_mean``.
-
-    Solves exp(mu_log + sigma_log^2 / 2) = target_mean for mu_log, so the
-    variance comes out as target_mean^2 * (exp(sigma_log^2) - 1).
-    """
-    if not (target_mean > 0.0 and math.isfinite(target_mean)):
-        raise ValueError(f"target_mean must be finite and > 0, got {target_mean}")
-    if not (sigma_log > 0.0 and math.isfinite(sigma_log)):
-        raise ValueError(f"sigma_log must be finite and > 0, got {sigma_log}")
-    return LognormalReward(mu_log=math.log(target_mean) - 0.5 * sigma_log**2, sigma_log=sigma_log)
+    """Lognormal model whose analytic mean equals ``target_mean``: its
+    variance is target_mean^2 * (exp(sigma_log^2) - 1)."""
+    return LognormalReward(target_mean, sigma_log)
 
 
 REWARD_CSV_COLUMN = "reward_eth"

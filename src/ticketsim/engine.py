@@ -11,12 +11,15 @@ identity, holder and streak bookkeeping is their statistical reference, and
 lives with the tests (``tests/reference.py``). A replacement ticket takes
 its predecessor's pool position, so a tracked ticket keeps one position
 until it wins and a retained holder keeps a fixed set of positions. The
-samplers draw only the events that carry value:
+samplers draw the lottery and never a reward: a reward is independent of
+its slot, so each row is its payoff's expectation given the slots drawn
+(conditional Monte Carlo; Asmussen & Glynn, *Stochastic Simulation*, 2007,
+ch. V), which reads only the reward's mean mu. The events drawn:
 
-- a tracked ticket's win slot is Geometric(1/n), uncapped (only an
-  explicit ``horizon`` cuts a sampler's draws), and a tracked ticket is a
-  pool of one (below): its payoff is the pool kernel's at k = 1, with the
-  same draws in the same order, and its win slot comes from the same draw;
+- a tracked ticket's win slot T is Geometric(1/n), uncapped (only an
+  explicit ``horizon`` cuts a sampler's draws), and its payoff given T is
+  mu x^T. A tracked ticket is a pool of one (below): its payoff is the pool
+  kernel's at k = 1, from the same draw, which also gives its win slot;
 - discounting by x = 1/(1+d) per slot is stopping at an independent slot
   N with P(N >= t) = x^t (the random-horizon reading of discounting;
   Puterman, *Markov Decision Processes*, 1994, ch. 5), so a holder's
@@ -24,10 +27,8 @@ samplers draw only the events that carry value:
   mean is the discounted value, with no horizon to cut;
 - a holder of k retained tickets wins each slot with probability
   p = k/n, independently, so its wins up to N are K ~ Binomial(N, p).
-  Given (N, K) the wins are a uniform K-subset of the N slots and the
-  rewards are independent of them, so a holder trajectory reports its
-  flow's expectation given (N, K) (conditional Monte Carlo; Asmussen &
-  Glynn, *Stochastic Simulation*, 2007, ch. V): two variates per
+  Given (N, K) the wins are a uniform K-subset of the N slots, so a holder
+  trajectory reports its flow's expectation given (N, K): two variates per
   trajectory, whatever d, the reward law and the streak bonus are. The
   bonus 1 + beta * (streak - 1) adds beta * (streak - 1) at each win, and
   E[sum of (streak - 1) | N, K] = K (K - 1) / (N - K + 2): a run of L
@@ -36,7 +37,8 @@ samplers draw only the events that carry value:
   (K)_m / (N)_m, which sum over m to that form;
 - in a k-ticket pool, the i-th distinct member hit waits
   Geometric((k - i)/n) slots after the previous one, and members are
-  exchangeable, so one member's payoff is the payoff at a uniform rank.
+  exchangeable, so one member's payoff is the payoff at a uniform rank: k
+  exponentials and one rank integer per trajectory.
 
 Geometric variates are drawn by inversion (Devroye, *Non-Uniform Random
 Variate Generation*, 1986, ch. X.2) of an exponential,
@@ -212,17 +214,16 @@ def _geometric(p, size, rng: np.random.Generator) -> np.ndarray:
 
 def _member_hits(rng, count, params, k, horizon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(slots, payoffs, won) of each of a k-ticket pool's members in hit order,
-    per trajectory: the slot of each hit, its discounted reward where it
-    falls within ``horizon`` (else 0), and whether it does."""
+    per trajectory: the slot T of each hit, its payoff's expectation given T,
+    mu x^T, where T falls within ``horizon`` (else 0), and whether it does."""
     import numpy as np
     # With i members already hit, the next fresh member is hit after a
     # Geometric((k - i)/n) wait, so hit i lands at the running sum.
     slots = _geometric([(k - i) / params.n for i in range(k)], (count, k), rng)
     if k > 1:
         np.cumsum(slots, axis=1, out=slots)
-    rewards = np.asarray(params.reward.sample(rng, size=(count, k)), dtype=np.float64)
     won = slots <= horizon
-    return slots, np.where(won, rewards * (1.0 + params.d) ** -slots, 0.0), won
+    return slots, np.where(won, params.mu * (1.0 + params.d) ** -slots, 0.0), won
 
 
 def _tracked_block(rng, count, params, horizon) -> tuple[np.ndarray, int, np.ndarray]:
@@ -295,7 +296,8 @@ def sample_ticket_payoffs(
     stream: int = 0,
     reduce=None,
 ) -> tuple[np.ndarray, int]:
-    """Discounted payoff of a tracked ticket per trajectory.
+    """A tracked ticket's discounted payoff given its win slot T, mu x^T, per
+    trajectory: its mean is the payoff's, its variance that less var_r E[x^(2T)].
 
     Returns (payoffs, truncated_count); a win past an explicit ``horizon``
     pays 0 and counts as truncated. With ``reduce``, returns its reduction
@@ -385,7 +387,8 @@ def sample_pool_payoffs(
 
     Each pool ticket wins exactly once; the pool splits the combined
     discounted reward equally. Returns (per_ticket_mean, solo, truncated)
-    where ``solo`` is member ticket 0's own payoff from the same ensemble.
+    where ``solo`` is member ticket 0's own payoff from the same ensemble,
+    each given the members' win slots, as in ``sample_ticket_payoffs``.
     With ``reduce``, returns its summed block reductions instead, as
     ``sample_ticket_payoffs`` does.
     """

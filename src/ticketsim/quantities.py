@@ -26,6 +26,10 @@ Every ensemble is reduced block by block, where the block is drawn, to its
 count and power sums about its closed-form mean (``PowerSums``), and the
 statistics read these sums, so an estimate holds one block, never a
 trial-length array.
+
+No ensemble draws a reward, so a variance row adds the part that the
+reward's variance contributes, which is exact, to the sample variance of
+payoffs given their slots (``_payoff_variance``).
 """
 
 from __future__ import annotations
@@ -421,6 +425,15 @@ def paired_stderr(paired: np.ndarray, unit: float) -> float:
     return _zero_degenerate(square * math.sqrt(var / n), square * total / n)
 
 
+def _payoff_variance(run: Run, sums: PowerSums, weight: float = 1.0) -> tuple[float, float]:
+    """The sample variance of payoffs given their win slots T, from their
+    ``sums``, and its stderr, with ``weight`` (1/k for the mean of k pool
+    members) times the part the reward's variance adds to each payoff's:
+    var_r E[x^(2T)] = var_r / (n d (d + 2) + 1), 0 at a constant reward."""
+    value, stderr = sums.variance_stderr()
+    return value + weight * run.var_r / (run.n * run.d * (run.d + 2.0) + 1.0), stderr
+
+
 def _scaled_mean(scale: float, sums: PowerSums) -> tuple[float, float]:
     mean, stderr = sums.mean_stderr()
     return scale * mean, scale * stderr
@@ -509,7 +522,7 @@ QUANTITIES: dict[Quantity, Entry] = {
         closed=lambda run: analytics.ticket_value_variance(run.mu, run.var_r, run.d, run.n),
         oracle=_variance_series,
         ensemble="tracked", column=0,
-        statistic=lambda run, sums: sums.variance_stderr(),
+        statistic=_payoff_variance,
     ),
     # Gross holder flow collects the holder's share of every slot's reward;
     # under a streak bonus the closed form is only the additive reference.
@@ -528,16 +541,17 @@ def _variance_gap(run: Run, pool: tuple) -> tuple[float, float]:
     """Pooled minus solo variance; both come from the same trajectories, so
     its stderr is that of the mean paired difference of squared deviations."""
     member, solo, _, paired = pool
-    return member.variance_stderr()[0] - solo.variance_stderr()[0], paired_stderr(paired, member.unit)
+    pooled = _payoff_variance(run, member, 1 / run.pool_size)[0]
+    return pooled - _payoff_variance(run, solo)[0], paired_stderr(paired, member.unit)
 
 
 # A pool's rows, from one ensemble (``pool``). The pooled variance has no
 # closed form yet: it is compared with the solo variance's, and the gap with 0.
 POOL: dict[str, Entry] = {
-    "solo_variance": Entry(_solo_variance, ensemble="pool", column=1,
-                           statistic=lambda run, solo: solo.variance_stderr()),
-    "pooled_per_ticket_variance": Entry(_solo_variance, ensemble="pool", column=0,
-                                        statistic=lambda run, member: member.variance_stderr()),
+    "solo_variance": Entry(_solo_variance, ensemble="pool", column=1, statistic=_payoff_variance),
+    "pooled_per_ticket_variance": Entry(
+        _solo_variance, ensemble="pool", column=0,
+        statistic=lambda run, member: _payoff_variance(run, member, 1 / run.pool_size)),
     "variance_gap": Entry(lambda run: 0.0, ensemble="pool", statistic=_variance_gap),
 }
 

@@ -8,11 +8,12 @@ each other. Nothing in the package imports this module, so a command
 compiles none of it.
 
 Also here, as the state machine's helpers and as references for tests:
-per-slot discounting (``DiscountCurve``), the streak bonus applied to one
-reward (``MultiBlockSpec.apply``), a ticket's second moment
-(``ticket_value_second_moment``) and the doubling series sum in exact
-rationals and 40-digit decimals (``decimal_doubling_sum``), which the
-package's fixed-point sum replaced.
+the reward draws (``sample_reward``; the package's samplers condition on
+the slots and draw no reward), per-slot discounting (``DiscountCurve``),
+the streak bonus applied to one reward (``MultiBlockSpec.apply``), a
+ticket's second moment (``ticket_value_second_moment``) and the doubling
+series sum in exact rationals and 40-digit decimals
+(``decimal_doubling_sum``), which the package's fixed-point sum replaced.
 """
 
 from __future__ import annotations
@@ -27,11 +28,39 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ticketsim import analytics, market
-from ticketsim.core import EconomyParams
+from ticketsim.core import EconomyParams, RewardModel
 from ticketsim.engine import win_horizon
 from ticketsim.errors import DivergenceError
 
 MARKET_HOLDER = "market"
+
+
+# ---------------------------------------------------------------------------
+# Reward draws
+# ---------------------------------------------------------------------------
+
+
+def sample_reward(reward: RewardModel, rng: np.random.Generator, size=None):
+    """One reward of ``reward``'s law (``size`` None, as a float) or an array
+    of the given shape."""
+    if reward.kind == "constant":
+        return reward.value if size is None else np.full(size, reward.value, dtype=np.float64)
+    if reward.kind == "lognormal":
+        # exp(mu_log + sigma_log * Z) in place: the normals ``rng.lognormal``
+        # would consume, without its temporaries.
+        if size is None:
+            return math.exp(reward.mu_log + reward.sigma_log * rng.standard_normal())
+        draws = rng.standard_normal(size)
+        draws *= reward.sigma_log
+        draws += reward.mu_log
+        return np.exp(draws, out=draws)
+    if reward.kind == "pareto":
+        # numpy's pareto() is the Lomax form on [0, inf); shift to [scale, inf).
+        return (rng.pareto(reward.shape, size=size) + 1.0) * reward.scale
+    if reward.kind == "empirical":
+        picked = reward.values[rng.integers(0, reward.values.size, size=size)]
+        return float(picked) if size is None else picked
+    raise TypeError(f"no reference draws for a {reward.kind} reward")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +217,7 @@ def step(
     """
     i = int(rng.integers(0, state.n))
     winner = state.pool[i]
-    base = float(params.reward.sample(rng))
+    base = float(sample_reward(params.reward, rng))
     streak = state.streak + 1 if winner.holder == state.last_winner_holder else 1
     reward = base if multiblock is None else MultiBlockSpec.apply(multiblock, base, streak)
 

@@ -14,7 +14,7 @@ from ticketsim.core import (
     calibrate_lognormal,
     load_empirical_rewards,
 )
-from reference import DiscountCurve
+from reference import DiscountCurve, sample_reward
 
 
 # ---------------------------------------------------------------------------
@@ -63,16 +63,17 @@ def test_constant_reward_degenerate():
     rng = np.random.default_rng(0)
     assert model.mean() == 3.0
     assert model.variance() == 0.0
-    assert model.sample(rng) == 3.0
-    assert np.all(model.sample(rng, size=100) == 3.0)
+    assert sample_reward(model, rng) == 3.0
+    assert np.all(sample_reward(model, rng, size=100) == 3.0)
     with pytest.raises(ValueError):
         ConstantReward(-1.0)
 
 
 def test_lognormal_calibration_moments():
     model = calibrate_lognormal(2.0, 1.0)
-    assert math.isclose(model.mean(), 2.0, rel_tol=1e-14)
+    assert model == LognormalReward(2.0, 1.0) and model.mean() == 2.0    # held, not rounded by exp()
     assert math.isclose(model.variance(), 4.0 * (math.e - 1.0), rel_tol=1e-12)
+    assert math.isclose(model.mu_log, math.log(2.0) - 0.5, rel_tol=1e-15)
     tiny = calibrate_lognormal(1.0, 1e-8)
     assert tiny.variance() < 1e-15
 
@@ -83,7 +84,9 @@ def test_lognormal_rejects_bad_params():
     with pytest.raises(ValueError):
         calibrate_lognormal(1.0, 0.0)
     with pytest.raises(ValueError):
-        LognormalReward(mu_log=0.0, sigma_log=-1.0)
+        LognormalReward(mu=1.0, sigma_log=-1.0)
+    with pytest.raises(ValueError, match="lognormal mean must be finite and > 0, got inf"):
+        LognormalReward(mu=math.inf, sigma_log=1.0)
 
 
 def test_pareto_rejects_infinite_variance_shapes():
@@ -115,7 +118,7 @@ def test_pareto_moments():
 def test_sample_mean_matches_analytic_mean(model):
     # Long-run sample mean within 4 stderr of the analytic mean; draws >= 0.
     rng = np.random.default_rng(7)
-    draws = np.asarray(model.sample(rng, size=1_000_000), dtype=float)
+    draws = np.asarray(sample_reward(model, rng, size=1_000_000), dtype=float)
     assert np.all(draws >= 0.0)
     band = 4.0 * math.sqrt(model.variance() / draws.size) if model.variance() > 0 else 1e-12
     assert abs(draws.mean() - model.mean()) < max(band, 1e-12)
@@ -124,7 +127,7 @@ def test_sample_mean_matches_analytic_mean(model):
 def test_lognormal_sample_variance_matches():
     model = calibrate_lognormal(2.0, 1.0)
     rng = np.random.default_rng(13)
-    draws = model.sample(rng, size=1_000_000)
+    draws = sample_reward(model, rng, size=1_000_000)
     s2 = draws.var(ddof=1)
     m4 = ((draws - draws.mean()) ** 4).mean()
     stderr = math.sqrt((m4 - s2**2) / draws.size)
@@ -136,11 +139,11 @@ def test_lognormal_sample_is_numpys_lognormal_within_one_ulp():
     # differently, and the scalar path is exact.
     model = calibrate_lognormal(2.0, 1.0)
     ours, numpys = np.random.default_rng(3), np.random.default_rng(3)
-    draws = model.sample(ours, size=(512, 64))
+    draws = sample_reward(model, ours, size=(512, 64))
     reference = numpys.lognormal(model.mu_log, model.sigma_log, size=(512, 64))
     assert draws.shape == reference.shape and draws.dtype == np.float64
     assert np.abs(draws.view(np.int64) - reference.view(np.int64)).max() <= 1
-    scalar = model.sample(ours)
+    scalar = sample_reward(model, ours)
     assert isinstance(scalar, float)
     assert scalar == numpys.lognormal(model.mu_log, model.sigma_log)
     assert ours.random() == numpys.random()
@@ -151,10 +154,10 @@ def test_empirical_reward_resampling():
     assert model.mean() == 4.0
     assert model.variance() == 8.0  # population moments of the data
     rng = np.random.default_rng(3)
-    draws = model.sample(rng, size=200_000)
+    draws = sample_reward(model, rng, size=200_000)
     assert set(np.unique(draws)) == {2.0, 8.0}
     assert abs(draws.mean() - 4.0) < 4.0 * math.sqrt(8.0 / draws.size)
-    assert isinstance(model.sample(rng), float)
+    assert isinstance(sample_reward(model, rng), float)
 
 
 def test_empirical_reward_rejects_bad_data():

@@ -19,7 +19,7 @@ from ticketsim.analytics import (
     slots_to_win_variance,
     ticket_value_variance,
 )
-from ticketsim.core import ConstantReward, EconomyParams, RewardModel, calibrate_lognormal
+from ticketsim.core import ConstantReward, EconomyParams, ParetoReward, calibrate_lognormal
 from ticketsim.errors import DiscountRateError
 from ticketsim.engine import (
     _BLOCK,
@@ -36,7 +36,9 @@ from ticketsim.engine import (
 )
 from ticketsim.market import MultiBlockSpec
 from ticketsim.quantities import Quantity, block_sums, entries, estimate, power_sums
-from reference import MARKET_HOLDER, ReplacementRule, init_state, run_trajectory, step
+from reference import (
+    MARKET_HOLDER, ReplacementRule, init_state, run_trajectory, step, ticket_value_second_moment,
+)
 
 
 def params_const(n, d=0.01, mu=1.0):
@@ -430,24 +432,57 @@ def test_holder_flow_mean_and_variance_match_closed_forms(n, k, d):
     assert abs(var - c * c * (p * (1.0 - p) / d + p * p * (1.0 + d) / d**2)) < 4.0 * var_se
 
 
-class _Recorded(RewardModel):
-    """A reward model that keeps a copy of every array it draws."""
+class _SlotsOnlyRng:
+    """A generator that serves only the lottery's draws, the exponentials of
+    the Geometric waits, the rank integers and the binomial win counts, and
+    records each; any other draw, such as a reward's, is an AttributeError."""
 
-    kind = "recorded"
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
 
-    def __init__(self, inner):
-        self.inner, self.draws = inner, []
-
-    def mean(self):
-        return self.inner.mean()
-
-    def variance(self):
-        return self.inner.variance()
-
-    def sample(self, rng, size=None):
-        drawn = self.inner.sample(rng, size)
-        self.draws.append(np.copy(drawn))
+    def standard_exponential(self, size):
+        drawn = self.rng.standard_exponential(size)
+        self.calls.append(("exponential", drawn.copy()))
         return drawn
+
+    def integers(self, low, high, size):
+        drawn = self.rng.integers(low, high, size=size)
+        self.calls.append(("rank", drawn.copy()))
+        return drawn
+
+    def binomial(self, trials, p):
+        drawn = self.rng.binomial(trials, p)
+        self.calls.append(("binomial", drawn.copy()))
+        return drawn
+
+
+_ROWS = 64
+_KERNELS = {
+    # kernel on (rng, params), and the draws (variate, shape) it takes
+    "tracked": (lambda rng, params: engine._tracked_block(rng, _ROWS, params, math.inf),
+                [("exponential", (_ROWS, 1))]),
+    "pool": (lambda rng, params: engine._pool_payoff_block(rng, _ROWS, params, 4, math.inf),
+             [("exponential", (_ROWS, 4)), ("rank", (_ROWS,))]),
+    "holder": (lambda rng, params: _holder_count_block(rng, _ROWS, params, 4, 0.5, 0.3, math.inf),
+               [("exponential", (_ROWS,)), ("binomial", (_ROWS,))]),
+}
+
+
+@pytest.mark.parametrize("kernel", list(_KERNELS))
+def test_kernels_draw_the_lottery_and_never_a_reward(kernel):
+    # Each row is its payoff's expectation given the slots drawn, so a
+    # constant, a lognormal and a Pareto reward of one mean take the same
+    # draws and give the same bits at the same (n, seed).
+    run, draws = _KERNELS[kernel]
+    results = []
+    for law in (ConstantReward(2.0), calibrate_lognormal(2.0, 1.0), ParetoReward(4.0, 1.5)):
+        assert law.mean() == 2.0
+        rng = _SlotsOnlyRng(substream(3, 0, 0))
+        parts = run(rng, EconomyParams(n=16, d=0.05, reward=law))
+        assert [(name, drawn.shape) for name, drawn in rng.calls] == draws
+        results.append(([drawn.tobytes() for _, drawn in rng.calls],
+                        [p.tobytes() if isinstance(p, np.ndarray) else p for p in parts]))
+    assert results[0] == results[1] == results[2]
 
 
 class _RecordingRng:
@@ -514,7 +549,6 @@ def test_holder_count_block_draws_one_stop_and_one_count_per_row(k, d):
         gross, net, stops = _holder_count_block(rng, count, params, k, beta, price, horizon)
         [(trials, p, wins)] = rng.binomials
         assert p == k / n and np.all(wins <= trials) and not rng.uniforms
-        assert not params.reward.draws
         mu, wins = params.mu, wins.astype(np.float64)
         if beta == 0.0:
             want_gross, want_net = mu * wins, (mu - price) * wins
@@ -529,12 +563,12 @@ def test_holder_count_block_draws_one_stop_and_one_count_per_row(k, d):
 
     for law, beta in itertools.product((ConstantReward(2.5), calibrate_lognormal(1.0, 1.0)), (0.0, 0.5)):
         for horizon in (math.inf, 30):
-            rng, trials, stops = flows(EconomyParams(n, d, _Recorded(law)), beta, horizon)
+            rng, trials, stops = flows(EconomyParams(n, d, law), beta, horizon)
             [exponentials] = rng.exponentials
             assert exponentials.shape == (count,)
             assert stops.tolist() == _recorded_stops(exponentials, d, horizon) == trials.tolist()
         # Undiscounted, every row stops at the explicit horizon and draws only its count.
-        rng, trials, stops = flows(EconomyParams(n, 0.0, _Recorded(law)), beta, 30)
+        rng, trials, stops = flows(EconomyParams(n, 0.0, law), beta, 30)
         assert not rng.exponentials and np.all(stops == 30.0) and np.all(trials == 30)
 
 
@@ -605,7 +639,9 @@ def test_pool_payoffs_solo_matches_closed_forms():
     assert truncated == 0
     se = math.sqrt(solo.var(ddof=1) / solo.size)
     assert abs(solo.mean() - expected_ticket_value(1.0, d, n)) < 4.0 * se
+    # solo is mu x^T given its member's win slot T: the reward adds var_r E[x^(2T)].
     var, var_se = power_sums(solo, float(solo.mean()), 4).variance_stderr()
+    var += ticket_value_second_moment(0.0, params.var_r, d, n)
     assert abs(var - ticket_value_variance(1.0, params.var_r, d, n)) < 4.0 * var_se
     assert member_mean.var(ddof=1) < solo.var(ddof=1)
 

@@ -130,7 +130,13 @@ def test_config_sweep_mc_rejected_for_sampled_parameters(parameter, mc):
 
 def test_config_reward_kinds():
     lognormal = parse_config({**MINIMAL, "reward": {"kind": "lognormal", "mean": 2.0, "sigma_log": 0.5}})
-    assert math.isclose(lognormal.reward.mean(), 2.0, rel_tol=1e-12)
+    assert lognormal.reward.mean() == 2.0     # held as given
+    # A mu_log gives the mean exp(mu_log + sigma_log^2 / 2), which the echo writes.
+    _, echo = resolve({**MINIMAL, "reward": {"kind": "lognormal", "mu_log": 0.5, "sigma_log": 1.0}}, "simulate")
+    assert echo["reward"] == {"kind": "lognormal", "mean": math.exp(1.0), "sigma_log": 1.0}
+    for mu_log, mean in ((-800.0, "0.0"), (800.0, "inf")):
+        with pytest.raises(ConfigError, match=f"reward.mu_log: gives the mean {mean}, not finite and > 0"):
+            parse_config({**MINIMAL, "reward": {"kind": "lognormal", "mu_log": mu_log, "sigma_log": 1.0}})
     pareto = parse_config({**MINIMAL, "reward": {"kind": "pareto", "shape": 3.0, "scale": 1.0}})
     assert pareto.reward.kind == "pareto"
     with pytest.raises(ConfigError, match="reward.kind"):
@@ -270,21 +276,15 @@ def test_run_verify_detects_corrupted_closed_form(monkeypatch):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(shape=st.one_of(
-    st.floats(min_value=2.0, max_value=4.0, exclude_min=True),
-    st.floats(min_value=4.0, max_value=12.0, exclude_min=True),
-))
-def test_verify_needs_pareto_fourth_moment(shape):
-    # verify's ticket_value_variance gate takes the stderr of a sample
-    # variance, which needs a finite fourth moment: shape > 4.
+@given(shape=st.floats(min_value=2.0, max_value=12.0, exclude_min=True))
+def test_verify_passes_every_pareto_shape_above_two(shape):
+    # The tracked rows draw no reward, so the ticket_value_variance gate takes
+    # the stderr of a sample variance of mu x^T, and the reward enters only
+    # through its exact variance: shape > 2, which the parser requires, is
+    # all that verify needs.
     cfg = small_cfg(reward={"kind": "pareto", "shape": shape, "scale": 1.0}, trials=1000)
-    if shape <= 4.0:
-        with pytest.raises(ConfigError) as excinfo:
-            run_verify(cfg)
-        assert excinfo.value.path == "reward.shape"
-    else:
-        outcome = run_verify(cfg)
-        assert not outcome.failures, f"failures: {outcome.failures}"
+    outcome = run_verify(cfg)
+    assert not outcome.failures, f"failures: {outcome.failures}"
     assert all(row.rel_err <= 1e-9 for row in run_analytic(cfg))
     [row] = run_simulate(cfg._replace(quantity="ticket_value_variance"))
     assert math.isfinite(row.mc_mean) and row.mc_stderr > 0.0

@@ -142,10 +142,11 @@ def _value_types():
             ((math.inf,), ValueError, "constant reward must be finite and >= 0, got inf"),
             ((math.nan,), ValueError, "constant reward must be finite and >= 0, got nan"),
         ]),
-        LognormalReward: ((0.0, 1.0), (0.0, 0.5), [
-            ((0.0, 0.0), ValueError, "sigma_log must be finite and > 0, got 0.0"),
-            ((0.0, math.inf), ValueError, "sigma_log must be finite and > 0, got inf"),
-            ((math.nan, 1.0), ValueError, "mu_log must be finite, got nan"),
+        LognormalReward: ((1.0, 1.0), (1.0, 0.5), [
+            ((1.0, 0.0), ValueError, "sigma_log must be finite and > 0, got 0.0"),
+            ((1.0, math.inf), ValueError, "sigma_log must be finite and > 0, got inf"),
+            ((math.nan, 1.0), ValueError, "lognormal mean must be finite and > 0, got nan"),
+            ((0.0, 1.0), ValueError, "lognormal mean must be finite and > 0, got 0.0"),
         ]),
         ParetoReward: ((3.0, 1.0), (3.0, 2.0), [
             ((2.0, 1.0), ValueError, "pareto shape must be > 2 for finite variance, got 2.0"),

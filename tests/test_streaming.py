@@ -15,6 +15,7 @@ from ticketsim.harness import run_pool, run_verify
 from ticketsim.quantities import (
     POOL, Quantity, Run, entries, estimate, fair_price, pool_sums, power_sums,
 )
+from reference import ticket_value_second_moment
 
 # A streamed run holds a block per ensemble in flight, whatever its trials;
 # this allows a few blocks of the tracked samplers' float64 output.
@@ -29,6 +30,13 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 def _variance_stderr(values: np.ndarray) -> tuple[float, float]:
     """Sample variance of an array and its stderr, through its power sums."""
     return power_sums(values, float(np.mean(values)), 4).variance_stderr()
+
+
+def _plus_reward_variance(params: EconomyParams, weight: float, statistic: tuple[float, float]):
+    """A variance ``statistic`` of payoffs given their win slots T, plus
+    ``weight`` times what the reward's variance adds, var_r E[x^(2T)]."""
+    value, stderr = statistic
+    return value + weight * ticket_value_second_moment(0.0, params.var_r, params.d, params.n), stderr
 
 
 def _peak_bytes(fn) -> int:
@@ -100,7 +108,7 @@ def test_streamed_estimates_match_the_array_statistics(reward, monkeypatch):
     est = streamed[Quantity.TICKET_VALUE]
     assert all(map(_close, (est.mean, est.stderr), _mean_stderr(payoffs)))
     est = streamed[Quantity.TICKET_VALUE_VARIANCE]
-    assert all(map(_close, (est.mean, est.stderr), _variance_stderr(payoffs)))
+    assert all(map(_close, (est.mean, est.stderr), _plus_reward_variance(params, 1.0, _variance_stderr(payoffs))))
 
 
 def _pool_rows(run: Run) -> dict:
@@ -116,10 +124,11 @@ def test_streamed_pool_rows_match_the_array_statistics(reward):
     streamed = _pool_rows(Run(params, trials=trials, seed=3, pool_size=4))
     member, solo, truncated = sample_pool_payoffs(params, 4, trials, 3)
     paired = (member - member.mean()) ** 2 - (solo - solo.mean()) ** 2
+    gap = (member.var(ddof=1) - solo.var(ddof=1), _mean_stderr(paired)[1])
     array = {
-        "solo_variance": _variance_stderr(solo),
-        "pooled_per_ticket_variance": _variance_stderr(member),
-        "variance_gap": (member.var(ddof=1) - solo.var(ddof=1), _mean_stderr(paired)[1]),
+        "solo_variance": _plus_reward_variance(params, 1.0, _variance_stderr(solo)),
+        "pooled_per_ticket_variance": _plus_reward_variance(params, 1 / 4, _variance_stderr(member)),
+        "variance_gap": _plus_reward_variance(params, -3 / 4, gap),
     }
     assert streamed.keys() == array.keys()
     for row in array:
