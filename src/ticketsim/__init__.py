@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "core": (
         "ConstantReward", "EconomyParams", "EmpiricalReward", "LognormalReward",
-        "ParetoReward", "RewardModel", "calibrate_lognormal", "load_empirical_rewards",
+        "ParetoReward", "RewardModel", "load_empirical_rewards",
     ),
     "engine": (
         "discount_horizon", "sample_holder_flows", "sample_pool_payoffs", "sample_ticket_payoffs",

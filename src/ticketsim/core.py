@@ -195,8 +195,9 @@ class EmpiricalReward(RewardModel):
 
 
 def calibrate_lognormal(target_mean: float, sigma_log: float) -> LognormalReward:
-    """Lognormal model whose analytic mean equals ``target_mean``: its
-    variance is target_mean^2 * (exp(sigma_log^2) - 1)."""
+    """``LognormalReward(target_mean, sigma_log)``. No longer exported: only
+    perfbench's kernel grid still builds its reward with it, and the function
+    goes once the benchmark stops calling it (ROADMAP item 4)."""
     return LognormalReward(target_mean, sigma_log)
 
 

@@ -17,7 +17,8 @@ its slot, so each row is its payoff's expectation given the slots drawn
 ch. V), which reads only the reward's mean mu. The events drawn:
 
 - a tracked ticket's win slot T is Geometric(1/n), uncapped (only an
-  explicit ``horizon`` cuts a sampler's draws), and its payoff given T is
+  explicit ``horizon`` cuts a sampler's draws, and without one no block
+  builds a horizon mask or caps a slot or a stop), and its payoff given T is
   mu x^T. A tracked ticket is a pool of one (below): its payoff is the pool
   kernel's at k = 1, from the same draw, which also gives its win slot;
 - discounting by x = 1/(1+d) per slot is stopping at an independent slot
@@ -101,11 +102,15 @@ def discount_horizon(d: float, tol: float = TAIL_TOLERANCE) -> int:
 
 
 def _horizon(horizon: Optional[float]) -> float:
-    """An explicit ``horizon``, or inf for none; a NaN or negative one is an error."""
-    if horizon is None:
+    """An explicit ``horizon``, a whole number of slots, or inf for none
+    (None, or ``math.inf`` itself); a NaN, negative or fractional one is an
+    error, since a win slot is a whole number."""
+    if horizon is None or horizon == math.inf:
         return math.inf
     if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if horizon != math.floor(horizon):
+        raise ValueError(f"horizon must be a whole number of slots, got {horizon}")
     return horizon
 
 
@@ -212,27 +217,32 @@ def _geometric(p, size, rng: np.random.Generator) -> np.ndarray:
     return np.maximum(draws, 1.0, out=draws)
 
 
-def _member_hits(rng, count, params, k, horizon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(slots, payoffs, won) of each of a k-ticket pool's members in hit order,
-    per trajectory: the slot T of each hit, its payoff's expectation given T,
-    mu x^T, where T falls within ``horizon`` (else 0), and whether it does."""
+def _member_hits(rng, count, params, k, horizon) -> tuple[np.ndarray, np.ndarray, int]:
+    """(slots, payoffs, truncated) of each of a k-ticket pool's members in
+    hit order, per trajectory: the slot T of each hit capped at ``horizon``,
+    its payoff's expectation given T, mu x^T, where T falls within the
+    horizon (else 0), and the count of hits past it. Without a horizon
+    (inf) nothing is cut, and the count is the int 0 with no mask built."""
     import numpy as np
     # With i members already hit, the next fresh member is hit after a
     # Geometric((k - i)/n) wait, so hit i lands at the running sum.
     slots = _geometric([(k - i) / params.n for i in range(k)], (count, k), rng)
     if k > 1:
         np.cumsum(slots, axis=1, out=slots)
+    payoffs = params.mu * (1.0 + params.d) ** -slots
+    if horizon == math.inf:
+        return slots, payoffs, 0
     won = slots <= horizon
-    return slots, np.where(won, params.mu * (1.0 + params.d) ** -slots, 0.0), won
+    truncated = int(won.size - won.sum())
+    return np.minimum(slots, horizon, out=slots), np.where(won, payoffs, 0.0), truncated
 
 
 def _tracked_block(rng, count, params, horizon) -> tuple[np.ndarray, int, np.ndarray]:
     """(payoffs, truncated count, win slots capped at ``horizon``) of tracked
     tickets. A tracked ticket is a pool of one: at k = 1 its win slot, then
-    its reward, and no rank to draw."""
-    import numpy as np
-    slots, payoffs, won = _member_hits(rng, count, params, 1, horizon)
-    return payoffs[:, 0], count - int(won.sum()), np.minimum(slots[:, 0], horizon)
+    its payoff given it, and no rank to draw."""
+    slots, payoffs, truncated = _member_hits(rng, count, params, 1, horizon)
+    return payoffs[:, 0], truncated, slots[:, 0]
 
 
 def _ticket_payoff_block(rng, count, params, horizon) -> tuple[np.ndarray, int]:
@@ -247,14 +257,15 @@ def _win_slot_block(rng, count, params, horizon) -> tuple[np.ndarray, int]:
 
 def _holder_stops(rng, count, d, horizon) -> np.ndarray:
     """Each trajectory's last slot: N = Geometric(d/(1+d)) - 1 on {0, 1, ...},
-    so that P(N >= t) = (1+d)^-t, cut to min(N, horizon); at d = 0, the
-    horizon itself."""
+    so that P(N >= t) = (1+d)^-t, cut to min(N, horizon) under a finite
+    ``horizon`` (inf cuts nothing and takes no pass); at d = 0, the horizon
+    itself."""
     import numpy as np
     if d == 0.0:
         return np.full(count, float(horizon))
     stops = _geometric([d / (1.0 + d)], count, rng)
     stops -= 1.0
-    return np.minimum(stops, horizon, out=stops)
+    return stops if horizon == math.inf else np.minimum(stops, horizon, out=stops)
 
 
 def _holder_count_block(rng, count, params, k, beta, price, horizon) -> tuple[np.ndarray, ...]:
@@ -275,10 +286,10 @@ def _holder_count_block(rng, count, params, k, beta, price, horizon) -> tuple[np
 
 def _pool_payoff_block(rng, count, params, k, horizon) -> tuple[np.ndarray, np.ndarray, int]:
     import numpy as np
-    _, payoffs, won = _member_hits(rng, count, params, k, horizon)
+    _, payoffs, truncated = _member_hits(rng, count, params, k, horizon)
     # Members are exchangeable: member 0 is the one hit at a uniform rank.
     rank = rng.integers(0, k, size=count)
-    return payoffs.mean(axis=1), payoffs[np.arange(count), rank], int(won.size - won.sum())
+    return payoffs.mean(axis=1), payoffs[np.arange(count), rank], truncated
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +314,9 @@ def sample_ticket_payoffs(
     pays 0 and counts as truncated. With ``reduce``, returns its reduction
     of each block's (payoffs, truncated count, win slots capped at the
     horizon), summed over the blocks in block order (see ``_sample``), in
-    place of the arrays. Every sampler here raises ``ValueError`` for a NaN
-    or negative ``horizon`` and for ``workers`` < 1.
+    place of the arrays. Every sampler here takes ``math.inf`` as no
+    horizon, as None, and raises ``ValueError`` for a NaN, negative or
+    fractional ``horizon`` and for ``workers`` < 1.
     """
     kernel = _ticket_payoff_block if reduce is None else _tracked_block
     head = (params, _horizon(horizon))
@@ -365,10 +377,11 @@ def sample_holder_flows(
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
     if not math.isfinite(replacement_price):
         raise ValueError(f"replacement_price must be finite, got {replacement_price}")
-    if horizon is None and params.d <= 0.0:
+    horizon = _horizon(horizon)
+    if horizon == math.inf and params.d <= 0.0:
         from .errors import DiscountRateError
         raise DiscountRateError(f"cannot stop a holder flow at d={params.d}; pass a horizon explicitly")
-    head = (params, holder_tickets, beta, replacement_price, _horizon(horizon))
+    head = (params, holder_tickets, beta, replacement_price, horizon)
     return _sample(_holder_count_block, head, trials, _BLOCK, seed, stream, workers, reduce)
 
 

@@ -377,9 +377,10 @@ def pool_sums(parts: tuple, shift: float) -> tuple:
     unit = _unit(shift)
     e = (member - solo) / unit
     f = (np.subtract(member, shift) + np.subtract(solo, shift)) / unit
-    ones = np.ones_like(e)
-    e_powers, f_powers = np.stack([ones, e, e * e]), np.stack([ones, f, f * f])
-    paired = (e_powers[:, None, :] * f_powers[None, :, :]).sum(axis=2)
+    e2, f2 = e * e, f * f     # a power 0 enters as the other factor itself: 1.0 * v is v
+    paired = np.array([[e.size, f.sum(), f2.sum()],
+                       [e.sum(), (e * f).sum(), (e * f2).sum()],
+                       [e2.sum(), (e2 * f).sum(), (e2 * f2).sum()]], dtype=np.float64)
     return power_sums(member, shift, 4), power_sums(solo, shift, 4), truncated, paired
 
 

@@ -48,7 +48,7 @@ def test_criterion_01_reward_stream_npv():
 def test_criterion_02_single_ticket_value():
     start = time.perf_counter()
     mu, d = 1.0, 0.01
-    reward = ts.calibrate_lognormal(1.0, 1.0)
+    reward = ts.LognormalReward(1.0, 1.0)
     details = []
     for n, seed in ((1, 11), (32, 12), (100, 13)):
         closed = ts.expected_ticket_value(mu, d, n)
@@ -165,7 +165,7 @@ def test_criterion_07_ticket_value_variance():
     oracle = second - ticket_value_series(mu, d, n) ** 2
     assert rel_gap(oracle, closed) <= 1e-9
 
-    reward = ts.calibrate_lognormal(1.0, math.sqrt(math.log(2.0)))  # mean 1, variance 1
+    reward = ts.LognormalReward(1.0, math.sqrt(math.log(2.0)))  # mean 1, variance 1
     assert math.isclose(reward.variance(), 1.0, rel_tol=1e-12)
     payoffs, _ = ts.sample_ticket_payoffs(
         ts.EconomyParams(n=n, d=d, reward=reward), 1_000_000, seed=707

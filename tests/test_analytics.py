@@ -26,7 +26,7 @@ from ticketsim.analytics import (
     truncated_series_sum,
 )
 from ticketsim.config import parse_config
-from ticketsim.core import ConstantReward, EconomyParams, calibrate_lognormal
+from ticketsim.core import ConstantReward, EconomyParams, LognormalReward
 from ticketsim.errors import ConfigError, DiscountRateError, DivergenceError
 from ticketsim.harness import run_analytic, run_verify
 from ticketsim.quantities import ORACLE_EPSILON, QUANTITIES, Quantity, Run, entries
@@ -449,7 +449,7 @@ def table_series(monkeypatch, n, d):
         return doubling_series_sum(a, r, kind, epsilon)
 
     monkeypatch.setattr(analytics, "doubling_series_sum", record)
-    run = Run(EconomyParams(n=n, d=d, reward=calibrate_lognormal(1.0, 1.0)), 0.25)
+    run = Run(EconomyParams(n=n, d=d, reward=LognormalReward(1.0, 1.0)), 0.25)
     for _, entry in entries(oracle=True):
         entry.oracle(run)
     return seen
@@ -461,7 +461,7 @@ def test_table_series_array_and_scalar_terms_agree(monkeypatch, n, d):
     # Each oracle's (a, r, kind) agrees with the scalar term that defines
     # it, and the doubling sum over it with the term loop where the series is
     # short. The oracles take (a, r) from the term, never from a closed form.
-    reward = calibrate_lognormal(1.0, 1.0)
+    reward = LognormalReward(1.0, 1.0)
     mu, second = reward.mean(), reward.variance() + reward.mean() ** 2
     q = 1.0 - 1.0 / n
     terms = [
@@ -561,7 +561,7 @@ def test_series_oracle_memory_independent_of_length():
     # peak memory does not grow with the number of terms (about 74n for the
     # slots series).
     def peak_mb(n):
-        run = Run(EconomyParams(n=n, d=1e-4, reward=calibrate_lognormal(1.0, 1.0)), 0.25)
+        run = Run(EconomyParams(n=n, d=1e-4, reward=LognormalReward(1.0, 1.0)), 0.25)
         tracemalloc.start()
         try:
             for _, entry in entries(oracle=True):
@@ -607,7 +607,7 @@ def test_analytic_rows_are_within_1e_12_of_their_closed_forms(n, log_d, lognorma
        mu=st.floats(1e-3, 1e3), lognormal=st.booleans())
 def test_every_oracle_holds_over_the_accepted_discount_rates(n, log_d, mu, lognormal):
     # verify's oracle gate: within 1e-9 of the closed form, with its sign.
-    reward = calibrate_lognormal(mu, 1.0) if lognormal else ConstantReward(mu)
+    reward = LognormalReward(mu, 1.0) if lognormal else ConstantReward(mu)
     run = Run(EconomyParams(n=n, d=10.0**log_d, reward=reward), 0.25)
     for quantity, entry in entries(oracle=True):
         closed = entry.closed(run)
@@ -636,7 +636,7 @@ def _simulate_accepts(quantity):
 def test_quantity_table_closed_forms_match_oracles():
     for n in (1, 32, 1024):
         for d in (0.01, 0.1):
-            for reward in (ConstantReward(1.5), calibrate_lognormal(1.0, 1.0)):
+            for reward in (ConstantReward(1.5), LognormalReward(1.0, 1.0)):
                 run = Run(EconomyParams(n=n, d=d, reward=reward), 0.25)
                 for quantity, entry in entries(oracle=True):
                     gap = rel_gap(entry.oracle(run), entry.closed(run))

@@ -11,7 +11,6 @@ from ticketsim.core import (
     EmpiricalReward,
     LognormalReward,
     ParetoReward,
-    calibrate_lognormal,
     load_empirical_rewards,
 )
 from reference import DiscountCurve, sample_reward
@@ -70,19 +69,19 @@ def test_constant_reward_degenerate():
 
 
 def test_lognormal_calibration_moments():
-    model = calibrate_lognormal(2.0, 1.0)
-    assert model == LognormalReward(2.0, 1.0) and model.mean() == 2.0    # held, not rounded by exp()
+    model = LognormalReward(2.0, 1.0)
+    assert model.mean() == 2.0    # held, not rounded by exp()
     assert math.isclose(model.variance(), 4.0 * (math.e - 1.0), rel_tol=1e-12)
     assert math.isclose(model.mu_log, math.log(2.0) - 0.5, rel_tol=1e-15)
-    tiny = calibrate_lognormal(1.0, 1e-8)
+    tiny = LognormalReward(1.0, 1e-8)
     assert tiny.variance() < 1e-15
 
 
 def test_lognormal_rejects_bad_params():
     with pytest.raises(ValueError):
-        calibrate_lognormal(0.0, 1.0)
+        LognormalReward(0.0, 1.0)
     with pytest.raises(ValueError):
-        calibrate_lognormal(1.0, 0.0)
+        LognormalReward(1.0, 0.0)
     with pytest.raises(ValueError):
         LognormalReward(mu=1.0, sigma_log=-1.0)
     with pytest.raises(ValueError, match="lognormal mean must be finite and > 0, got inf"):
@@ -108,8 +107,8 @@ def test_pareto_moments():
     "model",
     [
         ConstantReward(3.0),
-        calibrate_lognormal(1.0, 0.5),
-        calibrate_lognormal(1.0, 1.0),
+        LognormalReward(1.0, 0.5),
+        LognormalReward(1.0, 1.0),
         ParetoReward(shape=3.5, scale=1.0),
         EmpiricalReward([2.0, 2.0, 8.0]),
     ],
@@ -125,7 +124,7 @@ def test_sample_mean_matches_analytic_mean(model):
 
 
 def test_lognormal_sample_variance_matches():
-    model = calibrate_lognormal(2.0, 1.0)
+    model = LognormalReward(2.0, 1.0)
     rng = np.random.default_rng(13)
     draws = sample_reward(model, rng, size=1_000_000)
     s2 = draws.var(ddof=1)
@@ -137,7 +136,7 @@ def test_lognormal_sample_variance_matches():
 def test_lognormal_sample_is_numpys_lognormal_within_one_ulp():
     # Same normals consumed as ``rng.lognormal``; only the exp may round
     # differently, and the scalar path is exact.
-    model = calibrate_lognormal(2.0, 1.0)
+    model = LognormalReward(2.0, 1.0)
     ours, numpys = np.random.default_rng(3), np.random.default_rng(3)
     draws = sample_reward(model, ours, size=(512, 64))
     reference = numpys.lognormal(model.mu_log, model.sigma_log, size=(512, 64))

@@ -19,7 +19,7 @@ from ticketsim.analytics import (
     slots_to_win_variance,
     ticket_value_variance,
 )
-from ticketsim.core import ConstantReward, EconomyParams, ParetoReward, calibrate_lognormal
+from ticketsim.core import ConstantReward, EconomyParams, LognormalReward, ParetoReward
 from ticketsim.errors import DiscountRateError
 from ticketsim.engine import (
     _BLOCK,
@@ -35,7 +35,9 @@ from ticketsim.engine import (
     win_horizon,
 )
 from ticketsim.market import MultiBlockSpec
-from ticketsim.quantities import Quantity, block_sums, entries, estimate, power_sums
+from ticketsim.quantities import (
+    PowerSums, Quantity, block_sums, entries, estimate, holder_block_sums, pool_sums, power_sums,
+)
 from reference import (
     MARKET_HOLDER, ReplacementRule, init_state, run_trajectory, step, ticket_value_second_moment,
 )
@@ -347,7 +349,7 @@ def test_holder_flows_match_object_engine_with_streak_bonus():
     # at a random reward too.
     n, k, beta, d, horizon = 6, 2, 0.5, 0.05, 100
     holders = ["whale"] * k + [MARKET_HOLDER] * (n - k)
-    for reward in (ConstantReward(1.0), calibrate_lognormal(1.0, 1.0)):
+    for reward in (ConstantReward(1.0), LognormalReward(1.0, 1.0)):
         params = EconomyParams(n, d, reward)
         rng = np.random.default_rng(61)
         object_totals = np.array([
@@ -475,7 +477,7 @@ def test_kernels_draw_the_lottery_and_never_a_reward(kernel):
     # draws and give the same bits at the same (n, seed).
     run, draws = _KERNELS[kernel]
     results = []
-    for law in (ConstantReward(2.0), calibrate_lognormal(2.0, 1.0), ParetoReward(4.0, 1.5)):
+    for law in (ConstantReward(2.0), LognormalReward(2.0, 1.0), ParetoReward(4.0, 1.5)):
         assert law.mean() == 2.0
         rng = _SlotsOnlyRng(substream(3, 0, 0))
         parts = run(rng, EconomyParams(n=16, d=0.05, reward=law))
@@ -561,7 +563,7 @@ def test_holder_count_block_draws_one_stop_and_one_count_per_row(k, d):
             assert np.array_equal(wins, trials)
         return rng, trials, stops
 
-    for law, beta in itertools.product((ConstantReward(2.5), calibrate_lognormal(1.0, 1.0)), (0.0, 0.5)):
+    for law, beta in itertools.product((ConstantReward(2.5), LognormalReward(1.0, 1.0)), (0.0, 0.5)):
         for horizon in (math.inf, 30):
             rng, trials, stops = flows(EconomyParams(n, d, law), beta, horizon)
             [exponentials] = rng.exponentials
@@ -620,7 +622,7 @@ def test_pool_payoffs_single_member_is_solo():
     assert np.array_equal(member_mean, solo)
 
 
-@pytest.mark.parametrize("reward", [ConstantReward(2.0), calibrate_lognormal(1.0, 1.0)],
+@pytest.mark.parametrize("reward", [ConstantReward(2.0), LognormalReward(1.0, 1.0)],
                          ids=["constant", "lognormal"])
 def test_ticket_payoffs_are_the_payoffs_of_a_pool_of_one(reward):
     # One block of each sampler (the pool's blocks are smaller) draws from the
@@ -634,7 +636,7 @@ def test_ticket_payoffs_are_the_payoffs_of_a_pool_of_one(reward):
 
 def test_pool_payoffs_solo_matches_closed_forms():
     n, k, d = 12, 4, 0.05
-    params = EconomyParams(n=n, d=d, reward=calibrate_lognormal(1.0, 0.5))
+    params = EconomyParams(n=n, d=d, reward=LognormalReward(1.0, 0.5))
     member_mean, solo, truncated = sample_pool_payoffs(params, k, 100_000, seed=12)
     assert truncated == 0
     se = math.sqrt(solo.var(ddof=1) / solo.size)
@@ -661,7 +663,7 @@ def test_holder_flow_and_pool_memory_independent_of_d():
     sample_holder_flows(params_const(32), 1, _BLOCK, seed=3)     # first-call allocations
     rows_mb = _BLOCK * 8 / 1e6      # one float64 per row of a block
     for k in (1, 4):
-        for reward, beta in ((ConstantReward(1.0), 0.0), (calibrate_lognormal(1.0, 1.0), 0.5)):
+        for reward, beta in ((ConstantReward(1.0), 0.0), (LognormalReward(1.0, 1.0), 0.5)):
             holder = {d: peak_mb(lambda: sample_holder_flows(EconomyParams(32, d, reward), k, _BLOCK,
                                                              seed=3, beta=beta))
                       for d in (1e-2, 1e-8)}
@@ -757,7 +759,7 @@ def test_pool_threads_are_capped_at_the_cpu_count(monkeypatch, cpus, threads):
     assert serial[0].tobytes() == pooled[0].tobytes() and serial[1] == pooled[1] > 0
 
 
-_LOGNORMAL = calibrate_lognormal(1.0, 1.0)
+_LOGNORMAL = LognormalReward(1.0, 1.0)
 _DRIVER_CASES = {
     # sampler, its arguments between params and trials, options, block size, reward
     "ticket_payoffs": (sample_ticket_payoffs, (), {"horizon": 40}, _BLOCK, _LOGNORMAL),
@@ -790,16 +792,67 @@ def test_sampler_output_bit_identical_across_workers(name):
 ], ids=["ticket_payoffs", "win_slots", "holder_flows", "pool"])
 def test_samplers_reject_a_nan_or_negative_horizon_and_fewer_than_one_worker(sampler, head):
     # Unchecked, a negative horizon makes every win slot the horizon, a NaN
-    # one counts every win as truncated (or fails inside numpy), and a worker
-    # count below one runs serially.
+    # one counts every win as truncated (or fails inside numpy), a fractional
+    # one reports its cut trajectories at a slot a real win can have (and
+    # cuts a holder's stop to a fraction of a slot), and a worker count below
+    # one runs serially. math.inf is no horizon, as None is.
     params = params_const(32)
     for horizon in (-5, -0.5, math.nan):
         with pytest.raises(ValueError, match=rf"horizon must be >= 0, got {horizon}$"):
+            sampler(params, *head, 100, 1, horizon=horizon)
+    for horizon in (2.5, 0.5, 40.000001):
+        with pytest.raises(ValueError, match=rf"horizon must be a whole number of slots, got {horizon}$"):
             sampler(params, *head, 100, 1, horizon=horizon)
     for workers in (0, -3):
         with pytest.raises(ValueError, match=rf"workers must be >= 1, got {workers}$"):
             sampler(params, *head, 100, 1, workers=workers)
     assert len(sampler(params, *head, 100, 1, horizon=0, workers=1)) >= 2
+    for whole in (2.0, np.int64(2)):
+        assert all(np.array_equal(a, b) for a, b in zip(sampler(params, *head, 100, 1, horizon=whole),
+                                                        sampler(params, *head, 100, 1, horizon=2)))
+    unbounded, none = sampler(params, *head, 100, 1, horizon=math.inf), sampler(params, *head, 100, 1)
+    assert all(np.array_equal(a, b) for a, b in zip(unbounded, none))
+
+
+def test_an_infinite_horizon_does_not_stop_an_undiscounted_holder_flow():
+    with pytest.raises(DiscountRateError, match="pass a horizon explicitly"):
+        sample_holder_flows(params_const(4, d=0.0), 2, 100, seed=0, horizon=math.inf)
+
+
+_HORIZON_CASES = {
+    # sampler, its arguments between params and trials, block size, reducer, index of the truncated count
+    "ticket_payoffs": (sample_ticket_payoffs, (), _BLOCK, partial(block_sums, shifts=(0.6, 32.0), orders=(4, 2)), 1),
+    "win_slots": (sample_win_slots, (), _BLOCK, partial(block_sums, shifts=(32.0,), orders=(2,)), 1),
+    "pool": (sample_pool_payoffs, (16,), _PATH_BLOCK, partial(pool_sums, shift=0.6), 2),
+    "holder_flows": (sample_holder_flows, (4,), _BLOCK,
+                     partial(holder_block_sums, shifts=(0.4, 0.3), slopes=(0.004, 0.003), stop_mean=100.0),
+                     None),
+}
+
+
+def _bytes(part):
+    """A sampler's or reducer's output part as comparable bytes (a count as itself)."""
+    if isinstance(part, np.ndarray):
+        return part.dtype.str, part.tobytes()
+    if isinstance(part, PowerSums):
+        return part.shift, part.unit, part.sums.tobytes()
+    return part
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["arrays", "reduced"])
+@pytest.mark.parametrize("name", list(_HORIZON_CASES))
+def test_a_horizon_past_every_draw_gives_the_bytes_of_none(name, reduced):
+    # No horizon skips the mask, the cut and the count; a finite horizon
+    # above every slot drawn runs them and must change no bit, and each
+    # truncated count is the int 0.
+    sampler, head, block, reducer, count_at = _HORIZON_CASES[name]
+    params = EconomyParams(n=32, d=0.01, reward=LognormalReward(1.0, 1.0))
+    trials = 2 * block + 37
+    options = {"reduce": reducer} if reduced else {}
+    none, far = (sampler(params, *head, trials, 8, horizon=horizon, **options) for horizon in (None, 10**12))
+    assert list(map(_bytes, far)) == list(map(_bytes, none))
+    if count_at is not None:
+        assert type(none[count_at]) is int and none[count_at] == 0 == far[count_at]
 
 
 def test_substream_determinism_and_separation():
@@ -830,7 +883,7 @@ def test_estimate_constant_single_ticket_exact():
 
 
 def test_estimate_ticket_value_matches_closed_form():
-    params = EconomyParams(n=32, d=0.01, reward=calibrate_lognormal(1.0, 1.0))
+    params = EconomyParams(n=32, d=0.01, reward=LognormalReward(1.0, 1.0))
     est = estimate(params, Quantity.TICKET_VALUE, 200_000, seed=8)
     closed = expected_ticket_value(1.0, 0.01, 32)
     assert abs(est.mean - closed) <= 4.0 * est.stderr
@@ -841,7 +894,7 @@ def test_estimate_ticket_value_matches_closed_form():
 def test_estimate_variance_matches_appendix_formula():
     from ticketsim.analytics import ticket_value_variance
 
-    params = EconomyParams(n=10, d=0.1, reward=calibrate_lognormal(1.0, math.sqrt(math.log(2.0))))
+    params = EconomyParams(n=10, d=0.1, reward=LognormalReward(1.0, math.sqrt(math.log(2.0))))
     assert math.isclose(params.var_r, 1.0, rel_tol=1e-12)
     est = estimate(params, Quantity.TICKET_VALUE_VARIANCE, 200_000, seed=14)
     closed = ticket_value_variance(1.0, 1.0, 0.1, 10)

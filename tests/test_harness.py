@@ -897,7 +897,7 @@ def test_cli_p_and_k_sweeps_reject_holder_share(tmp_path, capsys, parameter, val
      "sweep.values[1]: 0.01 rounds to zero of 32 tickets"),
 ])
 def test_cli_swept_values_and_overflowing_rewards_are_config_errors(tmp_path, capsys, command, keys, path):
-    # The first five crashed once: a ValueError from calibrate_lognormal, an
+    # The first five crashed once: a ValueError from the lognormal reward, an
     # OverflowError, or a DivergenceError that named no key. No report is written.
     config, out = _write_config(tmp_path, **{"trials": None, **keys}), tmp_path / "report.csv"
     assert main([command, "--config", str(config), "--out", str(out)]) == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ticketsim.analytics import expected_ticket_value, npv_rewards
-from ticketsim.core import ConstantReward, EconomyParams, calibrate_lognormal
+from ticketsim.core import ConstantReward, EconomyParams, LognormalReward
 from ticketsim import engine
 from ticketsim.engine import sample_holder_flows
 from ticketsim.errors import ConfigError, NegativePriceError
@@ -111,7 +111,7 @@ def test_pooled_variance_rejects_oversized_pool():
 
 
 def test_pooled_variance_reduction():
-    params = EconomyParams(n=16, d=0.05, reward=calibrate_lognormal(1.0, 1.0))
+    params = EconomyParams(n=16, d=0.05, reward=LognormalReward(1.0, 1.0))
     result = _pool(params, 8, 20_000, seed=12)
     gap, gap_stderr = result["variance_gap"]
     assert result["pooled_per_ticket_variance"][0] < result["solo_variance"][0]
@@ -121,7 +121,7 @@ def test_pooled_variance_reduction():
 def test_full_pool_still_below_solo():
     # k = n: only reward draws and timing spread remain per ticket;
     # averaging n one-shot claims stays strictly below one claim's variance.
-    params = EconomyParams(n=16, d=0.05, reward=calibrate_lognormal(1.0, 1.0))
+    params = EconomyParams(n=16, d=0.05, reward=LognormalReward(1.0, 1.0))
     gap, gap_stderr = _pool(params, 16, 20_000, seed=13)["variance_gap"]
     assert gap < -3.0 * gap_stderr
 
@@ -129,7 +129,7 @@ def test_full_pool_still_below_solo():
 def test_pooled_solo_variance_matches_formula():
     from ticketsim.analytics import ticket_value_variance
 
-    params = EconomyParams(n=16, d=0.05, reward=calibrate_lognormal(1.0, 1.0))
+    params = EconomyParams(n=16, d=0.05, reward=LognormalReward(1.0, 1.0))
     solo, solo_stderr = _pool(params, 4, 50_000, seed=18)["solo_variance"]
     closed = ticket_value_variance(1.0, math.e - 1.0, 0.05, 16)
     assert abs(solo - closed) < 4.0 * solo_stderr

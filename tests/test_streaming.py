@@ -9,11 +9,11 @@ import pytest
 
 from ticketsim import engine
 from ticketsim.config import parse_config
-from ticketsim.core import ConstantReward, EconomyParams, EmpiricalReward, ParetoReward, calibrate_lognormal
+from ticketsim.core import ConstantReward, EconomyParams, EmpiricalReward, LognormalReward, ParetoReward
 from ticketsim.engine import _BLOCK, _PATH_BLOCK, sample_pool_payoffs
 from ticketsim.harness import run_pool, run_verify
 from ticketsim.quantities import (
-    POOL, Quantity, Run, entries, estimate, fair_price, pool_sums, power_sums,
+    POOL, Quantity, Run, _unit, entries, estimate, fair_price, pool_sums, power_sums,
 )
 from reference import ticket_value_second_moment
 
@@ -65,7 +65,7 @@ def test_memory_is_bounded_in_trials(name, block, run):
 
 _REWARDS = {
     "constant": ConstantReward(1.0),
-    "lognormal": calibrate_lognormal(1.0, 1.0),
+    "lognormal": LognormalReward(1.0, 1.0),
     "pareto": ParetoReward(4.5, 1.0),
     "empirical": EmpiricalReward([2.0, 2.0, 8.0]),
 }
@@ -138,8 +138,33 @@ def test_streamed_pool_rows_match_the_array_statistics(reward):
     assert sample_pool_payoffs(params, 4, trials, 3, reduce=reduce)[2] == truncated
 
 
+@pytest.mark.parametrize("k", [1, 16])
+def test_pool_sums_paired_table_is_the_sum_of_each_pair(k):
+    # The table T[i, j] holds the sum of e^i f^j over one pool block, each
+    # taken pair by pair, bit for bit (at k = 1 the member is the solo
+    # ticket, so e is 0). The broadcast over a stacked 3 x 3 x block array
+    # sums the same contiguous products and gives the same bits.
+    params = EconomyParams(n=1024, d=0.01, reward=LognormalReward(1.0, 1.0))
+    shift = fair_price(Run(params))
+    member, solo, _ = engine._pool_payoff_block(engine.substream(3, 0, 0), _PATH_BLOCK, params, k, np.inf)
+    unit = _unit(shift)
+    e = (member - solo) / unit
+    f = (np.subtract(member, shift) + np.subtract(solo, shift)) / unit
+    assert (e == 0.0).all() == (k == 1)
+
+    def powers(v):
+        return np.ones_like(v), v, v * v
+
+    pairs = np.array([[np.sum(a * b) for b in powers(f)] for a in powers(e)])
+    stacked = (np.stack(powers(e))[:, None, :] * np.stack(powers(f))[None, :, :]).sum(axis=2)
+    paired = pool_sums((member, solo, 0), shift)[3]
+    assert paired.shape == (3, 3) and paired.dtype == np.float64
+    assert np.array_equal(paired, pairs) and np.array_equal(paired, stacked)
+    assert paired[0, 0] == _PATH_BLOCK
+
+
 def test_streamed_pool_is_worker_invariant():
-    params = EconomyParams(n=16, d=0.05, reward=calibrate_lognormal(1.0, 1.0))
+    params = EconomyParams(n=16, d=0.05, reward=LognormalReward(1.0, 1.0))
     trials = 3 * _PATH_BLOCK + 37
     serial = _pool_rows(Run(params, trials=trials, seed=5, workers=1, pool_size=4))
     parallel = _pool_rows(Run(params, trials=trials, seed=5, workers=2, pool_size=4))
@@ -149,7 +174,7 @@ def test_streamed_pool_is_worker_invariant():
 def test_sums_are_insensitive_to_a_wrong_shift():
     # The shift only conditions the sums: a shift well off the mean moves
     # the statistics by rounding.
-    params = EconomyParams(n=32, d=0.01, reward=calibrate_lognormal(1.0, 1.0))
+    params = EconomyParams(n=32, d=0.01, reward=LognormalReward(1.0, 1.0))
     payoffs, _ = engine.sample_ticket_payoffs(params, 20_000, 11)
     right = power_sums(payoffs, float(np.mean(payoffs)), 4)
     for shift in (0.0, 0.9, 2.0):
