@@ -29,13 +29,14 @@ ch. V), which reads only the reward's mean mu. The events drawn:
 - a holder of k retained tickets wins each slot with probability
   p = k/n, independently, so its wins up to N are K ~ Binomial(N, p).
   Given (N, K) the wins are a uniform K-subset of the N slots, so a holder
-  trajectory reports its flow's expectation given (N, K): two variates per
-  trajectory, whatever d, the reward law and the streak bonus are. The
-  bonus 1 + beta * (streak - 1) adds beta * (streak - 1) at each win, and
-  E[sum of (streak - 1) | N, K] = K (K - 1) / (N - K + 2): a run of L
-  wins adds L (L - 1) / 2, the count of its windows of m >= 2
-  consecutive wins, and N - m + 1 windows each hold m wins with chance
-  (K)_m / (N)_m, which sum over m to that form;
+  trajectory reports its flow's expectation given (N, K): a stop and a
+  count per row whatever d and the reward law are, and at beta = 0 (a flow
+  linear in K) one count per block, the rows' K summing to one Binomial.
+  The bonus 1 + beta * (streak - 1) adds beta * (streak - 1) at each win,
+  and E[sum of (streak - 1) | N, K] = K (K - 1) / (N - K + 2): a run of L
+  wins adds L (L - 1) / 2, the count of its windows of m >= 2 consecutive
+  wins, and N - m + 1 windows each hold m wins with chance (K)_m / (N)_m,
+  which sum over m to that form;
 - in a k-ticket pool, the i-th distinct member hit waits
   Geometric((k - i)/n) slots after the previous one, and members are
   exchangeable, so one member's payoff is the payoff at a uniform rank: k
@@ -81,6 +82,7 @@ if TYPE_CHECKING:
 # depend on these constants, never on the worker count.
 _BLOCK = 4096        # tracked-ticket and holder samplers (small state per row)
 _PATH_BLOCK = 512    # pool sampler (k slots per row)
+_MAX_HORIZON = 2**53 // _BLOCK   # a holder block's stops then sum exactly, in float64 too
 
 TAIL_TOLERANCE = 1e-9   # the tail the horizons below cut, to size an explicit horizon
 
@@ -268,20 +270,29 @@ def _holder_stops(rng, count, d, horizon) -> np.ndarray:
     return stops if horizon == math.inf else np.minimum(stops, horizon, out=stops)
 
 
-def _holder_count_block(rng, count, params, k, beta, price, horizon) -> tuple[np.ndarray, ...]:
-    """(gross, net, stop) of holder flows, each row's flow's expectation
-    given its stop S and its wins K. Each slot up to S is a holder win with
-    probability k/n, independently, so K ~ Binomial(S, k/n), all of them at
-    k = n; given (S, K), gross is mu (K + beta K (K - 1) / (S - K + 2)) and
-    each win buys a replacement at ``price``."""
+def _holder_count_block(rng, count, params, k, beta, price, horizon) -> tuple:
+    """(gross, net, stop, wins) of holder flows. Each slot up to a row's stop
+    S is a holder win with chance p = k/n, so K ~ Binomial(S, p), and each
+    win buys a replacement at ``price``. At beta = 0 gross is mu K, and the
+    block draws the int ``wins``, one Binomial(sum of S, p), of which row i
+    expects wins S_i / sum of S (the multivariate hypergeometric mean). At
+    beta > 0 each row draws its K (``wins``), and gross given (S, K) is
+    mu (K + beta K (K - 1) / (S - K + 2))."""
     import numpy as np
     stops = _holder_stops(rng, count, params.d, horizon)
-    wins = rng.binomial(stops.astype(np.int64), k / params.n).astype(np.float64)
-    mu = params.mu
+    p, mu = k / params.n, params.mu
     if beta == 0.0:
-        return mu * wins, (mu - price) * wins, stops
+        trials = int(stops.sum())
+        wins = rng.binomial(trials, p)
+        share = stops * (wins / max(trials, 1))
+        return mu * share, (mu - price) * share, stops, wins
+    wins = rng.binomial(stops.astype(np.int64), p).astype(np.float64)
     gross = mu * (wins + beta * wins * (wins - 1.0) / (stops - wins + 2.0))
-    return gross, gross - price * wins, stops
+    return gross, gross - price * wins, stops, wins
+
+
+def _holder_flow_block(rng, count, *head) -> tuple[np.ndarray, ...]:
+    return _holder_count_block(rng, count, *head)[:3]
 
 
 def _pool_payoff_block(rng, count, params, k, horizon) -> tuple[np.ndarray, np.ndarray, int]:
@@ -362,14 +373,14 @@ def sample_holder_flows(
     the discounted flow.
 
     Returns per-trajectory (gross, net, stop). Each row draws its stop, N
-    or min(N, horizon) under an explicit ``horizon``, and its wins
-    K ~ Binomial(stop, k/n), two variates, and draws no reward: gross is the
-    expectation, given (stop, K), of the holder's rewards under the streak
-    bonus ``beta`` at slots up to the stop (see ``_holder_count_block``),
-    and net is gross less ``replacement_price`` at each of the K wins. So
-    the rows' mean is the raw flow's, and at a random reward or ``beta`` > 0
-    their variance is below it. With ``reduce``, returns its summed block
-    reductions instead, as ``sample_ticket_payoffs`` does.
+    or min(N, horizon) under an explicit ``horizon`` (of at most
+    ``_MAX_HORIZON``), and no reward. Its wins are K ~ Binomial(stop, k/n),
+    drawn per row at ``beta`` > 0 and as one total per block at ``beta`` =
+    0. Gross is the flow's expectation given the stops and wins drawn, under
+    the streak bonus ``beta`` (see ``_holder_count_block``), and net is
+    gross less ``replacement_price`` at each win, so the rows' mean is the
+    raw flow's. With ``reduce``, returns its summed reductions of each
+    block's (gross, net, stop, wins) instead, as ``sample_ticket_payoffs`` does.
     """
     if not (1 <= holder_tickets <= params.n):
         raise ValueError(f"holder must retain between 1 and n={params.n} tickets, got {holder_tickets}")
@@ -378,11 +389,14 @@ def sample_holder_flows(
     if not math.isfinite(replacement_price):
         raise ValueError(f"replacement_price must be finite, got {replacement_price}")
     horizon = _horizon(horizon)
+    if math.inf > horizon > _MAX_HORIZON:
+        raise ValueError(f"horizon must be at most {_MAX_HORIZON} slots, got {horizon}")
     if horizon == math.inf and params.d <= 0.0:
         from .errors import DiscountRateError
         raise DiscountRateError(f"cannot stop a holder flow at d={params.d}; pass a horizon explicitly")
     head = (params, holder_tickets, beta, replacement_price, horizon)
-    return _sample(_holder_count_block, head, trials, _BLOCK, seed, stream, workers, reduce)
+    kernel = _holder_flow_block if reduce is None else _holder_count_block
+    return _sample(kernel, head, trials, _BLOCK, seed, stream, workers, reduce)
 
 
 def sample_pool_payoffs(

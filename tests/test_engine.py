@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -23,6 +24,7 @@ from ticketsim.core import ConstantReward, EconomyParams, LognormalReward, Paret
 from ticketsim.errors import DiscountRateError
 from ticketsim.engine import (
     _BLOCK,
+    _MAX_HORIZON,
     _PATH_BLOCK,
     _holder_count_block,
     _holder_stops,
@@ -36,7 +38,7 @@ from ticketsim.engine import (
 )
 from ticketsim.market import MultiBlockSpec
 from ticketsim.quantities import (
-    PowerSums, Quantity, block_sums, entries, estimate, holder_block_sums, pool_sums, power_sums,
+    PowerSums, Quantity, WinSums, block_sums, entries, estimate, holder_block_sums, pool_sums, power_sums,
 )
 from reference import (
     MARKET_HOLDER, ReplacementRule, init_state, run_trajectory, step, ticket_value_second_moment,
@@ -366,8 +368,9 @@ def test_holder_flows_match_object_engine_with_streak_bonus():
 
 
 def test_holder_counts_match_object_engine():
-    # At a constant reward and beta = 0 a row's flow is its own expectation,
-    # c times a Binomial(stop, k/n) count, on blocks of _BLOCK rows.
+    # At beta = 0 a row's flow is c times its share, in proportion to its
+    # stop, of its block's one Binomial(sum of stops, k/n) count, on blocks
+    # of _BLOCK rows.
     n, k, d, horizon, c = 6, 2, 0.05, 100, 2.5
     params = params_const(n, d=d, mu=c)
     holders = ["whale"] * k + [MARKET_HOLDER] * (n - k)
@@ -380,7 +383,7 @@ def test_holder_counts_match_object_engine():
         for _ in range(2_000)
     ])
     gross, _, _ = sample_holder_flows(params, k, 20_000, seed=62, horizon=horizon)
-    first, _, _ = _holder_count_block(substream(62, 0, 0), _BLOCK, params, k, 0.0, 0.0, horizon)
+    first = _holder_count_block(substream(62, 0, 0), _BLOCK, params, k, 0.0, 0.0, horizon)[0]
     assert gross[:_BLOCK].tobytes() == first.tobytes()
     se = math.sqrt(object_totals.var(ddof=1) / object_totals.size)
     se_fast = math.sqrt(gross.var(ddof=1) / gross.size)
@@ -389,9 +392,10 @@ def test_holder_counts_match_object_engine():
 
 def test_holder_flow_streak_premium_matches_exact_expectation():
     # A holder win at slot t has streak >= j with probability p^(j-1), so
-    # E[streak | win at t] = (1 - p^t)/(1 - p). Common draws for beta and
-    # beta = 0 (the same stops and win counts on the same seed) isolate the
-    # bonus. The sum stops at the tail bound, 1e-9 of it.
+    # E[streak | win at t] = (1 - p^t)/(1 - p). Common stops for beta and
+    # beta = 0 on the same seed isolate the bonus, and the row's wins (per
+    # row at beta, per block at beta = 0) add their noise to its stderr. The
+    # sum stops at the tail bound, 1e-9 of it.
     n, k, beta, d = 3, 2, 0.5, 0.01
     params = params_const(n, d=d)
     p = k / n
@@ -423,15 +427,19 @@ def test_holder_stops_follow_the_discount_law(d):
 @pytest.mark.parametrize("n, k, d", [(32, 4, 0.01), (8, 7, 0.05), (3, 1, 0.1), (64, 2, 0.01), (64, 63, 0.01)])
 def test_holder_flow_mean_and_variance_match_closed_forms(n, k, d):
     # At beta = 0 with constant reward c the holder wins each slot up to its
-    # stop N independently with probability p, so gross = c K with K ~
+    # stop N independently with probability p, so its flow is c K with K ~
     # Binomial(N, p): mean c p / d, and variance c^2 (E[N] p (1 - p) + p^2
-    # Var N) = c^2 [p (1 - p) / d + p^2 (1 + d) / d^2].
-    c, p = 2.5, k / n
-    gross, _, _ = sample_holder_flows(params_const(n, d=d, mu=c), k, 20_000, seed=n + k)
-    se = math.sqrt(gross.var(ddof=1) / gross.size)
-    assert abs(gross.mean() - c * p / d) < 4.0 * se
-    var, var_se = power_sums(gross, float(gross.mean()), 4).variance_stderr()
-    assert abs(var - c * c * (p * (1.0 - p) / d + p * p * (1.0 + d) / d**2)) < 4.0 * var_se
+    # Var N) = c^2 [p (1 - p) / d + p^2 (1 + d) / d^2]. A block's rows share
+    # its one count, so a block's mean row, c (sum of K) / rows, carries that
+    # variance over its rows: blocks of 64 rows, 400 of them.
+    c, p, rows = 2.5, k / n, 64
+    params = params_const(n, d=d, mu=c)
+    means = np.array([_holder_count_block(substream(n + k, 3, b), rows, params, k, 0.0, 0.0, math.inf)[0].mean()
+                      for b in range(400)])
+    se = math.sqrt(means.var(ddof=1) / means.size)
+    assert abs(means.mean() - c * p / d) < 4.0 * se
+    var, var_se = power_sums(means, float(means.mean()), 4).variance_stderr()
+    assert abs(rows * var - c * c * (p * (1.0 - p) / d + p * p * (1.0 + d) / d**2)) < 4.0 * rows * var_se
 
 
 class _SlotsOnlyRng:
@@ -454,7 +462,7 @@ class _SlotsOnlyRng:
 
     def binomial(self, trials, p):
         drawn = self.rng.binomial(trials, p)
-        self.calls.append(("binomial", drawn.copy()))
+        self.calls.append(("binomial", np.copy(drawn)))
         return drawn
 
 
@@ -467,6 +475,8 @@ _KERNELS = {
              [("exponential", (_ROWS, 4)), ("rank", (_ROWS,))]),
     "holder": (lambda rng, params: _holder_count_block(rng, _ROWS, params, 4, 0.5, 0.3, math.inf),
                [("exponential", (_ROWS,)), ("binomial", (_ROWS,))]),
+    "holder_beta0": (lambda rng, params: _holder_count_block(rng, _ROWS, params, 4, 0.0, 0.3, math.inf),
+                     [("exponential", (_ROWS,)), ("binomial", ())]),
 }
 
 
@@ -507,7 +517,7 @@ class _RecordingRng:
 
     def binomial(self, trials, p):
         drawn = self.rng.binomial(trials, p)
-        self.binomials.append((np.copy(trials), p, drawn.copy()))
+        self.binomials.append((np.copy(trials), p, np.copy(drawn)))
         return drawn
 
     def __getattr__(self, name):
@@ -541,37 +551,103 @@ def test_streak_sum_given_stop_and_wins_matches_every_win_pattern():
 @pytest.mark.parametrize("d", [1e-2, 1e-8])
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_holder_count_block_draws_one_stop_and_one_count_per_row(k, d):
-    # Each row draws one exponential for its stop and one binomial for its
-    # wins up to that stop, however small d is, and no reward: its flows are
-    # their expectations given (stop, wins), and at k = n every slot is a win.
-    n, price, count = 8, 0.3, 40
+    # At beta > 0 each row draws one exponential for its stop and one
+    # binomial for its wins up to that stop, however small d is, and no
+    # reward: its flows are their expectations given (stop, wins), and at
+    # k = n every slot is a win.
+    n, price, count, beta = 8, 0.3, 40, 0.5
 
-    def flows(params, beta, horizon):
-        rng = _RecordingRng(np.random.default_rng(k))
-        gross, net, stops = _holder_count_block(rng, count, params, k, beta, price, horizon)
-        [(trials, p, wins)] = rng.binomials
-        assert p == k / n and np.all(wins <= trials) and not rng.uniforms
-        mu, wins = params.mu, wins.astype(np.float64)
-        if beta == 0.0:
-            want_gross, want_net = mu * wins, (mu - price) * wins
-        else:
+    for law in (ConstantReward(2.5), LognormalReward(1.0, 1.0)):
+        for d_row, horizon in ((d, math.inf), (d, 30), (0.0, 30)):
+            rng = _RecordingRng(np.random.default_rng(k))
+            gross, net, stops, wins = _holder_count_block(rng, count, EconomyParams(n, d_row, law), k, beta,
+                                                          price, horizon)
+            [(trials, p, drawn)] = rng.binomials
+            assert p == k / n and np.all(drawn <= trials) and not rng.uniforms
+            assert wins.tobytes() == drawn.astype(np.float64).tobytes()
+            mu = law.mean()
             want_gross = mu * (wins + beta * wins * (wins - 1.0) / (stops - wins + 2.0))
-            want_net = want_gross - price * wins
-        assert gross.tobytes() == want_gross.tobytes()
-        assert net.tobytes() == want_net.tobytes()
-        if k == n:
-            assert np.array_equal(wins, trials)
-        return rng, trials, stops
+            assert gross.tobytes() == want_gross.tobytes()
+            assert net.tobytes() == (want_gross - price * wins).tobytes()
+            if k == n:
+                assert np.array_equal(drawn, trials)
+            if d_row == 0.0:    # undiscounted, every row stops at the explicit horizon and draws only its count
+                assert not rng.exponentials and np.all(stops == 30.0) and np.all(trials == 30)
+            else:
+                [exponentials] = rng.exponentials
+                assert exponentials.shape == (count,)
+                assert stops.tolist() == _recorded_stops(exponentials, d, horizon) == trials.tolist()
 
-    for law, beta in itertools.product((ConstantReward(2.5), LognormalReward(1.0, 1.0)), (0.0, 0.5)):
-        for horizon in (math.inf, 30):
-            rng, trials, stops = flows(EconomyParams(n, d, law), beta, horizon)
-            [exponentials] = rng.exponentials
-            assert exponentials.shape == (count,)
-            assert stops.tolist() == _recorded_stops(exponentials, d, horizon) == trials.tolist()
-        # Undiscounted, every row stops at the explicit horizon and draws only its count.
-        rng, trials, stops = flows(EconomyParams(n, 0.0, law), beta, 30)
-        assert not rng.exponentials and np.all(stops == 30.0) and np.all(trials == 30)
+
+@pytest.mark.parametrize("d", [1e-2, 1e-8])
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_holder_count_block_draws_one_count_per_block_at_beta_0(k, d):
+    # At beta = 0 each row draws one exponential for its stop, and the block
+    # one binomial, whose trials are the exact integer sum of the stops: a
+    # row's flows are c times its share of those wins, in proportion to its
+    # stop, and at k = n every slot is a win.
+    n, price, count = 8, 0.3, 40
+    for law in (ConstantReward(2.5), LognormalReward(1.0, 1.0)):
+        for d_row, horizon in ((d, math.inf), (d, 30), (0.0, 30)):
+            rng = _RecordingRng(np.random.default_rng(k))
+            gross, net, stops, wins = _holder_count_block(rng, count, EconomyParams(n, d_row, law), k, 0.0,
+                                                          price, horizon)
+            [(trials, p, drawn)] = rng.binomials
+            assert trials.shape == () and type(wins) is int and not rng.uniforms
+            assert p == k / n and int(trials) == sum(map(int, stops)) and wins == int(drawn) <= trials
+            share = stops * (wins / int(trials))
+            mu = law.mean()
+            assert gross.tobytes() == (mu * share).tobytes()
+            assert net.tobytes() == ((mu - price) * share).tobytes()
+            if k == n:
+                assert wins == trials and np.array_equal(gross, mu * stops)
+            if d_row == 0.0:
+                assert not rng.exponentials and np.all(stops == 30.0) and trials == 30 * count
+            else:
+                [exponentials] = rng.exponentials
+                assert stops.tolist() == _recorded_stops(exponentials, d, horizon)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_holder_array_block_sums_are_the_reduced_sums(beta):
+    # Both forms come from the same draws: over each block of the array form
+    # the rows count the block's trials, their stops sum to its sum of stops
+    # exactly, and the wins the rows share (gross / mu, rounded) add up to
+    # the block's wins, as the reduced form's WinSums hold them at beta = 0.
+    params = EconomyParams(n=32, d=0.01, reward=LognormalReward(1.5, 1.0))
+    trials, reduced = 3 * _BLOCK + 37, []
+
+    def record(parts):
+        reduced.append(holder_block_sums(parts, shifts=(0.5, 0.4), slopes=(0.005, 0.004), stop_mean=100.0,
+                                         values=(1.5, 1.2), p=4 / 32))
+        return reduced[-1]
+
+    total = sample_holder_flows(params, 4, trials, 11, beta=beta, replacement_price=0.3, reduce=record)
+    gross, net, stops = sample_holder_flows(params, 4, trials, 11, beta=beta, replacement_price=0.3)
+    if beta > 0.0:    # each row keeps its own count, and the reducer its power sums
+        assert all(isinstance(sums, PowerSums) for block in reduced for sums in block)
+        return
+    for b, (gross_sums, net_sums) in enumerate(reduced):
+        rows = slice(b * _BLOCK, (b + 1) * _BLOCK)
+        count, wins, stop_sum = gross_sums.sums
+        assert net_sums.sums == gross_sums.sums and count == stops[rows].size
+        assert stop_sum == int(stops[rows].sum()) and type(wins) is int
+        assert round(float(gross[rows].sum()) / 1.5) == wins == round(float(net[rows].sum()) / 1.2)
+    assert total[0].sums == tuple(map(sum, zip(*(block[0].sums for block in reduced))))
+    assert total[0].sums[0] == trials and total[0].sums[2] == int(stops.sum())
+
+
+def test_win_sums_give_the_controlled_mean_and_its_exact_stderr():
+    # A block's flow is c K with K ~ Binomial(sum of N, p) given the stops:
+    # the mean of c K - c p (N - E[N]) over M trials, and its stderr given
+    # the stops, |c| sqrt(p (1 - p) sum of N) / M. Sums of blocks add as ints.
+    a, b = WinSums((10, 7, 50), -2.0, 0.25, 4.0), WinSums((6, 1, 8), -2.0, 0.25, 4.0)
+    total = a + b
+    assert total.sums == (16, 8, 58) and total[1:] == a[1:]
+    mean, stderr = total.mean_stderr()
+    assert mean == -2.0 * (8 - 0.25 * (58 - 16 * 4.0)) / 16
+    assert stderr == 2.0 * math.sqrt(0.25 * 0.75 * 58) / 16
+    assert WinSums((4, 20, 20), 3.0, 1.0, 5.0).mean_stderr() == (15.0, 0.0)    # k = n: no noise
 
 
 def test_holder_flows_validation():
@@ -588,6 +664,26 @@ def test_holder_flows_validation():
         sample_holder_flows(params_const(4, d=0.0), 2, 1000, seed=0)
     _, _, stops = sample_holder_flows(params_const(4, d=0.0), 2, 1000, seed=0, horizon=7)
     assert np.all(stops == 7.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_holder_flows_reject_a_horizon_whose_block_of_stops_cannot_sum_exactly(beta):
+    # At d = 0 every stop is the horizon, so a block of _BLOCK rows sums to
+    # _BLOCK times it: up to _MAX_HORIZON, 2^53 / _BLOCK, that sum is exact
+    # (in float64 too); past it the horizon is refused before any draw, on
+    # the per-row path as on the per-block one. 2^70 once failed in numpy's
+    # int64 cast instead.
+    params = params_const(4, d=0.0)
+    assert _MAX_HORIZON * _BLOCK == 2**53
+    for horizon in (_MAX_HORIZON + 1, 2**63, 2**70, 1e300):
+        with pytest.raises(ValueError, match=re.escape(f"horizon must be at most {_MAX_HORIZON} slots, got {horizon}")):
+            sample_holder_flows(params, 2, _BLOCK, seed=0, beta=beta, horizon=horizon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gross, net, stops = sample_holder_flows(params, 2, _BLOCK, seed=0, beta=beta, replacement_price=1.0,
+                                                horizon=_MAX_HORIZON)
+    assert np.all(stops == float(_MAX_HORIZON)) and int(stops.sum()) == 2**53
+    assert abs(float((gross - net).sum()) / 2**53 - 0.5) < 1e-6     # the wins, at k/n = 1/2
 
 
 @pytest.mark.parametrize("keyword, value, message", [
@@ -649,9 +745,9 @@ def test_pool_payoffs_solo_matches_closed_forms():
 
 
 def test_holder_flow_and_pool_memory_independent_of_d():
-    # A holder flow draws two variates per row, whatever d, the reward and
-    # the streak bonus are, and a pool one slot per member, so peak memory
-    # does not grow as the mean stop 1/d does.
+    # A holder flow draws a stop and at most one count per row, whatever d,
+    # the reward and the streak bonus are, and a pool one slot per member,
+    # so peak memory does not grow as the mean stop 1/d does.
     def peak_mb(fn):
         tracemalloc.start()
         try:
@@ -700,6 +796,9 @@ def test_pool_holds_a_bounded_window_of_blocks():
     # every block's task at once holds ~0.4 kB a block, about 150 kB more at
     # 1024 blocks than at 64. CPython keeps freed tuples on free lists that
     # tracemalloc still counts, so warm runs under tracing fill them first.
+    # The peak also holds both threads' block temporaries when their draws
+    # coincide (~70 kB more), which a 1024-block run always meets and one
+    # 64-block run can miss, so the 64-block figure is the largest of four.
     params = params_const(32)
     reduce = partial(block_sums, shifts=(32.0,), orders=(2,))
 
@@ -716,7 +815,7 @@ def test_pool_holds_a_bounded_window_of_blocks():
     try:
         run(1024)
         run(1024)
-        small, large = peak(64), peak(1024)
+        small, large = max(peak(64) for _ in range(4)), peak(1024)
     finally:
         tracemalloc.stop()
     assert large - small < 40_000, (small, large)
@@ -825,7 +924,8 @@ _HORIZON_CASES = {
     "win_slots": (sample_win_slots, (), _BLOCK, partial(block_sums, shifts=(32.0,), orders=(2,)), 1),
     "pool": (sample_pool_payoffs, (16,), _PATH_BLOCK, partial(pool_sums, shift=0.6), 2),
     "holder_flows": (sample_holder_flows, (4,), _BLOCK,
-                     partial(holder_block_sums, shifts=(0.4, 0.3), slopes=(0.004, 0.003), stop_mean=100.0),
+                     partial(holder_block_sums, shifts=(0.4, 0.3), slopes=(0.004, 0.003), stop_mean=100.0,
+                             values=(1.0, 0.7), p=0.125),
                      None),
 }
 

@@ -39,6 +39,14 @@ def _pool_solo(raw: dict, seed: int) -> tuple[bool, list[float]]:
     return abs(z) > Z_LIMIT, [z]
 
 
+def _holder_rows(raw: dict, seed: int) -> tuple[bool, list[float]]:
+    """Whether ``verify``'s holder rows, npv_rewards and control_value, are
+    past its gate's |z| at ``seed``, and their z."""
+    rows = run_verify(parse_config({**raw, "seed": seed})).rows
+    z = [row.z_score for row in rows if row.swept_value in ("npv_rewards", "control_value")]
+    return any(abs(score) > Z_LIMIT for score in z), z
+
+
 def _runs(run, raw: dict, seeds) -> tuple[int, str]:
     """The failing runs of ``run`` on ``raw`` over ``seeds``, and the z distribution."""
     failed, z = 0, []
@@ -62,6 +70,10 @@ _CALIBRATION = [
                  range(60), id="lognormal_sigma1"),
     pytest.param(_pool_solo, {"n": 1024, "d": 0.01, "trials": 8192, "pool": {"k": 16}, "reward": _LOGNORMAL_1},
                  range(60), id="pool_solo_variance"),
+    # At beta = 0 a holder block draws one Binomial(sum of stops, k/n) count,
+    # and the holder rows' stderr is exact given the stops.
+    *(pytest.param(_holder_rows, raw, range(60), id=f"holder_rows_{name}")
+      for name, raw in (("defaults", {}), ("paper_regime_n1024", {"n": 1024, "d": PAPER_D, "reward": _LOGNORMAL_2}))),
     # The payoff's mass sits in wins so early that 100 trials miss them, and
     # the sample stderr is then 0; the null stderr of item 1 mends it.
     pytest.param(_verify, {"n": 4096, "d": 10.0, "trials": 100}, range(10), id="large_nd_few_trials",
@@ -84,7 +96,8 @@ def _corrupt_ticket_value(monkeypatch):
 
 class _HalvedChanceDoubledWins:
     """A generator whose binomial draws are K = 2 Binomial(N, p/2): the mean
-    of K given N holds, and its variance about doubles."""
+    of K given N holds, and its variance about doubles. At beta = 0 the one
+    draw is a holder block's, 2 Binomial(sum of stops, p/2)."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -110,8 +123,8 @@ _POWER = [
     pytest.param(_corrupt_ticket_value, [_DEFAULTS, *_PAPER_POINTS], range(3), id="corrupted_closed_form"),
     pytest.param(_double_holder_win_variance, [_DEFAULTS], range(10), id="holder_wins_variance_doubled",
                  marks=pytest.mark.xfail(strict=True, reason=(
-                     "ROADMAP item 15: the holder rows check means only, and the stop control "
-                     "removes N's noise but not K's"))),
+                     "ROADMAP item 15: at beta = 0 the holder rows' stderr is computed from p, so no "
+                     "row samples K's variance; item 15's row brings the per-row draw"))),
 ]
 
 

@@ -329,21 +329,23 @@ def test_run_verify_holder_rows_are_the_controlled_flows_of_one_ensemble():
     # as holder_value does: the default share 0.125 of 32 tickets holds k = 4.
     cfg = parse_config({})
     rows = {row.swept_value: row for row in run_verify(cfg).rows}
+    price = expected_ticket_value(1.0, 0.01, 32)
     gross, net, stops = engine.sample_holder_flows(cfg.params, 4, cfg.trials, cfg.seed,
-                                                   replacement_price=expected_ticket_value(1.0, 0.01, 32), stream=3)
+                                                   replacement_price=price, stream=3)
     # Each flow is controlled by its stop: v - (its mean per slot) (N - 1/d),
-    # at p = 4/32 and d = 0.01.
+    # at p = 4/32 and d = 0.01. At beta = 0 each block draws its wins once,
+    # so given the stops the controlled mean's stderr is exact:
+    # |c| sqrt(p (1 - p) sum of N) / trials, c = 1 per win gross and 1 - price net.
     gross = gross - 0.125 * (stops - 100.0)
-    net = net - 0.125 * (1.0 - expected_ticket_value(1.0, 0.01, 32)) * (stops - 100.0)
-    # The rows read the block-streamed sums; the array helpers sum the whole
-    # arrays, so the two agree to rounding, not bit for bit.
-    control = rows["control_value"]
-    mean, stderr = power_sums(net, float(net.mean()), 2).mean_stderr()    # rescaled by 0.125*32/4 = 1
-    assert control.mc_mean == pytest.approx(mean, rel=1e-12, abs=0)
-    assert control.mc_stderr == pytest.approx(stderr, rel=1e-12, abs=0)
-    mean, stderr = power_sums(gross, float(gross.mean()), 2).mean_stderr()
-    assert rows["npv_rewards"].mc_mean == pytest.approx(8 * mean, rel=1e-12, abs=0)
-    assert rows["npv_rewards"].mc_stderr == pytest.approx(8 * stderr, rel=1e-12, abs=0)
+    net = net - 0.125 * (1.0 - price) * (stops - 100.0)
+    exact = math.sqrt(0.125 * 0.875 * int(stops.sum())) / cfg.trials
+    # The rows read the blocks' int sums; the arrays share each block's wins
+    # among its rows in floats, so the two agree to rounding, not bit for bit.
+    control = rows["control_value"]       # rescaled by 0.125*32/4 = 1
+    assert control.mc_mean == pytest.approx(float(net.mean()), rel=1e-12, abs=0)
+    assert control.mc_stderr == pytest.approx((1.0 - price) * exact, rel=1e-12, abs=0)
+    assert rows["npv_rewards"].mc_mean == pytest.approx(8 * float(gross.mean()), rel=1e-12, abs=0)
+    assert rows["npv_rewards"].mc_stderr == pytest.approx(8 * exact, rel=1e-12, abs=0)
     # npv_rewards is n/k = 8 times holder_value, the mean gross flow of the k = 4 tickets.
     holder = QUANTITIES[Quantity.HOLDER_VALUE].estimate(Run(cfg.params, 0.125, trials=cfg.trials, seed=cfg.seed))
     assert (rows["npv_rewards"].mc_mean, rows["npv_rewards"].mc_stderr) == (8 * holder.mean, 8 * holder.stderr)
@@ -1154,26 +1156,32 @@ def test_cli_sampled_reports_keep_their_golden_bytes(tmp_path, case, fmt, worker
         f"changed a variate's stream")
 
 
-# The first draws on substream(0, 0, 0) of each variate the samplers and
-# reward laws take, under numpy 2.4.6. numpy does not promise its streams
-# across releases (NEP 19), so where this fails the sampled goldens fail
-# with it and need regenerating, though no code is at fault.
+# The first draws on substream(0, stream, 0) of each variate the samplers
+# and reward laws take, under numpy 2.4.6: stream 0 for the tracked and pool
+# ensembles and the reward laws, and stream 3 for the holder ensemble, whose
+# block at beta = 0 draws one scalar binomial over its sum of stops (about
+# 4e5 at the defaults, 2^40 near the paper's regime, 2^53 at the largest
+# horizon). numpy does not promise its streams across releases (NEP 19), so
+# where this fails the sampled goldens fail with it and need regenerating,
+# though no code is at fault.
 _FIRST_DRAWS = {
-    "standard_exponential": (lambda rng: rng.standard_exponential(3),
+    "standard_exponential": (0, lambda rng: rng.standard_exponential(3),
                              [1.0545469102572156, 2.3262532366469673, 0.20612720376771848]),
-    "binomial": (lambda rng: rng.binomial([10, 1000, 10**6], 0.25), [3, 218, 249265]),
-    "standard_normal": (lambda rng: rng.standard_normal(3),
+    "binomial": (0, lambda rng: rng.binomial([10, 1000, 10**6], 0.25), [3, 218, 249265]),
+    "standard_normal": (0, lambda rng: rng.standard_normal(3),
                         [0.7859067677198036, -0.9199529560235964, 1.4715789384981375]),
-    "pareto": (lambda rng: rng.pareto(4.5, 3),
+    "pareto": (0, lambda rng: rng.pareto(4.5, 3),
                [0.26407895457319164, 0.6768971709520191, 0.04687134562791275]),
-    "integers": (lambda rng: rng.integers(0, 64, 3), [1, 36, 58]),
+    "integers": (0, lambda rng: rng.integers(0, 64, 3), [1, 36, 58]),
+    "block_binomial": (3, lambda rng: np.array([rng.binomial(trials, 0.125) for trials in (409_600, 2**40, 2**53)]),
+                       [51267, 137439518303, 1125899912497376]),
 }
 
 
 @pytest.mark.parametrize("variate", list(_FIRST_DRAWS))
 def test_the_variates_behind_the_sampled_goldens_keep_their_first_draws(variate):
-    draw, first = _FIRST_DRAWS[variate]
-    assert draw(engine.substream(0, 0, 0)).tolist() == first, (
+    stream, draw, first = _FIRST_DRAWS[variate]
+    assert draw(engine.substream(0, stream, 0)).tolist() == first, (
         f"numpy {np.__version__} draws another {variate} stream than the goldens were written with")
 
 
