@@ -30,8 +30,7 @@ ch. V), which reads only the reward's mean mu. The events drawn:
   p = k/n, independently, so its wins up to N are K ~ Binomial(N, p).
   Given (N, K) the wins are a uniform K-subset of the N slots, so a holder
   trajectory reports its flow's expectation given (N, K): a stop and a
-  count per row whatever d and the reward law are, and at beta = 0 (a flow
-  linear in K) one count per block, the rows' K summing to one Binomial.
+  count per row, or at beta = 0 (flows linear in K) one count per block.
   The bonus 1 + beta * (streak - 1) adds beta * (streak - 1) at each win,
   and E[sum of (streak - 1) | N, K] = K (K - 1) / (N - K + 2): a run of L
   wins adds L (L - 1) / 2, the count of its windows of m >= 2 consecutive
@@ -271,28 +270,30 @@ def _holder_stops(rng, count, d, horizon) -> np.ndarray:
 
 
 def _holder_count_block(rng, count, params, k, beta, price, horizon) -> tuple:
-    """(gross, net, stop, wins) of holder flows. Each slot up to a row's stop
-    S is a holder win with chance p = k/n, so K ~ Binomial(S, p), and each
-    win buys a replacement at ``price``. At beta = 0 gross is mu K, and the
-    block draws the int ``wins``, one Binomial(sum of S, p), of which row i
-    expects wins S_i / sum of S (the multivariate hypergeometric mean). At
-    beta > 0 each row draws its K (``wins``), and gross given (S, K) is
-    mu (K + beta K (K - 1) / (S - K + 2))."""
+    """A block of holder flows: each slot up to a row's stop S is a win with
+    chance p = k/n, so K ~ Binomial(S, p), and each win buys a replacement
+    at ``price``. At beta > 0 each row draws its K, and the block is (gross,
+    net, stop), gross given (S, K) being mu (K + beta K (K - 1) / (S - K + 2)).
+    At beta = 0 it is (stop, wins, values): wins the int Binomial(sum of S,
+    p), values what a win is worth gross and net, (mu, mu - price)."""
     import numpy as np
     stops = _holder_stops(rng, count, params.d, horizon)
-    p, mu = k / params.n, params.mu
     if beta == 0.0:
-        trials = int(stops.sum())
-        wins = rng.binomial(trials, p)
-        share = stops * (wins / max(trials, 1))
-        return mu * share, (mu - price) * share, stops, wins
-    wins = rng.binomial(stops.astype(np.int64), p).astype(np.float64)
-    gross = mu * (wins + beta * wins * (wins - 1.0) / (stops - wins + 2.0))
-    return gross, gross - price * wins, stops, wins
+        return stops, rng.binomial(int(stops.sum()), k / params.n), (params.mu, params.mu - price)
+    wins = rng.binomial(stops.astype(np.int64), k / params.n).astype(np.float64)
+    gross = params.mu * (wins + beta * wins * (wins - 1.0) / (stops - wins + 2.0))
+    return gross, gross - price * wins, stops
 
 
-def _holder_flow_block(rng, count, *head) -> tuple[np.ndarray, ...]:
-    return _holder_count_block(rng, count, *head)[:3]
+def _holder_flow_block(rng, count, params, k, beta, price, horizon) -> tuple[np.ndarray, ...]:
+    # At beta = 0 row i expects the block's wins times S_i / sum of S (the
+    # multivariate hypergeometric mean), each worth the block's values.
+    parts = _holder_count_block(rng, count, params, k, beta, price, horizon)
+    if beta != 0.0:
+        return parts
+    stops, wins, (gross, net) = parts
+    share = stops * (wins / max(stops.sum(), 1.0))
+    return gross * share, net * share, stops
 
 
 def _pool_payoff_block(rng, count, params, k, horizon) -> tuple[np.ndarray, np.ndarray, int]:
@@ -373,14 +374,18 @@ def sample_holder_flows(
     the discounted flow.
 
     Returns per-trajectory (gross, net, stop). Each row draws its stop, N
-    or min(N, horizon) under an explicit ``horizon`` (of at most
-    ``_MAX_HORIZON``), and no reward. Its wins are K ~ Binomial(stop, k/n),
-    drawn per row at ``beta`` > 0 and as one total per block at ``beta`` =
-    0. Gross is the flow's expectation given the stops and wins drawn, under
-    the streak bonus ``beta`` (see ``_holder_count_block``), and net is
-    gross less ``replacement_price`` at each win, so the rows' mean is the
-    raw flow's. With ``reduce``, returns its summed reductions of each
-    block's (gross, net, stop, wins) instead, as ``sample_ticket_payoffs`` does.
+    or min(N, horizon) under an explicit ``horizon`` (at most
+    ``_MAX_HORIZON``), no reward, and its wins K ~ Binomial(stop, k/n) but
+    at ``beta`` = 0, where a block draws their sum. Gross is the flow's
+    expectation given the draws (see ``_holder_flow_block``), net is gross
+    less ``replacement_price`` a win, and the rows' mean is the raw flow's.
+    At ``beta`` = 0 a block's rows share its wins, so they are not
+    independent and their sample variance, which misses the wins', gives no
+    valid stderr: given the stops, the gross rows' mean has stderr
+    |mu| sqrt(p (1 - p) sum of stops) / rows, p = k/n. There, without a
+    horizon, d must be at least 4 / ``_MAX_HORIZON``, so that a block's
+    stops sum exactly. With ``reduce``, returns its summed reductions of
+    each ``_holder_count_block`` instead, as ``sample_ticket_payoffs`` does.
     """
     if not (1 <= holder_tickets <= params.n):
         raise ValueError(f"holder must retain between 1 and n={params.n} tickets, got {holder_tickets}")
@@ -391,6 +396,8 @@ def sample_holder_flows(
     horizon = _horizon(horizon)
     if math.inf > horizon > _MAX_HORIZON:
         raise ValueError(f"horizon must be at most {_MAX_HORIZON} slots, got {horizon}")
+    if horizon == math.inf and beta == 0.0 and 0.0 < params.d < 4.0 / _MAX_HORIZON:
+        raise ValueError(f"d must be at least {4.0 / _MAX_HORIZON} at beta = 0 without a horizon, got {params.d}")
     if horizon == math.inf and params.d <= 0.0:
         from .errors import DiscountRateError
         raise DiscountRateError(f"cannot stop a holder flow at d={params.d}; pass a horizon explicitly")

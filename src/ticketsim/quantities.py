@@ -15,7 +15,7 @@ once (``Run.sums``), and streams 1, 2 and 4 stay unused:
 | name | ``engine`` sampler | stream | columns of its reduced sums |
 | --- | --- | --- | --- |
 | ``tracked`` | ``sample_ticket_payoffs`` | 0 | payoff, count truncated, win slot |
-| ``holder`` | ``sample_holder_flows`` | 3 | gross flow, net flow, each controlled by its stop (``WinSums`` at beta = 0) |
+| ``holder`` | ``sample_holder_flows`` | 3 | gross flow, net flow, each controlled by its stop; ``WinSums`` at beta = 0 |
 | ``pool`` | ``sample_pool_payoffs`` | 0 | member payoff, solo payoff, count truncated, paired table |
 
 Runs reach the samplers and the series oracle through their modules at
@@ -353,9 +353,9 @@ def block_sums(parts: tuple, shifts: tuple[float, ...], orders: tuple[int, ...])
 
 
 class WinSums(NamedTuple):
-    """A beta = 0 holder ensemble's trials, wins and stops, summed in ints, of a flow of
-    ``value`` per win at chance ``p`` a slot. Given the stops the wins are Binomial(sum
-    of stops, p), so the mean, controlled as in ``holder_block_sums``, has an exact stderr."""
+    """A beta = 0 holder ensemble's (trials, wins, sum of stops) in ints, of a flow of ``value`` a win at
+    chance ``p`` a slot: its wins are Binomial(sum of stops, p) given the stops, so the mean, controlled
+    by the stops as in ``holder_block_sums``, has an exact stderr."""
 
     sums: tuple[int, int, int]
     value: float
@@ -371,17 +371,20 @@ class WinSums(NamedTuple):
         return (self.value * excess / count,
                 abs(self.value) * math.sqrt(self.p * (1.0 - self.p) * stops) / count)
 
+    @classmethod
+    def of_block(cls, parts: tuple, p: float, stop_mean: float) -> tuple:
+        """A beta = 0 holder block's (stop, wins, values) as the sums of a flow of each of its values a win."""
+        stops, wins, values = parts
+        return tuple(cls((stops.size, wins, int(stops.sum())), value, p, stop_mean) for value in values)
+
 
 def holder_block_sums(parts: tuple, shifts: tuple[float, float], slopes: tuple[float, float],
-                      stop_mean: float, values: tuple[float, float], p: float) -> tuple:
-    """A holder block's (gross, net, stop, wins) reduced to the power sums to
+                      stop_mean: float) -> tuple[PowerSums, PowerSums]:
+    """A holder block's (gross, net, stop) reduced to the power sums to
     order 2 of each flow v minus ``slope * (stop - stop_mean)``, about its
     shift: a control variate (Glasserman, *Monte Carlo Methods in Financial
-    Engineering*, 2003, sec. 4.1), unbiased where ``stop_mean`` is exact.
-    A block that drew its wins once (an int, at beta = 0) reduces to ``WinSums``."""
-    *flows, stops, wins = parts
-    if isinstance(wins, int):
-        return tuple(WinSums((stops.size, wins, int(stops.sum())), value, p, stop_mean) for value in values)
+    Engineering*, 2003, sec. 4.1), unbiased where ``stop_mean`` is exact."""
+    *flows, stops = parts
     excess = stops - stop_mean
     return tuple(power_sums(flow - slope * excess, shift, 2)
                  for flow, shift, slope in zip(flows, shifts, slopes))
@@ -412,13 +415,16 @@ def _tracked_arguments(run: Run) -> dict:
 
 
 def _holder_arguments(run: Run) -> dict:
-    # Each flow v of closed form s enters as v - s d (N - 1/d), N its stop. A
-    # win nets mu - price = n d price, formed without mu - price's cancellation.
-    k, price = run.holder_tickets, fair_price(run)
-    shifts = (holder_mean(run, k, run.beta), analytics.control_value(k / run.n, run.mu, run.d, run.n))
-    reduce = partial(holder_block_sums, shifts=shifts, slopes=tuple(s * run.d for s in shifts),
-                     stop_mean=1.0 / run.d, values=(run.mu, run.n * run.d * price), p=k / run.n)
-    return {"holder_tickets": k, "beta": run.beta, "replacement_price": price, "reduce": reduce}
+    # Each flow v of closed form s enters as v - s d (N - 1/d), N its stop; at
+    # beta = 0 through its blocks' int sums.
+    k = run.holder_tickets
+    if run.beta == 0.0:
+        reduce = partial(WinSums.of_block, p=k / run.n, stop_mean=1.0 / run.d)
+    else:
+        shifts = (holder_mean(run, k, run.beta), analytics.control_value(k / run.n, run.mu, run.d, run.n))
+        reduce = partial(holder_block_sums, shifts=shifts, slopes=tuple(s * run.d for s in shifts),
+                         stop_mean=1.0 / run.d)
+    return {"holder_tickets": k, "beta": run.beta, "replacement_price": fair_price(run), "reduce": reduce}
 
 
 def _pool_arguments(run: Run) -> dict:

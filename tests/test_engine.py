@@ -27,6 +27,7 @@ from ticketsim.engine import (
     _MAX_HORIZON,
     _PATH_BLOCK,
     _holder_count_block,
+    _holder_flow_block,
     _holder_stops,
     discount_horizon,
     sample_holder_flows,
@@ -337,10 +338,14 @@ def test_holder_flows_full_ownership_deterministic():
 
 
 def test_holder_flows_share_scaling():
-    params = params_const(10, d=0.1)
-    gross, net, _ = sample_holder_flows(params, 3, 50_000, seed=33)
-    expected = 0.3 / 0.1        # 0.3 * sum of x^t over every t
-    se = math.sqrt(gross.var(ddof=1) / gross.size)
+    # At beta = 0 a block's rows share its wins, so the stderr of the rows'
+    # mean is not their sample variance's: their wins K ~ Binomial(sum of N,
+    # p) given the stops N add p (1 - p) sum of N to its square's numerator,
+    # the independent stops p^2 times their sum of squared deviations.
+    params, p = params_const(10, d=0.1), 0.3
+    gross, net, stops = sample_holder_flows(params, 3, 50_000, seed=33)
+    expected = p / 0.1        # p * sum of x^t over every t
+    se = math.sqrt(p * (1.0 - p) * stops.sum() + p * p * stops.var(ddof=1) * stops.size) / stops.size
     assert abs(gross.mean() - expected) < 4.0 * se
     assert np.array_equal(gross, net)  # zero replacement price
 
@@ -382,28 +387,29 @@ def test_holder_counts_match_object_engine():
         ).holder_totals.get("whale", 0.0)
         for _ in range(2_000)
     ])
-    gross, _, _ = sample_holder_flows(params, k, 20_000, seed=62, horizon=horizon)
-    first = _holder_count_block(substream(62, 0, 0), _BLOCK, params, k, 0.0, 0.0, horizon)[0]
+    gross, _, stops = sample_holder_flows(params, k, 20_000, seed=62, horizon=horizon)
+    first = _holder_flow_block(substream(62, 0, 0), _BLOCK, params, k, 0.0, 0.0, horizon)[0]
     assert gross[:_BLOCK].tobytes() == first.tobytes()
     se = math.sqrt(object_totals.var(ddof=1) / object_totals.size)
-    se_fast = math.sqrt(gross.var(ddof=1) / gross.size)
+    # The rows share their blocks' wins: the stderr of their mean is the
+    # wins' given the stops and the stops' own (as in the share test).
+    p = k / n
+    se_fast = c * math.sqrt(p * (1.0 - p) * stops.sum() + p * p * stops.var(ddof=1) * stops.size) / stops.size
     assert abs(object_totals.mean() - gross.mean()) < 5.0 * math.hypot(se, se_fast)
 
 
 def test_holder_flow_streak_premium_matches_exact_expectation():
     # A holder win at slot t has streak >= j with probability p^(j-1), so
-    # E[streak | win at t] = (1 - p^t)/(1 - p). Common stops for beta and
-    # beta = 0 on the same seed isolate the bonus, and the row's wins (per
-    # row at beta, per block at beta = 0) add their noise to its stderr. The
-    # sum stops at the tail bound, 1e-9 of it.
+    # E[streak | win at t] = (1 - p^t)/(1 - p). At a reward of 1 bought back
+    # at a price of 1 a win nets nothing but its bonus, so the net rows, each
+    # from its own stop and wins, are the bonus alone. The sum stops at the
+    # tail bound, 1e-9 of it.
     n, k, beta, d = 3, 2, 0.5, 0.01
     params = params_const(n, d=d)
     p = k / n
     t = np.arange(1, discount_horizon(d) + 1, dtype=np.float64)
     exact = float(np.sum(p * beta * ((1.0 - p**t) / (1.0 - p) - 1.0) / (1.0 + d) ** t))
-    bonus, _, _ = sample_holder_flows(params, k, 20_000, seed=5, beta=beta)
-    base, _, _ = sample_holder_flows(params, k, 20_000, seed=5)
-    premium = bonus - base
+    _, premium, _ = sample_holder_flows(params, k, 20_000, seed=5, beta=beta, replacement_price=1.0)
     se = math.sqrt(premium.var(ddof=1) / premium.size)
     assert abs(premium.mean() - exact) < 4.0 * se
 
@@ -434,7 +440,7 @@ def test_holder_flow_mean_and_variance_match_closed_forms(n, k, d):
     # variance over its rows: blocks of 64 rows, 400 of them.
     c, p, rows = 2.5, k / n, 64
     params = params_const(n, d=d, mu=c)
-    means = np.array([_holder_count_block(substream(n + k, 3, b), rows, params, k, 0.0, 0.0, math.inf)[0].mean()
+    means = np.array([_holder_flow_block(substream(n + k, 3, b), rows, params, k, 0.0, 0.0, math.inf)[0].mean()
                       for b in range(400)])
     se = math.sqrt(means.var(ddof=1) / means.size)
     assert abs(means.mean() - c * p / d) < 4.0 * se
@@ -560,12 +566,11 @@ def test_holder_count_block_draws_one_stop_and_one_count_per_row(k, d):
     for law in (ConstantReward(2.5), LognormalReward(1.0, 1.0)):
         for d_row, horizon in ((d, math.inf), (d, 30), (0.0, 30)):
             rng = _RecordingRng(np.random.default_rng(k))
-            gross, net, stops, wins = _holder_count_block(rng, count, EconomyParams(n, d_row, law), k, beta,
-                                                          price, horizon)
+            gross, net, stops = _holder_count_block(rng, count, EconomyParams(n, d_row, law), k, beta, price,
+                                                    horizon)
             [(trials, p, drawn)] = rng.binomials
             assert p == k / n and np.all(drawn <= trials) and not rng.uniforms
-            assert wins.tobytes() == drawn.astype(np.float64).tobytes()
-            mu = law.mean()
+            wins, mu = drawn.astype(np.float64), law.mean()
             want_gross = mu * (wins + beta * wins * (wins - 1.0) / (stops - wins + 2.0))
             assert gross.tobytes() == want_gross.tobytes()
             assert net.tobytes() == (want_gross - price * wins).tobytes()
@@ -583,20 +588,24 @@ def test_holder_count_block_draws_one_stop_and_one_count_per_row(k, d):
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_holder_count_block_draws_one_count_per_block_at_beta_0(k, d):
     # At beta = 0 each row draws one exponential for its stop, and the block
-    # one binomial, whose trials are the exact integer sum of the stops: a
-    # row's flows are c times its share of those wins, in proportion to its
-    # stop, and at k = n every slot is a win.
+    # one binomial, whose trials are the exact integer sum of the stops. The
+    # block is (stops, wins, what a win is worth gross and net); in the array
+    # form a row's flows are those values times its share of the wins, in
+    # proportion to its stop, from the same draws. At k = n every slot is a win.
     n, price, count = 8, 0.3, 40
     for law in (ConstantReward(2.5), LognormalReward(1.0, 1.0)):
         for d_row, horizon in ((d, math.inf), (d, 30), (0.0, 30)):
-            rng = _RecordingRng(np.random.default_rng(k))
-            gross, net, stops, wins = _holder_count_block(rng, count, EconomyParams(n, d_row, law), k, 0.0,
-                                                          price, horizon)
+            params, rng = EconomyParams(n, d_row, law), _RecordingRng(np.random.default_rng(k))
+            stops, wins, values = _holder_count_block(rng, count, params, k, 0.0, price, horizon)
             [(trials, p, drawn)] = rng.binomials
             assert trials.shape == () and type(wins) is int and not rng.uniforms
             assert p == k / n and int(trials) == sum(map(int, stops)) and wins == int(drawn) <= trials
-            share = stops * (wins / int(trials))
             mu = law.mean()
+            assert values == (mu, mu - price)
+            gross, net, flow_stops = _holder_flow_block(np.random.default_rng(k), count, params, k, 0.0, price,
+                                                        horizon)
+            assert flow_stops.tobytes() == stops.tobytes()
+            share = stops * (wins / int(trials))
             assert gross.tobytes() == (mu * share).tobytes()
             assert net.tobytes() == ((mu - price) * share).tobytes()
             if k == n:
@@ -618,8 +627,10 @@ def test_holder_array_block_sums_are_the_reduced_sums(beta):
     trials, reduced = 3 * _BLOCK + 37, []
 
     def record(parts):
-        reduced.append(holder_block_sums(parts, shifts=(0.5, 0.4), slopes=(0.005, 0.004), stop_mean=100.0,
-                                         values=(1.5, 1.2), p=4 / 32))
+        if beta == 0.0:
+            reduced.append(WinSums.of_block(parts, p=4 / 32, stop_mean=100.0))
+        else:
+            reduced.append(holder_block_sums(parts, shifts=(0.5, 0.4), slopes=(0.005, 0.004), stop_mean=100.0))
         return reduced[-1]
 
     total = sample_holder_flows(params, 4, trials, 11, beta=beta, replacement_price=0.3, reduce=record)
@@ -684,6 +695,28 @@ def test_holder_flows_reject_a_horizon_whose_block_of_stops_cannot_sum_exactly(b
                                                 horizon=_MAX_HORIZON)
     assert np.all(stops == float(_MAX_HORIZON)) and int(stops.sum()) == 2**53
     assert abs(float((gross - net).sum()) / 2**53 - 0.5) < 1e-6     # the wins, at k/n = 1/2
+
+
+def test_holder_flows_reject_a_d_whose_block_of_stops_cannot_sum_exactly():
+    # At beta = 0 without a horizon a block sums its _BLOCK stops, 1/d each
+    # on average, and the sum is exact while it stays below 2^53: at
+    # d >= 4 / _MAX_HORIZON its mean is at most a quarter of that, which a
+    # Gamma(_BLOCK) sum passes with chance below e^-6000. A smaller d is
+    # refused before any draw (near d = 4e-16 it once failed in numpy with
+    # an OverflowError); a horizon, or the per-row path at beta > 0, which
+    # sums no stops, still takes it.
+    least = 4.0 / _MAX_HORIZON
+    for d in (least / 2, 1e-16):
+        message = f"d must be at least {least} at beta = 0 without a horizon, got {d}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_holder_flows(params_const(4, d=d), 2, _BLOCK, seed=0)
+    _, _, stops = sample_holder_flows(params_const(4, d=least), 2, _BLOCK, seed=0)
+    assert stops.sum() < 2**53 and int(stops.sum()) == sum(map(int, stops))
+    _, _, stops = sample_holder_flows(params_const(4, d=1e-16), 2, _BLOCK, seed=0, horizon=_MAX_HORIZON)
+    assert np.all(stops <= _MAX_HORIZON)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample_holder_flows(params_const(4, d=1e-16), 2, _BLOCK, seed=0, beta=0.5)
 
 
 @pytest.mark.parametrize("keyword, value, message", [
@@ -796,9 +829,6 @@ def test_pool_holds_a_bounded_window_of_blocks():
     # every block's task at once holds ~0.4 kB a block, about 150 kB more at
     # 1024 blocks than at 64. CPython keeps freed tuples on free lists that
     # tracemalloc still counts, so warm runs under tracing fill them first.
-    # The peak also holds both threads' block temporaries when their draws
-    # coincide (~70 kB more), which a 1024-block run always meets and one
-    # 64-block run can miss, so the 64-block figure is the largest of four.
     params = params_const(32)
     reduce = partial(block_sums, shifts=(32.0,), orders=(2,))
 
@@ -815,7 +845,7 @@ def test_pool_holds_a_bounded_window_of_blocks():
     try:
         run(1024)
         run(1024)
-        small, large = max(peak(64) for _ in range(4)), peak(1024)
+        small, large = peak(64), peak(1024)
     finally:
         tracemalloc.stop()
     assert large - small < 40_000, (small, large)
@@ -924,9 +954,7 @@ _HORIZON_CASES = {
     "win_slots": (sample_win_slots, (), _BLOCK, partial(block_sums, shifts=(32.0,), orders=(2,)), 1),
     "pool": (sample_pool_payoffs, (16,), _PATH_BLOCK, partial(pool_sums, shift=0.6), 2),
     "holder_flows": (sample_holder_flows, (4,), _BLOCK,
-                     partial(holder_block_sums, shifts=(0.4, 0.3), slopes=(0.004, 0.003), stop_mean=100.0,
-                             values=(1.0, 0.7), p=0.125),
-                     None),
+                     partial(WinSums.of_block, p=0.125, stop_mean=100.0), None),
 }
 
 
